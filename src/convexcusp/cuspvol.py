@@ -161,11 +161,14 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec, met
     Each row reports the volume up to the cutoff; increments are
     integrated over disjoint shells so the table is increasing by
     construction, and the increment ratios expose the x1^(-1/2) tail.
+    ``quad_gap`` is the worst sphere-quadrature gap over the shells up
+    to each row's cutoff.
     """
     cutoffs = sorted(float(c) for c in cutoffs)
     rows = []
     total = 0.0
     var = 0.0
+    gap = 0.0
     prev_inc = None
     lo = 0.0
     for X in cutoffs:
@@ -173,6 +176,7 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec, met
         inc = est.estimate
         total += inc
         var += est.stderr ** 2
+        gap = max(gap, est.quad_gap)
         ratio = (inc / prev_inc) if prev_inc not in (None, 0.0) else math.nan
         rows.append(
             {
@@ -183,6 +187,7 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec, met
                 "increment_ratio": ratio,
                 "samples": est.samples,
                 "seed": est.seed,
+                "quad_gap": gap,
             }
         )
         prev_inc = inc

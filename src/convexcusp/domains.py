@@ -309,10 +309,6 @@ class Horosphere:
         return bool(x[0] > self.domain.boundary_value_batch(b2, b3)[0] + self.level)
 
 
-def horoball_contains(hs: Horosphere, x) -> bool:
-    return hs.ball_contains(x)
-
-
 # ---------------------------------------------------------------------------
 # descriptors and exports
 

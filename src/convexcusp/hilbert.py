@@ -7,6 +7,16 @@ unit norm ball), where alpha_3 = pi/6 is the Lebesgue volume of the
 Euclidean ball of diameter 1.  Volumes of regions are integrals of the
 density, by seeded Monte Carlo or a Gauss-Legendre product grid.
 
+``unit_ball_lebesgue`` and ``busemann_density`` take one point (float
+result) or an (m,3) batch of points ((m,) array result).  A batch is
+solved in chunks of points whose chord rows go through one
+``chord_taus`` call each, and gives the same values bit for bit as one
+point at a time, whatever the chunking.  Each unit-ball volume is also
+computed on a coarse sphere quadrature in the same solve: with
+``check=True`` a coarse/fine disagreement at any point raises
+QuadratureError, with ``check=False`` it never raises and the integrators
+record the worst relative gap instead (``VolumeEstimate.quad_gap``).
+
 A slow covering-style oracle estimates the same measure from metric
 balls only (no Finsler norm, no density integration) and is used to
 cross-check the main pipeline on small boxes.
@@ -189,46 +199,93 @@ def sphere_quadrature(n_nodes: int):
     return U, W
 
 
-def _ball_volume_at_nodes(dom, x, q, n_nodes):
-    U, W = sphere_quadrature(n_nodes)
+#: rows (points x (sphere nodes + 3)) per batched chord solve of the
+#: density; bounds the working set without changing any value, since
+#: every chord row is bisected independently of the others
+DENSITY_CHUNK_ROWS = 4096
+
+
+def _unit_ball_volumes(dom, X, q):
+    """Fine and coarse unit-ball volumes at the rows of an (m,3) array.
+
+    Per chunk of points, the three axis chords of every point go into
+    one chord solve and the rescaled fine and coarse sphere nodes of
+    every point into one more; the node sets are split afterwards.
+    """
+    U, W = sphere_quadrature(q.sphere_nodes)
+    Uc, Wc = sphere_quadrature(max(8, q.sphere_nodes // 4))
+    nodes = np.concatenate([U, Uc])
+    n_fine, n = len(U), len(U) + len(Uc)
     axes = np.eye(3)
-    axis_norms = finsler_norm_batch(dom, x, axes, tol=q.bisection_tol)
-    radii = 1.0 / axis_norms
-    dirs = U * radii[None, :]
-    norms = finsler_norm_batch(dom, x, dirs, tol=q.bisection_tol)
-    r = 1.0 / norms
-    return float(np.prod(radii) * np.sum(W * r ** 3) / 3.0)
+    fine = np.empty(len(X))
+    coarse = np.empty(len(X))
+    step = max(1, DENSITY_CHUNK_ROWS // (n + 3))
+    for a in range(0, len(X), step):
+        P = X[a : a + step]
+        k = len(P)
+        axis_norms = finsler_norm_batch(dom, np.repeat(P, 3, axis=0), np.tile(axes, (k, 1)), tol=q.bisection_tol)
+        radii = 1.0 / axis_norms.reshape(k, 3)
+        dirs = (nodes[None, :, :] * radii[:, None, :]).reshape(k * n, 3)
+        norms = finsler_norm_batch(dom, np.repeat(P, n, axis=0), dirs, tol=q.bisection_tol)
+        r3 = (1.0 / norms.reshape(k, n)) ** 3
+        scale = np.prod(radii, axis=1)
+        fine[a : a + k] = scale * np.sum(W * r3[:, :n_fine], axis=1) / 3.0
+        coarse[a : a + k] = scale * np.sum(Wc * r3[:, n_fine:], axis=1) / 3.0
+    return fine, coarse
 
 
-def unit_ball_lebesgue(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRATURE, check=True) -> float:
+def _ball_volumes(dom, x, q, check):
+    """Fine unit-ball volumes and relative fine/coarse gaps, as (m,) arrays.
+
+    The check runs here, after the solve has returned, so that the
+    traceback of a QuadratureError holds no chord arrays.
+    """
+    X = np.asarray(x, dtype=float).reshape(-1, 3)
+    if not dom.contains_batch(X).all():
+        raise ValueError("unit ball requested at a non-interior point")
+    fine, coarse = _unit_ball_volumes(dom, X, q)
+    if check:
+        bad = np.abs(fine - coarse) > 10.0 * q.rel_target * np.abs(fine)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise QuadratureError(
+                f"sphere quadrature not converged (fine {fine[i]:.6g}, coarse {coarse[i]:.6g})"
+            )
+    return fine, np.abs(fine - coarse) / fine
+
+
+def unit_ball_lebesgue(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRATURE, check=True):
     """Lebesgue volume of the unit Finsler ball in the tangent space.
 
-    Computed as (1/3) * integral of r(u)^3 over the sphere after
-    rescaling directions by the three axis radii, which keeps the
-    integrand order-one even in very anisotropic tangent spaces.  With
-    ``check`` a coarse pass must agree with the fine one to within ten
-    times ``q.rel_target`` or QuadratureError is raised.
+    ``x`` is one interior point, giving a float, or an (m,3) batch,
+    giving an (m,) array.  Computed as (1/3) * integral of r(u)^3 over
+    the sphere after rescaling directions by the three axis radii, which
+    keeps the integrand order-one even in very anisotropic tangent
+    spaces.  A coarse pass at a quarter of the sphere nodes is solved
+    alongside the fine one; with ``check`` it must agree with the fine
+    pass to within ten times ``q.rel_target`` at every point or
+    QuadratureError is raised.  A non-interior point raises ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    if not dom.contains(x):
-        raise ValueError("unit ball requested at a non-interior point")
-    fine = _ball_volume_at_nodes(dom, x, q, q.sphere_nodes)
-    if check:
-        coarse = _ball_volume_at_nodes(dom, x, q, max(8, q.sphere_nodes // 4))
-        if abs(fine - coarse) > 10.0 * q.rel_target * abs(fine):
-            raise QuadratureError(
-                f"sphere quadrature not converged (fine {fine:.6g}, coarse {coarse:.6g})"
-            )
-    return fine
+    fine, _ = _ball_volumes(dom, x, q, check)
+    return float(fine[0]) if np.ndim(x) == 1 else fine
 
 
-def busemann_density(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRATURE, check=True) -> float:
+def busemann_density(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRATURE, check=True, return_gap=False):
     """Density of the Busemann volume against Lebesgue measure.
 
-    Quadrature convergence failures propagate; integrators that sample
-    densely pass ``check=False`` and rely on their own refinement checks.
+    Takes one point (float result) or an (m,3) batch ((m,) array), as
+    ``unit_ball_lebesgue`` does, and returns the same values point by
+    point either way.  Quadrature convergence failures propagate;
+    integrators that sample densely pass ``check=False``, which never
+    raises, and ``return_gap=True``, which adds the relative fine/coarse
+    gap |fine - coarse|/fine of each unit-ball volume (same shape as
+    the densities) so that they can report the worst one.
     """
-    return ALPHA3 / unit_ball_lebesgue(dom, x, q, check=check)
+    fine, gap = _ball_volumes(dom, x, q, check)
+    rho = ALPHA3 / fine
+    if np.ndim(x) == 1:
+        rho, gap = float(rho[0]), float(gap[0])
+    return (rho, gap) if return_gap else rho
 
 
 def metric_ball_density(dom: ConvexDomain, x, rho=0.02, n_nodes=128, tol=CHORD_TOL) -> float:
@@ -309,6 +366,9 @@ class VolumeEstimate:
     samples: int
     seed: int
     method: str
+    #: worst relative gap |fine - coarse|/fine between the sphere
+    #: quadratures of the unit-ball volumes behind the estimate
+    quad_gap: float = 0.0
 
     def __float__(self):
         return self.estimate
@@ -320,8 +380,10 @@ def busemann_volume(region: Region, q: QuadratureSpec = DEFAULT_QUADRATURE, meth
     ``method="mc"``: seeded Monte Carlo over the bounding box (stderr is
     the usual sample estimate).  ``method="grid"``: Gauss-Legendre
     product grid adapted to the floor, stderr reported as the difference
-    from a half-resolution pass.  A region that escapes its domain
-    raises RegionError.
+    from a half-resolution pass.  Densities are taken unchecked, in one
+    batched call per pass, and the worst sphere-quadrature gap over all
+    of their nodes is recorded as ``quad_gap``.  A region that escapes
+    its domain raises RegionError.
     """
     if region.x1_range[1] is None:
         if q.cutoff is None:
@@ -332,10 +394,12 @@ def busemann_volume(region: Region, q: QuadratureSpec = DEFAULT_QUADRATURE, meth
     if method == "mc":
         return _volume_mc(region, q)
     if method == "grid":
-        fine = _volume_grid(region, q, q.grid_shape)
+        fine, fine_gap = _volume_grid(region, q, q.grid_shape)
         coarse_shape = tuple(max(2, s // 2) for s in q.grid_shape)
-        coarse = _volume_grid(region, q, coarse_shape)
-        return VolumeEstimate(fine, abs(fine - coarse), int(np.prod(q.grid_shape)), q.seed, "grid")
+        coarse, coarse_gap = _volume_grid(region, q, coarse_shape)
+        return VolumeEstimate(
+            fine, abs(fine - coarse), int(np.prod(q.grid_shape)), q.seed, "grid", max(fine_gap, coarse_gap)
+        )
     raise ValueError(f"unknown integration method {method!r}")
 
 
@@ -351,16 +415,15 @@ def _volume_mc(region: Region, q: QuadratureSpec) -> VolumeEstimate:
         if not inside.all():
             raise RegionError("region extends outside its domain")
     vals = np.zeros(n)
-    idx = np.flatnonzero(mask)
-    for i in idx:
-        vals[i] = busemann_density(region.domain, pts[i], q, check=False)
+    vals[mask], gap = busemann_density(region.domain, pts[mask], q, check=False, return_gap=True)
     box = region.box_volume()
     est = box * float(np.mean(vals))
     err = box * float(np.std(vals) / math.sqrt(n))
-    return VolumeEstimate(est, err, n, q.seed, "mc")
+    return VolumeEstimate(est, err, n, q.seed, "mc", float(np.max(gap, initial=0.0)))
 
 
-def _volume_grid(region: Region, q: QuadratureSpec, shape) -> float:
+def _volume_grid(region: Region, q: QuadratureSpec, shape):
+    """Grid estimate and worst quadrature gap over the grid's densities."""
     n1, n2, n3 = shape
     x2n, w2 = np.polynomial.legendre.leggauss(n2)
     x3n, w3 = np.polynomial.legendre.leggauss(n3)
@@ -372,7 +435,8 @@ def _volume_grid(region: Region, q: QuadratureSpec, shape) -> float:
     g2, w2 = to_interval(x2n, w2, *region.x2_range)
     g3, w3 = to_interval(x3n, w3, *region.x3_range)
     dom = region.domain
-    total = 0.0
+    pts = []
+    weights = []
     for b2, wb2 in zip(g2, w2):
         for b3, wb3 in zip(g3, w3):
             lo = region.x1_range[0]
@@ -386,12 +450,16 @@ def _volume_grid(region: Region, q: QuadratureSpec, shape) -> float:
             # fastest just above the floor and decays polynomially above
             gu, wu = to_interval(x1n, w1, 0.0, math.log1p(hi - lo))
             for u, wuu in zip(gu, wu):
-                x1 = lo + math.expm1(u)
-                pt = np.array([x1, b2, b3])
-                if region.floor_level is None and not dom.contains(pt):
-                    raise RegionError("region extends outside its domain")
-                total += wb2 * wb3 * wuu * math.exp(u) * busemann_density(dom, pt, q, check=False)
-    return total
+                pts.append((lo + math.expm1(u), b2, b3))
+                weights.append(wb2 * wb3 * wuu * math.exp(u))
+    pts = np.array(pts, dtype=float).reshape(-1, 3)
+    if region.floor_level is None and not dom.contains_batch(pts).all():
+        raise RegionError("region extends outside its domain")
+    rho, gap = busemann_density(dom, pts, q, check=False, return_gap=True)
+    total = 0.0
+    for w, r in zip(weights, rho):
+        total += w * r
+    return total, float(np.max(gap, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +540,9 @@ def write_volume_csv(path, rows):
 
 
 def density_grid_rows(dom, x1_values, x2_values, x3, q: QuadratureSpec = DEFAULT_QUADRATURE):
-    rows = []
-    for x1 in x1_values:
-        for x2 in x2_values:
-            rows.append((float(x1), float(x2), float(x3), busemann_density(dom, [x1, x2, x3], q)))
-    return rows
+    pts = np.array([(x1, x2, x3) for x1 in x1_values for x2 in x2_values], dtype=float).reshape(-1, 3)
+    rho = busemann_density(dom, pts, q)
+    return [(float(x1), float(x2), float(x3), float(r)) for (x1, x2, x3), r in zip(pts, rho)]
 
 
 def write_density_csv(path, rows):

@@ -56,10 +56,6 @@ def float_matrix(rows):
     return np.asarray(rows, dtype=float)
 
 
-def as_matrix(rows, exact):
-    return exact_matrix(rows) if exact else float_matrix(rows)
-
-
 def is_exact(M) -> bool:
     return getattr(M, "dtype", None) == object
 
@@ -187,19 +183,6 @@ def from_affine(p):
     out[:3] = p
     out[3] = one
     return out
-
-
-def to_affine(v):
-    """Homogeneous 4-vector -> affine point; error on points at infinity."""
-    if v[3] == 0:
-        raise ValueError("point at infinity has no affine representative")
-    return np.array([v[0] / v[3], v[1] / v[3], v[2] / v[3]])
-
-
-def apply_affine(M, p):
-    """Apply a projective map to an affine point of the chart x4 = 1."""
-    v = M @ np.append(np.asarray(p, dtype=float), 1.0) if not is_exact(M) else M @ from_affine(p)
-    return to_affine(v)
 
 
 def apply_affine_batch(M, pts):

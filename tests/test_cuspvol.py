@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,77 @@ def test_volume_comparison_inequality():
     region_big = hb.Region(bigger, region.x2_range, region.x3_range, region.x1_range, floor_level=None)
     outer = hb.busemann_volume(region_big, FAST_Q, method="grid").estimate
     assert outer < inner
+
+
+# ---------------------------------------------------------------------------
+# batched integrators against a point-by-point reference
+
+
+def _scalar_density_and_gap(dom, pt, q):
+    fine = hb.unit_ball_lebesgue(dom, pt, q, check=False)
+    coarse = hb.unit_ball_lebesgue(dom, pt, replace(q, sphere_nodes=q.sphere_nodes // 4), check=False)
+    return hb.busemann_density(dom, pt, q, check=False), abs(fine - coarse) / fine
+
+
+def _reference_grid(region, q, shape):
+    # the grid integrator written out one density at a time
+    n1, n2, n3 = shape
+    x1n, w1 = np.polynomial.legendre.leggauss(n1)
+    x2n, w2 = np.polynomial.legendre.leggauss(n2)
+    x3n, w3 = np.polynomial.legendre.leggauss(n3)
+    (a2, b2), (a3, b3) = region.x2_range, region.x3_range
+    dom = region.domain
+    total, gap = 0.0, 0.0
+    for y2, v2 in zip(0.5 * (b2 - a2) * x2n + 0.5 * (a2 + b2), 0.5 * (b2 - a2) * w2):
+        for y3, v3 in zip(0.5 * (b3 - a3) * x3n + 0.5 * (a3 + b3), 0.5 * (b3 - a3) * w3):
+            h = float(dom.boundary_value_batch(np.array([y2]), np.array([y3]))[0])
+            lo = max(region.x1_range[0], h + region.floor_level)
+            hi = region.x1_range[1]
+            if hi <= lo:
+                continue
+            top = math.log1p(hi - lo)
+            for u, vu in zip(0.5 * top * x1n + 0.5 * top, 0.5 * top * w1):
+                rho, g = _scalar_density_and_gap(dom, np.array([lo + math.expm1(u), y2, y3]), q)
+                total += v2 * v3 * vu * math.exp(u) * rho
+                gap = max(gap, g)
+    return total, gap
+
+
+def test_grid_volume_matches_scalar_reference():
+    region = FD_REF.shell(2.0, 6.0)
+    est = hb.busemann_volume(region, FAST_Q, method="grid")
+    fine, fine_gap = _reference_grid(region, FAST_Q, FAST_Q.grid_shape)
+    coarse, coarse_gap = _reference_grid(region, FAST_Q, tuple(max(2, s // 2) for s in FAST_Q.grid_shape))
+    assert est.estimate == fine
+    assert est.stderr == abs(fine - coarse)
+    assert est.quad_gap == max(fine_gap, coarse_gap) > 0.0
+
+
+def test_mc_volume_matches_scalar_reference():
+    region = FD_REF.shell(2.0, 6.0)
+    q = replace(FAST_Q, mc_samples=60, seed=4)
+    est = hb.busemann_volume(region, q, method="mc")
+    rng = np.random.Generator(np.random.Philox(q.seed))
+    lo = np.array([region.x1_range[0], region.x2_range[0], region.x3_range[0]])
+    hi = np.array([region.x1_range[1], region.x2_range[1], region.x3_range[1]])
+    pts = lo + rng.random((q.mc_samples, 3)) * (hi - lo)
+    vals = np.zeros(q.mc_samples)
+    gap = 0.0
+    for i in np.flatnonzero(region.mask(pts)):
+        vals[i], g = _scalar_density_and_gap(region.domain, pts[i], q)
+        gap = max(gap, g)
+    box = region.box_volume()
+    assert est.estimate == box * float(np.mean(vals))
+    assert est.stderr == box * float(np.std(vals) / math.sqrt(q.mc_samples))
+    assert est.quad_gap == gap > 0.0
+
+
+def test_volume_table_reports_worst_quad_gap():
+    q = replace(FAST_Q, sphere_nodes=128, grid_shape=(4, 3, 3))
+    rows = cv.cusp_volume_table(FD_REF, [4.0, 8.0], q, method="grid")
+    shells = [hb.busemann_volume(FD_REF.shell(lo, hi), q, method="grid") for lo, hi in ((0.0, 4.0), (4.0, 8.0))]
+    assert rows[0]["quad_gap"] == shells[0].quad_gap
+    assert rows[1]["quad_gap"] == max(s.quad_gap for s in shells)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from convexcusp import hilbert as hb, projlin as pl
 from convexcusp.cusplie import LieAlgElem, group_exp
-from convexcusp.domains import BallDomain, DomainDPrime, DomainDt, VerticalShiftDomain, vt_map
+from convexcusp.domains import BallDomain, DomainD0, DomainDPrime, DomainDt, VerticalShiftDomain, vt_map
 
 BALL = BallDomain()
 DP = DomainDPrime()
@@ -240,6 +240,60 @@ def test_quadrature_convergence_guard():
     # a coarse quadrature, and the refinement check must say so
     with pytest.raises(hb.QuadratureError):
         hb.unit_ball_lebesgue(DP, [0.05, 1.0, 0.0], hb.QuadratureSpec(sphere_nodes=288))
+
+
+# ---------------------------------------------------------------------------
+# batched densities
+
+BATCH_CASES = {
+    "Ball": (BALL, [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [-0.5, 0.4, 0.2], [0.1, 0.6, -0.3]]),
+    "D0": (DomainD0(), [[1.0, 0.0, 0.0], [2.0, 0.5, -0.7], [1.5, -1.0, 0.3], [4.0, 1.2, 0.8]]),
+    "DPrime": (DP, [[2.0, 1.0, 0.0], [1.0, 1.5, 0.4], [3.0, 0.5, -0.6], [6.0, 2.5, 1.0]]),
+    "Dt": (DomainDt(0.5), [[10.0, 1.0, 0.0], [12.0, 2.0, 0.4], [16.0, 0.5, -1.0], [20.0, 3.0, 1.5]]),
+    "shifted DPrime": (
+        VerticalShiftDomain(DP, 0.5),
+        [[2.0, 1.0, 0.0], [1.5, 1.5, 0.4], [3.0, 0.5, -0.6], [6.0, 2.5, 1.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batched_density_bit_equal_to_scalar(name):
+    dom, pts = BATCH_CASES[name]
+    pts = np.array(pts)
+    batch = hb.busemann_density(dom, pts, FAST_Q)
+    scalar = [hb.busemann_density(dom, p, FAST_Q) for p in pts]
+    assert all(isinstance(v, float) for v in scalar)
+    assert batch.shape == (len(pts),)
+    assert batch.tolist() == scalar
+    vols = hb.unit_ball_lebesgue(dom, pts, FAST_Q)
+    assert vols.tolist() == [hb.unit_ball_lebesgue(dom, p, FAST_Q) for p in pts]
+
+
+def test_batched_density_independent_of_chunking(monkeypatch):
+    rng = np.random.default_rng(21)
+    pts = np.column_stack([rng.uniform(1.0, 5.0, 9), rng.uniform(0.5, 3.0, 9), rng.uniform(-1.0, 1.0, 9)])
+    values = []
+    for rows in (1, 10 ** 6):
+        monkeypatch.setattr(hb, "DENSITY_CHUNK_ROWS", rows)
+        values.append(hb.busemann_density(DP, pts, FAST_Q, return_gap=True))
+    (rho_a, gap_a), (rho_b, gap_b) = values
+    assert rho_a.tolist() == rho_b.tolist()
+    assert gap_a.tolist() == gap_b.tolist()
+
+
+def test_batched_density_checks_every_point():
+    # one near-boundary point spoils a batch of good ones under check=True;
+    # unchecked, the same batch reports its gaps instead
+    pts = np.array([[2.0, 1.0, 0.0], [0.05, 1.0, 0.0], [3.0, 1.5, 0.2]])
+    q = hb.QuadratureSpec(sphere_nodes=288)
+    with pytest.raises(hb.QuadratureError, match="sphere quadrature not converged"):
+        hb.busemann_density(DP, pts, q)
+    rho, gap = hb.busemann_density(DP, pts, q, check=False, return_gap=True)
+    assert rho.shape == gap.shape == (3,)
+    assert gap[1] > 10.0 * q.rel_target > max(gap[0], gap[2])
+    with pytest.raises(ValueError):
+        hb.busemann_density(DP, np.array([[2.0, 1.0, 0.0], [-5.0, 1.0, 0.0]]), q, check=False)
 
 
 # ---------------------------------------------------------------------------
