@@ -7,13 +7,18 @@ domains Dt are images of DPrime under the triangular coordinate change
 ``vt_map(t)``.  A Euclidean ball domain is included as a closed-form
 metric oracle for the Hilbert geometry code.
 
-Chord endpoints against the boundary are found by geometric bracketing
-plus bisection on the membership predicate, vectorised over directions;
-rays that never leave the domain report ideal endpoints.
+Chord endpoints of the log domain are found by Newton's method on its
+concave chord function, vectorised over rays.  Dt and vertical shifts
+send their chords to that solver through their affine maps, which leave
+the chord parameter unchanged.  The ball and D0 keep the generic route,
+geometric bracketing plus bisection on the membership predicate, which
+also serves as the reference for the Newton solver.  A ray still inside
+the domain at ``IDEAL_PROBE`` reports an ideal endpoint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,8 +37,14 @@ class UnboundedSearchError(RuntimeError):
 
 #: geometric bracketing gives up and declares an endpoint ideal beyond this
 IDEAL_CUTOFF = 1e9
-#: default absolute bisection tolerance for boundary crossings
+#: the largest power of two below IDEAL_CUTOFF, the last point the
+#: doubling bracket tests: a ray still inside there is ideal
+IDEAL_PROBE = 2.0 ** (math.ceil(math.log2(IDEAL_CUTOFF)) - 1)
+#: default absolute tolerance for boundary crossings
 CHORD_TOL = 1e-12
+#: Newton steps allowed per chord of the log domain before the search
+#: counts as diverged
+NEWTON_MAX_STEPS = 100
 
 
 def vt_map(t):
@@ -203,12 +214,105 @@ class DomainDPrime(ParabolicDomain):
     def boundary_value_batch(self, b2, b3):
         return 0.5 * b3 ** 2 - np.log(b2)
 
+    def contains_batch(self, pts):
+        return _dprime_contains(np.asarray(pts, dtype=float))
+
+    def _ray_exit(self, X, V, tol):
+        """Exit parameters of rays X + tau*V by Newton's method.
+
+        Along a ray, Q(tau) = x1 + tau v1 - (x3 + tau v3)^2/2 and
+        s(tau) = x2 + tau v2; the chord function phi = Q + log s is
+        concave and positive exactly inside.  Newton's method on a
+        concave function, started outside the domain, moves
+        monotonically down onto the exit.  Near the edge x2 = 0 it runs
+        on G = s - exp(-Q) instead, which has the same zero, is also
+        concave, and stays finite for s <= 0.  A ray leaves the
+        iteration once its step is at most max(tol/2, 4 ulp(tau)) or
+        not positive.  ``V`` need not be a unit vector.
+        """
+        if not (np.isfinite(X).all() and np.isfinite(V).all()):
+            bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(V).all(axis=1))
+            raise UnboundedSearchError(V[np.argmax(bad)])
+        if not _dprime_contains(X).all():
+            raise ValueError("chord base point must be interior")
+        out = np.full(len(X), np.inf)
+        rows = np.flatnonzero(~_dprime_contains(X + IDEAL_PROBE * V))
+        # the live rays, compacted after every step
+        ray = _dprime_ray_coefficients(X[rows], V[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = _dprime_outer_start(*ray)
+            for _ in range(NEWTON_MAX_STEPS):
+                if not len(rows):
+                    return out
+                step = _dprime_newton_step(*ray, tau)
+                if not np.isfinite(step).all():
+                    raise UnboundedSearchError(V[rows[np.argmax(~np.isfinite(step))]])
+                keep = step > np.maximum(0.5 * tol, 4 * np.spacing(tau))
+                tau = tau - np.maximum(step, 0.0)
+                out[rows] = tau
+                rows, tau, ray = rows[keep], tau[keep], np.compress(keep, ray, axis=1)
+        raise UnboundedSearchError(V[rows[0]])
+
+
+def _dprime_contains(P):
+    """Strict membership of the rows of P in the log domain; the Newton
+    solver calls it directly, so that its interior and ideal tests make
+    no ``contains_batch`` calls."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (P[:, 1] > 0) & (P[:, 0] > 0.5 * P[:, 2] ** 2 - np.log(P[:, 1]))
+
+
+def _dprime_ray_coefficients(X, V):
+    """Rows q0, q1, a, x2, v2 with Q(tau) = q0 + q1 tau - a tau^2 and
+    s(tau) = x2 + tau v2 along the rays X + tau*V."""
+    x1, x2, x3 = X.T
+    v1, v2, v3 = V.T
+    return np.array([x1 - 0.5 * x3 * x3, v1 - x3 * v3, 0.5 * v3 * v3, x2, v2])
+
+
+def _dprime_outer_start(q0, q1, a, x2, v2):
+    """A parameter at or beyond the exit of every non-ideal ray.
+
+    log s lies below its tangents at s = x2 and at s = 1, so the chord
+    function lies below the concave quadratics phi(0) + phi'(0) tau -
+    a tau^2 and Q + s - 1, and the exit below the positive root of
+    each.  The smaller root is clipped to the edge s = 0, where the
+    second bound makes Q > 1 and the iteration starts on G, and to the
+    ideal probe; both are outside.
+    """
+    tau = np.fmin(_positive_root(q0 + np.log(x2), q1 + v2 / x2, a), _positive_root(q0 + x2 - 1.0, q1 + v2, a))
+    tau = np.where(v2 < 0, np.fmin(tau, -x2 / v2), tau)
+    return np.fmin(tau, IDEAL_PROBE)
+
+
+def _positive_root(c, b, a):
+    """Positive root of c + b tau - a tau^2 (c > 0, a >= 0), by the
+    formula that does not cancel; nan when a = b = 0 (root at infinity),
+    which np.fmin passes over."""
+    root = np.sqrt(b * b + 4.0 * a * c)
+    return np.where(b < 0, 2.0 * c / (root - b), (b + root) / (2.0 * a))
+
+
+def _dprime_newton_step(q0, q1, a, x2, v2, tau):
+    """Newton decrements f/f' at parameters tau beyond the exit, on
+    G = s - exp(-Q) near the edge (s < 1, Q > -50) and on phi elsewhere."""
+    s = x2 + tau * v2
+    at = a * tau
+    minus_q = tau * (at - q1) - q0
+    dq = q1 - (at + at)
+    edge = (s < 1.0) & (minus_q < 50.0)
+    e = np.exp(np.minimum(minus_q, 50.0))
+    f = np.where(edge, s - e, np.log(s) - minus_q)
+    df = np.where(edge, v2 + dq * e, dq + v2 / s)
+    return f / df
+
 
 class DomainDt(ParabolicDomain):
     """Deformed domain, represented implicitly as the image of DPrime.
 
-    Membership pulls points back through the inverse coordinate change
-    and tests them in DPrime (single source of truth for the boundary).
+    Membership and chords pull points back through the inverse
+    coordinate change and are decided in DPrime; the boundary graph has
+    the closed form of ``boundary_value_batch``.
     """
 
     def __init__(self, t):
@@ -229,33 +333,33 @@ class DomainDt(ParabolicDomain):
         return self._dprime.contains_batch(back)
 
     def boundary_value_batch(self, b2, b3):
-        return np.array(
-            [self._boundary_bisect(b2i, b3i) for b2i, b3i in zip(b2, b3)]
-        )
+        """Closed form y3^2/2 + y2^2 psi(t y2) of the pulled-back boundary;
+        at t = 0 it would be the paraboloid of D0."""
+        b2 = np.asarray(b2, dtype=float)
+        b3 = np.asarray(b3, dtype=float)
+        return 0.5 * b3 ** 2 + b2 ** 2 * _psi(float(self.t) * b2)
 
-    def _boundary_bisect(self, b2, b3, tol=CHORD_TOL):
-        # root-find the membership transition on the vertical line:
-        # walk up until interior, down until exterior, then bisect
-        def inside(x1):
-            return bool(self.contains_batch(np.array([[x1, b2, b3]]))[0])
+    def _ray_exit(self, X, V, tol):
+        # an affine pullback keeps the chord parameter tau
+        back = projlin.apply_affine_batch(self._pullback, X)
+        return self._dprime._ray_exit(back, V @ self._pullback[:3, :3].T, tol)
 
-        hi = 1.0
-        while not inside(hi):
-            hi *= 2.0
-            if hi > IDEAL_CUTOFF:
-                raise UnboundedSearchError(np.array([1.0, 0.0, 0.0]))
-        lo = -1.0
-        while inside(lo):
-            lo *= 2.0
-            if lo < -IDEAL_CUTOFF:
-                raise UnboundedSearchError(np.array([-1.0, 0.0, 0.0]))
-        while hi - lo > max(tol, 4 * np.spacing(abs(hi))):
-            mid = 0.5 * (lo + hi)
-            if inside(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+
+#: |u| below which psi is summed from its series: u - log1p(u) cancels
+#: to a relative error of about 2 eps/|u|, and the 27 terms kept leave
+#: a remainder below 1e-17 at |u| = 0.25
+_PSI_SERIES_BELOW = 0.25
+#: series coefficients (-1)^k / (k + 2) of psi, highest power first
+_PSI_SERIES = [(-1) ** k / (k + 2) for k in range(26, -1, -1)]
+
+
+def _psi(u):
+    """psi(u) = (u - log1p(u)) / u^2, the Dt boundary profile (psi(0) = 1/2)."""
+    u = np.asarray(u, dtype=float)
+    small = np.abs(u) < _PSI_SERIES_BELOW
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (u - np.log1p(u)) / (u * u)
+    return np.where(small, np.polyval(_PSI_SERIES, u), direct)
 
 
 class BallDomain(ConvexDomain):
@@ -286,6 +390,9 @@ class VerticalShiftDomain(ParabolicDomain):
 
     def boundary_value_batch(self, b2, b3):
         return self.parent.boundary_value_batch(b2, b3) + self.shift
+
+    def _ray_exit(self, X, V, tol):
+        return self.parent._ray_exit(X - np.array([self.shift, 0.0, 0.0]), V, tol)
 
 
 @dataclass(frozen=True)

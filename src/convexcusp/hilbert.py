@@ -201,7 +201,7 @@ def sphere_quadrature(n_nodes: int):
 
 #: rows (points x (sphere nodes + 3)) per batched chord solve of the
 #: density; bounds the working set without changing any value, since
-#: every chord row is bisected independently of the others
+#: every chord row is solved independently of the others
 DENSITY_CHUNK_ROWS = 4096
 
 

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -605,45 +606,120 @@ def _rational_roots(poly: Polynomial):
     return roots, p
 
 
+def _poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
+    return Polynomial.from_coeffs([x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+
+
+def _poly_derivative(p: Polynomial) -> Polynomial:
+    return Polynomial.from_coeffs([k * c for k, c in enumerate(p.coeffs)][1:] or [0])
+
+
+def _poly_divmod(a: Polynomial, b: Polynomial):
+    """Quotient and remainder of exact polynomials; ``b`` is nonzero."""
+    db = b.degree
+    if a.degree < db:
+        return Polynomial.from_coeffs([0]), a
+    rem = list(a.coeffs)
+    quot = [0] * (a.degree - db + 1)
+    for k in range(a.degree - db, -1, -1):
+        q = rem[k + db] / b.coeffs[-1]
+        quot[k] = q
+        for j, c in enumerate(b.coeffs):
+            rem[k + j] -= q * c
+    return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem[:db] or [0])
+
+
+def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor of exact polynomials, not both zero."""
+    while any(b.coeffs):
+        a, b = b, _poly_divmod(a, b)[1]
+    return a.monic()
+
+
+def _squarefree_factors(p: Polynomial):
+    """Yun's square-free factorisation of a monic exact polynomial.
+
+    Returns [(a_i, i)] with p = prod a_i^i, each a_i monic, square-free
+    and coprime to the others; constant factors are left out.
+    """
+    dp = _poly_derivative(p)
+    g = _poly_gcd(p, dp)
+    b = _poly_divmod(p, g)[0]
+    d = _poly_sub(_poly_divmod(dp, g)[0], _poly_derivative(b))
+    out = []
+    i = 1
+    while b.degree > 0:
+        a = _poly_gcd(b, d)
+        b = _poly_divmod(b, a)[0]
+        d = _poly_sub(_poly_divmod(d, a)[0], _poly_derivative(b))
+        if a.degree > 0:
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def _rational_sqrt(q: Fraction):
+    """The rational square root of q >= 0, or None when it is irrational."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _quadratic_roots(poly: Polynomial):
+    """Real roots of an exact quadratic: Fractions when the discriminant
+    is a rational square, floats otherwise."""
+    c0, c1, c2 = poly.coeffs
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        raise NonRealSpectrumError("characteristic polynomial has complex roots")
+    root = _rational_sqrt(Fraction(disc))
+    if root is not None:
+        return [(-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)]
+    sq = math.sqrt(float(disc))
+    return [(-float(c1) - sq) / (2 * float(c2)), (-float(c1) + sq) / (2 * float(c2))]
+
+
+def _squarefree_roots(poly: Polynomial, tol):
+    """Real roots of a square-free exact polynomial of degree >= 1."""
+    if poly.degree == 1:
+        return [-poly.coeffs[0] / poly.coeffs[1]]
+    if poly.degree == 2:
+        return _quadratic_roots(poly)
+    roots, rem = _rational_roots(poly)
+    if rem.degree == 2:
+        roots += _quadratic_roots(rem)
+    elif rem.degree > 0:
+        rr = np.roots([float(c) for c in reversed(rem.coeffs)])
+        scale = max(1.0, np.max(np.abs(rr)))
+        if np.max(np.abs(rr.imag)) > tol * scale:
+            raise NonRealSpectrumError("characteristic polynomial has complex roots")
+        roots += sorted(rr.real.tolist())
+    return roots
+
+
 def real_spectrum(M, tol=1e-9):
     """Eigenvalues with algebraic multiplicities, sorted ascending.
 
-    Exact regime: the characteristic polynomial is factored over the
-    rationals; an irreducible quadratic remainder is solved exactly when
-    its discriminant is nonnegative (roots returned as floats).  Float
-    regime: numpy eigenvalues, clustered at relative tolerance ``tol``.
-    Complex eigenvalues raise NonRealSpectrumError.
+    Exact regime: the characteristic polynomial is split into square-free
+    factors (Yun), whose multiplicities are those of their roots.  Linear
+    factors and quadratics with a rational square discriminant give
+    Fractions; an irrational quadratic gives floats.  Factors of degree
+    3 and more are searched for rational roots first.  Float regime:
+    numpy eigenvalues, clustered at relative tolerance ``tol``.  Complex
+    eigenvalues raise NonRealSpectrumError.
     """
-    n = M.shape[0]
     if is_exact(M):
-        p = char_poly(M)
-        try:
-            roots, rem = _rational_roots(p)
-        except _RootSearchOverflow:
-            # coefficients too large to enumerate divisors; degrade to the
-            # float eigenvalue path
-            return real_spectrum(to_float(M), tol=tol)
-        values = list(roots)
-        if rem.degree == 2:
-            c0, c1, c2 = rem.coeffs
-            disc = c1 * c1 - 4 * c2 * c0
-            if disc < 0:
-                raise NonRealSpectrumError("characteristic polynomial has complex roots")
-            sq = math.sqrt(float(disc))
-            values += [(-float(c1) - sq) / (2 * float(c2)), (-float(c1) + sq) / (2 * float(c2))]
-        elif rem.degree > 0:
-            rr = np.roots([float(c) for c in reversed(rem.coeffs)])
-            scale = max(1.0, np.max(np.abs(rr)))
-            if np.max(np.abs(rr.imag)) > tol * scale:
-                raise NonRealSpectrumError("characteristic polynomial has complex roots")
-            values += sorted(rr.real.tolist())
         out = []
-        for v in sorted(values, key=float):
-            if out and v == out[-1][0]:
-                out[-1][1] += 1
-            else:
-                out.append([v, 1])
-        return [(v, m) for v, m in out]
+        for factor, mult in _squarefree_factors(char_poly(M)):
+            try:
+                roots = _squarefree_roots(factor, tol)
+            except _RootSearchOverflow:
+                # coefficients too large to enumerate divisors; degrade to the
+                # float eigenvalue path
+                return real_spectrum(to_float(M), tol=tol)
+            out += [(r, mult) for r in roots]
+        return sorted(out, key=lambda rm: float(rm[0]))
     eig = np.linalg.eigvals(np.asarray(M, dtype=float))
     scale = max(1.0, float(np.max(np.abs(eig))))
     # defective eigenvalues split into complex clusters of radius about

@@ -263,6 +263,17 @@ def test_displacement_matches_closed_form():
         assert d == pytest.approx(expected, abs=1e-9)
 
 
+def test_displacement_closed_form_to_rounding():
+    # Newton exits are exact to rounding, so the profile and its spread
+    # along the horosphere are too (the chord bisection gave 4e-12)
+    amb = 0.95
+    prof = cv.displacement_profile(S_REF, B_REF, [2.0 ** k for k in range(11)], ambient_level=amb)
+    for lev, d in zip(prof.levels, prof.displacements):
+        D = math.sqrt(1 + 8 * (lev - amb) / B_REF ** 2)
+        assert d == pytest.approx(2 * math.log((D + 1) / (D - 1)), abs=1e-12)
+    assert prof.constancy_spread <= 1e-12
+
+
 def test_displacement_tends_to_zero():
     levels = [2.0 ** k for k in range(11)]
     prof = cv.displacement_profile(S_REF, B_REF, levels, ambient_level=0.95)

@@ -250,3 +250,78 @@ def test_svg_export(tmp_path, dprime):
     path = dm.export_slice_svg(dprime, tmp_path / "s.svg", x3=0.0, x2_range=(0.5, 2.0), n=32)
     text = open(path).read()
     assert text.startswith("<svg") and "polyline" in text
+
+
+# ---------------------------------------------------------------------------
+# the Newton chord solver against the membership bisection
+
+
+def _adversarial_rays(dom, rng, n=4000):
+    """Seeded hard rays: points from 1e-8 to 1e3 above the boundary,
+    nearly horizontal x3 slopes, rays driven into the base edge and rays
+    whose exit lies near the ideal probe."""
+    lo2 = -0.9 / dom.t if isinstance(dom, dm.DomainDt) else 1e-3
+    near_edge = lo2 * rng.uniform(0.5, 1.0, n) if lo2 < 0 else 10 ** rng.uniform(-3, 0, n)
+    b2 = np.where(rng.random(n) < 0.5, rng.uniform(lo2, 3.0, n), near_edge)
+    b3 = rng.uniform(-2.0, 2.0, n)
+    X = np.column_stack([dom.boundary_value_batch(b2, b3) + 10 ** rng.uniform(-8, 3, n), b2, b3])
+    V = rng.normal(size=(n, 3))
+    kind = rng.integers(0, 4, n)
+    flat = kind == 1
+    V[flat, 2] = rng.choice([-1.0, 1.0], flat.sum()) * 10 ** rng.uniform(-12, -3, flat.sum())
+    edge = kind == 2
+    V[edge, 1] = -10 * np.abs(V[edge, 1]) - 1.0
+    far = kind == 3
+    V[far] = np.column_stack([np.zeros(far.sum()), np.ones(far.sum()), 10 ** rng.uniform(-8.5, -7.5, far.sum())])
+    return X, V / np.linalg.norm(V, axis=1)[:, None]
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [dm.DomainDPrime(), dm.DomainDt(0.5), dm.DomainDt(2.0), dm.VerticalShiftDomain(dm.DomainDPrime(), 0.5)],
+    ids=["DPrime", "Dt(0.5)", "Dt(2)", "DPrime+0.5"],
+)
+def test_newton_exits_match_bisection(dom):
+    rng = np.random.default_rng(41)
+    X, V = _adversarial_rays(dom, rng)
+    assert dom.contains_batch(X).all()
+    X, V = np.concatenate([X, X]), np.concatenate([V, -V])
+    newton = dom._ray_exit(X, V, dm.CHORD_TOL)
+    bisect = dm.ConvexDomain._ray_exit(dom, X, V, dm.CHORD_TOL)
+    assert np.array_equal(np.isinf(newton), np.isinf(bisect))
+    fin = np.isfinite(bisect)
+    assert np.all(np.abs(newton[fin] - bisect[fin]) <= 1e-9 * np.maximum(1.0, bisect[fin]))
+    # the set reaches ideal ends, exits near the ideal probe and exits
+    # within 1e-6 of the base point
+    assert np.isinf(newton).any()
+    assert np.any(fin & (newton > 1e8)) and np.any(newton < 1e-6)
+
+
+def test_newton_rejects_exterior_and_nonfinite_rays(dprime):
+    with pytest.raises(ValueError):
+        dprime.chord_taus([0.0, 1.0, 0.0], [[1.0, 0.0, 0.0]])
+    with pytest.raises(dm.UnboundedSearchError):
+        dprime.chord_taus([np.nan, 1.0, 0.0], [[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("t", [10.0 ** -k for k in range(3, 11)])
+def test_dt_boundary_tends_to_d0(t):
+    # h_t - h_0 = y2^2 (psi(t y2) - 1/2) = -t y2^3/3 + t^2 y2^4/4 - ...
+    dt = dm.DomainDt(t)
+    y2 = np.array([0.5, -1.5, 3.0, 0.0, 2.0])
+    y3 = np.array([0.0, 0.7, -1.0, 2.0, 0.3])
+    gap = dt.boundary_value_batch(y2, y3) - dm.DomainD0().boundary_value_batch(y2, y3)
+    # slack for the rounding of boundary values up to 5
+    assert np.all(np.abs(gap + t * y2 ** 3 / 3) <= t * t * y2 ** 4 + 1e-14)
+    assert abs(dt.boundary_value(0.5, 0.0) - 0.125) <= t
+
+
+def test_dt_boundary_matches_series_across_the_switch():
+    # psi(u) = sum (-u)^k / (k + 2); 60 terms are exact to rounding for
+    # |u| <= 0.4, and the closed form is good to 2 eps/|u| past the switch
+    t = 0.1
+    y2 = np.linspace(-4.0, 4.0, 801)
+    series = sum((-t * y2) ** k / (k + 2) for k in range(60))
+    expected = 0.5 * 0.09 + y2 ** 2 * series
+    got = dm.DomainDt(t).boundary_value_batch(y2, np.full_like(y2, 0.3))
+    assert np.all(np.abs(got - expected) <= 2e-15 * expected)

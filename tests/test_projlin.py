@@ -172,6 +172,27 @@ def test_spectrum_rejects_complex():
         pl.real_spectrum(Re)
 
 
+@pytest.mark.parametrize("t", [Fraction(97, 301), Fraction(1001, 3001), Fraction(999983, 1000003)])
+def test_spectrum_exact_at_large_height(t):
+    # the divisor scan of the rational-root search did not finish at 97/301
+    spec = fig8.longitude_spectrum(t)
+    assert spec == sorted([(2 * t, 3), (1 / (8 * t ** 3), 1)])
+    assert all(isinstance(v, Fraction) for v, _ in spec)
+
+
+def test_spectrum_square_free_factors():
+    # char poly (x - 1)^2 (x^2 - 4): the quadratic factor has a square
+    # discriminant and gives Fractions
+    M = pl.exact_matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 4], [0, 0, 1, 0]])
+    assert pl.real_spectrum(M) == [(Fraction(-2), 1), (Fraction(1), 2), (Fraction(2), 1)]
+    assert all(isinstance(v, Fraction) for v, _ in pl.real_spectrum(M))
+    # char poly (x^2 - 2)^2: irrational roots come out as floats, doubled
+    N = pl.exact_matrix([[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]])
+    spec = pl.real_spectrum(N)
+    assert [m for _, m in spec] == [2, 2]
+    assert [float(v) for v, _ in spec] == pytest.approx([-2 ** 0.5, 2 ** 0.5], abs=1e-15)
+
+
 def test_spectrum_of_exponential_matches_exp_of_spectrum():
     for fam, params, t in (
         ("LPrime", (Fraction(1, 2), Fraction(1, 3)), None),
