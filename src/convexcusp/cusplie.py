@@ -380,15 +380,6 @@ class _QuadExt:
         return f"({self.p} + {self.q}*sqrt({self.d}))"
 
 
-def _exact_sqrt(d: Fraction):
-    """Fraction square root when d is a perfect square, else None."""
-    num, den = d.numerator, d.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the normalization algorithm
 
@@ -566,7 +557,7 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     W[2, 3] = c2
     d_abs = abs(c1) if exact else abs(float(c1))
     if exact:
-        root = _exact_sqrt(Fraction(d_abs))
+        root = projlin._rational_sqrt(Fraction(d_abs))
         if root is not None:
             v = 1 / root
             S = identity(4, exact=True)

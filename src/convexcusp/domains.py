@@ -1,25 +1,28 @@
 """Model properly convex domains in parabolic coordinates.
 
 Each domain lives in the affine chart ``[x1:x2:x3:1]`` of RP^3 with the
-x1 axis vertical.  The paraboloid domain D0 and the log domain DPrime are
-graphs of convex boundary functions over a planar base; the deformed
-domains Dt are images of DPrime under the triangular coordinate change
-``vt_map(t)``.  A Euclidean ball domain is included as a closed-form
-metric oracle for the Hilbert geometry code.
+x1 axis vertical.  The parabolic domains form one family: D_t is the
+epigraph of h_t(y2, y3) = y3^2/2 + y2^2 psi(t y2), psi(u) =
+(u - log1p(u))/u^2, over the base 1 + t y2 > 0.  The paraboloid D0 is
+the member t = 0 (psi(0) = 1/2), the deformed domains Dt = V_t(DPrime)
+(``vt_map(t)``) are the members t != 0, the log domain DPrime is the
+affine preimage of D_1 under (x1 + x2 - 1, x2 - 1, x3), and horoballs
+are vertical shifts.  A Euclidean ball domain is included as a
+closed-form metric oracle for the Hilbert geometry code.
 
-Chord endpoints of the log domain are found by Newton's method on its
-concave chord function, vectorised over rays.  Dt and vertical shifts
-send their chords to that solver through their affine maps, which leave
-the chord parameter unchanged.  The ball and D0 keep the generic route,
-geometric bracketing plus bisection on the membership predicate, which
-also serves as the reference for the Newton solver.  A ray still inside
-the domain at ``IDEAL_PROBE`` reports an ideal endpoint.
+Membership and boundary values are closed forms in each domain's own
+coordinates.  Chord endpoints of every parabolic domain come from one
+Newton solver on the concave chord function of its family member,
+vectorised over rays; the affine maps leave the chord parameter
+unchanged.  The ball keeps the generic route, geometric bracketing
+plus bisection on the membership predicate, which is also the
+reference the Newton solver is tested against.  A ray still inside the
+domain at ``IDEAL_PROBE`` reports an ideal endpoint.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,9 +45,11 @@ IDEAL_CUTOFF = 1e9
 IDEAL_PROBE = 2.0 ** (math.ceil(math.log2(IDEAL_CUTOFF)) - 1)
 #: default absolute tolerance for boundary crossings
 CHORD_TOL = 1e-12
-#: Newton steps allowed per chord of the log domain before the search
-#: counts as diverged
+#: Newton steps allowed per chord of a parabolic domain before the
+#: search counts as diverged
 NEWTON_MAX_STEPS = 100
+#: the exponent field of a float64
+_EXPONENT = np.int64(0x7FF0000000000000)
 
 
 def vt_map(t):
@@ -164,13 +169,30 @@ class ConvexDomain:
 
 
 class ParabolicDomain(ConvexDomain):
-    """Epigraph of a convex boundary function over a planar base."""
+    """Epigraph of a convex boundary function over a planar base.
+
+    Every parabolic domain is an affine image of a member of one family,
+    D_t = {y1 > h_t(y2, y3)} over the base 1 + t y2 > 0, with
+    h_t(y2, y3) = y3^2/2 + y2^2 psi(t y2) and psi(u) = (u - log1p(u))/u^2.
+    ``t`` names the member and ``_to_family`` the affine map onto it.
+    Membership and boundary values are decided in the domain's own
+    coordinates, chords in the member's: an affine map keeps the chord
+    parameter.
+    """
+
+    t = 0.0
+
+    def _to_family(self, X, V):
+        """The rays X + tau*V in the coordinates of the family member, as
+        columns (y1, y2, y3) and (d1, d2, d3)."""
+        return X.T, V.T
 
     def base_contains_batch(self, b2, b3):
-        raise NotImplementedError
+        return 1.0 + float(self.t) * np.asarray(b2, dtype=float) > 0
 
     def boundary_value_batch(self, b2, b3):
-        raise NotImplementedError
+        b2 = np.asarray(b2, dtype=float)
+        return 0.5 * np.asarray(b3, dtype=float) ** 2 + b2 ** 2 * _psi(float(self.t) * b2)
 
     def boundary_value(self, x2, x3) -> float:
         """Height of the boundary graph over a base point."""
@@ -183,106 +205,102 @@ class ParabolicDomain(ConvexDomain):
     def contains_batch(self, pts):
         pts = np.asarray(pts, dtype=float)
         b2, b3 = pts[:, 1], pts[:, 2]
-        ok = self.base_contains_batch(b2, b3)
-        out = np.zeros(len(pts), dtype=bool)
-        if ok.any():
-            h = self.boundary_value_batch(b2[ok], b3[ok])
-            out[ok] = pts[ok, 0] > h
-        return out
-
-
-class DomainD0(ParabolicDomain):
-    """Paraboloid domain: x1 > (x2^2 + x3^2)/2 over the whole plane."""
-
-    family = "D0"
-
-    def base_contains_batch(self, b2, b3):
-        return np.ones(len(b2), dtype=bool)
-
-    def boundary_value_batch(self, b2, b3):
-        return 0.5 * (b2 ** 2 + b3 ** 2)
-
-
-class DomainDPrime(ParabolicDomain):
-    """Log domain: x1 > x3^2/2 - log(x2) over the half plane x2 > 0."""
-
-    family = "DPrime"
-
-    def base_contains_batch(self, b2, b3):
-        return b2 > 0
-
-    def boundary_value_batch(self, b2, b3):
-        return 0.5 * b3 ** 2 - np.log(b2)
-
-    def contains_batch(self, pts):
-        return _dprime_contains(np.asarray(pts, dtype=float))
+        # off the base the boundary value is nan, and the comparison False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.base_contains_batch(b2, b3) & (pts[:, 0] > self.boundary_value_batch(b2, b3))
 
     def _ray_exit(self, X, V, tol):
         """Exit parameters of rays X + tau*V by Newton's method.
 
-        Along a ray, Q(tau) = x1 + tau v1 - (x3 + tau v3)^2/2 and
-        s(tau) = x2 + tau v2; the chord function phi = Q + log s is
-        concave and positive exactly inside.  Newton's method on a
-        concave function, started outside the domain, moves
-        monotonically down onto the exit.  Near the edge x2 = 0 it runs
-        on G = s - exp(-Q) instead, which has the same zero, is also
-        concave, and stays finite for s <= 0.  A ray leaves the
-        iteration once its step is at most max(tol/2, 4 ulp(tau)) or
-        not positive.  ``V`` need not be a unit vector.
+        In the family member a ray has Q = y1 + tau d1 - (y3 + tau d3)^2/2
+        and w = y2 + tau d2, and the chord function g = Q - w^2 psi(t w)
+        is concave and positive exactly inside, so Newton's method
+        started outside moves monotonically down onto the exit.  With
+        s = 1 + t w the step is taken on t^2 g = Q' + log s, Q' = t^2 Q -
+        t w; near the edge s = 0 on G = s - exp(-Q'), which has the same
+        zero, is concave and stays finite for s <= 0; and on g itself
+        where Q' + log s loses accuracy (``_series_rows``, all rows at
+        t = 0).  A ray leaves once its step is at most max(tol/2,
+        4 ulp(tau)) or not positive.  ``V`` need not be a unit vector.
         """
         if not (np.isfinite(X).all() and np.isfinite(V).all()):
             bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(V).all(axis=1))
             raise UnboundedSearchError(V[np.argmax(bad)])
-        if not _dprime_contains(X).all():
+        if not self.contains_batch(X).all():
             raise ValueError("chord base point must be interior")
         out = np.full(len(X), np.inf)
-        rows = np.flatnonzero(~_dprime_contains(X + IDEAL_PROBE * V))
-        # the live rays, compacted after every step
-        ray = _dprime_ray_coefficients(X[rows], V[rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = _dprime_outer_start(*ray)
+        rows = np.flatnonzero(~self.contains_batch(X + IDEAL_PROBE * V))
+        t = float(self.t)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the live rays, compacted after every step
+            ray, tau = _ray_start(t, *self._to_family(X[rows], V[rows]))
             for _ in range(NEWTON_MAX_STEPS):
                 if not len(rows):
                     return out
-                step = _dprime_newton_step(*ray, tau)
+                step = _newton_step(t, ray, tau)
                 if not np.isfinite(step).all():
                     raise UnboundedSearchError(V[rows[np.argmax(~np.isfinite(step))]])
-                keep = step > np.maximum(0.5 * tol, 4 * np.spacing(tau))
+                keep = step > np.maximum(0.5 * tol, _four_ulp(tau))
                 tau = tau - np.maximum(step, 0.0)
                 out[rows] = tau
                 rows, tau, ray = rows[keep], tau[keep], np.compress(keep, ray, axis=1)
         raise UnboundedSearchError(V[rows[0]])
 
 
-def _dprime_contains(P):
-    """Strict membership of the rows of P in the log domain; the Newton
-    solver calls it directly, so that its interior and ideal tests make
-    no ``contains_batch`` calls."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return (P[:, 1] > 0) & (P[:, 0] > 0.5 * P[:, 2] ** 2 - np.log(P[:, 1]))
+def _four_ulp(tau):
+    """4 * np.spacing(tau) for positive tau, from its exponent bits alone
+    (a third of the cost): tau & _EXPONENT is 2^floor(log2 tau)."""
+    return (tau.view(np.int64) & _EXPONENT).view(np.float64) * 2.0 ** -50
 
 
-def _dprime_ray_coefficients(X, V):
-    """Rows q0, q1, a, x2, v2 with Q(tau) = q0 + q1 tau - a tau^2 and
-    s(tau) = x2 + tau v2 along the rays X + tau*V."""
-    x1, x2, x3 = X.T
-    v1, v2, v3 = V.T
-    return np.array([x1 - 0.5 * x3 * x3, v1 - x3 * v3, 0.5 * v3 * v3, x2, v2])
+def _ray_start(t, Y, D):
+    """Coefficient rows of the rays Y + tau*D in the member t, and a
+    parameter at or beyond the exit of every non-ideal ray.
 
+    The rows are p0, p1, pa, s0, sv of Q' = p0 + p1 tau - pa tau^2 and
+    s = s0 + tau sv, and, for the series rows (none when |t| >= 1/2),
+    q0, q1, a, y2, d2 of Q = q0 + q1 tau - a tau^2 and w = y2 + tau d2.
 
-def _dprime_outer_start(q0, q1, a, x2, v2):
-    """A parameter at or beyond the exit of every non-ideal ray.
-
-    log s lies below its tangents at s = x2 and at s = 1, so the chord
-    function lies below the concave quadratics phi(0) + phi'(0) tau -
-    a tau^2 and Q + s - 1, and the exit below the positive root of
-    each.  The smaller root is clipped to the edge s = 0, where the
-    second bound makes Q > 1 and the iteration starts on G, and to the
-    ideal probe; both are outside.
+    w^2 psi(t w) is convex in w, so it lies above its tangents at w = y2
+    and at w = 0 (zero): g lies below two concave quadratics, and the
+    exit below the smaller positive root.  On the series rows the second
+    derivative 1/s^2 adds curvature to the first: (d2/s0)^2/2 where s
+    does not grow along the ray (exact at t = 0), and where it grows
+    (d2/s_c)^2/2, s_c = s(2 r1) for the root r1 of the former, when the
+    root lies below 2 r1.  The root is clipped to the edge s = 0, where
+    the second bound makes Q' > 1 and G applies, and to the ideal probe;
+    both are outside.
     """
-    tau = np.fmin(_positive_root(q0 + np.log(x2), q1 + v2 / x2, a), _positive_root(q0 + x2 - 1.0, q1 + v2, a))
-    tau = np.where(v2 < 0, np.fmin(tau, -x2 / v2), tau)
-    return np.fmin(tau, IDEAL_PROBE)
+    y1, y2, y3 = Y
+    d1, d2, d3 = D
+    r3, a = y3 * d3, 0.5 * d3 * d3
+    q0, q1 = y1 - 0.5 * y3 * y3, d1 - r3
+    tt = t * t
+    # in p1 the w term goes before the quadratic one: in D_1, the image
+    # of DPrime, this recovers v1 from v1 + v2 even where v1 << v2
+    ray = np.array([t * (t * q0 - y2), t * (t * d1 - d2) - tt * r3, tt * a, 1.0 + t * y2, t * d2])
+    p0, p1, pa, s0, sv = ray
+    tau = _positive_root(p0 + np.log(s0), p1 + sv / s0, pa)
+    if tt < 0.25:
+        ray = np.concatenate([ray, [q0, q1, a, y2, d2]])
+        near = _series_rows(t, y2, d2, 0.0)
+        y, v, s, u = y2[near], d2[near], s0[near], sv[near]
+        c, b = q0[near] - y * y * _psi_series(t * y), q1[near] - v * y / s
+        r1 = _positive_root(c, b, a[near] + 0.5 * (v / s) ** 2)
+        r2 = _positive_root(c, b, a[near] + 0.5 * (v / (s + 2.0 * r1 * u)) ** 2)
+        tau[near] = np.where(u <= 0, r1, np.where(r2 <= 2.0 * r1, r2, _positive_root(c, b, a[near])))
+    tau = np.fmin(tau, _positive_root(q0, q1, a))
+    tau = np.where(sv < 0, np.fmin(tau, -s0 / sv), tau)
+    return ray, np.fmin(tau, IDEAL_PROBE)
+
+
+def _series_rows(t, y2, d2, tau):
+    """Rows on which g is evaluated as it stands: |t w| < 1/4, where
+    Q' + log s cancels to a relative error above 8 eps, and |w| >= |t|,
+    where its rounding error, eps |w|/|t| in units of g, is above eps.
+    The two exclude each other when t^2 >= 1/4."""
+    w = y2 + tau * d2
+    return np.flatnonzero((np.abs(w) >= abs(t)) & (np.abs(t * w) < _PSI_SERIES_BELOW))
 
 
 def _positive_root(c, b, a):
@@ -293,73 +311,91 @@ def _positive_root(c, b, a):
     return np.where(b < 0, 2.0 * c / (root - b), (b + root) / (2.0 * a))
 
 
-def _dprime_newton_step(q0, q1, a, x2, v2, tau):
-    """Newton decrements f/f' at parameters tau beyond the exit, on
-    G = s - exp(-Q) near the edge (s < 1, Q > -50) and on phi elsewhere."""
-    s = x2 + tau * v2
-    at = a * tau
-    minus_q = tau * (at - q1) - q0
-    dq = q1 - (at + at)
+def _newton_step(t, ray, tau):
+    """Newton decrements f/f' at parameters tau beyond the exit: on g
+    on the series rows, and elsewhere on G = s - exp(-Q') near the edge
+    (s < 1, Q' > -50) and on Q' + log s away from it."""
+    p0, p1, pa, s0, sv = ray[:5]
+    s = s0 + tau * sv
+    pt = pa * tau
+    minus_q = tau * (pt - p1) - p0
+    dq = p1 - (pt + pt)
     edge = (s < 1.0) & (minus_q < 50.0)
-    e = np.exp(np.minimum(minus_q, 50.0))
-    f = np.where(edge, s - e, np.log(s) - minus_q)
-    df = np.where(edge, v2 + dq * e, dq + v2 / s)
-    return f / df
+    e = np.exp(minus_q)  # overflows only off the edge rows, where it is unused
+    step = np.where(edge, (s - e) / (sv + dq * e), (np.log(s) - minus_q) / (dq + sv / s))
+    if len(ray) > 5:
+        near = _series_rows(t, ray[8], ray[9], tau)
+        q0, q1, a, y2, d2 = ray[5:, near]
+        tn = tau[near]
+        w = y2 + tn * d2
+        at = a * tn
+        step[near] = (q0 + tn * (q1 - at) - w * w * _psi_series(t * w)) / (q1 - (at + at) - d2 * w / s[near])
+    return step
+
+
+class DomainD0(ParabolicDomain):
+    """Paraboloid domain x1 > (x2^2 + x3^2)/2 over the whole plane, the
+    family member at t = 0 (psi(0) = 1/2)."""
+
+    family = "D0"
+
+
+class DomainDPrime(ParabolicDomain):
+    """Log domain: x1 > x3^2/2 - log(x2) over the half plane x2 > 0,
+    carried onto the family member D_1 by (x1 + x2 - 1, x2 - 1, x3)."""
+
+    family = "DPrime"
+    t = 1.0
+
+    def base_contains_batch(self, b2, b3):
+        return b2 > 0
+
+    def boundary_value_batch(self, b2, b3):
+        return 0.5 * b3 ** 2 - np.log(b2)
+
+    def _to_family(self, X, V):
+        x1, x2, x3 = X.T
+        v1, v2, v3 = V.T
+        y2 = x2 - 1.0
+        return (x1 + y2, y2, x3), (v1 + v2, v2, v3)
 
 
 class DomainDt(ParabolicDomain):
-    """Deformed domain, represented implicitly as the image of DPrime.
+    """Deformed domain V_t(DPrime) (``vt_map(t)``), the family member t != 0."""
 
-    Membership and chords pull points back through the inverse
-    coordinate change and are decided in DPrime; the boundary graph has
-    the closed form of ``boundary_value_batch``.
-    """
+    family = "Dt"
 
     def __init__(self, t):
         if t == 0:
             raise ValueError("domain family requires t != 0")
         self.t = t
-        self.family = "Dt"
-        self._V = vt_map(t)
-        self._Vinv = projlin.mat_inv(self._V)
-        self._pullback = projlin.to_float(self._Vinv)
-        self._dprime = DomainDPrime()
-
-    def base_contains_batch(self, b2, b3):
-        return b2 > -1.0 / float(self.t)
-
-    def contains_batch(self, pts):
-        back = projlin.apply_affine_batch(self._pullback, pts)
-        return self._dprime.contains_batch(back)
-
-    def boundary_value_batch(self, b2, b3):
-        """Closed form y3^2/2 + y2^2 psi(t y2) of the pulled-back boundary;
-        at t = 0 it would be the paraboloid of D0."""
-        b2 = np.asarray(b2, dtype=float)
-        b3 = np.asarray(b3, dtype=float)
-        return 0.5 * b3 ** 2 + b2 ** 2 * _psi(float(self.t) * b2)
-
-    def _ray_exit(self, X, V, tol):
-        # an affine pullback keeps the chord parameter tau
-        back = projlin.apply_affine_batch(self._pullback, X)
-        return self._dprime._ray_exit(back, V @ self._pullback[:3, :3].T, tol)
 
 
-#: |u| below which psi is summed from its series: u - log1p(u) cancels
-#: to a relative error of about 2 eps/|u|, and the 27 terms kept leave
-#: a remainder below 1e-17 at |u| = 0.25
+#: |u| below which psi is summed from a series: u - log1p(u) cancels to
+#: a relative error of about 2 eps/|u|
 _PSI_SERIES_BELOW = 0.25
-#: series coefficients (-1)^k / (k + 2) of psi, highest power first
-_PSI_SERIES = [(-1) ** k / (k + 2) for k in range(26, -1, -1)]
+#: the coefficients 1/(2j + 3) of S(x) = sum x^j / (2j + 3), highest
+#: power first; with x = r^2 <= 1/49 the ten kept leave less than 1e-18
+_PSI_SERIES = 1.0 / (2.0 * np.arange(9, -1, -1) + 3.0)
 
 
 def _psi(u):
-    """psi(u) = (u - log1p(u)) / u^2, the Dt boundary profile (psi(0) = 1/2)."""
+    """psi(u) = (u - log1p(u)) / u^2, the boundary profile (psi(0) = 1/2),
+    from its series on the entries with |u| < 1/4."""
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _PSI_SERIES_BELOW
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (u - np.log1p(u)) / (u * u)
-    return np.where(small, np.polyval(_PSI_SERIES, u), direct)
+        out = (u - np.log1p(u)) / (u * u)
+    small = np.flatnonzero(np.abs(u) < _PSI_SERIES_BELOW)
+    if len(small):
+        out.flat[small] = _psi_series(u.flat[small])
+    return out
+
+
+def _psi_series(u):
+    """psi at |u| < 1/4 from log1p(u) = 2 atanh(r), r = u/(2 + u):
+    psi = (1 - r)/2 (1 - (1 - r) r S(r^2)), and psi(0) = 1/2 exactly."""
+    r = u / (2.0 + u)
+    return 0.5 * (1.0 - r) * (1.0 - (1.0 - r) * r * np.polyval(_PSI_SERIES, r * r))
 
 
 class BallDomain(ConvexDomain):
@@ -375,15 +411,16 @@ class BallDomain(ConvexDomain):
 class VerticalShiftDomain(ParabolicDomain):
     """A parabolic domain shifted vertically by a constant.
 
-    With a positive shift this is a horoball regarded as a properly
-    convex domain in its own right; negative shifts give strictly larger
-    ambient domains for comparison tests.
+    With a positive shift this is the horoball above the horosphere at
+    that level, a properly convex domain in its own right; negative
+    shifts give strictly larger ambient domains for comparison tests.
     """
 
     def __init__(self, parent: ParabolicDomain, shift: float):
         self.parent = parent
         self.shift = float(shift)
         self.family = parent.family
+        self.t = parent.t
 
     def base_contains_batch(self, b2, b3):
         return self.parent.base_contains_batch(b2, b3)
@@ -391,29 +428,8 @@ class VerticalShiftDomain(ParabolicDomain):
     def boundary_value_batch(self, b2, b3):
         return self.parent.boundary_value_batch(b2, b3) + self.shift
 
-    def _ray_exit(self, X, V, tol):
-        return self.parent._ray_exit(X - np.array([self.shift, 0.0, 0.0]), V, tol)
-
-
-@dataclass(frozen=True)
-class Horosphere:
-    """Vertical translate of the boundary graph at level kappa > 0."""
-
-    domain: ParabolicDomain
-    level: float
-
-    def __post_init__(self):
-        if self.level <= 0:
-            raise ValueError("horosphere level must be positive")
-
-    def ball_contains(self, x) -> bool:
-        """Strict membership in the open horoball above this horosphere."""
-        x = np.asarray(x, dtype=float)
-        b2 = np.asarray([x[1]])
-        b3 = np.asarray([x[2]])
-        if not self.domain.base_contains_batch(b2, b3)[0]:
-            return False
-        return bool(x[0] > self.domain.boundary_value_batch(b2, b3)[0] + self.level)
+    def _to_family(self, X, V):
+        return self.parent._to_family(X - np.array([self.shift, 0.0, 0.0]), V)
 
 
 # ---------------------------------------------------------------------------

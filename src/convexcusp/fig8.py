@@ -357,6 +357,9 @@ def verify_report(t) -> dict:
 def sweep_rows(t_min: float, t_max: float, steps: int):
     """Spectra and cusp-shape convergence along a parameter sweep.
 
+    eig_triple and eig_single are the eigenvalues of the longitude of
+    highest and lowest multiplicity, and obstructed is the exact
+    obstruction test, both at the rational value of each float t.
     shape_im is the imaginary part of the cusp modulus computed from the
     normalized translation parameters; it tends to -2 sqrt(3).
     """
@@ -372,13 +375,16 @@ def sweep_rows(t_min: float, t_max: float, steps: int):
             Ms, Ls = normalized_peripheral(s)
             mdev = float(np.max(np.abs(Ms - M0)))
             ldev = float(np.max(np.abs(Ls - L0)))
+        exact_t = Fraction(t)  # a binary float is an exact rational
+        spec = longitude_spectrum(exact_t)
+        eigs = [float(lam) for lam, mult in sorted(spec, key=lambda e: -e[1]) for _ in range(mult)]
         rows.append(
             {
                 "t": t,
                 "s": s,
-                "eig_triple": 2 * t,
-                "eig_single": 1.0 / (8 * t ** 3),
-                "obstructed": t != 0.5,
+                "eig_triple": eigs[0],
+                "eig_single": eigs[-1],
+                "obstructed": obstruction_at_t(exact_t),
                 "meridian_dev": mdev,
                 "longitude_dev": ldev,
                 "shape_im": -1.0 / m,

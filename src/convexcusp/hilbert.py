@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import CHORD_TOL, ConvexDomain, ParabolicDomain
+from .domains import CHORD_TOL, ConvexDomain, ParabolicDomain, VerticalShiftDomain
 
 #: Lebesgue volume of the Euclidean ball of diameter 1 (normalising
 #: constant of the 3-dimensional Hausdorff measure used throughout)
@@ -122,13 +122,12 @@ def cross_ratio(a, x, y, b, collinear_tol=1e-9) -> float:
 
 
 def hilbert_distance(dom: ConvexDomain, x, y, tol=CHORD_TOL) -> float:
-    """Hilbert distance: log cross ratio along the chord through x, y."""
+    """Hilbert distance between x (checked interior) and y: a batch of
+    one of ``hilbert_distance_pairs``."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.array_equal(x, y):
-        return 0.0
-    p_minus, p_plus = dom.chord_endpoints(x, y - x, tol=tol)
-    return math.log(cross_ratio(p_minus, x, y, p_plus, collinear_tol=np.inf))
+    if not dom.contains(x):
+        raise ValueError("chord base point must be interior")
+    return float(hilbert_distance_pairs(dom, x, np.asarray(y, dtype=float), tol=tol)[0])
 
 
 def hilbert_distance_pairs(dom: ConvexDomain, X, Y, tol=CHORD_TOL):
@@ -318,7 +317,8 @@ class Region:
 
     The region is the set of points with base coordinates in the given
     rectangle, vertical coordinate in ``x1_range`` and, when
-    ``floor_level`` is set, above the horosphere at that level.
+    ``floor_level`` is set, inside the horoball above the horosphere at
+    that level (``horoball``).
     """
 
     domain: ConvexDomain
@@ -341,22 +341,17 @@ class Region:
             * (self.x3_range[1] - self.x3_range[0])
         )
 
+    def horoball(self) -> VerticalShiftDomain:
+        """The domain shifted up by the floor level."""
+        if not isinstance(self.domain, ParabolicDomain):
+            raise RegionError("floor levels require a parabolic domain")
+        return VerticalShiftDomain(self.domain, self.floor_level)
+
     def mask(self, pts):
         pts = np.asarray(pts, dtype=float)
-        ok = np.ones(len(pts), dtype=bool)
-        if self.floor_level is not None:
-            dom = self.domain
-            if not isinstance(dom, ParabolicDomain):
-                raise RegionError("floor levels require a parabolic domain")
-            base_ok = dom.base_contains_batch(pts[:, 1], pts[:, 2])
-            ok &= base_ok
-            if base_ok.any():
-                h = dom.boundary_value_batch(pts[base_ok, 1], pts[base_ok, 2])
-                sub = pts[base_ok, 0] > h + self.floor_level
-                tmp = np.zeros(len(pts), dtype=bool)
-                tmp[np.flatnonzero(base_ok)] = sub
-                ok &= tmp
-        return ok
+        if self.floor_level is None:
+            return np.ones(len(pts), dtype=bool)
+        return self.horoball().contains_batch(pts)
 
 
 @dataclass(frozen=True)
@@ -435,14 +430,14 @@ def _volume_grid(region: Region, q: QuadratureSpec, shape):
     g2, w2 = to_interval(x2n, w2, *region.x2_range)
     g3, w3 = to_interval(x3n, w3, *region.x3_range)
     dom = region.domain
+    floor = None if region.floor_level is None else region.horoball()
     pts = []
     weights = []
     for b2, wb2 in zip(g2, w2):
         for b3, wb3 in zip(g3, w3):
             lo = region.x1_range[0]
-            if region.floor_level is not None:
-                h = float(dom.boundary_value_batch(np.array([b2]), np.array([b3]))[0])
-                lo = max(lo, h + region.floor_level)
+            if floor is not None:
+                lo = max(lo, float(floor.boundary_value_batch(np.array([b2]), np.array([b3]))[0]))
             hi = region.x1_range[1]
             if hi <= lo:
                 continue
@@ -527,16 +522,6 @@ def hausdorff_oracle(dom: ConvexDomain, region: Region, eps: float, details=Fals
 
 # ---------------------------------------------------------------------------
 # reports
-
-
-def write_volume_csv(path, rows):
-    """CSV report with columns (cutoff, estimate, stderr, samples, seed)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cutoff", "estimate", "stderr", "samples", "seed"])
-        for cutoff, est in rows:
-            w.writerow([f"{cutoff:.12g}", f"{est.estimate:.12g}", f"{est.stderr:.12g}", est.samples, est.seed])
-    return path
 
 
 def density_grid_rows(dom, x1_values, x2_values, x3, q: QuadratureSpec = DEFAULT_QUADRATURE):

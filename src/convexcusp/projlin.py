@@ -513,20 +513,10 @@ def spectral_projectors(M, spectrum=None, tol=1e-9):
         # invert the cofactor modulo (t - lam)^mult
         shifted = _shift_poly([float(c) for c in rest], lam)
         inv = _series_inverse(shifted, mult)
-        u_poly = Polynomial.from_coeffs(_shift_back(inv, lam))
+        u_poly = Polynomial.from_coeffs(_shift_poly(inv, -lam))
         g = Polynomial.from_coeffs(rest).mul(u_poly)
         P = g.eval_matrix(Mf)
         out.append((lam, mult, P))
-    return out
-
-
-def _shift_back(coeffs_in_z, a):
-    """Polynomial in z = t - a -> coefficients in t."""
-    out = list(coeffs_in_z)
-    n = len(out)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += (-a) * out[j + 1]
     return out
 
 

@@ -53,6 +53,18 @@ def test_dt_base_violation():
         dt.boundary_value(-3.0, 0.0)
 
 
+def test_dt_base_for_negative_t():
+    # the base 1 + t y2 > 0 is the half plane y2 < -1/t = 2 at t = -1/2
+    dt = dm.DomainDt(-0.5)
+    with pytest.raises(ValueError):
+        dt.boundary_value(3.0, 0.0)
+    assert abs(dt.boundary_value(1.0, 0.0) - 4 * (math.log(2) - 0.5)) <= 1e-15
+    # (1, 1, 0) pulls back to (3/4, 1/2, 0), inside DPrime
+    assert dt.contains([1.0, 1.0, 0.0])
+    assert not dt.contains([0.7, 1.0, 0.0])
+    assert not dt.contains([100.0, 3.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # chords
 
@@ -134,7 +146,7 @@ def test_vt_conjugates_algebras(t):
         assert all(u == v for u, v in zip(image.flat, expected.flat))
 
 
-@pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("t", [0.25, 0.5, 1.0, -0.5])
 def test_dt_membership_consistent_with_pullback(t):
     dprime = dm.DomainDPrime()
     dt = dm.DomainDt(t)
@@ -202,18 +214,13 @@ def test_boundary_segment_witness(dprime):
 
 
 def test_horoball_membership(dprime):
-    assert dm.Horosphere(dprime, 1.0).ball_contains([2, 1, 0])
-    assert not dm.Horosphere(dprime, 3.0).ball_contains([2, 1, 0])
+    assert dm.VerticalShiftDomain(dprime, 1.0).contains([2, 1, 0])
+    assert not dm.VerticalShiftDomain(dprime, 3.0).contains([2, 1, 0])
 
 
 def test_horoball_orbit_boundary_point(d0):
     c = 2.5
-    assert not dm.Horosphere(d0, c).ball_contains([c, 0, 0])
-
-
-def test_horosphere_level_positive(dprime):
-    with pytest.raises(ValueError):
-        dm.Horosphere(dprime, 0.0)
+    assert not dm.VerticalShiftDomain(d0, c).contains([c, 0, 0])
 
 
 def test_horosphere_is_translate_of_boundary(dprime):
@@ -258,11 +265,16 @@ def test_svg_export(tmp_path, dprime):
 
 def _adversarial_rays(dom, rng, n=4000):
     """Seeded hard rays: points from 1e-8 to 1e3 above the boundary,
-    nearly horizontal x3 slopes, rays driven into the base edge and rays
-    whose exit lies near the ideal probe."""
-    lo2 = -0.9 / dom.t if isinstance(dom, dm.DomainDt) else 1e-3
-    near_edge = lo2 * rng.uniform(0.5, 1.0, n) if lo2 < 0 else 10 ** rng.uniform(-3, 0, n)
-    b2 = np.where(rng.random(n) < 0.5, rng.uniform(lo2, 3.0, n), near_edge)
+    nearly horizontal x3 slopes, rays driven into the base edge (steeply
+    down in x2 for D0, which has none) and rays whose exit lies near the
+    ideal probe."""
+    if isinstance(dom, dm.DomainDt):
+        # the edge -1/t of the base lies on the side of -t
+        lo2, hi2, down = -0.9 / dom.t, 3.0 * np.sign(dom.t), -np.sign(dom.t)
+    else:
+        lo2, hi2, down = (-3.0, 3.0, -1.0) if isinstance(dom, dm.DomainD0) else (1e-3, 3.0, -1.0)
+    near_edge = lo2 * rng.uniform(0.5, 1.0, n) if lo2 < 0 or down > 0 else 10 ** rng.uniform(-3, 0, n)
+    b2 = np.where(rng.random(n) < 0.5, rng.uniform(min(lo2, hi2), max(lo2, hi2), n), near_edge)
     b3 = rng.uniform(-2.0, 2.0, n)
     X = np.column_stack([dom.boundary_value_batch(b2, b3) + 10 ** rng.uniform(-8, 3, n), b2, b3])
     V = rng.normal(size=(n, 3))
@@ -270,16 +282,31 @@ def _adversarial_rays(dom, rng, n=4000):
     flat = kind == 1
     V[flat, 2] = rng.choice([-1.0, 1.0], flat.sum()) * 10 ** rng.uniform(-12, -3, flat.sum())
     edge = kind == 2
-    V[edge, 1] = -10 * np.abs(V[edge, 1]) - 1.0
+    V[edge, 1] = down * (10 * np.abs(V[edge, 1]) + 1.0)
     far = kind == 3
-    V[far] = np.column_stack([np.zeros(far.sum()), np.ones(far.sum()), 10 ** rng.uniform(-8.5, -7.5, far.sum())])
+    m = far.sum()
+    if isinstance(dom, dm.DomainD0):
+        # nearly vertical: the exit lies near 2/slope^2
+        V[far] = np.column_stack([np.ones(m), np.zeros(m), 10 ** rng.uniform(-4.7, -3.7, m)])
+    else:
+        # along the ideal boundary: x2 up, or for t < 0 down at the
+        # asymptotic slope 1/|t| of the boundary
+        slope = -1.0 / dom.t if isinstance(dom, dm.DomainDt) and dom.t < 0 else 0.0
+        V[far] = np.column_stack([np.full(m, slope), np.full(m, -down), 10 ** rng.uniform(-8.5, -7.5, m)])
     return X, V / np.linalg.norm(V, axis=1)[:, None]
 
 
 @pytest.mark.parametrize(
     "dom",
-    [dm.DomainDPrime(), dm.DomainDt(0.5), dm.DomainDt(2.0), dm.VerticalShiftDomain(dm.DomainDPrime(), 0.5)],
-    ids=["DPrime", "Dt(0.5)", "Dt(2)", "DPrime+0.5"],
+    [
+        dm.DomainDPrime(),
+        dm.DomainDt(0.5),
+        dm.DomainDt(2.0),
+        dm.VerticalShiftDomain(dm.DomainDPrime(), 0.5),
+        dm.DomainDt(-0.5),
+        dm.DomainD0(),
+    ],
+    ids=["DPrime", "Dt(0.5)", "Dt(2)", "DPrime+0.5", "Dt(-0.5)", "D0"],
 )
 def test_newton_exits_match_bisection(dom):
     rng = np.random.default_rng(41)

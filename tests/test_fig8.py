@@ -265,3 +265,17 @@ def test_sweep_rows():
     assert rows[0]["shape_im"] < 0
     # shape converges toward -2 sqrt(3) as t -> 1/2
     assert abs(mid["shape_im"] + 2 * math.sqrt(3)) < abs(rows[0]["shape_im"] + 2 * math.sqrt(3))
+
+
+def test_sweep_rows_follow_the_longitude(monkeypatch):
+    # the spectrum and obstruction columns are computed from longitude(t),
+    # not written from the closed forms 2t, 1/(8t^3) and t != 1/2
+    def diagonal(*entries):
+        return lambda t: pl.exact_matrix([[entries[i] if i == j else 0 for j in range(4)] for i in range(4)])
+
+    monkeypatch.setattr(fig8, "longitude", diagonal(3, 3, 3, 5))
+    rows = fig8.sweep_rows(0.3, 0.7, 3)
+    assert [(r["eig_triple"], r["eig_single"], r["obstructed"]) for r in rows] == [(3.0, 5.0, True)] * 3
+    monkeypatch.setattr(fig8, "longitude", diagonal(2, 2, 2, 2))
+    rows = fig8.sweep_rows(0.3, 0.7, 3)
+    assert [(r["eig_triple"], r["eig_single"], r["obstructed"]) for r in rows] == [(2.0, 2.0, False)] * 3

@@ -243,6 +243,68 @@ def test_quadrature_convergence_guard():
 
 
 # ---------------------------------------------------------------------------
+# the limit t -> 0: Dt tends to the paraboloid D0, a projective ball
+
+#: paired points on both sides of x2 = 0, from 0.2 to 3.5 above the D0
+#: boundary (the benchmark's Dt-against-D0 distance items)
+LIMIT_X = np.array([[1.0, 0.3, -0.2], [0.6, -0.5, 0.4], [2.0, 1.0, 0.5], [0.3, 0.2, 0.1]])
+LIMIT_Y = np.array([[2.5, -0.4, 0.5], [0.9, 0.1, -0.3], [1.2, 0.4, 1.1], [4.0, -1.5, 0.8]])
+
+
+def _d0_to_ball(X):
+    """The projective map (x1 - 1, sqrt2 x2, sqrt2 x3)/(x1 + 1) of D0 onto the unit ball."""
+    X = np.atleast_2d(X)
+    return np.column_stack([X[:, 0] - 1.0, math.sqrt(2) * X[:, 1], math.sqrt(2) * X[:, 2]]) / (X[:, 0] + 1.0)[:, None]
+
+
+def _d0_distance(X, Y):
+    """Twice the Klein distance of the images in the unit ball."""
+    A, B = _d0_to_ball(X), _d0_to_ball(Y)
+    num = 1.0 - np.einsum("ij,ij->i", A, B)
+    den = np.sqrt((1.0 - np.einsum("ij,ij->i", A, A)) * (1.0 - np.einsum("ij,ij->i", B, B)))
+    return 2.0 * np.arccosh(num / den)
+
+
+def _d0_density(X):
+    """1/(4 u^2) with u = x1 - (x2^2 + x3^2)/2: the ball density (1 - |z|^2)^-2
+    times the Jacobian of the projective map."""
+    X = np.atleast_2d(X)
+    u = X[:, 0] - 0.5 * (X[:, 1] ** 2 + X[:, 2] ** 2)
+    return 0.25 / u ** 2
+
+
+def test_d0_density_and_distance_are_those_of_a_ball():
+    rng = np.random.default_rng(12)
+    X = np.column_stack([10 ** rng.uniform(-0.5, 0.5, 6), rng.uniform(-1.5, 1.5, 6), rng.uniform(-1.5, 1.5, 6)])
+    X[:, 0] += 0.5 * (X[:, 1] ** 2 + X[:, 2] ** 2)
+    # the sphere quadrature is good to a few 1e-6 at these tilts
+    rho = hb.busemann_density(DomainD0(), X, FAST_Q)
+    assert np.all(np.abs(rho - _d0_density(X)) <= 1e-4 * _d0_density(X))
+    ref = _d0_distance(X, X[::-1])
+    assert np.all(np.abs(hb.hilbert_distance_pairs(DomainD0(), X, X[::-1]) - ref) <= 1e-10 * np.maximum(1.0, ref))
+
+
+@pytest.mark.parametrize("t", [10.0 ** -k for k in range(3, 11)])
+def test_dt_distance_tends_to_d0(t):
+    dt = DomainDt(t)
+    ref = _d0_distance(LIMIT_X, LIMIT_Y)
+    d = hb.hilbert_distance_pairs(dt, LIMIT_X, LIMIT_Y)
+    assert np.all(np.abs(d - ref) <= t * np.maximum(1.0, ref))
+    for x, y, r in zip(LIMIT_X, LIMIT_Y, ref):
+        assert abs(hb.hilbert_distance(dt, x, y) - r) <= t * max(1.0, r)
+
+
+@pytest.mark.parametrize("t", [10.0 ** -k for k in range(3, 11)])
+def test_dt_density_tends_to_d0(t):
+    # the same quadrature on both domains, so only the O(t) change of
+    # the geometry is left (about 1.5 t max(1, |x2|) at these points)
+    pts = LIMIT_X[:3]
+    rho0 = hb.busemann_density(DomainD0(), pts, FAST_Q)
+    rho = hb.busemann_density(DomainDt(t), pts, FAST_Q)
+    assert np.all(np.abs(rho - rho0) <= 2.0 * t * np.maximum(1.0, np.abs(pts[:, 1])) * rho0)
+
+
+# ---------------------------------------------------------------------------
 # batched densities
 
 BATCH_CASES = {
@@ -421,16 +483,6 @@ def test_metric_ball_density_agrees():
 
 # ---------------------------------------------------------------------------
 # reports
-
-
-def test_volume_csv(tmp_path):
-    region = region_box(DP, 2.0, 1.0, 0.0, w=0.2)
-    q = hb.QuadratureSpec(sphere_nodes=288, grid_shape=(3, 3, 3))
-    est = hb.busemann_volume(region, q, method="grid")
-    path = hb.write_volume_csv(tmp_path / "v.csv", [(5.0, est)])
-    lines = open(path).read().splitlines()
-    assert lines[0] == "cutoff,estimate,stderr,samples,seed"
-    assert len(lines) == 2
 
 
 def test_density_csv(tmp_path):
