@@ -119,40 +119,29 @@ def alg_matrix(e: LieAlgElem):
 
 
 def group_exp(e: LieAlgElem):
-    """Closed-form exponential of a family element.
+    """Exponential of a family element.
 
     Exact whenever every entry is rational (always for L0; for the other
-    families when the dilation part vanishes), float otherwise.  Always
-    agrees with the generic matrix exponential.
+    families when the dilation part vanishes): the element is then
+    nilpotent and ``projlin.mat_exp`` sums its finite series in
+    Fractions.  Float closed forms otherwise.  Always agrees with the
+    generic matrix exponential.
     """
     u, v = e.params
-    exact_params = _exactish(u, v) and (e.t is None or _exactish(e.t))
+    if _exactish(u, v) and (e.t is None or _exactish(e.t)) and (e.family == "L0" or u == 0):
+        return projlin.mat_exp(alg_matrix(e))
     if e.family == "L0":
-        if exact_params:
-            x, y = Fraction(u), Fraction(v)
-            one, zero = Fraction(1), Fraction(0)
-        else:
-            x, y = float(u), float(v)
-            one, zero = 1.0, 0.0
-        rows = [
-            [one, x, y, (x * x + y * y) / 2],
-            [zero, one, zero, x],
-            [zero, zero, one, y],
-            [zero, zero, zero, one],
-        ]
-        return projlin.exact_matrix(rows) if exact_params else projlin.float_matrix(rows)
-    if e.family == "Lt":
-        t = e.t
-        if exact_params and t * u == 0:
-            r, s, t = Fraction(u), Fraction(v), Fraction(t)
-            rows = [
-                [Fraction(1), Fraction(0), s, s * s / 2],
-                [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-                [Fraction(0), Fraction(0), Fraction(1), s],
-                [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
+        x, y = float(u), float(v)
+        return projlin.float_matrix(
+            [
+                [1.0, x, y, (x * x + y * y) / 2],
+                [0.0, 1.0, 0.0, x],
+                [0.0, 0.0, 1.0, y],
+                [0.0, 0.0, 0.0, 1.0],
             ]
-            return projlin.exact_matrix(rows)
-        r, s, t = float(u), float(v), float(t)
+        )
+    if e.family == "Lt":
+        r, s, t = float(u), float(v), float(e.t)
         etr = math.exp(t * r)
         g1 = (etr - 1.0) / t
         g2 = (etr - t * r - 1.0) / (t * t)
@@ -165,15 +154,6 @@ def group_exp(e: LieAlgElem):
             ]
         )
     sign = -1 if e.family == "LPrime" else 1
-    if exact_params and u == 0:
-        b = Fraction(v)
-        rows = [
-            [Fraction(1), Fraction(0), b, b * b / 2],
-            [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(1), b],
-            [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-        ]
-        return projlin.exact_matrix(rows)
     a, b = float(u), float(v)
     return projlin.float_matrix(
         [

@@ -138,13 +138,20 @@ class ConvexDomain:
         returns (tau_minus <= 0, tau_plus >= 0) in units of each direction
         vector, with +-inf marking ideal ends.  The search itself runs in
         Euclidean arc length, so bracketing and the ideal cutoff do not
-        depend on how the direction is scaled.
+        depend on how the direction is scaled.  Non-finite input raises
+        UnboundedSearchError, then a zero direction or a base point
+        outside the domain ValueError.
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         X = np.broadcast_to(np.asarray(x, dtype=float), dirs.shape).copy()
         norms = np.linalg.norm(dirs, axis=1)
+        bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(norms))
+        if bad.any():
+            raise UnboundedSearchError(dirs[np.argmax(bad)])
         if np.any(norms == 0):
             raise ValueError("chord direction must be nonzero")
+        if not self.contains_batch(X).all():
+            raise ValueError("chord base point must be interior")
         U = dirs / norms[:, None]
         plus = self._ray_exit(X, U, tol) / norms
         minus = -self._ray_exit(X, -U, tol) / norms
@@ -158,10 +165,6 @@ class ConvexDomain:
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        if not np.any(v):
-            raise ValueError("direction must be nonzero")
-        if not self.contains(x):
-            raise ValueError("chord base point must be interior")
         tm, tp = self.chord_taus(x, v[None, :], tol=tol)
         p_minus = None if np.isinf(tm[0]) else x + tm[0] * v
         p_plus = None if np.isinf(tp[0]) else x + tp[0] * v
@@ -223,11 +226,6 @@ class ParabolicDomain(ConvexDomain):
         t = 0).  A ray leaves once its step is at most max(tol/2,
         4 ulp(tau)) or not positive.  ``V`` need not be a unit vector.
         """
-        if not (np.isfinite(X).all() and np.isfinite(V).all()):
-            bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(V).all(axis=1))
-            raise UnboundedSearchError(V[np.argmax(bad)])
-        if not self.contains_batch(X).all():
-            raise ValueError("chord base point must be interior")
         out = np.full(len(X), np.inf)
         rows = np.flatnonzero(~self.contains_batch(X + IDEAL_PROBE * V))
         t = float(self.t)

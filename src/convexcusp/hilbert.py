@@ -122,16 +122,16 @@ def cross_ratio(a, x, y, b, collinear_tol=1e-9) -> float:
 
 
 def hilbert_distance(dom: ConvexDomain, x, y, tol=CHORD_TOL) -> float:
-    """Hilbert distance between x (checked interior) and y: a batch of
-    one of ``hilbert_distance_pairs``."""
-    x = np.asarray(x, dtype=float)
-    if not dom.contains(x):
-        raise ValueError("chord base point must be interior")
-    return float(hilbert_distance_pairs(dom, x, np.asarray(y, dtype=float), tol=tol)[0])
+    """Hilbert distance between x and y: a batch of one of
+    ``hilbert_distance_pairs``."""
+    return float(hilbert_distance_pairs(dom, x, y, tol=tol)[0])
 
 
 def hilbert_distance_pairs(dom: ConvexDomain, X, Y, tol=CHORD_TOL):
-    """Distances between paired interior points, via chord parameters."""
+    """Distances between paired interior points, via chord parameters.
+
+    ``chord_taus`` checks X and the directions; an exterior Y then raises
+    ValueError as well."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     X, Y = np.broadcast_arrays(X, Y)
@@ -139,6 +139,8 @@ def hilbert_distance_pairs(dom: ConvexDomain, X, Y, tol=CHORD_TOL):
     deg = ~np.any(V, axis=1)
     V = np.where(deg[:, None], np.array([1.0, 0, 0]), V)
     tm, tp = dom.chord_taus(X.copy(), V, tol=tol)
+    if not dom.contains_batch(Y).all():
+        raise ValueError("distance end point must be interior")
     # point positions 0 and 1 in chord units; ideal factors collapse to 1
     with np.errstate(invalid="ignore"):
         left = np.where(np.isinf(tm), 1.0, (1.0 - tm) / (-tm))

@@ -547,55 +547,6 @@ def mat_log(M, tol=1e-9):
 # real spectra
 
 
-class _RootSearchOverflow(ArithmeticError):
-    """Internal: rational root enumeration would be astronomically large."""
-
-
-def _rational_roots(poly: Polynomial):
-    """Rational roots (with multiplicity) of an exact polynomial."""
-    p = poly
-    roots = []
-    # strip t^k
-    while p.coeffs[0] == 0 and p.degree > 0:
-        roots.append(Fraction(0))
-        p = Polynomial.from_coeffs(p.coeffs[1:])
-    if p.degree == 0:
-        return roots, p
-    denlcm = 1
-    for c in p.coeffs:
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in p.coeffs]
-    lead, trail = ints[-1], ints[0]
-
-    def divisors(v):
-        v = abs(v)
-        if v > 10 ** 16:
-            raise _RootSearchOverflow(f"coefficient {v} too large for divisor search")
-        out = set()
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.add(d)
-                out.add(v // d)
-            d += 1
-        return sorted(out)
-
-    cands = sorted(
-        {Fraction(s * pnum, q) for pnum in divisors(trail) for q in divisors(lead) for s in (1, -1)},
-        key=lambda f: (abs(f), f),
-    )
-    progress = True
-    while progress and p.degree > 0:
-        progress = False
-        for r in cands:
-            if p(r) == 0:
-                roots.append(r)
-                p = p.deflate(r)
-                progress = True
-                break
-    return roots, p
-
-
 def _poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial.from_coeffs([x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
 
@@ -656,35 +607,69 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
-def _quadratic_roots(poly: Polynomial):
-    """Real roots of an exact quadratic: Fractions when the discriminant
-    is a rational square, floats otherwise."""
-    c0, c1, c2 = poly.coeffs
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
+def _sign_changes(chain, x):
+    """Sign changes along the values of a Sturm chain at x, zeros skipped."""
+    values = [v for v in (q(x) for q in chain) if v != 0]
+    return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
+
+
+def _isolated_root(poly: Polynomial, a, b, lead):
+    """The one root of a square-free exact polynomial in (a, b].
+
+    A rational root has a denominator dividing ``lead``, the leading
+    coefficient of the primitive integer multiple of ``poly``, so two
+    such numbers lie at least 1/lead^2 apart: once the interval is
+    narrower than half that, the nearest fraction with denominator at
+    most ``lead`` is the one candidate.  An irrational root is narrowed
+    until both ends round to the same float, its correctly rounded value.
+    """
+    fb = poly(b)
+    tested = False
+    while fb != 0:
+        if not tested and b - a < Fraction(1, 2 * lead * lead):
+            tested = True
+            c = ((a + b) / 2).limit_denominator(lead)
+            if a < c < b and poly(c) == 0:
+                return c
+        if tested and float(a) == float(b):
+            return float(a)
+        m = (a + b) / 2
+        fm = poly(m)
+        if fm == 0 or (fm > 0) == (fb > 0):
+            b, fb = m, fm
+        else:
+            a = m
+    return b
+
+
+def _real_roots(poly: Polynomial):
+    """Real roots of a square-free exact polynomial of degree >= 2.
+
+    Sturm's theorem counts the roots in (a, b] as V(a) - V(b), the sign
+    changes of the chain p, p', -rem(p, p'), ... at the two ends.  The
+    roots are isolated by bisection from the Cauchy bound; fewer real
+    roots than the degree raise NonRealSpectrumError.
+    """
+    chain = [poly, _poly_derivative(poly)]
+    while chain[-1].degree > 0:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        chain.append(Polynomial(tuple(-c for c in rem.coeffs)))
+    bound = 1 + max(abs(c / poly.coeffs[-1]) for c in poly.coeffs[:-1])
+    v_lo, v_hi = _sign_changes(chain, -bound), _sign_changes(chain, bound)
+    if v_lo - v_hi < poly.degree:
         raise NonRealSpectrumError("characteristic polynomial has complex roots")
-    root = _rational_sqrt(Fraction(disc))
-    if root is not None:
-        return [(-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)]
-    sq = math.sqrt(float(disc))
-    return [(-float(c1) - sq) / (2 * float(c2)), (-float(c1) + sq) / (2 * float(c2))]
-
-
-def _squarefree_roots(poly: Polynomial, tol):
-    """Real roots of a square-free exact polynomial of degree >= 1."""
-    if poly.degree == 1:
-        return [-poly.coeffs[0] / poly.coeffs[1]]
-    if poly.degree == 2:
-        return _quadratic_roots(poly)
-    roots, rem = _rational_roots(poly)
-    if rem.degree == 2:
-        roots += _quadratic_roots(rem)
-    elif rem.degree > 0:
-        rr = np.roots([float(c) for c in reversed(rem.coeffs)])
-        scale = max(1.0, np.max(np.abs(rr)))
-        if np.max(np.abs(rr.imag)) > tol * scale:
-            raise NonRealSpectrumError("characteristic polynomial has complex roots")
-        roots += sorted(rr.real.tolist())
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    ints = [int(c * den) for c in poly.coeffs]
+    lead = abs(ints[-1]) // math.gcd(*ints)
+    roots, stack = [], [(-bound, v_lo, bound, v_hi)]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            roots.append(_isolated_root(poly, a, b, lead))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = _sign_changes(chain, m)
+            stack += [(a, va, m, vm), (m, vm, b, vb)]
     return roots
 
 
@@ -692,24 +677,24 @@ def real_spectrum(M, tol=1e-9):
     """Eigenvalues with algebraic multiplicities, sorted ascending.
 
     Exact regime: the characteristic polynomial is split into square-free
-    factors (Yun), whose multiplicities are those of their roots.  Linear
-    factors and quadratics with a rational square discriminant give
-    Fractions; an irrational quadratic gives floats.  Factors of degree
-    3 and more are searched for rational roots first.  Float regime:
+    factors (Yun), whose multiplicities are those of their roots.  A
+    linear factor is solved directly; the roots of every other factor
+    are isolated by Sturm sequences (``_real_roots``).  Rational roots
+    come back as Fractions and irrational ones as correctly rounded
+    floats; there is no fallback to float eigenvalues.  Float regime:
     numpy eigenvalues, clustered at relative tolerance ``tol``.  Complex
-    eigenvalues raise NonRealSpectrumError.
+    eigenvalues raise NonRealSpectrumError, in the exact regime by an
+    exact count.
     """
     if is_exact(M):
         out = []
         for factor, mult in _squarefree_factors(char_poly(M)):
-            try:
-                roots = _squarefree_roots(factor, tol)
-            except _RootSearchOverflow:
-                # coefficients too large to enumerate divisors; degrade to the
-                # float eigenvalue path
-                return real_spectrum(to_float(M), tol=tol)
+            if factor.degree == 1:
+                roots = [-factor.coeffs[0] / factor.coeffs[1]]
+            else:
+                roots = _real_roots(factor)
             out += [(r, mult) for r in roots]
-        return sorted(out, key=lambda rm: float(rm[0]))
+        return sorted(out, key=lambda rm: rm[0])
     eig = np.linalg.eigvals(np.asarray(M, dtype=float))
     scale = max(1.0, float(np.max(np.abs(eig))))
     # defective eigenvalues split into complex clusters of radius about

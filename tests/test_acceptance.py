@@ -12,12 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convexcusp import cusplie, cuspvol, fig8, hilbert, projlin as pl
+from convexcusp import cli, cusplie, cuspvol, fig8, hilbert, projlin as pl
 from convexcusp.cusplie import LieAlgElem
 from convexcusp.domains import BallDomain, DomainDPrime
 
 S_REF = math.log(16)
-B_REF = math.sqrt(S_REF * math.sinh(S_REF / 4) / 3)
+B_REF = cli._translation_parameter(S_REF)
 
 
 def report(n, text):

@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexcusp import cuspvol as cv, hilbert as hb
+from convexcusp import cli, cuspvol as cv, hilbert as hb
 from convexcusp.domains import DomainDPrime, VerticalShiftDomain
 
 S_REF = math.log(16)
-B_REF = math.sqrt(S_REF * math.sinh(S_REF / 4) / 3)
+B_REF = cli._translation_parameter(S_REF)
 FD_REF = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF, cutoff=80.0)
 FAST_Q = hb.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5))
 

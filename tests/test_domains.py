@@ -331,6 +331,19 @@ def test_newton_rejects_exterior_and_nonfinite_rays(dprime):
         dprime.chord_taus([np.nan, 1.0, 0.0], [[1.0, 0.0, 0.0]])
 
 
+def test_ball_chords_reject_exterior_and_nonfinite_points():
+    # the Ball's bisection would bracket a tiny chord around an exterior point
+    ball = dm.BallDomain()
+    with pytest.raises(ValueError):
+        ball.chord_taus([3.0, 0.0, 0.0], [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        ball.chord_taus([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(dm.UnboundedSearchError):
+        ball.chord_taus([np.nan, 0.0, 0.0], [[1.0, 0.0, 0.0]])
+    with pytest.raises(dm.UnboundedSearchError):
+        ball.chord_taus([0.0, 0.0, 0.0], [[np.inf, 0.0, 0.0]])
+
+
 @pytest.mark.parametrize("t", [10.0 ** -k for k in range(3, 11)])
 def test_dt_boundary_tends_to_d0(t):
     # h_t - h_0 = y2^2 (psi(t y2) - 1/2) = -t y2^3/3 + t^2 y2^4/4 - ...

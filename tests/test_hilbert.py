@@ -75,6 +75,18 @@ def test_ball_norms_off_center():
     assert hb.finsler_norm(BALL, [r, 0, 0], [0, 1, 0]) == pytest.approx(2 / math.sqrt(1 - r * r), abs=1e-9)
 
 
+def test_distance_rejects_exterior_ends():
+    # an exterior end raises instead of giving nan
+    with pytest.raises(ValueError):
+        hb.hilbert_distance(DP, (2.0, 1.0, 0.0), (-5.0, 1.0, 0.0))
+    with pytest.raises(ValueError):
+        hb.hilbert_distance(DP, (-5.0, 1.0, 0.0), (2.0, 1.0, 0.0))
+    with pytest.raises(ValueError):
+        hb.hilbert_distance_pairs(BALL, [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], [[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        hb.hilbert_distance_pairs(BALL, [[1.5, 0.0, 0.0]], [[0.5, 0.0, 0.0]])
+
+
 def test_distance_symmetry():
     rng = np.random.default_rng(0)
     X = np.column_stack([rng.uniform(1, 4, 1000), rng.uniform(0.5, 2, 1000), rng.uniform(-1, 1, 1000)])

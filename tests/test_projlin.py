@@ -1,4 +1,7 @@
+import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +194,91 @@ def test_spectrum_square_free_factors():
     spec = pl.real_spectrum(N)
     assert [m for _, m in spec] == [2, 2]
     assert [float(v) for v, _ in spec] == pytest.approx([-2 ** 0.5, 2 ** 0.5], abs=1e-15)
+
+
+def _conjugated(rng, block, diag):
+    """G T G^-1 for a seeded integer G, with T block upper triangular: the
+    square ``block`` first, then ``diag`` on the diagonal, random
+    rationals above (a Jordan part for repeated eigenvalues)."""
+    k = len(block)
+    T = pl.zero_matrix(4, exact=True)
+    for i in range(4):
+        for j in range(max(i + 1, k), 4):
+            T[i, j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    for i, row in enumerate(block):
+        T[i, :k] = [Fraction(v) for v in row]
+    for i, lam in enumerate(diag, start=k):
+        T[i, i] = lam
+    while True:
+        G = pl.exact_matrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
+        if pl.mat_det(G) != 0:
+            return G @ T @ pl.mat_inv(G)
+
+
+def _height_rational(rng):
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+def _correctly_rounded(f, p):
+    """Whether p changes sign between the midpoints of f and its float
+    neighbours, so its root there rounds to f."""
+    lo = (Fraction(f) + Fraction(math.nextafter(f, -math.inf))) / 2
+    hi = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    return p(lo) * p(hi) < 0
+
+
+def test_spectrum_property_rational_conjugates():
+    rng = random.Random(606)
+    for _ in range(30):
+        # 0 is the first bisection midpoint; +-1/2 mix small heights with large
+        pool = [_height_rational(rng) for _ in range(3)] + [Fraction(0), Fraction(1, 2), Fraction(-1, 2)]
+        diag = [rng.choice(pool) for _ in range(4)]
+        spec = pl.real_spectrum(_conjugated(rng, (), diag))
+        assert spec == sorted(Counter(diag).items())
+        assert all(isinstance(v, Fraction) for v, _ in spec)
+
+
+def test_spectrum_property_irrational_and_complex_blocks():
+    rng = random.Random(607)
+    cubic = pl.Polynomial((Fraction(1), Fraction(-3), Fraction(0), Fraction(1)))
+    for _ in range(10):
+        # t^3 - 3t + 1 shifted by r: three irrational roots r + 2 cos(2 pi k / 9)
+        r, lam = _height_rational(rng), _height_rational(rng)
+        block = [[r, 0, -1], [1, r, 3], [0, 1, r]]
+        spec = pl.real_spectrum(_conjugated(rng, block, [lam]))
+        assert [m for _, m in spec] == [1, 1, 1, 1]
+        assert [v for v, _ in spec if isinstance(v, Fraction)] == [lam]
+        floats = [v for v, _ in spec if isinstance(v, float)]
+        assert len(floats) == 3
+        assert all(_correctly_rounded(f, lambda x: cubic(x - r)) for f in floats)
+        # t^3 - 2 has one real root
+        with pytest.raises(pl.NonRealSpectrumError):
+            pl.real_spectrum(_conjugated(rng, [[0, 0, 2], [1, 0, 0], [0, 1, 0]], [lam]))
+
+
+def test_spectrum_irrational_root_next_to_a_rational_one():
+    # t (t^2 - 10 t + 1) (t - 3) is one square-free factor: its root 0 is
+    # the first bisection midpoint and the left end of the interval that
+    # isolates 5 - sqrt(24) = 0.101, whose nearest integer is that 0
+    M = _conjugated(random.Random(608), [[0, 0, 0], [1, 0, -1], [0, 1, 10]], [Fraction(3)])
+    spec = pl.real_spectrum(M)
+    assert [v for v, _ in spec if isinstance(v, Fraction)] == [0, 3]
+    p = pl.Polynomial((Fraction(1), Fraction(-10), Fraction(1)))
+    floats = [v for v, _ in spec if isinstance(v, float)]
+    assert len(floats) == 2 and all(_correctly_rounded(f, p) for f in floats)
+
+
+@pytest.mark.parametrize("dens", [(1000003, 1000033, 1000037), (46021, 46027, 46049)])
+def test_spectrum_of_close_large_height_eigenvalues(dens):
+    # three simple eigenvalues of height 1e6 within 4e-11 of each other
+    G = pl.exact_matrix([[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 2], [2, 1, 0, 1]])
+    D = pl.exact_matrix([[Fraction(1, dens[0]), 0, 0, 0], [0, Fraction(1, dens[1]), 0, 0],
+                         [0, 0, Fraction(1, dens[2]), 0], [0, 0, 0, 3]])
+    start = time.perf_counter()
+    spec = pl.real_spectrum(G @ D @ pl.mat_inv(G))
+    assert time.perf_counter() - start < 1.0
+    assert spec == [(Fraction(1, q), 1) for q in reversed(dens)] + [(Fraction(3), 1)]
+    assert all(isinstance(v, Fraction) for v, _ in spec)
 
 
 def test_spectrum_of_exponential_matches_exp_of_spectrum():
