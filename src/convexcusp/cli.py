@@ -132,7 +132,7 @@ def cmd_cusp_volume(args) -> int:
     fd = cuspvol.CuspFundamentalDomain(floor=args.k, dilation=abs(s), translation=b, cutoff=max(cutoffs))
     rows = cuspvol.cusp_volume_table(fd, cutoffs, q, method=args.method)
     csv_path = cuspvol.write_volume_table_csv(outdir / "cusp_volume.csv", rows)
-    svg_path = cuspvol.write_curve_svg(
+    svg_path = domains.write_curve_svg(
         outdir / "cusp_volume.svg",
         [r["cutoff"] for r in rows],
         [r["estimate"] for r in rows],
@@ -163,7 +163,7 @@ def cmd_cusp_displacement(args) -> int:
     b = _translation_parameter(s)
     prof = cuspvol.displacement_profile(s, b, levels, ambient_level=args.ambient_level)
     csv_path = cuspvol.write_displacement_csv(outdir / "displacement.csv", prof)
-    svg_path = cuspvol.write_curve_svg(
+    svg_path = domains.write_curve_svg(
         outdir / "displacement.svg", prof.levels, prof.displacements, x_label="level", y_label="displacement"
     )
     _write_manifest(

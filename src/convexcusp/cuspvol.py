@@ -306,37 +306,3 @@ def tiling_overlap_fraction(fd: CuspFundamentalDomain, n_samples=10_000, seed=0)
             lo3, hi3 = j_tr * b, (j_tr + 1) * b
             counts += ((x2 >= lo2) & (x2 < hi2) & (x3 >= lo3) & (x3 < hi3)).astype(int)
     return float(np.mean(counts != 1))
-
-
-# ---------------------------------------------------------------------------
-# SVG export shared by the volume and displacement curves
-
-
-def write_curve_svg(path, xs, ys, x_label="x", y_label="y", size=480, margin=40):
-    """Single-polyline SVG plot with linear axes (deterministic output)."""
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    inner = size - 2 * margin
-
-    def sx(v):
-        return margin + (v - x_lo) / x_span * inner
-
-    def sy(v):
-        return size - margin - (v - y_lo) / y_span * inner
-
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect x="{margin}" y="{margin}" width="{inner}" height="{inner}" fill="none" stroke="#999"/>',
-        f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{pts}"/>',
-        f'<text x="{size / 2:.0f}" y="{size - 8}" text-anchor="middle" font-size="12">{x_label}</text>',
-        f'<text x="12" y="{size / 2:.0f}" text-anchor="middle" font-size="12" transform="rotate(-90 12 {size / 2:.0f})">{y_label}</text>',
-        "</svg>",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path

@@ -11,18 +11,17 @@ are vertical shifts.  A Euclidean ball domain is included as a
 closed-form metric oracle for the Hilbert geometry code.
 
 Membership and boundary values are closed forms in each domain's own
-coordinates.  Chord endpoints of every parabolic domain come from one
-Newton solver on the concave chord function of its family member,
-vectorised over rays; the affine maps leave the chord parameter
-unchanged.  The ball keeps the generic route, geometric bracketing
-plus bisection on the membership predicate, which is also the
-reference the Newton solver is tested against.  A ray still inside the
-domain at ``IDEAL_PROBE`` reports an ideal endpoint.
+coordinates, and so are the chords of the two quadrics: the exit of a
+ray from the ball, and from D0 and its horoballs, is the positive root
+of a quadratic in the chord parameter.  Chord endpoints of the members
+t != 0 come from one Newton solver on the concave chord function of the
+member, vectorised over rays; the affine maps leave the chord parameter
+unchanged.  A ray of a parabolic domain still inside at ``IDEAL_PROBE``
+reports an ideal endpoint; the ball has none.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,11 +37,9 @@ class UnboundedSearchError(RuntimeError):
         super().__init__(f"chord search diverged along direction {self.direction}")
 
 
-#: geometric bracketing gives up and declares an endpoint ideal beyond this
-IDEAL_CUTOFF = 1e9
-#: the largest power of two below IDEAL_CUTOFF, the last point the
-#: doubling bracket tests: a ray still inside there is ideal
-IDEAL_PROBE = 2.0 ** (math.ceil(math.log2(IDEAL_CUTOFF)) - 1)
+#: a ray of a parabolic domain still inside at this parameter, in
+#: Euclidean arc length, has an ideal end
+IDEAL_PROBE = 2.0 ** 29
 #: default absolute tolerance for boundary crossings
 CHORD_TOL = 1e-12
 #: Newton steps allowed per chord of a parabolic domain before the
@@ -81,7 +78,7 @@ def vt_map(t):
 
 
 class ConvexDomain:
-    """Base class: membership plus generic chord machinery."""
+    """Base class: chords from the exits ``_ray_exit`` of each domain."""
 
     family = None
 
@@ -96,62 +93,38 @@ class ConvexDomain:
 
     def _ray_exit(self, X, V, tol):
         """Exit parameters tau > 0 of rays X + tau*V (inf when ideal)."""
-        n = X.shape[0]
-        t_lo = np.zeros(n)
-        t_hi = np.ones(n)
-        ideal = np.zeros(n, dtype=bool)
-        # bracket by doubling
-        for _ in range(64):
-            pts = X + t_hi[:, None] * V
-            if not np.isfinite(pts).all():
-                bad = ~np.isfinite(pts).all(axis=1)
-                raise UnboundedSearchError(V[np.argmax(bad)])
-            inside = self.contains_batch(pts)
-            grow = inside & ~ideal
-            if not grow.any():
-                break
-            t_lo[grow] = t_hi[grow]
-            t_hi[grow] *= 2.0
-            ideal |= grow & (t_hi >= IDEAL_CUTOFF)
-        else:
-            raise UnboundedSearchError(V[0])
-        active = ~ideal
-        # bisect: t_lo inside, t_hi outside
-        for _ in range(200):
-            width = t_hi - t_lo
-            live = active & (width > np.maximum(tol, 4 * np.spacing(t_hi)))
-            if not live.any():
-                break
-            mid = 0.5 * (t_lo + t_hi)
-            pts = X + mid[:, None] * V
-            inside = self.contains_batch(pts)
-            t_lo = np.where(live & inside, mid, t_lo)
-            t_hi = np.where(live & ~inside, mid, t_hi)
-        out = 0.5 * (t_lo + t_hi)
-        out[ideal] = np.inf
-        return out
+        raise NotImplementedError
 
     def chord_taus(self, x, dirs, tol=CHORD_TOL):
         """Signed boundary parameters along x + tau*dirs.
 
-        ``x`` is one interior point or an (n,3) batch matching ``dirs``;
-        returns (tau_minus <= 0, tau_plus >= 0) in units of each direction
-        vector, with +-inf marking ideal ends.  The search itself runs in
-        Euclidean arc length, so bracketing and the ideal cutoff do not
-        depend on how the direction is scaled.  Non-finite input raises
-        UnboundedSearchError, then a zero direction or a base point
-        outside the domain ValueError.
+        ``x`` is one interior point or an (m,3) batch, and the N rows of
+        ``dirs`` fall into m runs of N/m consecutive rows, one run per
+        point: m = N pairs points with directions and m = 1 shares one
+        point among all of them.  Each point is checked once, before it
+        is repeated over its run.  Returns (tau_minus <= 0, tau_plus >=
+        0), one entry per direction row in units of that direction
+        vector, with +-inf marking ideal ends.  Exits are solved along
+        unit directions, so the ideal probe does not depend on how a
+        direction is scaled; ``tol`` bounds the error of the Newton
+        solver, while the quadrics' closed forms are accurate to
+        rounding.  Non-finite input raises UnboundedSearchError, then a
+        zero direction or a base point outside the domain ValueError.
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        X = np.broadcast_to(np.asarray(x, dtype=float), dirs.shape).copy()
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        run = len(dirs) // max(len(x), 1)
+        if run * len(x) != len(dirs):
+            raise ValueError(f"{len(dirs)} chord directions do not split among {len(x)} base points")
         norms = np.linalg.norm(dirs, axis=1)
-        bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(norms))
+        bad = np.repeat(~np.isfinite(x).all(axis=1), run) | ~np.isfinite(norms)
         if bad.any():
             raise UnboundedSearchError(dirs[np.argmax(bad)])
         if np.any(norms == 0):
             raise ValueError("chord direction must be nonzero")
-        if not self.contains_batch(X).all():
+        if not self.contains_batch(x).all():
             raise ValueError("chord base point must be interior")
+        X = np.repeat(x, run, axis=0)
         U = dirs / norms[:, None]
         plus = self._ray_exit(X, U, tol) / norms
         minus = -self._ray_exit(X, -U, tol) / norms
@@ -160,8 +133,8 @@ class ConvexDomain:
     def chord_endpoints(self, x, v, tol=CHORD_TOL):
         """Both intersections of the line x + R*v with the boundary.
 
-        Returns a pair (p_minus, p_plus); an end that stays interior out
-        to the bracketing cutoff is reported as None (ideal).
+        Returns a pair (p_minus, p_plus); an ideal end is reported as
+        None.
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -222,14 +195,23 @@ class ParabolicDomain(ConvexDomain):
         s = 1 + t w the step is taken on t^2 g = Q' + log s, Q' = t^2 Q -
         t w; near the edge s = 0 on G = s - exp(-Q'), which has the same
         zero, is concave and stays finite for s <= 0; and on g itself
-        where Q' + log s loses accuracy (``_series_rows``, all rows at
-        t = 0).  A ray leaves once its step is at most max(tol/2,
-        4 ulp(tau)) or not positive.  ``V`` need not be a unit vector.
+        where Q' + log s loses accuracy (``_series_rows``).  A ray leaves
+        once its step is at most max(tol/2, 4 ulp(tau)) or not positive.
+        At t = 0 (D0 and its horoballs) g = Q - w^2/2 is a quadratic in
+        tau and its positive root is the exit, with no Newton step.
+        ``V`` need not be a unit vector.
         """
         out = np.full(len(X), np.inf)
         rows = np.flatnonzero(~self.contains_batch(X + IDEAL_PROBE * V))
         t = float(self.t)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if t == 0:
+                (y1, y2, y3), (d1, d2, d3) = self._to_family(X[rows], V[rows])
+                tau = _positive_root(y1 - 0.5 * (y2 * y2 + y3 * y3), d1 - (y2 * d2 + y3 * d3), 0.5 * (d2 * d2 + d3 * d3))
+                if not np.isfinite(tau).all():
+                    raise UnboundedSearchError(V[rows[np.argmax(~np.isfinite(tau))]])
+                out[rows] = np.fmin(tau, IDEAL_PROBE)
+                return out
             # the live rays, compacted after every step
             ray, tau = _ray_start(t, *self._to_family(X[rows], V[rows]))
             for _ in range(NEWTON_MAX_STEPS):
@@ -405,6 +387,19 @@ class BallDomain(ConvexDomain):
         pts = np.asarray(pts, dtype=float)
         return np.einsum("ij,ij->i", pts, pts) < 1.0
 
+    def _ray_exit(self, X, V, tol):
+        """Exit parameters of rays X + tau*V: the positive root of
+        |X + tau V|^2 = 1, by the form that does not cancel.  With
+        b = X.V, a = |V|^2 and c = 1 - |X|^2 it is c/(b + sqrt(b^2 + a c))
+        for b > 0 and (sqrt(b^2 + a c) - b)/a otherwise.  c is positive
+        wherever ``contains_batch`` holds, which tests the same |X|^2 < 1.
+        ``tol`` is unused: the root is accurate to rounding."""
+        b = np.einsum("ij,ij->i", X, V)
+        a = np.einsum("ij,ij->i", V, V)
+        c = 1.0 - np.einsum("ij,ij->i", X, X)
+        root = np.sqrt(b * b + a * c)
+        return np.where(b > 0, c / (b + root), (root - b) / a)
+
 
 class VerticalShiftDomain(ParabolicDomain):
     """A parabolic domain shifted vertically by a constant.
@@ -479,19 +474,43 @@ def export_slice_svg(dom: ParabolicDomain, path, x3=0.0, x2_range=(0.25, 4.0), n
     """SVG polyline of the slice {x1 = h(x2, x3) + level, x3 = const}."""
     g2 = np.linspace(x2_range[0], x2_range[1], n)
     h = dom.boundary_value_batch(g2, np.full(n, x3)) + level
-    x_lo, x_hi = float(g2.min()), float(g2.max())
-    y_lo, y_hi = float(h.min()), float(h.max())
+    return write_curve_svg(path, g2, h, size=size, margin=0)
+
+
+def write_curve_svg(path, xs, ys, x_label="x", y_label="y", size=480, margin=40):
+    """Single-polyline SVG plot with linear axes (deterministic output).
+
+    The curve is scaled into the square inside ``margin``, which holds a
+    frame and the axis labels; with ``margin=0`` the polyline fills the
+    image alone.
+    """
+    xs = [float(v) for v in xs]
+    ys = [float(v) for v in ys]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
-    pts = " ".join(
-        f"{(x - x_lo) / (x_hi - x_lo) * size:.2f},{size - (y - y_lo) / y_span * size:.2f}"
-        for x, y in zip(g2, h)
-    )
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n'
-        f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{pts}"/>\n'
-        f"</svg>\n"
-    )
+    inner = size - 2 * margin
+
+    def sx(v):
+        return margin + (v - x_lo) / x_span * inner
+
+    def sy(v):
+        return size - margin - (v - y_lo) / y_span * inner
+
+    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    frame = [f'<rect x="{margin}" y="{margin}" width="{inner}" height="{inner}" fill="none" stroke="#999"/>']
+    labels = [
+        f'<text x="{size / 2:.0f}" y="{size - 8}" text-anchor="middle" font-size="12">{x_label}</text>',
+        f'<text x="12" y="{size / 2:.0f}" text-anchor="middle" font-size="12" transform="rotate(-90 12 {size / 2:.0f})">{y_label}</text>',
+    ]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        *(frame if margin else []),
+        f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{pts}"/>',
+        *(labels if margin else []),
+        "</svg>",
+    ]
     with open(path, "w") as fh:
-        fh.write(svg)
+        fh.write("\n".join(parts) + "\n")
     return path

@@ -130,15 +130,15 @@ def hilbert_distance(dom: ConvexDomain, x, y, tol=CHORD_TOL) -> float:
 def hilbert_distance_pairs(dom: ConvexDomain, X, Y, tol=CHORD_TOL):
     """Distances between paired interior points, via chord parameters.
 
+    X and Y are (n,3) batches, or one of them a single point.
     ``chord_taus`` checks X and the directions; an exterior Y then raises
     ValueError as well."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    X, Y = np.broadcast_arrays(X, Y)
     V = Y - X
     deg = ~np.any(V, axis=1)
     V = np.where(deg[:, None], np.array([1.0, 0, 0]), V)
-    tm, tp = dom.chord_taus(X.copy(), V, tol=tol)
+    tm, tp = dom.chord_taus(X, V, tol=tol)
     if not dom.contains_batch(Y).all():
         raise ValueError("distance end point must be interior")
     # point positions 0 and 1 in chord units; ideal factors collapse to 1
@@ -211,7 +211,8 @@ def _unit_ball_volumes(dom, X, q):
 
     Per chunk of points, the three axis chords of every point go into
     one chord solve and the rescaled fine and coarse sphere nodes of
-    every point into one more; the node sets are split afterwards.
+    every point into one more, each point the base of its own run of
+    directions; the node sets are split afterwards.
     """
     U, W = sphere_quadrature(q.sphere_nodes)
     Uc, Wc = sphere_quadrature(max(8, q.sphere_nodes // 4))
@@ -224,10 +225,10 @@ def _unit_ball_volumes(dom, X, q):
     for a in range(0, len(X), step):
         P = X[a : a + step]
         k = len(P)
-        axis_norms = finsler_norm_batch(dom, np.repeat(P, 3, axis=0), np.tile(axes, (k, 1)), tol=q.bisection_tol)
+        axis_norms = finsler_norm_batch(dom, P, np.tile(axes, (k, 1)), tol=q.bisection_tol)
         radii = 1.0 / axis_norms.reshape(k, 3)
         dirs = (nodes[None, :, :] * radii[:, None, :]).reshape(k * n, 3)
-        norms = finsler_norm_batch(dom, np.repeat(P, n, axis=0), dirs, tol=q.bisection_tol)
+        norms = finsler_norm_batch(dom, P, dirs, tol=q.bisection_tol)
         r3 = (1.0 / norms.reshape(k, n)) ** 3
         scale = np.prod(radii, axis=1)
         fine[a : a + k] = scale * np.sum(W * r3[:, :n_fine], axis=1) / 3.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from convexcusp import cli, cuspvol as cv, hilbert as hb
-from convexcusp.domains import DomainDPrime, VerticalShiftDomain
+from convexcusp.domains import DomainDPrime, VerticalShiftDomain, write_curve_svg
 
 S_REF = math.log(16)
 B_REF = cli._translation_parameter(S_REF)
@@ -311,7 +311,7 @@ def test_volume_csv_and_svg(tmp_path):
     lines = open(csv_path).read().splitlines()
     assert lines[0] == "cutoff,estimate,stderr,increment_ratio"
     assert len(lines) == 3
-    svg_path = cv.write_curve_svg(tmp_path / "vol.svg", [r["cutoff"] for r in rows], [r["estimate"] for r in rows])
+    svg_path = write_curve_svg(tmp_path / "vol.svg", [r["cutoff"] for r in rows], [r["estimate"] for r in rows])
     assert open(svg_path).read().startswith("<svg")
 
 

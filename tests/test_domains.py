@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -260,7 +261,67 @@ def test_svg_export(tmp_path, dprime):
 
 
 # ---------------------------------------------------------------------------
-# the Newton chord solver against the membership bisection
+# the chord solvers against the membership bisection
+
+#: the bisection's doubling bracket gives up and declares an end ideal
+#: beyond this; the last point it tests is the solvers' ideal probe
+IDEAL_CUTOFF = 1e9
+
+
+def _bisection_exit(dom, X, V, tol):
+    """Exit parameters tau > 0 of rays X + tau*V (inf when ideal), by
+    geometric bracketing and bisection on ``dom.contains_batch``: the
+    reference for the closed-form and Newton exits."""
+    n = X.shape[0]
+    t_lo = np.zeros(n)
+    t_hi = np.ones(n)
+    ideal = np.zeros(n, dtype=bool)
+    # bracket by doubling
+    for _ in range(64):
+        pts = X + t_hi[:, None] * V
+        if not np.isfinite(pts).all():
+            bad = ~np.isfinite(pts).all(axis=1)
+            raise dm.UnboundedSearchError(V[np.argmax(bad)])
+        inside = dom.contains_batch(pts)
+        grow = inside & ~ideal
+        if not grow.any():
+            break
+        t_lo[grow] = t_hi[grow]
+        t_hi[grow] *= 2.0
+        ideal |= grow & (t_hi >= IDEAL_CUTOFF)
+    else:
+        raise dm.UnboundedSearchError(V[0])
+    active = ~ideal
+    # bisect: t_lo inside, t_hi outside
+    for _ in range(200):
+        width = t_hi - t_lo
+        live = active & (width > np.maximum(tol, 4 * np.spacing(t_hi)))
+        if not live.any():
+            break
+        mid = 0.5 * (t_lo + t_hi)
+        pts = X + mid[:, None] * V
+        inside = dom.contains_batch(pts)
+        t_lo = np.where(live & inside, mid, t_lo)
+        t_hi = np.where(live & ~inside, mid, t_hi)
+    out = 0.5 * (t_lo + t_hi)
+    out[ideal] = np.inf
+    return out
+
+
+def _assert_exits_match_bisection(dom, X, V):
+    """Both directions of every ray against the bisection, within
+    1e-9 max(1, tau); returns the exits."""
+    X, V = np.concatenate([X, X]), np.concatenate([V, -V])
+    exits = dom._ray_exit(X, V, dm.CHORD_TOL)
+    bisect = _bisection_exit(dom, X, V, dm.CHORD_TOL)
+    assert np.array_equal(np.isinf(exits), np.isinf(bisect))
+    fin = np.isfinite(bisect)
+    assert np.all(np.abs(exits[fin] - bisect[fin]) <= 1e-9 * np.maximum(1.0, bisect[fin]))
+    return exits
+
+
+def test_bisection_last_probe_is_the_ideal_probe():
+    assert dm.IDEAL_PROBE == 2.0 ** 29 < IDEAL_CUTOFF <= 2.0 * dm.IDEAL_PROBE
 
 
 def _adversarial_rays(dom, rng, n=4000):
@@ -272,7 +333,7 @@ def _adversarial_rays(dom, rng, n=4000):
         # the edge -1/t of the base lies on the side of -t
         lo2, hi2, down = -0.9 / dom.t, 3.0 * np.sign(dom.t), -np.sign(dom.t)
     else:
-        lo2, hi2, down = (-3.0, 3.0, -1.0) if isinstance(dom, dm.DomainD0) else (1e-3, 3.0, -1.0)
+        lo2, hi2, down = (-3.0, 3.0, -1.0) if dom.t == 0 else (1e-3, 3.0, -1.0)
     near_edge = lo2 * rng.uniform(0.5, 1.0, n) if lo2 < 0 or down > 0 else 10 ** rng.uniform(-3, 0, n)
     b2 = np.where(rng.random(n) < 0.5, rng.uniform(min(lo2, hi2), max(lo2, hi2), n), near_edge)
     b3 = rng.uniform(-2.0, 2.0, n)
@@ -285,7 +346,7 @@ def _adversarial_rays(dom, rng, n=4000):
     V[edge, 1] = down * (10 * np.abs(V[edge, 1]) + 1.0)
     far = kind == 3
     m = far.sum()
-    if isinstance(dom, dm.DomainD0):
+    if dom.t == 0:
         # nearly vertical: the exit lies near 2/slope^2
         V[far] = np.column_stack([np.ones(m), np.zeros(m), 10 ** rng.uniform(-4.7, -3.7, m)])
     else:
@@ -305,23 +366,104 @@ def _adversarial_rays(dom, rng, n=4000):
         dm.VerticalShiftDomain(dm.DomainDPrime(), 0.5),
         dm.DomainDt(-0.5),
         dm.DomainD0(),
+        dm.VerticalShiftDomain(dm.DomainD0(), 0.5),
+        dm.VerticalShiftDomain(dm.DomainD0(), -0.5),
     ],
-    ids=["DPrime", "Dt(0.5)", "Dt(2)", "DPrime+0.5", "Dt(-0.5)", "D0"],
+    ids=["DPrime", "Dt(0.5)", "Dt(2)", "DPrime+0.5", "Dt(-0.5)", "D0", "D0+0.5", "D0-0.5"],
 )
 def test_newton_exits_match_bisection(dom):
     rng = np.random.default_rng(41)
     X, V = _adversarial_rays(dom, rng)
     assert dom.contains_batch(X).all()
-    X, V = np.concatenate([X, X]), np.concatenate([V, -V])
-    newton = dom._ray_exit(X, V, dm.CHORD_TOL)
-    bisect = dm.ConvexDomain._ray_exit(dom, X, V, dm.CHORD_TOL)
-    assert np.array_equal(np.isinf(newton), np.isinf(bisect))
-    fin = np.isfinite(bisect)
-    assert np.all(np.abs(newton[fin] - bisect[fin]) <= 1e-9 * np.maximum(1.0, bisect[fin]))
+    exits = _assert_exits_match_bisection(dom, X, V)
     # the set reaches ideal ends, exits near the ideal probe and exits
     # within 1e-6 of the base point
-    assert np.isinf(newton).any()
-    assert np.any(fin & (newton > 1e8)) and np.any(newton < 1e-6)
+    assert np.isinf(exits).any()
+    assert np.any(np.isfinite(exits) & (exits > 1e8)) and np.any(exits < 1e-6)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5, -0.5])
+def test_d0_exits_on_vertical_rays(shift):
+    # up is ideal, and down meets the boundary at the shifted height
+    dom = dm.VerticalShiftDomain(dm.DomainD0(), shift)
+    rng = np.random.default_rng(43)
+    b2, b3 = rng.uniform(-3.0, 3.0, (2, 200))
+    height = 10 ** rng.uniform(-12, 8, 200)
+    X = np.column_stack([dom.boundary_value_batch(b2, b3) + height, b2, b3])
+    V = np.tile([1.0, 0.0, 0.0], (200, 1))
+    exits = _assert_exits_match_bisection(dom, X, V)
+    assert np.isinf(exits[:200]).all()
+    assert np.all(np.abs(exits[200:] - height) <= 1e-15 * np.maximum(1.0, X[:, 0]))
+
+
+def _ball_rays(rng, n=2000):
+    """Seeded points from 1e-12 to 1 below the unit sphere with random,
+    near-tangent and radial rays; radial rays from the shell have
+    b = X.V far above sqrt(c), c = 1 - |X|^2."""
+    P = rng.normal(size=(n, 3))
+    P /= np.linalg.norm(P, axis=1)[:, None]
+    X = P * (1.0 - 10 ** rng.uniform(-12, 0, n))[:, None]
+    V = rng.normal(size=(n, 3))
+    kind = rng.integers(0, 3, n)
+    tangent = kind == 1
+    T = np.cross(P[tangent], rng.normal(size=(tangent.sum(), 3)))
+    V[tangent] = T / np.linalg.norm(T, axis=1)[:, None] + 10 ** rng.uniform(-12, -3, (tangent.sum(), 1)) * P[tangent]
+    V[kind == 2] = P[kind == 2]
+    return X, V / np.linalg.norm(V, axis=1)[:, None]
+
+
+def test_ball_exits_match_bisection():
+    ball = dm.BallDomain()
+    X, V = _ball_rays(np.random.default_rng(47))
+    assert ball.contains_batch(X).all()
+    exits = _assert_exits_match_bisection(ball, X, V)
+    assert np.isfinite(exits).all()
+    # exits within 1e-11 of the base point and across the whole chord
+    assert np.any(exits < 1e-11) and np.any(exits > 1.999)
+    b = np.einsum("ij,ij->i", X, V)
+    assert np.any(b * b > 1e10 * (1.0 - np.einsum("ij,ij->i", X, X)))
+
+
+def test_ball_exits_do_not_cancel():
+    # on an axis at 1 - 2^-k, k <= 26, |x|^2 and c = 1 - |x|^2 are exact, so
+    # the exit of a nearly radial ray, about c/2, is accurate to rounding;
+    # (sqrt(b^2 + a c) - b)/a would lose about eps/c of it
+    rng = np.random.default_rng(53)
+    n = 300
+    X = np.zeros((n, 3))
+    X[np.arange(n), rng.integers(0, 3, n)] = rng.choice([-1.0, 1.0], n) * (1.0 - 2.0 ** -rng.integers(20, 27, n))
+    V = X + 10 ** rng.uniform(-6, -2, (n, 1)) * rng.normal(size=(n, 3))
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    exits = dm.BallDomain()._ray_exit(X, V, dm.CHORD_TOL)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for x, v, tau in zip(X.tolist(), V.tolist(), exits.tolist()):
+            x, v = [Decimal(e) for e in x], [Decimal(e) for e in v]
+            a, b = sum(e * e for e in v), sum(p * q for p, q in zip(x, v))
+            c = 1 - sum(e * e for e in x)
+            exact = c / (b + (b * b + a * c).sqrt())
+            assert abs(Decimal(tau) - exact) <= Decimal(1e-14) * exact
+
+
+@pytest.mark.parametrize("dom", [dm.BallDomain(), dm.DomainD0(), dm.DomainDPrime()], ids=["Ball", "D0", "DPrime"])
+def test_chord_taus_shares_each_base_point_with_its_run(dom):
+    # m points with N = 3 m directions: the same as each point repeated
+    # three times, and N not a multiple of m is refused
+    x = np.array([[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]]) + (0.0 if dom.family == "Ball" else [2.0, 1.0, 0.0])
+    dirs = np.random.default_rng(49).normal(size=(6, 3))
+    runs = dom.chord_taus(x, dirs)
+    repeated = dom.chord_taus(np.repeat(x, 3, axis=0), dirs)
+    assert all(np.array_equal(a, b) for a, b in zip(runs, repeated))
+    with pytest.raises(ValueError):
+        dom.chord_taus(x, dirs[:5])
+    with pytest.raises(ValueError):
+        dom.chord_taus(np.empty((0, 3)), dirs)
+    assert all(len(a) == 0 for a in dom.chord_taus(np.empty((0, 3)), np.empty((0, 3))))
+    # a non-finite point is reported before a zero direction
+    x[1, 0] = np.nan
+    dirs[0] = 0.0
+    with pytest.raises(dm.UnboundedSearchError):
+        dom.chord_taus(x, dirs)
 
 
 def test_newton_rejects_exterior_and_nonfinite_rays(dprime):
@@ -332,7 +474,8 @@ def test_newton_rejects_exterior_and_nonfinite_rays(dprime):
 
 
 def test_ball_chords_reject_exterior_and_nonfinite_points():
-    # the Ball's bisection would bracket a tiny chord around an exterior point
+    # at an exterior point c = 1 - |x|^2 < 0 and the closed form has no
+    # meaning, so the base point is checked first
     ball = dm.BallDomain()
     with pytest.raises(ValueError):
         ball.chord_taus([3.0, 0.0, 0.0], [[1.0, 0.0, 0.0]])
@@ -342,6 +485,19 @@ def test_ball_chords_reject_exterior_and_nonfinite_points():
         ball.chord_taus([np.nan, 0.0, 0.0], [[1.0, 0.0, 0.0]])
     with pytest.raises(dm.UnboundedSearchError):
         ball.chord_taus([0.0, 0.0, 0.0], [[np.inf, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_d0_chords_reject_exterior_and_nonfinite_points(shift):
+    d0 = dm.VerticalShiftDomain(dm.DomainD0(), shift)
+    with pytest.raises(ValueError):
+        d0.chord_taus([shift - 1.0, 0.0, 0.0], [[0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError):
+        d0.chord_taus([[shift + 1.0, 0.0, 0.0], [shift + 0.5, 1.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(dm.UnboundedSearchError):
+        d0.chord_taus([np.nan, 0.0, 0.0], [[0.0, 1.0, 0.0]])
+    with pytest.raises(dm.UnboundedSearchError):
+        d0.chord_taus([shift + 1.0, 0.0, 0.0], [[0.0, np.inf, 0.0]])
 
 
 @pytest.mark.parametrize("t", [10.0 ** -k for k in range(3, 11)])

@@ -370,6 +370,36 @@ def test_batched_density_checks_every_point():
         hb.busemann_density(DP, np.array([[2.0, 1.0, 0.0], [-5.0, 1.0, 0.0]]), q, check=False)
 
 
+def _counting(cls):
+    """An instance of the domain class ``cls`` that counts the rows its
+    membership test sees."""
+
+    class Counting(cls):
+        rows = 0
+
+        def contains_batch(self, pts):
+            self.rows += len(pts)
+            return super().contains_batch(pts)
+
+    return Counting()
+
+
+@pytest.mark.parametrize("name", ["Ball", "D0"])
+@pytest.mark.parametrize("q", [hb.DEFAULT_QUADRATURE, FAST_Q], ids=["2312 nodes", "578 nodes"])
+def test_density_tests_each_point_once_per_solve(name, q):
+    # the density checks its points once and each of its two chord solves
+    # once more, however the points are chunked; the Ball's chords test
+    # no other point, and D0's test each direction at the ideal probe
+    dom, pts = BATCH_CASES[name]
+    counting = _counting(type(dom))
+    pts = np.array(pts)
+    rho = hb.busemann_density(counting, pts, q)
+    n = 3 + len(hb.sphere_quadrature(q.sphere_nodes)[0]) + len(hb.sphere_quadrature(max(8, q.sphere_nodes // 4))[0])
+    probes = 0 if name == "Ball" else 2 * n * len(pts)
+    assert counting.rows == 3 * len(pts) + probes
+    assert rho.tolist() == hb.busemann_density(dom, pts, q).tolist()
+
+
 # ---------------------------------------------------------------------------
 # region volume
 
