@@ -177,11 +177,13 @@ def finsler_norm_batch(dom: ConvexDomain, x, dirs, tol=CHORD_TOL):
 
 @lru_cache(maxsize=32)
 def sphere_quadrature(n_nodes: int):
-    """Antipodally symmetric product quadrature on the unit sphere.
+    """Product quadrature on the unit sphere, laid out as [H; -H].
 
     Gauss-Legendre in the polar cosine, midpoint-uniform in azimuth,
     with n_phi = 2 n_theta; returns (directions (n,3), weights) with the
-    weights summing to 4 pi.
+    weights summing to 4 pi.  H is the upper hemisphere (cos theta > 0,
+    and azimuth < pi on the equator); -H, its exact negation, has the
+    same weights, since ``leggauss`` symmetrises its nodes and weights.
     """
     n_theta = max(2, int(round(math.sqrt(n_nodes / 2.0))))
     n_phi = 2 * n_theta
@@ -197,12 +199,13 @@ def sphere_quadrature(n_nodes: int):
         U[k : k + n_phi, 2] = st * np.sin(phi)
         W[k : k + n_phi] = w * (2 * math.pi / n_phi)
         k += n_phi
-    return U, W
+    upper = (U[:, 0] > 0) | ((U[:, 0] == 0) & (np.tile(phi, n_theta) < math.pi))
+    return np.concatenate([U[upper], -U[upper]]), np.concatenate([W[upper], W[upper]])
 
 
-#: rows (points x (sphere nodes + 3)) per batched chord solve of the
-#: density; bounds the working set without changing any value, since
-#: every chord row is solved independently of the others
+#: rows (points x (hemisphere nodes + 3)) per batched chord solve of
+#: the density; bounds the working set without changing any value,
+#: since every chord row is solved independently of the others
 DENSITY_CHUNK_ROWS = 4096
 
 
@@ -212,12 +215,14 @@ def _unit_ball_volumes(dom, X, q):
     Per chunk of points, the three axis chords of every point go into
     one chord solve and the rescaled fine and coarse sphere nodes of
     every point into one more, each point the base of its own run of
-    directions; the node sets are split afterwards.
+    directions; the node sets are split afterwards.  The norm is even,
+    so only the halves H of the node sets go in, at twice their weights.
     """
     U, W = sphere_quadrature(q.sphere_nodes)
     Uc, Wc = sphere_quadrature(max(8, q.sphere_nodes // 4))
-    nodes = np.concatenate([U, Uc])
-    n_fine, n = len(U), len(U) + len(Uc)
+    n_fine, n = len(U) // 2, (len(U) + len(Uc)) // 2
+    nodes = np.concatenate([U[:n_fine], Uc[: n - n_fine]])
+    W, Wc = 2.0 * W[:n_fine], 2.0 * Wc[: n - n_fine]
     axes = np.eye(3)
     fine = np.empty(len(X))
     coarse = np.empty(len(X))
@@ -260,12 +265,12 @@ def unit_ball_lebesgue(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRAT
     """Lebesgue volume of the unit Finsler ball in the tangent space.
 
     ``x`` is one interior point, giving a float, or an (m,3) batch,
-    giving an (m,) array.  Computed as (1/3) * integral of r(u)^3 over
-    the sphere after rescaling directions by the three axis radii, which
-    keeps the integrand order-one even in very anisotropic tangent
-    spaces.  A coarse pass at a quarter of the sphere nodes is solved
-    alongside the fine one; with ``check`` it must agree with the fine
-    pass to within ten times ``q.rel_target`` at every point or
+    giving an (m,) array.  Computed as (2/3) * integral of r(u)^3 over a
+    hemisphere (r is even) after rescaling directions by the three axis
+    radii, which keeps the integrand order-one even in very anisotropic
+    tangent spaces.  A coarse pass at a quarter of the sphere nodes is
+    solved alongside the fine one; with ``check`` it must agree with the
+    fine pass to within ten times ``q.rel_target`` at every point or
     QuadratureError is raised.  A non-interior point raises ValueError.
     """
     fine, _ = _ball_volumes(dom, x, q, check)

@@ -56,6 +56,33 @@ def test_cusp_volume(tmp_path):
     assert (tmp_path / "cusp_volume.svg").exists()
 
 
+#: the benchmark's cusp volume table (cutoff, estimate, stderr,
+#: increment_ratio) as the full-sphere densities gave it; a change that
+#: only speeds the density up must keep it
+GOLDEN_VOLUME_TABLE = [
+    (10, 0.578657732676, 0.00905487605209, float("nan")),
+    (20, 0.648035878081, 0.0101117989453, 0.119894959468),
+    (40, 0.699131138823, 0.0105327543322, 0.736474871788),
+    (80, 0.736101919015, 0.010722550618, 0.723565740827),
+]
+
+
+def test_cusp_volume_golden_table(tmp_path):
+    rc = run(
+        [
+            "cusp", "volume", "--s", "2.772588722239781", "--k", "1", "--cutoffs", "10,20,40,80",
+            "--nodes", "128", "--seed", "3", "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    lines = open(tmp_path / "cusp_volume.csv").read().splitlines()
+    assert lines[0] == "cutoff,estimate,stderr,increment_ratio" and len(lines) == 5
+    for line, golden in zip(lines[1:], GOLDEN_VOLUME_TABLE):
+        row = [float(v) for v in line.split(",")]
+        assert row[0] == golden[0]
+        np.testing.assert_allclose(row[1:], golden[1:], rtol=1e-10, atol=0, equal_nan=True)
+
+
 def test_cusp_volume_determinism(tmp_path):
     args = ["cusp", "volume", "--s", "1.5", "--cutoffs", "4,8", "--nodes", "288",
             "--method", "mc", "--samples", "200", "--seed", "7"]

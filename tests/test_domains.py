@@ -445,6 +445,44 @@ def test_ball_exits_do_not_cancel():
             assert abs(Decimal(tau) - exact) <= Decimal(1e-14) * exact
 
 
+def _decimal_exit(dom, x, v, tau):
+    """The exit of the ray x + s v next to ``tau``, by Newton's method in 60
+    digits on the boundary equation of DPrime, x1 - x3^2/2 + log x2 = 0,
+    or of the member D_t, y1 - y3^2/2 - (t w - log(1 + t w))/t^2 = 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (x1, x2, x3), (v1, v2, v3) = [Decimal(e) for e in x], [Decimal(e) for e in v]
+        t = Decimal(float(dom.t))
+
+        def g(s):
+            z, w = x3 + s * v3, x2 + s * v2
+            if dom.family == "DPrime":
+                return x1 + s * v1 - z * z / 2 + w.ln(), v1 - z * v3 + v2 / w
+            return x1 + s * v1 - z * z / 2 - (t * w - (1 + t * w).ln()) / (t * t), v1 - z * v3 - v2 * w / (1 + t * w)
+
+        s = Decimal(tau)
+        for _ in range(30):
+            f, df = g(s)
+            s -= f / df
+            if abs(f / df) <= Decimal(10) ** -50:
+                return s
+    raise AssertionError(f"no 60-digit root next to {tau}")
+
+
+@pytest.mark.parametrize("dom", [dm.DomainDPrime(), dm.DomainDt(0.2), dm.DomainDt(2.0)], ids=["DPrime", "Dt(0.2)", "Dt(2)"])
+def test_short_newton_exits_against_decimal_roots(dom):
+    # y2 = 0 in the family coordinates (x2 = 1 in DPrime, 0 in Dt) puts the
+    # boundary at x3^2/2, so these points lie exactly 2^-k above it, and the
+    # downward rays from them exit after about 2^-k
+    x2 = 1.0 if dom.family == "DPrime" else 0.0
+    rays = np.array([[-1.0, 0.0, 0.0], [-1.0, 0.5, 0.0], [-1.0, -0.5, 0.25], [-1.0, 0.25, -0.3], [-2.0, -0.125, 0.5]])
+    for k in range(20, 41):
+        for x3 in (0.0, 0.5, -1.25):
+            x = np.array([0.5 * x3 * x3 + 2.0 ** -k, x2, x3])
+            for v, tau in zip(rays.tolist(), dom.chord_taus(x, rays)[1].tolist()):
+                assert abs(Decimal(tau) - _decimal_exit(dom, x.tolist(), v, tau)) <= Decimal(1e-14)
+
+
 @pytest.mark.parametrize("dom", [dm.BallDomain(), dm.DomainD0(), dm.DomainDPrime()], ids=["Ball", "D0", "DPrime"])
 def test_chord_taus_shares_each_base_point_with_its_run(dom):
     # m points with N = 3 m directions: the same as each point repeated

@@ -171,6 +171,48 @@ def test_norm_is_derivative_of_distance():
 # unit balls and density
 
 
+@pytest.mark.parametrize("n", [8, 32, 128, 578, 2312])
+def test_sphere_quadrature_is_two_antipodal_halves(n):
+    # [H; -H] with equal weights; 578 nodes (17 x 34) put a row on the equator
+    U, W = hb.sphere_quadrature(n)
+    h = len(U) // 2
+    assert len(U) == 2 * h == 2 * round(math.sqrt(n / 2.0)) ** 2
+    assert np.array_equal(U[h:], -U[:h]) and np.array_equal(W[h:], W[:h])
+    assert (U[:h, 0] >= 0).all() and len(np.unique(U, axis=0)) == len(U)
+    assert np.allclose(np.linalg.norm(U, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert math.isclose(W.sum(), 4 * math.pi, rel_tol=1e-14)
+    assert math.isclose(np.sum(W * U[:, 0] ** 2), 4 * math.pi / 3, rel_tol=1e-14)
+
+
+def _full_sphere_density(dom, x, n):
+    """The density from every node of the sphere quadrature, -H included."""
+    U, W = hb.sphere_quadrature(n)
+    radii = 1.0 / hb.finsler_norm_batch(dom, x, np.eye(3))
+    r3 = (1.0 / hb.finsler_norm_batch(dom, x, U * radii)) ** 3
+    return hb.ALPHA3 / (np.prod(radii) * np.sum(W * r3) / 3.0)
+
+
+HEMISPHERE_CASES = {
+    "Ball": (BALL, [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [-0.5, 0.4, 0.2]]),
+    "D0": (DomainD0(), [[1.0, 0.0, 0.0], [2.0, 0.5, -0.7], [0.3, 0.6, 0.2]]),
+    "DPrime": (DP, [[2.0, 1.0, 0.0], [1.0, 1.5, 0.4], [6.0, 2.5, 1.0]]),
+    "Dt(0.2)": (DomainDt(0.2), [[1.0, 0.0, 0.0], [3.0, 1.5, -0.5], [0.5, -0.8, 0.3]]),
+    "Dt(2)": (DomainDt(2.0), [[1.0, 0.0, 0.0], [2.0, 1.5, -0.5], [0.6, -0.3, 0.4]]),
+    "DPrime + 1": (VerticalShiftDomain(DP, 1.0), [[3.0, 1.0, 0.0], [2.5, 1.5, 0.4], [7.0, 2.5, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(HEMISPHERE_CASES))
+@pytest.mark.parametrize("n", [128, 2312])
+def test_hemisphere_density_matches_full_sphere(name, n):
+    dom, pts = HEMISPHERE_CASES[name]
+    pts = np.array(pts)
+    assert dom.contains_batch(pts).all()
+    rho = hb.busemann_density(dom, pts, hb.QuadratureSpec(sphere_nodes=n), check=False)
+    full = np.array([_full_sphere_density(dom, x, n) for x in pts])
+    assert np.allclose(rho, full, rtol=1e-13, atol=0)
+
+
 def test_unit_ball_at_ball_center():
     vol = hb.unit_ball_lebesgue(BALL, [0, 0, 0], hb.QuadratureSpec())
     assert abs(vol - math.pi / 6) <= 1e-3 * math.pi / 6
@@ -394,7 +436,8 @@ def test_density_tests_each_point_once_per_solve(name, q):
     counting = _counting(type(dom))
     pts = np.array(pts)
     rho = hb.busemann_density(counting, pts, q)
-    n = 3 + len(hb.sphere_quadrature(q.sphere_nodes)[0]) + len(hb.sphere_quadrature(max(8, q.sphere_nodes // 4))[0])
+    # the sphere nodes -H are not solved: their norms are those of H
+    n = 3 + (len(hb.sphere_quadrature(q.sphere_nodes)[0]) + len(hb.sphere_quadrature(max(8, q.sphere_nodes // 4))[0])) // 2
     probes = 0 if name == "Ball" else 2 * n * len(pts)
     assert counting.rows == 3 * len(pts) + probes
     assert rho.tolist() == hb.busemann_density(dom, pts, q).tolist()
