@@ -104,12 +104,15 @@ class ConvexDomain:
         point among all of them.  Each point is checked once, before it
         is repeated over its run.  Returns (tau_minus <= 0, tau_plus >=
         0), one entry per direction row in units of that direction
-        vector, with +-inf marking ideal ends.  Exits are solved along
-        unit directions, so the ideal probe does not depend on how a
-        direction is scaled; ``tol`` bounds the error of the Newton
-        solver, while the quadrics' closed forms are accurate to
-        rounding.  Non-finite input raises UnboundedSearchError, then a
-        zero direction or a base point outside the domain ValueError.
+        vector, with +-inf marking ideal ends.  Both exits of every line
+        come from one ``_ray_exit`` call on the forward rays (X, U)
+        stacked over the back rays (X, -U), each row solved on its own.
+        Exits are solved along unit directions, so the ideal probe does
+        not depend on how a direction is scaled; ``tol`` bounds the
+        error of the Newton solver, while the quadrics' closed forms are
+        accurate to rounding.  Non-finite input raises
+        UnboundedSearchError, then a zero direction or a base point
+        outside the domain ValueError.
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -126,9 +129,8 @@ class ConvexDomain:
             raise ValueError("chord base point must be interior")
         X = np.repeat(x, run, axis=0)
         U = dirs / norms[:, None]
-        plus = self._ray_exit(X, U, tol) / norms
-        minus = -self._ray_exit(X, -U, tol) / norms
-        return minus, plus
+        plus, minus = self._ray_exit(np.concatenate([X, X]), np.concatenate([U, -U]), tol).reshape(2, -1) / norms
+        return -minus, plus
 
     def chord_endpoints(self, x, v, tol=CHORD_TOL):
         """Both intersections of the line x + R*v with the boundary.

@@ -63,7 +63,7 @@ class QuadratureSpec:
     sphere_nodes: int = 2312
     mc_samples: int = 200_000
     seed: int = 0
-    bisection_tol: float = 1e-12
+    chord_tol: float = CHORD_TOL
     cutoff: float | None = None
     rel_target: float = 1e-3
     grid_shape: tuple = (8, 6, 6)
@@ -71,8 +71,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.sphere_nodes <= 0 or self.mc_samples <= 0:
             raise ValueError("node and sample counts must be positive")
-        if self.bisection_tol <= 0:
-            raise ValueError("bisection tolerance must be positive")
+        if self.chord_tol <= 0:
+            raise ValueError("chord tolerance must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -203,39 +203,44 @@ def sphere_quadrature(n_nodes: int):
     return np.concatenate([U[upper], -U[upper]]), np.concatenate([W[upper], W[upper]])
 
 
-#: rows (points x (hemisphere nodes + 3)) per batched chord solve of
-#: the density; bounds the working set without changing any value,
-#: since every chord row is solved independently of the others
+#: rays per batched chord solve of the density, two for each chord line
+#: (a point's 3 axis lines, or its hemisphere node lines); bounds the
+#: working set without changing any value, since every ray is solved
+#: independently of the others
 DENSITY_CHUNK_ROWS = 4096
 
 
 def _unit_ball_volumes(dom, X, q):
     """Fine and coarse unit-ball volumes at the rows of an (m,3) array.
 
-    Per chunk of points, the three axis chords of every point go into
-    one chord solve and the rescaled fine and coarse sphere nodes of
-    every point into one more, each point the base of its own run of
-    directions; the node sets are split afterwards.  The norm is even,
-    so only the halves H of the node sets go in, at twice their weights.
+    The three axis chords of every point go into one chord solve per
+    chunk of points, and then, per smaller chunk, the rescaled fine and
+    coarse sphere nodes of every point into one more, each point the
+    base of its own run of directions; the node sets are split
+    afterwards.  The norm is even, so only the halves H of the node sets
+    go in, at twice their weights.
     """
     U, W = sphere_quadrature(q.sphere_nodes)
     Uc, Wc = sphere_quadrature(max(8, q.sphere_nodes // 4))
     n_fine, n = len(U) // 2, (len(U) + len(Uc)) // 2
     nodes = np.concatenate([U[:n_fine], Uc[: n - n_fine]])
     W, Wc = 2.0 * W[:n_fine], 2.0 * Wc[: n - n_fine]
-    axes = np.eye(3)
-    fine = np.empty(len(X))
-    coarse = np.empty(len(X))
-    step = max(1, DENSITY_CHUNK_ROWS // (n + 3))
+    radii = np.empty((len(X), 3))
+    step = max(1, DENSITY_CHUNK_ROWS // 6)
     for a in range(0, len(X), step):
         P = X[a : a + step]
+        axis_norms = finsler_norm_batch(dom, P, np.tile(np.eye(3), (len(P), 1)), tol=q.chord_tol)
+        radii[a : a + len(P)] = 1.0 / axis_norms.reshape(-1, 3)
+    fine = np.empty(len(X))
+    coarse = np.empty(len(X))
+    step = max(1, DENSITY_CHUNK_ROWS // (2 * n))
+    for a in range(0, len(X), step):
+        P, R = X[a : a + step], radii[a : a + step]
         k = len(P)
-        axis_norms = finsler_norm_batch(dom, P, np.tile(axes, (k, 1)), tol=q.bisection_tol)
-        radii = 1.0 / axis_norms.reshape(k, 3)
-        dirs = (nodes[None, :, :] * radii[:, None, :]).reshape(k * n, 3)
-        norms = finsler_norm_batch(dom, P, dirs, tol=q.bisection_tol)
+        dirs = (nodes[None, :, :] * R[:, None, :]).reshape(k * n, 3)
+        norms = finsler_norm_batch(dom, P, dirs, tol=q.chord_tol)
         r3 = (1.0 / norms.reshape(k, n)) ** 3
-        scale = np.prod(radii, axis=1)
+        scale = np.prod(R, axis=1)
         fine[a : a + k] = scale * np.sum(W * r3[:, :n_fine], axis=1) / 3.0
         coarse[a : a + k] = scale * np.sum(Wc * r3[:, n_fine:], axis=1) / 3.0
     return fine, coarse
@@ -301,16 +306,18 @@ def metric_ball_density(dom: ConvexDomain, x, rho=0.02, n_nodes=128, tol=CHORD_T
     Solves d(x, x + r u) = rho in closed form from the chord parameters
     and divides out rho; independent of the Finsler-norm route, so it
     serves as an oracle for ``busemann_density``.  Antipodal node pairs
-    cancel the O(rho) bias.
+    cancel the O(rho) bias.  Only the hemisphere H of the quadrature
+    [H; -H] is solved: the two exits of the line along u give the radii
+    of both u and -u.
     """
     U, W = sphere_quadrature(n_nodes)
     x = np.asarray(x, dtype=float)
-    tm, tp = dom.chord_taus(x, U, tol=tol)
+    tm, tp = dom.chord_taus(x, U[: len(U) // 2], tol=tol)
     with np.errstate(divide="ignore"):
         u = np.where(np.isinf(tm), 0.0, -1.0 / tm)
         w = np.where(np.isinf(tp), 0.0, 1.0 / tp)
     K = math.exp(rho)
-    r = (K - 1.0) / (u + K * w) / rho
+    r = (K - 1.0) / np.concatenate([u + K * w, w + K * u]) / rho
     vol = float(np.sum(W * r ** 3) / 3.0)
     return ALPHA3 / vol
 

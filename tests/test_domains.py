@@ -504,6 +504,45 @@ def test_chord_taus_shares_each_base_point_with_its_run(dom):
         dom.chord_taus(x, dirs)
 
 
+@pytest.mark.parametrize(
+    "dom",
+    [
+        dm.BallDomain(),
+        dm.DomainD0(),
+        dm.VerticalShiftDomain(dm.DomainD0(), 1.0),
+        dm.DomainDPrime(),
+        dm.DomainDt(0.2),
+        dm.DomainDt(2.0),
+        dm.DomainDt(-0.3),
+    ],
+    ids=["Ball", "D0", "D0+1", "DPrime", "Dt(0.2)", "Dt(2)", "Dt(-0.3)"],
+)
+def test_chord_taus_solves_both_exits_of_each_line_in_one_call(dom):
+    # the stacked solve of (X, U) over (X, -U) gives the bits of the two
+    # directions solved apart, at base points 2^-20 above the boundary
+    # and with ideal ends (e1 on the parabolic domains) among the rows
+    rng = np.random.default_rng(59)
+    if dom.family == "Ball":
+        P = rng.normal(size=(4, 3))
+        x = P / np.linalg.norm(P, axis=1)[:, None] * np.array([0.0, 0.5, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -20])[:, None]
+    else:
+        b2 = np.array([1.0, 0.5, 2.0, 0.25])
+        b3 = np.array([0.0, -0.5, 0.75, 1.25])
+        x = np.column_stack([dom.boundary_value_batch(b2, b3) + np.array([2.0, 1.0, 2.0 ** -20, 2.0 ** -20]), b2, b3])
+    dirs = rng.normal(size=(4 * 50, 3)) * 10 ** rng.uniform(-3, 3, (200, 1))
+    dirs[::10] = [3.0, 0.0, 0.0]
+    tm, tp = dom.chord_taus(x, dirs)
+    X = np.repeat(x, 50, axis=0)
+    norms = np.linalg.norm(dirs, axis=1)
+    U = dirs / norms[:, None]
+    assert np.array_equal(tm, -dom._ray_exit(X, -U, dm.CHORD_TOL) / norms)
+    assert np.array_equal(tp, dom._ray_exit(X, U, dm.CHORD_TOL) / norms)
+    assert np.any(tp < 1e-5) and np.isinf(tp).any() == (dom.family != "Ball")
+    for bad in ([np.inf, 0.0, 0.0], [0.0, np.nan, 1.0]):
+        with pytest.raises(dm.UnboundedSearchError):
+            dom.chord_taus(x[0], [[1.0, 0.0, 0.0], bad])
+
+
 def test_newton_rejects_exterior_and_nonfinite_rays(dprime):
     with pytest.raises(ValueError):
         dprime.chord_taus([0.0, 1.0, 0.0], [[1.0, 0.0, 0.0]])

@@ -288,6 +288,9 @@ def test_density_conjugation_covariance(t):
 def test_quadrature_convergence_guard():
     with pytest.raises(ValueError):
         hb.QuadratureSpec(sphere_nodes=0)
+    with pytest.raises(ValueError, match="chord tolerance"):
+        hb.QuadratureSpec(chord_tol=0.0)
+    assert hb.DEFAULT_QUADRATURE.chord_tol == hb.CHORD_TOL
     with pytest.raises(ValueError):
         hb.unit_ball_lebesgue(DP, [-5, 1, 0], FAST_Q)
     # very close to the boundary the tangent ball is too anisotropic for
@@ -564,6 +567,23 @@ def test_metric_ball_density_agrees():
         a = hb.metric_ball_density(dom, np.asarray(x), n_nodes=512)
         b = hb.busemann_density(dom, x, hb.QuadratureSpec(sphere_nodes=1152))
         assert abs(a - b) <= 5e-3 * b
+
+
+@pytest.mark.parametrize(
+    "dom, x",
+    [(BALL, [0.1, -0.2, 0.3]), (DP, [2.0, 1.0, 0.0]), (DomainDt(0.2), [1.5, 0.5, -0.25])],
+    ids=["Ball", "DPrime", "Dt(0.2)"],
+)
+def test_metric_ball_density_from_one_hemisphere(dom, x):
+    # against the sum over the whole sphere [H; -H], every node solved
+    rho, K = 0.02, math.exp(0.02)
+    U, W = hb.sphere_quadrature(128)
+    tm, tp = dom.chord_taus(x, U)
+    with np.errstate(divide="ignore"):
+        u = np.where(np.isinf(tm), 0.0, -1.0 / tm)
+        w = np.where(np.isinf(tp), 0.0, 1.0 / tp)
+    full = hb.ALPHA3 / (np.sum(W * ((K - 1.0) / (u + K * w) / rho) ** 3) / 3.0)
+    assert abs(hb.metric_ball_density(dom, np.asarray(x), rho=rho) - full) <= 1e-13 * full
 
 
 # ---------------------------------------------------------------------------
