@@ -104,21 +104,11 @@ def proof_threshold(fd: CuspFundamentalDomain, grid=5) -> float:
     g3 = np.linspace(*fd.x3_range, grid)
     for exponent in range(0, 9):
         height = 10.0 ** exponent
-        ok = True
-        for x2 in g2:
-            for x3 in g3:
-                n = direction_norms((height, x2, x3))
-                if (height / 2.0) * n.norm_e1 >= 1.0:
-                    ok = False
-                elif (math.sqrt(height) / (3.0 * math.sqrt(2.0))) * n.norm_e3 >= 1.0:
-                    ok = False
-                elif n.norm_e2 <= 0:
-                    ok = False
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        norms = (direction_norms((height, x2, x3)) for x2 in g2 for x3 in g3)
+        if not any(
+            (height / 2.0) * n.norm_e1 >= 1.0 or (math.sqrt(height) / (3.0 * math.sqrt(2.0))) * n.norm_e3 >= 1.0 or n.norm_e2 <= 0
+            for n in norms
+        ):
             return height
     raise ArithmeticError("simplex inequalities never stabilized")
 
@@ -198,16 +188,10 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec, met
 def write_volume_table_csv(path, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["cutoff", "estimate", "stderr", "increment_ratio"])
+        columns = ["cutoff", "estimate", "stderr", "increment_ratio"]
+        w.writerow(columns)
         for r in rows:
-            w.writerow(
-                [
-                    f"{r['cutoff']:.12g}",
-                    f"{r['estimate']:.12g}",
-                    f"{r['stderr']:.12g}",
-                    f"{r['increment_ratio']:.12g}",
-                ]
-            )
+            w.writerow([f"{r[c]:.12g}" for c in columns])
     return path
 
 

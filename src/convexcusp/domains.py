@@ -16,8 +16,10 @@ ray from the ball, and from D0 and its horoballs, is the positive root
 of a quadratic in the chord parameter.  Chord endpoints of the members
 t != 0 come from one Newton solver on the concave chord function of the
 member, vectorised over rays; the affine maps leave the chord parameter
-unchanged.  A ray of a parabolic domain still inside at ``IDEAL_PROBE``
-reports an ideal endpoint; the ball has none.
+unchanged.  A ray of a parabolic domain has an ideal end when it lies
+in the recession cone of its member, or when it is still inside at
+``IDEAL_PROBE``; the ball has none.  Each domain also names the tangent
+frame in which its unit balls are integrated (``quadrature_frames``).
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ class ConvexDomain:
         """Strict interior membership of an affine point."""
         return bool(self.contains_batch(np.asarray(x, dtype=float)[None, :])[0])
 
+    #: whether a symmetry of the domain fixing x negates f3 of its frame
+    reflects = False
+
+    def quadrature_frames(self, X):
+        """Frames (e1, e2, f3) of determinant 1 at the rows of X, as an
+        (m,3,3) array of rows, for the unit-ball quadrature: the axes."""
+        return np.broadcast_to(np.eye(3), (len(X), 3, 3))
+
     # -- chords --------------------------------------------------------
 
     def _ray_exit(self, X, V, tol):
@@ -159,6 +169,17 @@ class ParabolicDomain(ConvexDomain):
     """
 
     t = 0.0
+    reflects = True
+
+    def quadrature_frames(self, X):
+        """f3 = (x3, 0, 1): x3 -> -x3 followed by the LPrime translation
+        by 2 x3 is an affine involution of the domain fixing x, with
+        linear part L(v) = (v1 - 2 x3 v3, v2, -v3), which keeps e1 and e2
+        and negates f3.  LPrime carries the frames at x onto those at g x
+        up to the scale of e2."""
+        frames = np.tile(np.eye(3), (len(X), 1, 1))
+        frames[:, 2, 0] = X[:, 2]
+        return frames
 
     def _to_family(self, X, V):
         """The rays X + tau*V in the coordinates of the family member, as
@@ -201,21 +222,34 @@ class ParabolicDomain(ConvexDomain):
         once its step is at most max(tol/2, 4 ulp(tau)) or not positive.
         At t = 0 (D0 and its horoballs) g = Q - w^2/2 is a quadratic in
         tau and its positive root is the exit, with no Newton step.
-        ``V`` need not be a unit vector.
+        Rays in the recession cone of the member are ideal: d2 = d3 = 0
+        < d1 at t = 0, else d3 = 0, t d2 >= 0 and t (t d1 - d2) >= 0.  So
+        is a ray whose start, or D0 root, is clipped to ``IDEAL_PROBE``
+        and which is still inside there.  ``V`` need not be a unit vector.
         """
         out = np.full(len(X), np.inf)
-        rows = np.flatnonzero(~self.contains_batch(X + IDEAL_PROBE * V))
         t = float(self.t)
+        Y, D = self._to_family(X, V)
+        recede = (D[2] == 0) & ((D[1] == 0) & (D[0] > 0) if t == 0 else (t * D[1] >= 0) & (t * (t * D[0] - D[1]) >= 0))
+        rows = np.flatnonzero(~recede)
+        Y, D = [y[rows] for y in Y], [d[rows] for d in D]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if t == 0:
-                (y1, y2, y3), (d1, d2, d3) = self._to_family(X[rows], V[rows])
-                tau = _positive_root(y1 - 0.5 * (y2 * y2 + y3 * y3), d1 - (y2 * d2 + y3 * d3), 0.5 * (d2 * d2 + d3 * d3))
+                (y1, y2, y3), (d1, d2, d3) = Y, D
+                ray = tau = _positive_root(y1 - 0.5 * (y2 * y2 + y3 * y3), d1 - (y2 * d2 + y3 * d3), 0.5 * (d2 * d2 + d3 * d3))
+            else:
+                ray, tau = _ray_start(t, Y, D)
+            live = tau < IDEAL_PROBE
+            if not live.all():
+                far = np.flatnonzero(~live)
+                live[far] = ~self.contains_batch(X[rows[far]] + IDEAL_PROBE * V[rows[far]])
+                rows, tau, ray = rows[live], tau[live], ray[..., live]
+            if t == 0:
                 if not np.isfinite(tau).all():
                     raise UnboundedSearchError(V[rows[np.argmax(~np.isfinite(tau))]])
                 out[rows] = np.fmin(tau, IDEAL_PROBE)
                 return out
             # the live rays, compacted after every step
-            ray, tau = _ray_start(t, *self._to_family(X[rows], V[rows]))
             for _ in range(NEWTON_MAX_STEPS):
                 if not len(rows):
                     return out

@@ -8,7 +8,9 @@ Euclidean ball of diameter 1.  Volumes of regions are integrals of the
 density, by seeded Monte Carlo or a Gauss-Legendre product grid.
 
 ``unit_ball_lebesgue`` and ``busemann_density`` take one point (float
-result) or an (m,3) batch of points ((m,) array result).  A batch is
+result) or an (m,3) batch of points ((m,) array result).  Unit balls
+are integrated in each domain's frame, one line per orbit of the norm's
+symmetries on the sphere quadrature (``line_quadrature``).  A batch is
 solved in chunks of points whose chord rows go through one
 ``chord_taus`` call each, and gives the same values bit for bit as one
 point at a time, whatever the chunking.  Each unit-ball volume is also
@@ -190,54 +192,70 @@ def sphere_quadrature(n_nodes: int):
     xs, wx = np.polynomial.legendre.leggauss(n_theta)
     phi = (np.arange(n_phi) + 0.5) * (2 * math.pi / n_phi)
     sin_theta = np.sqrt(1.0 - xs ** 2)
-    U = np.empty((n_theta * n_phi, 3))
-    W = np.empty(n_theta * n_phi)
-    k = 0
-    for ct, st, w in zip(xs, sin_theta, wx):
-        U[k : k + n_phi, 0] = ct
-        U[k : k + n_phi, 1] = st * np.cos(phi)
-        U[k : k + n_phi, 2] = st * np.sin(phi)
-        W[k : k + n_phi] = w * (2 * math.pi / n_phi)
-        k += n_phi
+    U = np.column_stack([np.repeat(xs, n_phi), np.outer(sin_theta, np.cos(phi)).ravel(), np.outer(sin_theta, np.sin(phi)).ravel()])
+    W = np.repeat(wx * (2 * math.pi / n_phi), n_phi)
     upper = (U[:, 0] > 0) | ((U[:, 0] == 0) & (np.tile(phi, n_theta) < math.pi))
     return np.concatenate([U[upper], -U[upper]]), np.concatenate([W[upper], W[upper]])
 
 
+@lru_cache(maxsize=32)
+def line_quadrature(n_nodes: int, reflect: bool):
+    """One node per orbit of lines of ``sphere_quadrature(n_nodes)``, at
+    the orbit's total weight.  Without ``reflect`` the orbits are the
+    lines {u, -u}: H at twice its weights.  The reflection u2 -> -u2
+    (azimuth phi <-> 2 pi - phi) pairs the lines of H with u2 > 0 and
+    u2 < 0 off the equator u0 = 0, and phi with pi - phi on it, where
+    the line at phi = pi/2 (odd polar counts) is its own image.
+    """
+    U, W = sphere_quadrature(n_nodes)
+    U, W = U[: len(U) // 2], 2.0 * W[: len(U) // 2]
+    if not reflect:
+        return U, W
+    size = np.where(U[:, 2] > 0, 2.0, 0.0)
+    # the equator's nodes of H, in increasing azimuth: 2, ..., 2, 1, 0, ..., 0
+    equator = np.flatnonzero(U[:, 0] == 0)
+    size[equator] = 1.0 + np.sign(len(equator) // 2 - np.arange(len(equator)))
+    keep = size > 0
+    return U[keep], W[keep] * size[keep]
+
+
 #: rays per batched chord solve of the density, two for each chord line
-#: (a point's 3 axis lines, or its hemisphere node lines); bounds the
-#: working set without changing any value, since every ray is solved
-#: independently of the others
+#: (a point's 3 frame lines, or its node lines); bounds the working set
+#: without changing any value, since every ray is solved independently
+#: of the others
 DENSITY_CHUNK_ROWS = 4096
 
 
 def _unit_ball_volumes(dom, X, q):
     """Fine and coarse unit-ball volumes at the rows of an (m,3) array.
 
-    The three axis chords of every point go into one chord solve per
-    chunk of points, and then, per smaller chunk, the rescaled fine and
-    coarse sphere nodes of every point into one more, each point the
-    base of its own run of directions; the node sets are split
-    afterwards.  The norm is even, so only the halves H of the node sets
-    go in, at twice their weights.
+    The three frame chords (``dom.quadrature_frames``) of every point go
+    into one chord solve per chunk of points, and then, per smaller
+    chunk, the fine and coarse nodes of every point, rescaled by the
+    frame radii 1/F, into one more, each point the base of its own run
+    of directions; the node sets are split afterwards.  One node of
+    each orbit of lines of ``line_quadrature`` goes in, at the orbit's
+    weight: the norm is even, and, where ``dom.reflects``, invariant
+    under the reflection u2 -> -u2 of the frame.
     """
-    U, W = sphere_quadrature(q.sphere_nodes)
-    Uc, Wc = sphere_quadrature(max(8, q.sphere_nodes // 4))
-    n_fine, n = len(U) // 2, (len(U) + len(Uc)) // 2
-    nodes = np.concatenate([U[:n_fine], Uc[: n - n_fine]])
-    W, Wc = 2.0 * W[:n_fine], 2.0 * Wc[: n - n_fine]
+    U, W = line_quadrature(q.sphere_nodes, dom.reflects)
+    Uc, Wc = line_quadrature(max(8, q.sphere_nodes // 4), dom.reflects)
+    n_fine, n = len(U), len(U) + len(Uc)
+    nodes = np.concatenate([U, Uc])
+    frames = dom.quadrature_frames(X)
     radii = np.empty((len(X), 3))
     step = max(1, DENSITY_CHUNK_ROWS // 6)
     for a in range(0, len(X), step):
         P = X[a : a + step]
-        axis_norms = finsler_norm_batch(dom, P, np.tile(np.eye(3), (len(P), 1)), tol=q.chord_tol)
-        radii[a : a + len(P)] = 1.0 / axis_norms.reshape(-1, 3)
+        frame_norms = finsler_norm_batch(dom, P, frames[a : a + step].reshape(-1, 3), tol=q.chord_tol)
+        radii[a : a + len(P)] = 1.0 / frame_norms.reshape(-1, 3)
     fine = np.empty(len(X))
     coarse = np.empty(len(X))
     step = max(1, DENSITY_CHUNK_ROWS // (2 * n))
     for a in range(0, len(X), step):
         P, R = X[a : a + step], radii[a : a + step]
         k = len(P)
-        dirs = (nodes[None, :, :] * R[:, None, :]).reshape(k * n, 3)
+        dirs = np.einsum("kni,kij->knj", nodes[None, :, :] * R[:, None, :], frames[a : a + step]).reshape(k * n, 3)
         norms = finsler_norm_batch(dom, P, dirs, tol=q.chord_tol)
         r3 = (1.0 / norms.reshape(k, n)) ** 3
         scale = np.prod(R, axis=1)
@@ -270,10 +288,13 @@ def unit_ball_lebesgue(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRAT
     """Lebesgue volume of the unit Finsler ball in the tangent space.
 
     ``x`` is one interior point, giving a float, or an (m,3) batch,
-    giving an (m,) array.  Computed as (2/3) * integral of r(u)^3 over a
-    hemisphere (r is even) after rescaling directions by the three axis
-    radii, which keeps the integrand order-one even in very anisotropic
-    tangent spaces.  A coarse pass at a quarter of the sphere nodes is
+    giving an (m,) array.  Computed as (1/3) * integral of r(u)^3 over
+    the sphere, one node per orbit of lines (``line_quadrature``), with
+    directions rescaled by the radii along the domain's quadrature frame
+    to keep the integrand order-one in anisotropic tangent spaces.  On a
+    parabolic domain that frame, (e1, e2, (x3, 0, 1)), halves the lines
+    by a reflection fixing x, and LPrime keeps it, so D' densities are
+    equivariant to rounding.  A coarse pass at a quarter of the nodes is
     solved alongside the fine one; with ``check`` it must agree with the
     fine pass to within ten times ``q.rel_target`` at every point or
     QuadratureError is raised.  A non-interior point raises ValueError.
@@ -343,18 +364,10 @@ class Region:
     floor_level: float | None = None
 
     def is_empty(self) -> bool:
-        return (
-            self.x2_range[1] <= self.x2_range[0]
-            or self.x3_range[1] <= self.x3_range[0]
-            or self.x1_range[1] <= self.x1_range[0]
-        )
+        return any(hi <= lo for lo, hi in (self.x2_range, self.x3_range, self.x1_range))
 
     def box_volume(self) -> float:
-        return (
-            (self.x1_range[1] - self.x1_range[0])
-            * (self.x2_range[1] - self.x2_range[0])
-            * (self.x3_range[1] - self.x3_range[0])
-        )
+        return math.prod(hi - lo for lo, hi in (self.x1_range, self.x2_range, self.x3_range))
 
     def horoball(self) -> VerticalShiftDomain:
         """The domain shifted up by the floor level."""
@@ -432,40 +445,34 @@ def _volume_mc(region: Region, q: QuadratureSpec) -> VolumeEstimate:
     return VolumeEstimate(est, err, n, q.seed, "mc", float(np.max(gap, initial=0.0)))
 
 
-def _volume_grid(region: Region, q: QuadratureSpec, shape):
-    """Grid estimate and worst quadrature gap over the grid's densities."""
-    n1, n2, n3 = shape
-    x2n, w2 = np.polynomial.legendre.leggauss(n2)
-    x3n, w3 = np.polynomial.legendre.leggauss(n3)
-    x1n, w1 = np.polynomial.legendre.leggauss(n1)
+#: Gauss-Legendre nodes and weights on [-1, 1], by rule size
+_leggauss = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
+#: math's exp, expm1 and log1p over arrays (numpy's differ in last bits)
+_exp, _expm1, _log1p = (lambda x, f=f: np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape) for f in (math.exp, math.expm1, math.log1p))
 
-    def to_interval(nodes, weights, a, b):
+
+def _volume_grid(region: Region, q: QuadratureSpec, shape):
+    """Grid estimate and worst quadrature gap over the grid's densities.
+    The vertical coordinate is log-stretched above the floor: the density
+    varies fastest just above it and decays polynomially above."""
+    n1, n2, n3 = shape
+
+    def to_interval(n, a, b):
+        nodes, weights = _leggauss(n)
         return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
 
-    g2, w2 = to_interval(x2n, w2, *region.x2_range)
-    g3, w3 = to_interval(x3n, w3, *region.x3_range)
-    dom = region.domain
-    floor = None if region.floor_level is None else region.horoball()
-    pts = []
-    weights = []
-    for b2, wb2 in zip(g2, w2):
-        for b3, wb3 in zip(g3, w3):
-            lo = region.x1_range[0]
-            if floor is not None:
-                lo = max(lo, float(floor.boundary_value_batch(np.array([b2]), np.array([b3]))[0]))
-            hi = region.x1_range[1]
-            if hi <= lo:
-                continue
-            # log-stretched vertical coordinate: the density varies
-            # fastest just above the floor and decays polynomially above
-            gu, wu = to_interval(x1n, w1, 0.0, math.log1p(hi - lo))
-            for u, wuu in zip(gu, wu):
-                pts.append((lo + math.expm1(u), b2, b3))
-                weights.append(wb2 * wb3 * wuu * math.exp(u))
-    pts = np.array(pts, dtype=float).reshape(-1, 3)
-    if region.floor_level is None and not dom.contains_batch(pts).all():
+    (g2, w2), (g3, w3) = to_interval(n2, *region.x2_range), to_interval(n3, *region.x3_range)
+    g2, g3, wb = np.repeat(g2, n3), np.tile(g3, n2), np.outer(w2, w3).ravel()
+    lo = np.full(n2 * n3, float(region.x1_range[0]))
+    if region.floor_level is not None:
+        lo = np.maximum(lo, region.horoball().boundary_value_batch(g2, g3))
+    base = np.flatnonzero(region.x1_range[1] > lo)
+    u, wu = to_interval(n1, 0.0, _log1p(region.x1_range[1] - lo[base])[:, None])
+    pts = np.column_stack([(lo[base, None] + _expm1(u)).ravel(), np.repeat(g2[base], n1), np.repeat(g3[base], n1)])
+    weights = (wb[base, None] * wu * _exp(u)).ravel()
+    if region.floor_level is None and not region.domain.contains_batch(pts).all():
         raise RegionError("region extends outside its domain")
-    rho, gap = busemann_density(dom, pts, q, check=False, return_gap=True)
+    rho, gap = busemann_density(region.domain, pts, q, check=False, return_gap=True)
     total = 0.0
     for w, r in zip(weights, rho):
         total += w * r

@@ -382,6 +382,69 @@ def test_newton_exits_match_bisection(dom):
     assert np.any(np.isfinite(exits) & (exits > 1e8)) and np.any(exits < 1e-6)
 
 
+def _probe_rule_exit(dom, X, V, tol):
+    """The exits of ``_ray_exit`` under the ideal rule it replaced: every
+    ray is tested at the ideal probe, and one still inside there is
+    ideal; the others are solved as ``_ray_exit`` solves them."""
+    out = np.full(len(X), np.inf)
+    rows = np.flatnonzero(~dom.contains_batch(X + dm.IDEAL_PROBE * V))
+    t = float(dom.t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if t == 0:
+            (y1, y2, y3), (d1, d2, d3) = dom._to_family(X[rows], V[rows])
+            tau = dm._positive_root(y1 - 0.5 * (y2 * y2 + y3 * y3), d1 - (y2 * d2 + y3 * d3), 0.5 * (d2 * d2 + d3 * d3))
+            assert np.isfinite(tau).all()
+            out[rows] = np.fmin(tau, dm.IDEAL_PROBE)
+            return out
+        ray, tau = dm._ray_start(t, *dom._to_family(X[rows], V[rows]))
+        for _ in range(dm.NEWTON_MAX_STEPS):
+            if not len(rows):
+                return out
+            step = dm._newton_step(t, ray, tau)
+            keep = step > np.maximum(0.5 * tol, dm._four_ulp(tau))
+            tau = tau - np.maximum(step, 0.0)
+            out[rows] = tau
+            rows, tau, ray = rows[keep], tau[keep], np.compress(keep, ray, axis=1)
+    raise AssertionError("Newton iteration did not converge")
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        dm.DomainD0(),
+        dm.DomainDPrime(),
+        dm.DomainDt(0.2),
+        dm.DomainDt(2.0),
+        dm.DomainDt(-0.3),
+        dm.VerticalShiftDomain(dm.DomainDPrime(), 0.7),
+        dm.VerticalShiftDomain(dm.DomainD0(), -0.5),
+    ],
+    ids=["D0", "DPrime", "Dt(0.2)", "Dt(2)", "Dt(-0.3)", "DPrime+0.7", "D0-0.5"],
+)
+def test_recession_cone_exits_match_the_probe_rule(dom):
+    # the recession cone decides the exact ideal directions (e1, and e2
+    # and e1 + e2 where the member's t > 0) without a probe, and the
+    # probe still decides near-ideal ones, whose start is clipped to it
+    rng = np.random.default_rng(67)
+    X, _ = _adversarial_rays(dom, rng, n=6000)
+    V = rng.normal(size=(6000, 3))
+    special = np.array(
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1e-9, 0], [1, 1e-9, 0], [1, 1, 1e-7], [1, 1e-7, 0], [0, 1, 1e-7], [1, 2, 0], [2, 1, 0]]
+    )
+    V[:2000] = special[rng.integers(0, len(special), 2000)] * rng.choice([-1.0, 1.0], (2000, 1))
+    V[2000:4000] *= np.where(rng.random((2000, 3)) < 0.5, 1e-7, 1.0)
+    # member directions (1, t (1 + delta), 0) on, just inside and just
+    # outside the edge t d1 = d2 of the recession cone
+    edge = np.array([[1.0, dom.t * (1.0 + delta), 0.0] for delta in (0.0, -1e-6, 1e-6)])
+    if dom.family == "DPrime":
+        edge[:, 0] -= edge[:, 1]
+    V[4000:4300] = np.repeat(edge, 100, axis=0)
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    exits = dom._ray_exit(X, V, dm.CHORD_TOL)
+    assert np.array_equal(exits, _probe_rule_exit(dom, X, V, dm.CHORD_TOL))
+    assert np.isinf(exits[:2000]).any() and np.isinf(exits[2000:]).any() and np.any(np.isfinite(exits) & (exits > 1e8))
+
+
 @pytest.mark.parametrize("shift", [0.0, 0.5, -0.5])
 def test_d0_exits_on_vertical_rays(shift):
     # up is ideal, and down meets the boundary at the shifted height

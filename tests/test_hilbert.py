@@ -185,10 +185,12 @@ def test_sphere_quadrature_is_two_antipodal_halves(n):
 
 
 def _full_sphere_density(dom, x, n):
-    """The density from every node of the sphere quadrature, -H included."""
+    """The density from every node of the sphere quadrature, -H included,
+    rescaled in the domain's quadrature frame."""
     U, W = hb.sphere_quadrature(n)
-    radii = 1.0 / hb.finsler_norm_batch(dom, x, np.eye(3))
-    r3 = (1.0 / hb.finsler_norm_batch(dom, x, U * radii)) ** 3
+    frame = dom.quadrature_frames(np.asarray(x, dtype=float)[None, :])[0]
+    radii = 1.0 / hb.finsler_norm_batch(dom, x, frame)
+    r3 = (1.0 / hb.finsler_norm_batch(dom, x, (U * radii) @ frame)) ** 3
     return hb.ALPHA3 / (np.prod(radii) * np.sum(W * r3) / 3.0)
 
 
@@ -203,14 +205,80 @@ HEMISPHERE_CASES = {
 
 
 @pytest.mark.parametrize("name", list(HEMISPHERE_CASES))
-@pytest.mark.parametrize("n", [128, 2312])
+@pytest.mark.parametrize("n", [128, 578, 2312])
 def test_hemisphere_density_matches_full_sphere(name, n):
+    # one line per orbit against every node; 128 and 2312 nodes have an
+    # even polar count, 578 (17 x 34) an odd one, with a ring of lines on
+    # the equator that the reflection pairs among themselves
     dom, pts = HEMISPHERE_CASES[name]
     pts = np.array(pts)
     assert dom.contains_batch(pts).all()
     rho = hb.busemann_density(dom, pts, hb.QuadratureSpec(sphere_nodes=n), check=False)
     full = np.array([_full_sphere_density(dom, x, n) for x in pts])
     assert np.allclose(rho, full, rtol=1e-13, atol=0)
+
+
+REFLECTION_DOMAINS = {
+    "D0": DomainD0(),
+    "DPrime": DP,
+    "Dt(0.2)": DomainDt(0.2),
+    "Dt(2)": DomainDt(2.0),
+    "Dt(-0.3)": DomainDt(-0.3),
+    "horoball": VerticalShiftDomain(DP, 0.7),
+}
+
+
+@pytest.mark.parametrize("name", list(REFLECTION_DOMAINS))
+def test_norm_is_invariant_under_the_reflection_at_x(name):
+    # L(v) = (v1 - 2 x3 v3, v2, -v3) is the linear part of an involution
+    # of every parabolic domain fixing x; it negates the frame's f3
+    dom = REFLECTION_DOMAINS[name]
+    rng = np.random.default_rng(61)
+    lo2, hi2 = (0.2, 3.0) if dom.t > 0 else (-3.0, 3.0) if dom.t == 0 else (-3.0, 0.9 / -dom.t)
+    b2, b3 = rng.uniform(lo2, hi2, 8), rng.uniform(-1.5, 1.5, 8)
+    pts = np.column_stack([dom.boundary_value_batch(b2, b3) + 10 ** rng.uniform(-0.5, 1, 8), b2, b3])
+    assert dom.reflects and dom.contains_batch(pts).all()
+    frames = dom.quadrature_frames(pts)
+    assert np.allclose(np.linalg.det(frames), 1.0, rtol=0, atol=1e-15)
+    for x, frame in zip(pts, frames):
+        L = lambda V: np.column_stack([V[:, 0] - 2.0 * x[2] * V[:, 2], V[:, 1], -V[:, 2]])
+        assert np.array_equal(L(frame), frame * [[1], [1], [-1]])
+        V = rng.normal(size=(500, 3))
+        F, FL = hb.finsler_norm_batch(dom, x, V), hb.finsler_norm_batch(dom, x, L(V))
+        assert np.all(np.abs(FL - F) <= 1e-13 * F)
+
+
+@pytest.mark.parametrize("n", [128, 2312])
+def test_dprime_density_is_lprime_equivariant(n):
+    # every LPrime element g carries the quadrature frame at x onto the
+    # one at g x, so rho(g x) = e^-a rho(x) holds to rounding, not only
+    # to the quadrature's error
+    pts = np.array([[2.0, 1.3, 0.7], [1.0, 0.6, -0.4], [5.0, 2.0, 1.2]])
+    q = hb.QuadratureSpec(sphere_nodes=n)
+    rho = hb.busemann_density(DP, pts, q, check=False)
+    for a, b in ((0.4, -0.6), (-1.1, 2.0), (0.0, 1.5), (2.3, 0.0)):
+        g = pl.to_float(group_exp(LieAlgElem("LPrime", (a, b))))
+        rho_g = hb.busemann_density(DP, pl.apply_affine_batch(g, pts), q, check=False)
+        assert np.allclose(rho_g, math.exp(-a) * rho, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [8, 32, 128, 578, 2312])
+def test_line_quadrature_orbits_cover_the_sphere(n):
+    # the images of each node under -1 and the reflection u2 -> -u2 are
+    # nodes of the sphere quadrature, and together they cover it once,
+    # each node carrying its orbit's weight over the orbit's size
+    U, W = hb.sphere_quadrature(n)
+    assert np.array_equal(hb.line_quadrature(n, False)[0], U[: len(U) // 2])
+    seen = []
+    for u, w in zip(*hb.line_quadrature(n, True)):
+        images = np.array([u, -u, u * [1, 1, -1], u * [-1, -1, 1]])
+        hits = [int(np.argmin(np.linalg.norm(U - v, axis=1))) for v in images]
+        assert np.allclose(U[hits], images, rtol=0, atol=1e-15)
+        orbit = sorted(set(hits))
+        assert np.allclose(W[orbit], w / len(orbit), rtol=1e-14, atol=0)
+        seen += orbit
+    assert sorted(seen) == list(range(len(U)))
+    assert math.isclose(hb.line_quadrature(n, True)[1].sum(), 4 * math.pi, rel_tol=1e-14)
 
 
 def test_unit_ball_at_ball_center():
@@ -417,32 +485,43 @@ def test_batched_density_checks_every_point():
 
 def _counting(cls):
     """An instance of the domain class ``cls`` that counts the rows its
-    membership test sees."""
+    membership test sees and the rays it solves."""
 
     class Counting(cls):
-        rows = 0
+        rows = rays = 0
 
         def contains_batch(self, pts):
             self.rows += len(pts)
             return super().contains_batch(pts)
 
+        def _ray_exit(self, X, V, tol):
+            self.rays += len(X)
+            return super()._ray_exit(X, V, tol)
+
     return Counting()
+
+
+#: chord lines of one density: 3 frame lines and one line per orbit of
+#: the fine and the coarse quadrature; D0 reflects, so its orbits hold
+#: two lines of H, or one on the equator of the 17 x 34 grid at 578 nodes
+DENSITY_LINES = {("Ball", 2312): 3 + 1156 + 289, ("Ball", 578): 3 + 289 + 64, ("D0", 2312): 3 + 578 + 145, ("D0", 578): 3 + 145 + 32}
 
 
 @pytest.mark.parametrize("name", ["Ball", "D0"])
 @pytest.mark.parametrize("q", [hb.DEFAULT_QUADRATURE, FAST_Q], ids=["2312 nodes", "578 nodes"])
 def test_density_tests_each_point_once_per_solve(name, q):
     # the density checks its points once and each of its two chord solves
-    # once more, however the points are chunked; the Ball's chords test
-    # no other point, and D0's test each direction at the ideal probe
+    # once more, however the points are chunked, and solves both rays of
+    # every line it needs.  No chord tests another point: the Ball has
+    # no ideal ends, and D0 probes only rays whose root is clipped to the
+    # ideal probe, which none is here (its ideal e1 rays lie in the
+    # recession cone)
     dom, pts = BATCH_CASES[name]
     counting = _counting(type(dom))
     pts = np.array(pts)
     rho = hb.busemann_density(counting, pts, q)
-    # the sphere nodes -H are not solved: their norms are those of H
-    n = 3 + (len(hb.sphere_quadrature(q.sphere_nodes)[0]) + len(hb.sphere_quadrature(max(8, q.sphere_nodes // 4))[0])) // 2
-    probes = 0 if name == "Ball" else 2 * n * len(pts)
-    assert counting.rows == 3 * len(pts) + probes
+    assert counting.rays == 2 * DENSITY_LINES[name, q.sphere_nodes] * len(pts)
+    assert counting.rows == 3 * len(pts)
     assert rho.tolist() == hb.busemann_density(dom, pts, q).tolist()
 
 
