@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -84,11 +83,6 @@ def _quadrature(args) -> hilbert.QuadratureSpec:
 # subcommands
 
 
-def _translation_parameter(s: float) -> float:
-    """Translation b of the cusp lattice at dilation s (closed form)."""
-    return math.sqrt(s * math.sinh(s / 4.0) / 3.0)
-
-
 def cmd_fig8_verify(args) -> int:
     outdir = _out_dir(args)
     t = parse_number(args.t)
@@ -127,7 +121,7 @@ def cmd_cusp_volume(args) -> int:
     if s == 0:
         print("cusp volume needs s != 0 (the hyperbolic point has a different normal form)", file=sys.stderr)
         return 2
-    b = _translation_parameter(s)
+    b = abs(s) * fig8.meridian_translation(s)
     cutoffs = _float_list(args.cutoffs)
     fd = cuspvol.CuspFundamentalDomain(floor=args.k, dilation=abs(s), translation=b, cutoff=max(cutoffs))
     rows = cuspvol.cusp_volume_table(fd, cutoffs, q, method=args.method)
@@ -160,7 +154,7 @@ def cmd_cusp_displacement(args) -> int:
     if s == 0:
         print("cusp displacement needs s != 0", file=sys.stderr)
         return 2
-    b = _translation_parameter(s)
+    b = abs(s) * fig8.meridian_translation(s)
     prof = cuspvol.displacement_profile(s, b, levels, ambient_level=args.ambient_level)
     csv_path = cuspvol.write_displacement_csv(outdir / "displacement.csv", prof)
     svg_path = domains.write_curve_svg(

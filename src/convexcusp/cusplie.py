@@ -25,7 +25,6 @@ import numpy as np
 
 from . import projlin
 from .projlin import (
-    Polynomial,
     identity,
     is_exact,
     mat_inv,
@@ -177,12 +176,6 @@ class MinPolyProfile:
     f_value: object
     kernel_flag: bool
     is_zero: bool = False
-
-    def reconstruct(self) -> Polynomial:
-        exact = isinstance(self.f_value, (int, Fraction))
-        one = Fraction(1) if exact else 1.0
-        coeffs = [0 * one] * self.n + [-self.f_value, one]
-        return Polynomial.from_coeffs(coeffs)
 
 
 def minpoly_profile(x, tol=1e-9) -> MinPolyProfile:

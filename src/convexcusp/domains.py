@@ -19,7 +19,11 @@ member, vectorised over rays; the affine maps leave the chord parameter
 unchanged.  A ray of a parabolic domain has an ideal end when it lies
 in the recession cone of its member, or when it is still inside at
 ``IDEAL_PROBE``; the ball has none.  Each domain also names the tangent
-frame in which its unit balls are integrated (``quadrature_frames``).
+frames in which its unit balls are integrated (``quadrature_frames``),
+each with a third row that a symmetry of the domain fixing the point
+negates: Householder reflections onto the radius for the ball,
+(e1, (x2, 1, 0), (x3, 0, 1)) for D0 and its horoballs, and (e1, e2,
+(x3, 0, 1)) for the other parabolic domains.
 """
 
 from __future__ import annotations
@@ -91,14 +95,6 @@ class ConvexDomain:
         """Strict interior membership of an affine point."""
         return bool(self.contains_batch(np.asarray(x, dtype=float)[None, :])[0])
 
-    #: whether a symmetry of the domain fixing x negates f3 of its frame
-    reflects = False
-
-    def quadrature_frames(self, X):
-        """Frames (e1, e2, f3) of determinant 1 at the rows of X, as an
-        (m,3,3) array of rows, for the unit-ball quadrature: the axes."""
-        return np.broadcast_to(np.eye(3), (len(X), 3, 3))
-
     # -- chords --------------------------------------------------------
 
     def _ray_exit(self, X, V, tol):
@@ -169,16 +165,22 @@ class ParabolicDomain(ConvexDomain):
     """
 
     t = 0.0
-    reflects = True
 
     def quadrature_frames(self, X):
-        """f3 = (x3, 0, 1): x3 -> -x3 followed by the LPrime translation
-        by 2 x3 is an affine involution of the domain fixing x, with
-        linear part L(v) = (v1 - 2 x3 v3, v2, -v3), which keeps e1 and e2
-        and negates f3.  LPrime carries the frames at x onto those at g x
-        up to the scale of e2."""
+        """Unit-ball frames (e1, f2, f3) of determinant 1 at the rows of
+        X, as an (m,3,3) array of rows.  f3 = (x3, 0, 1): x3 -> -x3
+        followed by the LPrime translation by 2 x3 is an affine
+        involution of the domain fixing x, with linear part (v1 - 2 x3
+        v3, v2, -v3), which keeps e1 and e2 and negates f3.  f2 = e2 for
+        t != 0, where LPrime carries the frames at x onto those at g x
+        up to the scale of e2.  At t = 0 (D0 and its horoballs) f2 =
+        (x2, 1, 0): the involution with linear part (v1 - 2 x2 v2, -v2,
+        v3) negates it and keeps e1 and f3, so the quadratic Hilbert
+        norm of the quadric is diagonal in the frame."""
         frames = np.tile(np.eye(3), (len(X), 1, 1))
         frames[:, 2, 0] = X[:, 2]
+        if self.t == 0:
+            frames[:, 1, 0] = X[:, 1]
         return frames
 
     def _to_family(self, X, V):
@@ -423,6 +425,19 @@ class BallDomain(ConvexDomain):
         pts = np.asarray(pts, dtype=float)
         return np.einsum("ij,ij->i", pts, pts) < 1.0
 
+    def quadrature_frames(self, X):
+        """Unit-ball frames at the rows of X, as an (m,3,3) array of rows:
+        the Householder reflections I - 2 w w^T/|w|^2 with w = e1 +- x/|x|,
+        signed as x1 so that |w| >= sqrt(2), and w = e1 at the centre.
+        The first row is -+x/|x|, and the reflection in the plane of x and
+        the second row fixes x and negates the third.  The Hilbert norm of
+        the ball is invariant under the rotations about x, so its form is
+        diagonal in the frame."""
+        r = np.linalg.norm(X, axis=1)[:, None]
+        W = np.where(X[:, :1] < 0, -1.0, 1.0) * X / np.where(r > 0, r, 1.0)
+        W[:, 0] += 1.0
+        return np.eye(3) - 2.0 * W[:, :, None] * W[:, None, :] / np.einsum("ij,ij->i", W, W)[:, None, None]
+
     def _ray_exit(self, X, V, tol):
         """Exit parameters of rays X + tau*V: the positive root of
         |X + tau V|^2 = 1, by the form that does not cancel.  With
@@ -475,12 +490,6 @@ def domain_from_descriptor(desc) -> ConvexDomain:
     if fam == "Dt":
         return DomainDt(desc["t"])
     raise ValueError(f"unknown domain family {fam!r}")
-
-
-def descriptor_of(dom: ConvexDomain) -> dict:
-    if dom.family == "Dt":
-        return {"family": "Dt", "t": float(dom.t)}
-    return {"family": dom.family}
 
 
 def export_boundary_obj(dom: ParabolicDomain, path, x2_range, x3_range, n2=32, n3=32, level=0.0):

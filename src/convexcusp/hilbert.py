@@ -9,8 +9,11 @@ density, by seeded Monte Carlo or a Gauss-Legendre product grid.
 
 ``unit_ball_lebesgue`` and ``busemann_density`` take one point (float
 result) or an (m,3) batch of points ((m,) array result).  Unit balls
-are integrated in each domain's frame, one line per orbit of the norm's
-symmetries on the sphere quadrature (``line_quadrature``).  A batch is
+are integrated in each domain's frame (``quadrature_frames``), whose
+third row a symmetry of the domain fixing the point negates, one line
+per orbit of that reflection and of -1 on the sphere quadrature
+(``line_quadrature``); on the ball and D0 the norm is quadratic and
+diagonal in the frame, so the rescaled unit ball is round.  A batch is
 solved in chunks of points whose chord rows go through one
 ``chord_taus`` call each, and gives the same values bit for bit as one
 point at a time, whatever the chunking.  Each unit-ball volume is also
@@ -30,7 +33,6 @@ deterministic for a fixed seed no matter how evaluation is chunked.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -199,18 +201,16 @@ def sphere_quadrature(n_nodes: int):
 
 
 @lru_cache(maxsize=32)
-def line_quadrature(n_nodes: int, reflect: bool):
-    """One node per orbit of lines of ``sphere_quadrature(n_nodes)``, at
-    the orbit's total weight.  Without ``reflect`` the orbits are the
-    lines {u, -u}: H at twice its weights.  The reflection u2 -> -u2
-    (azimuth phi <-> 2 pi - phi) pairs the lines of H with u2 > 0 and
-    u2 < 0 off the equator u0 = 0, and phi with pi - phi on it, where
-    the line at phi = pi/2 (odd polar counts) is its own image.
+def line_quadrature(n_nodes: int):
+    """One node per orbit of ``sphere_quadrature(n_nodes)`` under -1 and
+    the reflection u2 -> -u2, at the orbit's total weight.  The lines
+    {u, -u} are those of H, and the reflection (azimuth phi <-> 2 pi -
+    phi) pairs the lines of H with u2 > 0 and u2 < 0 off the equator
+    u0 = 0, and phi with pi - phi on it, where the line at phi = pi/2
+    (odd polar counts) is its own image.
     """
     U, W = sphere_quadrature(n_nodes)
     U, W = U[: len(U) // 2], 2.0 * W[: len(U) // 2]
-    if not reflect:
-        return U, W
     size = np.where(U[:, 2] > 0, 2.0, 0.0)
     # the equator's nodes of H, in increasing azimuth: 2, ..., 2, 1, 0, ..., 0
     equator = np.flatnonzero(U[:, 0] == 0)
@@ -235,11 +235,11 @@ def _unit_ball_volumes(dom, X, q):
     frame radii 1/F, into one more, each point the base of its own run
     of directions; the node sets are split afterwards.  One node of
     each orbit of lines of ``line_quadrature`` goes in, at the orbit's
-    weight: the norm is even, and, where ``dom.reflects``, invariant
-    under the reflection u2 -> -u2 of the frame.
+    weight: the norm is even, and invariant under the reflection u2 ->
+    -u2 of the frame.
     """
-    U, W = line_quadrature(q.sphere_nodes, dom.reflects)
-    Uc, Wc = line_quadrature(max(8, q.sphere_nodes // 4), dom.reflects)
+    U, W = line_quadrature(q.sphere_nodes)
+    Uc, Wc = line_quadrature(max(8, q.sphere_nodes // 4))
     n_fine, n = len(U), len(U) + len(Uc)
     nodes = np.concatenate([U, Uc])
     frames = dom.quadrature_frames(X)
@@ -291,13 +291,15 @@ def unit_ball_lebesgue(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRAT
     giving an (m,) array.  Computed as (1/3) * integral of r(u)^3 over
     the sphere, one node per orbit of lines (``line_quadrature``), with
     directions rescaled by the radii along the domain's quadrature frame
-    to keep the integrand order-one in anisotropic tangent spaces.  On a
-    parabolic domain that frame, (e1, e2, (x3, 0, 1)), halves the lines
-    by a reflection fixing x, and LPrime keeps it, so D' densities are
-    equivariant to rounding.  A coarse pass at a quarter of the nodes is
-    solved alongside the fine one; with ``check`` it must agree with the
-    fine pass to within ten times ``q.rel_target`` at every point or
-    QuadratureError is raised.  A non-interior point raises ValueError.
+    to keep the integrand order-one in anisotropic tangent spaces.  A
+    symmetry of the domain fixing x negates the frame's third row, which
+    halves the lines.  On the ball and D0 the rescaled unit ball is
+    round, so the quadrature is exact to rounding; LPrime keeps the D'
+    frame, so D' densities are equivariant to rounding.  A coarse pass
+    at a quarter of the nodes is solved alongside the fine one; with
+    ``check`` it must agree with the fine pass to within ten times
+    ``q.rel_target`` at every point or QuadratureError is raised.  A
+    non-interior point raises ValueError.
     """
     fine, _ = _ball_volumes(dom, x, q, check)
     return float(fine[0]) if np.ndim(x) == 1 else fine
@@ -541,21 +543,3 @@ def hausdorff_oracle(dom: ConvexDomain, region: Region, eps: float, details=Fals
     out = HausdorffEstimate(value, raw, len(centers), float(dmax.max()))
     return out if details else value
 
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def density_grid_rows(dom, x1_values, x2_values, x3, q: QuadratureSpec = DEFAULT_QUADRATURE):
-    pts = np.array([(x1, x2, x3) for x1 in x1_values for x2 in x2_values], dtype=float).reshape(-1, 3)
-    rho = busemann_density(dom, pts, q)
-    return [(float(x1), float(x2), float(x3), float(r)) for (x1, x2, x3), r in zip(pts, rho)]
-
-
-def write_density_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "x3", "density"])
-        for r in rows:
-            w.writerow([f"{v:.12g}" for v in r])
-    return path

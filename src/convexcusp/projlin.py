@@ -453,20 +453,6 @@ def mat_exp(M):
     return acc
 
 
-def unipotent_log(M):
-    """Exact logarithm of a unipotent matrix (finite series in M - I)."""
-    n = M.shape[0]
-    N = M - identity(n, exact=is_exact(M))
-    if not is_nilpotent(N):
-        raise ValueError("matrix is not unipotent")
-    acc = zero_matrix(n, exact=is_exact(M))
-    P = identity(n, exact=is_exact(M))
-    for k in range(1, n):
-        P = P @ N
-        acc = acc + P * (Fraction((-1) ** (k + 1), k) if is_exact(M) else (-1.0) ** (k + 1) / k)
-    return acc
-
-
 def _shift_poly(coeffs, a):
     """Rewrite sum c_k t^k as a polynomial in z = t - a (Taylor shift)."""
     out = list(coeffs)

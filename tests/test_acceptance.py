@@ -12,12 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convexcusp import cli, cusplie, cuspvol, fig8, hilbert, projlin as pl
+from convexcusp import cusplie, cuspvol, fig8, hilbert, projlin as pl
 from convexcusp.cusplie import LieAlgElem
 from convexcusp.domains import BallDomain, DomainDPrime
 
 S_REF = math.log(16)
-B_REF = cli._translation_parameter(S_REF)
+B_REF = S_REF * fig8.meridian_translation(S_REF)
 
 
 def report(n, text):

@@ -103,13 +103,6 @@ def test_profile_zero_element():
     assert p.is_zero and p.n is None
 
 
-def test_profile_reconstructs_minimal_polynomial():
-    for params in ((1, 1), (Fraction(1, 2), 0), (0, 2), (Fraction(-3, 4), Fraction(1, 5))):
-        e = LieAlgElem("LPrime", params)
-        p = cl.minpoly_profile(e)
-        assert p.reconstruct().coeffs == pl.minimal_polynomial(cl.alg_matrix(e)).coeffs
-
-
 def test_profile_wrong_shape():
     M = pl.exact_matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
     with pytest.raises(cl.ProfileShapeError):

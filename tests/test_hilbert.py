@@ -219,7 +219,9 @@ def test_hemisphere_density_matches_full_sphere(name, n):
 
 
 REFLECTION_DOMAINS = {
+    "Ball": BALL,
     "D0": DomainD0(),
+    "D0 horoball": VerticalShiftDomain(DomainD0(), 0.7),
     "DPrime": DP,
     "Dt(0.2)": DomainDt(0.2),
     "Dt(2)": DomainDt(2.0),
@@ -228,24 +230,47 @@ REFLECTION_DOMAINS = {
 }
 
 
+def _reflections_at(dom, x, frame):
+    """Linear parts (as matrices acting on columns) of involutions of the
+    domain fixing x, each with the signs it must put on the frame's rows."""
+    if dom is BALL:
+        # the reflection in the plane of x and f2, which f1 spans with f2
+        n = np.cross(frame[0], frame[1])
+        return [(np.eye(3) - 2.0 * np.outer(n, n) / (n @ n), [1, 1, -1])]
+    # x3 -> -x3, and at t = 0 x2 -> -x2, followed by a translation of D0
+    # or LPrime carrying x back to itself
+    out = [(np.array([[1.0, 0.0, -2.0 * x[2]], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]), [1, 1, -1])]
+    if dom.t == 0:
+        out.append((np.array([[1.0, -2.0 * x[1], 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]), [1, -1, 1]))
+    return out
+
+
 @pytest.mark.parametrize("name", list(REFLECTION_DOMAINS))
 def test_norm_is_invariant_under_the_reflection_at_x(name):
-    # L(v) = (v1 - 2 x3 v3, v2, -v3) is the linear part of an involution
-    # of every parabolic domain fixing x; it negates the frame's f3
+    # every involution negates the frame row its signs name, keeps the
+    # others and leaves the norm at x unchanged; the one that negates f3
+    # is the symmetry ``line_quadrature`` relies on
     dom = REFLECTION_DOMAINS[name]
     rng = np.random.default_rng(61)
-    lo2, hi2 = (0.2, 3.0) if dom.t > 0 else (-3.0, 3.0) if dom.t == 0 else (-3.0, 0.9 / -dom.t)
-    b2, b3 = rng.uniform(lo2, hi2, 8), rng.uniform(-1.5, 1.5, 8)
-    pts = np.column_stack([dom.boundary_value_batch(b2, b3) + 10 ** rng.uniform(-0.5, 1, 8), b2, b3])
-    assert dom.reflects and dom.contains_batch(pts).all()
+    if dom is BALL:
+        U = rng.normal(size=(8, 3))
+        pts = (1.0 - 10 ** rng.uniform(-3, 0, (8, 1))) * U / np.linalg.norm(U, axis=1)[:, None]
+        pts[0] = 0.0
+    else:
+        lo2, hi2 = (0.2, 3.0) if dom.t > 0 else (-3.0, 3.0) if dom.t == 0 else (-3.0, 0.9 / -dom.t)
+        b2, b3 = rng.uniform(lo2, hi2, 8), rng.uniform(-1.5, 1.5, 8)
+        pts = np.column_stack([dom.boundary_value_batch(b2, b3) + 10 ** rng.uniform(-0.5, 1, 8), b2, b3])
+    assert dom.contains_batch(pts).all()
     frames = dom.quadrature_frames(pts)
-    assert np.allclose(np.linalg.det(frames), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(np.abs(np.linalg.det(frames)), 1.0, rtol=0, atol=1e-15)
+    # the ball's frames are orthonormal to rounding, the others exact
+    tol = 1e-15 if dom is BALL else 0.0
     for x, frame in zip(pts, frames):
-        L = lambda V: np.column_stack([V[:, 0] - 2.0 * x[2] * V[:, 2], V[:, 1], -V[:, 2]])
-        assert np.array_equal(L(frame), frame * [[1], [1], [-1]])
-        V = rng.normal(size=(500, 3))
-        F, FL = hb.finsler_norm_batch(dom, x, V), hb.finsler_norm_batch(dom, x, L(V))
-        assert np.all(np.abs(FL - F) <= 1e-13 * F)
+        for L, signs in _reflections_at(dom, x, frame):
+            assert np.allclose(frame @ L.T, frame * np.array(signs)[:, None], rtol=0, atol=tol)
+            V = rng.normal(size=(500, 3))
+            F, FL = hb.finsler_norm_batch(dom, x, V), hb.finsler_norm_batch(dom, x, V @ L.T)
+            assert np.all(np.abs(FL - F) <= 1e-13 * F)
 
 
 @pytest.mark.parametrize("n", [128, 2312])
@@ -268,9 +293,8 @@ def test_line_quadrature_orbits_cover_the_sphere(n):
     # nodes of the sphere quadrature, and together they cover it once,
     # each node carrying its orbit's weight over the orbit's size
     U, W = hb.sphere_quadrature(n)
-    assert np.array_equal(hb.line_quadrature(n, False)[0], U[: len(U) // 2])
     seen = []
-    for u, w in zip(*hb.line_quadrature(n, True)):
+    for u, w in zip(*hb.line_quadrature(n)):
         images = np.array([u, -u, u * [1, 1, -1], u * [-1, -1, 1]])
         hits = [int(np.argmin(np.linalg.norm(U - v, axis=1))) for v in images]
         assert np.allclose(U[hits], images, rtol=0, atol=1e-15)
@@ -278,7 +302,7 @@ def test_line_quadrature_orbits_cover_the_sphere(n):
         assert np.allclose(W[orbit], w / len(orbit), rtol=1e-14, atol=0)
         seen += orbit
     assert sorted(seen) == list(range(len(U)))
-    assert math.isclose(hb.line_quadrature(n, True)[1].sum(), 4 * math.pi, rel_tol=1e-14)
+    assert math.isclose(hb.line_quadrature(n)[1].sum(), 4 * math.pi, rel_tol=1e-14)
 
 
 def test_unit_ball_at_ball_center():
@@ -409,6 +433,25 @@ def test_d0_density_and_distance_are_those_of_a_ball():
     assert np.all(np.abs(hb.hilbert_distance_pairs(DomainD0(), X, X[::-1]) - ref) <= 1e-10 * np.maximum(1.0, ref))
 
 
+@pytest.mark.parametrize("name", ["Ball", "D0"])
+def test_quadric_density_is_exact_at_32_nodes(name):
+    # the Hilbert norm of a quadric is quadratic and diagonal in the
+    # quadrature frame, so the rescaled unit ball is round and even the
+    # 32-node quadrature is exact, 1e-4 to 1 from the boundary
+    rng = np.random.default_rng(29)
+    depth = 10 ** rng.uniform(-4, 0, 200)
+    if name == "Ball":
+        dom, U = BALL, rng.normal(size=(200, 3))
+        X = (1.0 - depth)[:, None] * U / np.linalg.norm(U, axis=1)[:, None]
+        ref = (1.0 - np.einsum("ij,ij->i", X, X)) ** -2
+    else:
+        dom, b2, b3 = DomainD0(), rng.uniform(-3, 3, 200), rng.uniform(-3, 3, 200)
+        X = np.column_stack([depth + 0.5 * (b2 ** 2 + b3 ** 2), b2, b3])
+        ref = _d0_density(X)
+    rho = hb.busemann_density(dom, X, hb.QuadratureSpec(sphere_nodes=32))
+    assert np.all(np.abs(rho - ref) <= 1e-9 * ref)
+
+
 @pytest.mark.parametrize("t", [10.0 ** -k for k in range(3, 11)])
 def test_dt_distance_tends_to_d0(t):
     dt = DomainDt(t)
@@ -502,9 +545,9 @@ def _counting(cls):
 
 
 #: chord lines of one density: 3 frame lines and one line per orbit of
-#: the fine and the coarse quadrature; D0 reflects, so its orbits hold
-#: two lines of H, or one on the equator of the 17 x 34 grid at 578 nodes
-DENSITY_LINES = {("Ball", 2312): 3 + 1156 + 289, ("Ball", 578): 3 + 289 + 64, ("D0", 2312): 3 + 578 + 145, ("D0", 578): 3 + 145 + 32}
+#: the fine and the coarse quadrature; the orbits hold two lines of H, or
+#: one on the equator of the 17 x 34 grid at 578 nodes
+DENSITY_LINES = {("Ball", 2312): 3 + 578 + 145, ("Ball", 578): 3 + 145 + 32, ("D0", 2312): 3 + 578 + 145, ("D0", 578): 3 + 145 + 32}
 
 
 @pytest.mark.parametrize("name", ["Ball", "D0"])
@@ -664,13 +707,3 @@ def test_metric_ball_density_from_one_hemisphere(dom, x):
     full = hb.ALPHA3 / (np.sum(W * ((K - 1.0) / (u + K * w) / rho) ** 3) / 3.0)
     assert abs(hb.metric_ball_density(dom, np.asarray(x), rho=rho) - full) <= 1e-13 * full
 
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def test_density_csv(tmp_path):
-    rows = hb.density_grid_rows(DP, [2.0, 3.0], [1.0], 0.0, FAST_Q)
-    path = hb.write_density_csv(tmp_path / "d.csv", rows)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "x1,x2,x3,density" and len(lines) == 3

@@ -306,12 +306,6 @@ def test_mat_log_round_trip():
     assert np.max(np.abs(pl.mat_exp(L) - g)) <= 1e-12
 
 
-def test_unipotent_log_exact():
-    g = group_exp(LieAlgElem("L0", (Fraction(1, 2), Fraction(1, 3))))
-    x = pl.unipotent_log(g)
-    assert all(v == w for v, w in zip(x.flat, alg_matrix(LieAlgElem("L0", (Fraction(1, 2), Fraction(1, 3)))).flat))
-
-
 def test_canonical_point():
     p = pl.canonical_point(np.array([2.0, 4.0, 0.0, 0.0]))
     assert np.allclose(p, [0.5, 1.0, 0.0, 0.0])
