@@ -104,6 +104,7 @@ def cmd_fig8_sweep(args) -> int:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         cols = ["t", "s", "eig_triple", "eig_single", "obstructed", "meridian_dev", "longitude_dev", "shape_im"]
+        cols += ["closed_triple", "triple_rel_dev", "closed_single", "single_rel_dev"]
         w.writerow(cols)
         for r in rows:
             w.writerow([f"{r[c]:.12g}" if isinstance(r[c], float) else r[c] for c in cols])

@@ -435,10 +435,16 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     comm_resid = projlin.max_abs(to_float(comm))
     if (comm_resid != 0) if exact else (comm_resid > tol * scale ** 2):
         raise HypothesesError(f"generators do not commute (residual {comm_resid:.3e})")
-    # rank 2: the two matrices must be linearly independent
-    va, vb = to_float(alpha).reshape(-1), to_float(beta).reshape(-1)
-    smin = np.linalg.svd(np.stack([va / np.linalg.norm(va), vb / np.linalg.norm(vb)]), compute_uv=False)[-1]
-    if smin <= tol:
+    # rank 2: the two matrices must be linearly independent; exactly, beta is
+    # a multiple of alpha iff alpha[p] beta = beta[p] alpha, alpha[p] != 0
+    if exact:
+        p = next((ij for ij, v in np.ndenumerate(alpha) if v != 0), None)
+        dependent = p is None or all(v == 0 for v in (alpha[p] * beta - beta[p] * alpha).flat)
+    else:
+        va, vb = to_float(alpha).reshape(-1), to_float(beta).reshape(-1)
+        smin = np.linalg.svd(np.stack([va / np.linalg.norm(va), vb / np.linalg.norm(vb)]), compute_uv=False)[-1]
+        dependent = smin <= tol
+    if dependent:
         raise HypothesesError("generators span less than two dimensions")
 
     # fast path: already in a model family
@@ -796,10 +802,6 @@ class Lattice:
         smin = np.linalg.svd(np.stack([la / na, lb / nb]), compute_uv=False)[-1]
         if smin <= 1e-9:
             raise HypothesesError("lattice generators are not independent (rank below 2)")
-
-
-def lattice_to_json(lat: Lattice) -> dict:
-    return {"A": projlin.matrix_to_json(lat.A), "B": projlin.matrix_to_json(lat.B)}
 
 
 def lattice_from_json(obj) -> Lattice:

@@ -2,9 +2,9 @@
 
 The two-generator presentation < m, n | m w = w n > with
 w = n m^-1 n^-1 m is represented by an explicit one-parameter family of
-unipotent matrix pairs; the longitude is the word w w_reversed.  All
-word arithmetic is exact for rational parameters.  The coordinate
-change s = log(1/(16 t^4)) places the hyperbolic point at s = 0, and
+unipotent matrix pairs; the longitude is the word w w_reversed.  Words
+are exact for rational parameters, taken in integers over one common
+denominator.  s = log(1/(16 t^4)) places the hyperbolic point at 0, and
 the peripheral pair admits closed normalized forms converging to an
 explicit pair of parabolic translations.
 
@@ -27,11 +27,7 @@ from .projlin import is_exact, mat_inv, real_spectrum, to_float
 
 
 def _coerce_t(t):
-    if isinstance(t, (int, Fraction)):
-        if t == 0:
-            raise ValueError("family parameter t must be nonzero")
-        return Fraction(t)
-    t = float(t)
+    t = Fraction(t) if isinstance(t, (int, Fraction)) else float(t)
     if t == 0:
         raise ValueError("family parameter t must be nonzero")
     return t
@@ -76,25 +72,55 @@ def generators(t):
     Exact rational matrices for rational t.
     """
     t = _coerce_t(t)
-    if isinstance(t, Fraction):
-        one, zero = Fraction(1), Fraction(0)
-    else:
-        one, zero = 1.0, 0.0
-    M = [
-        [one, zero, one, t - 1],
-        [zero, one, one, t],
-        [zero, zero, one, t + one / 2],
-        [zero, zero, zero, one],
-    ]
-    N = [
-        [one, zero, zero, zero],
-        [2 + 1 / t, one, zero, zero],
-        [2 * one, one, one, zero],
-        [one, one, zero, one],
-    ]
-    if isinstance(t, Fraction):
-        return projlin.exact_matrix(M), projlin.exact_matrix(N)
-    return projlin.float_matrix(M), projlin.float_matrix(N)
+    M = [[1, 0, 1, t - 1], [0, 1, 1, t], [0, 0, 1, t + Fraction(1, 2)], [0, 0, 0, 1]]
+    N = [[1, 0, 0, 0], [2 + 1 / t, 1, 0, 0], [2, 1, 1, 0], [1, 1, 0, 1]]
+    make = projlin.exact_matrix if isinstance(t, Fraction) else projlin.float_matrix
+    return make(M), make(N)
+
+
+def _letters(t):
+    """The generators and their inverses as (numerator, denominator) pairs,
+    keyed m, n, M = m^-1 and N = n^-1.
+
+    Rational t: integer object matrices over the common denominator d of
+    both generators.  Each generator g = I + X is unipotent, X^4 = 0, so
+    g^-1 = I - X + X^2 - X^3 takes no elimination and d^3 g^-1 is an
+    integer matrix.  Float t: the float generators and their Gauss-Jordan
+    inverses over denominator 1.
+    """
+    M, N = generators(t)
+    if not is_exact(M):
+        return {"m": (M, 1), "n": (N, 1), "M": (mat_inv(M), 1), "N": (mat_inv(N), 1)}
+    A, d = projlin.integer_scaled(np.hstack([M, N]))
+    dI = d * np.identity(4, dtype=object)
+    out = {}
+    for g, G in (("m", A[:, :4]), ("n", A[:, 4:])):
+        X = G - dI  # d (g - I)
+        out[g] = (G, d)
+        out[g.upper()] = (d * d * dI + X @ (X @ (dI - X) - d * dI), d ** 3)
+    return out
+
+
+def _product(*factors):
+    """Product of (numerator, denominator) pairs, left to right."""
+    num, den = factors[0]
+    for g, e in factors[1:]:
+        num, den = num @ g, den * e
+    return num, den
+
+
+def _fractions(num, den):
+    """The exact matrix num / den: one gcd per entry, taken once."""
+    return np.array([[Fraction(v, den) for v in row] for row in num], dtype=object)
+
+
+def word(t, letters):
+    """The product of the generators named by ``letters`` (m, n and the
+    inverses M, N), left to right.  Exact for rational t, where the
+    product is taken in Python ints and reduced to Fractions at the end."""
+    mats = _letters(t)
+    num, den = _product(*(mats[c] for c in letters))
+    return _fractions(num, den) if num.dtype == object else num
 
 
 def relation_residual(t):
@@ -103,14 +129,12 @@ def relation_residual(t):
     The projective scale is fixed from the largest entries; with exact
     rational t the residual is exactly zero.
     """
-    M, N = generators(t)
-    Mi, Ni = mat_inv(M), mat_inv(N)
-    W = N @ Mi @ Ni @ M
-    lhs = M @ W
-    rhs = W @ N
-    pos = max(
-        ((i, j) for i in range(4) for j in range(4)), key=lambda ij: abs(to_float(rhs)[ij])
-    )
+    mats = _letters(t)
+    W = _product(*(mats[c] for c in "nMNm"))
+    (lhs, den), (rhs, _) = _product(mats["m"], W), _product(W, mats["n"])
+    pos = max(np.ndindex(4, 4), key=lambda ij: abs(rhs[ij]))
+    if lhs.dtype == object:
+        return _fractions(lhs * rhs[pos] - lhs[pos] * rhs, den * rhs[pos])
     lam = lhs[pos] / rhs[pos]
     return lhs - lam * rhs
 
@@ -118,9 +142,7 @@ def relation_residual(t):
 def longitude(t):
     """The longitude word n m^-1 n^-1 m^2 n^-1 m^-1 n, evaluated exactly
     for rational t; commutes projectively with the meridian."""
-    M, N = generators(t)
-    Mi, Ni = mat_inv(M), mat_inv(N)
-    return N @ Mi @ Ni @ M @ M @ Ni @ Mi @ N
+    return word(t, "nMNmmNMn")
 
 
 def longitude_spectrum(t):
@@ -158,12 +180,10 @@ def displayed_longitude(t, stray_reading="t"):
             (4 * t ** 3 - 4 * t ** 2 + t - 1) / (4 * t ** 3),
             (56 * t ** 4 + 16 * t ** 3 + 20 * t ** 2 + t + 3) / (8 * t ** 3),
         ],
-        [0 * t, 0 * t, 2 * t, 0 * t],
-        [0 * t, 0 * t, 0 * t, 2 * t],
+        [0, 0, 2 * t, 0],
+        [0, 0, 0, 2 * t],
     ]
-    if isinstance(t, Fraction):
-        return projlin.exact_matrix(rows)
-    return projlin.float_matrix(rows)
+    return (projlin.exact_matrix if isinstance(t, Fraction) else projlin.float_matrix)(rows)
 
 
 def longitude_display_report(t, stray_reading="t") -> dict:
@@ -245,10 +265,7 @@ def normalized_peripheral(s):
 def limit_pair():
     """Limit of the normalized peripheral pair at the hyperbolic point:
     parabolic translations with parameters (0, 1/(2 sqrt 3)) and (1, 0)."""
-    m = 1.0 / (2.0 * math.sqrt(3.0))
-    M0 = cusplie.group_exp(LieAlgElem("L0", (0.0, m)))
-    L0 = cusplie.group_exp(LieAlgElem("L0", (1.0, 0.0)))
-    return to_float(M0), to_float(L0)
+    return tuple(to_float(cusplie.group_exp(e)) for e in limit_elements())
 
 
 def limit_elements():
@@ -264,8 +281,7 @@ def strict_convexity_obstruction(s) -> bool:
     rational), via the polynomial identity behind projective unipotency,
     so the answer flips exactly at s = 0.
     """
-    t = Fraction(t_of_s(s))
-    return not projlin.is_proj_unipotent(longitude(t))
+    return obstruction_at_t(Fraction(t_of_s(s)))
 
 
 def obstruction_at_t(t) -> bool:
@@ -358,17 +374,19 @@ def sweep_rows(t_min: float, t_max: float, steps: int):
     """Spectra and cusp-shape convergence along a parameter sweep.
 
     eig_triple and eig_single are the eigenvalues of the longitude of
-    highest and lowest multiplicity, and obstructed is the exact
-    obstruction test, both at the rational value of each float t.
-    shape_im is the imaginary part of the cusp modulus computed from the
-    normalized translation parameters; it tends to -2 sqrt(3).
+    highest and lowest multiplicity at the rational value of each float
+    t, with the closed forms 2t and 1/(8t^3) beside them and the relative
+    deviation of each.  obstructed is the exact obstruction test on the
+    same spectrum: more than one eigenvalue.  shape_im is the imaginary
+    part of the cusp modulus computed from the normalized translation
+    parameters; it tends to -2 sqrt(3).
     """
     rows = []
+    M0, L0 = limit_pair()
     for t in np.linspace(t_min, t_max, steps):
         t = float(t)
         s = s_of_t(t)
         m = meridian_translation(s)
-        M0, L0 = limit_pair()
         if s == 0:
             mdev, ldev = 0.0, 0.0
         else:
@@ -376,18 +394,23 @@ def sweep_rows(t_min: float, t_max: float, steps: int):
             mdev = float(np.max(np.abs(Ms - M0)))
             ldev = float(np.max(np.abs(Ls - L0)))
         exact_t = Fraction(t)  # a binary float is an exact rational
-        spec = longitude_spectrum(exact_t)
+        spec = real_spectrum(longitude(exact_t))
         eigs = [float(lam) for lam, mult in sorted(spec, key=lambda e: -e[1]) for _ in range(mult)]
+        triple, single = float(2 * exact_t), float(1 / (8 * exact_t ** 3))
         rows.append(
             {
                 "t": t,
                 "s": s,
                 "eig_triple": eigs[0],
                 "eig_single": eigs[-1],
-                "obstructed": obstruction_at_t(exact_t),
+                "obstructed": len(spec) > 1,
                 "meridian_dev": mdev,
                 "longitude_dev": ldev,
                 "shape_im": -1.0 / m,
+                "closed_triple": triple,
+                "triple_rel_dev": abs(eigs[0] - triple) / abs(triple),
+                "closed_single": single,
+                "single_rel_dev": abs(eigs[-1] - single) / abs(single),
             }
         )
     return rows

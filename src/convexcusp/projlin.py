@@ -68,6 +68,15 @@ def to_float(M):
     return np.asarray(M, dtype=float)
 
 
+def integer_scaled(M):
+    """(A, d) with A an object array of ints and d > 0 the least integer
+    for which M = A / d; M is exact.  Products of integer matrices take
+    no gcd, so exact work on A costs a fraction of the same on M."""
+    d = math.lcm(*(v.denominator for v in M.flat))
+    A = np.array([v.numerator * (d // v.denominator) for v in M.flat], dtype=object)
+    return A.reshape(M.shape), d
+
+
 def identity(n=4, exact=False):
     if not exact:
         return np.eye(n)
@@ -137,20 +146,6 @@ def mat_inv(M):
     return B
 
 
-def mat_pow(M, k: int):
-    if k < 0:
-        return mat_pow(mat_inv(M), -k)
-    out = identity(M.shape[0], exact=is_exact(M))
-    P = M
-    while k:
-        if k & 1:
-            out = out @ P
-        k >>= 1
-        if k:
-            P = P @ P
-    return out
-
-
 def max_abs(M) -> float:
     return max(abs(v) for v in np.asarray(M).flat)
 
@@ -166,24 +161,6 @@ def canonical_point(v):
     if not nz:
         raise ValueError("zero vector does not define a projective point")
     return v / v[nz[-1]]
-
-
-def proj_point_equal(p, q, tol=1e-12) -> bool:
-    a, b = canonical_point(p), canonical_point(q)
-    if is_exact(np.asarray(a)) and is_exact(np.asarray(b)):
-        return bool(all(x == y for x, y in zip(a, b)))
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return bool(np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b))))
-
-
-def from_affine(p):
-    """Affine point (x1,x2,x3) -> homogeneous [x1:x2:x3:1]."""
-    p = list(p)
-    one = Fraction(1) if any(isinstance(v, Fraction) for v in p) else 1.0
-    out = np.empty(4, dtype=object if one == Fraction(1) else float)
-    out[:3] = p
-    out[3] = one
-    return out
 
 
 def apply_affine_batch(M, pts):
@@ -270,13 +247,6 @@ class Polynomial:
             acc = acc @ M + c * I
         return acc
 
-    def approx_equal(self, other, tol=1e-9) -> bool:
-        if self.degree != other.degree:
-            return False
-        a = np.array([float(c) for c in self.coeffs])
-        b = np.array([float(c) for c in other.coeffs])
-        return bool(np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b))))
-
     def __str__(self):
         terms = []
         for p in range(self.degree, -1, -1):
@@ -304,21 +274,25 @@ def char_poly(M) -> Polynomial:
     """Characteristic polynomial by the trace recursion (both regimes).
 
     Returns the monic polynomial det(tI - M) with exact coefficients in
-    the exact regime.
+    the exact regime.  There the recursion runs on the integer matrix
+    A = d M: every c_k of an integer matrix is an integer, so the
+    division by k is exact, and c_k(M) = c_k(A) / d^k.
     """
     n = M.shape[0]
     exact = is_exact(M)
-    one = Fraction(1) if exact else 1.0
+    if exact:
+        M, d = integer_scaled(M)
     cs = []
     Mk = np.array(M, copy=True)
-    I = identity(n, exact=exact)
+    I = np.identity(n, dtype=object) if exact else identity(n)
     for k in range(1, n + 1):
-        ck = sum(Mk[i, i] for i in range(n)) / k
-        cs.append(ck)
+        tr = sum(Mk[i, i] for i in range(n))
+        ck = tr // k if exact else tr / k
+        cs.append(Fraction(ck, d ** k) if exact else ck)
         if k < n:
             Mk = M @ (Mk - ck * I)
     # det(tI - M) = t^n - c1 t^(n-1) - c2 t^(n-2) - ... - cn
-    coeffs = [-c for c in reversed(cs)] + [one]
+    coeffs = [-c for c in reversed(cs)] + [Fraction(1) if exact else 1.0]
     return Polynomial.from_coeffs(coeffs)
 
 
@@ -420,7 +394,7 @@ def minimal_polynomial(M, tol=1e-9) -> Polynomial:
 
 def is_nilpotent(M) -> bool:
     """Exact nilpotency test (M^n == 0); supports both regimes."""
-    P = mat_pow(M, M.shape[0])
+    P = np.linalg.matrix_power(M, M.shape[0])
     return all(v == 0 for v in P.flat)
 
 

@@ -38,7 +38,10 @@ def test_fig8_verify_quarter(tmp_path):
 def test_fig8_sweep(tmp_path):
     assert run(["fig8", "sweep", "--t-min", "0.3", "--t-max", "0.7", "--steps", "5", "--out", str(tmp_path)]) == 0
     lines = open(tmp_path / "fig8_sweep.csv").read().splitlines()
-    assert lines[0].startswith("t,s,")
+    assert lines[0] == (
+        "t,s,eig_triple,eig_single,obstructed,meridian_dev,longitude_dev,shape_im,"
+        "closed_triple,triple_rel_dev,closed_single,single_rel_dev"
+    )
     assert len(lines) == 6
 
 
@@ -112,7 +115,7 @@ def test_lattice_normalize(tmp_path):
     lat = cusplie.Lattice(G @ A @ Gi, G @ B @ Gi)
     infile = tmp_path / "gens.json"
     with open(infile, "w") as fh:
-        json.dump(cusplie.lattice_to_json(lat), fh)
+        json.dump({"A": pl.matrix_to_json(lat.A), "B": pl.matrix_to_json(lat.B)}, fh)
     assert run(["lattice", "normalize", "--in", str(infile), "--out", str(tmp_path)]) == 0
     report = json.load(open(tmp_path / "normalization.json"))
     assert report["sign"] == 1

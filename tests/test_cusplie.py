@@ -195,6 +195,42 @@ def test_normalize_reports_dependence():
         cl.normalize_algebra_pair(A, 2 * A)
 
 
+def test_normalize_exact_rank_test_sees_a_tiny_second_direction():
+    # (alpha, alpha + 1e-12 alpha^2) spans two dimensions, which the float
+    # singular value test at tol 1e-9 cannot tell from one; exact input
+    # decides it exactly and then normalizes or fails on its real defect
+    eps = Fraction(1, 10 ** 12)
+    rng = random.Random(20)
+    normalized = 0
+    for k in range(10):
+        family = ("LPrime", "LPrimeMinus")[k % 2]
+        a1 = Fraction(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice((1, -1))
+        b1 = Fraction(rng.randint(0, 3), rng.randint(1, 3))
+        G = rand_rational_matrix(rng)
+        A = G @ cl.alg_matrix(LieAlgElem(family, (a1, b1))) @ pl.mat_inv(G)
+        B = A + eps * (A @ A)
+        with pytest.raises(cl.HypothesesError, match="span less than two"):
+            cl.normalize_algebra_pair(pl.to_float(A), pl.to_float(B))
+        if b1 == 0:
+            # alpha^2 is a multiple of the eigenline projector: B - A has
+            # minimal polynomial t^2 - eps a1^2 t, a genuine shape failure
+            with pytest.raises(cl.HypothesesError, match="not of shape"):
+                cl.normalize_algebra_pair(A, B)
+            continue
+        res = cl.normalize_algebra_pair(A, B)
+        assert res.exact and res.residual == 0.0
+        normalized += 1
+    assert normalized == 9
+
+
+def test_normalize_exact_dependence_is_decided_exactly():
+    A = cl.alg_matrix(LieAlgElem("LPrime", (Fraction(1, 3), Fraction(2, 7))))
+    with pytest.raises(cl.HypothesesError, match="span less than two"):
+        cl.normalize_algebra_pair(A, Fraction(-5, 11) * A)
+    with pytest.raises(cl.HypothesesError, match="span less than two"):
+        cl.normalize_algebra_pair(pl.zero_matrix(exact=True), A)
+
+
 def test_normalize_reports_missing_generic_element():
     # two pure translations span a line of kernel elements only
     A = cl.alg_matrix(LieAlgElem("L0", (1, 0)))
@@ -374,7 +410,7 @@ def test_lattice_validation():
     A = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.5, 0.0))))
     B = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 1.0))))
     lat = cl.Lattice(A, B)
-    obj = cl.lattice_to_json(lat)
+    obj = {"A": pl.matrix_to_json(lat.A), "B": pl.matrix_to_json(lat.B)}
     back = cl.lattice_from_json(obj)
     assert np.allclose(pl.to_float(back.A), A)
     with pytest.raises(cl.HypothesesError):

@@ -118,8 +118,9 @@ def test_vt_rows_at_one():
 
 def test_vt_maps_base_points():
     V = dm.vt_map(Fraction(1))
-    image = V @ pl.from_affine([Fraction(0), Fraction(1), Fraction(0)])
-    assert pl.proj_point_equal(image, np.array([0, 0, 0, 1], dtype=object))
+    # the affine point (0, 1, 0) in homogeneous coordinates [0:1:0:1]
+    image = V @ np.array([Fraction(0), Fraction(1), Fraction(0), Fraction(1)], dtype=object)
+    assert list(pl.canonical_point(image)) == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(-2, 3)])

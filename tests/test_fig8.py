@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -45,6 +46,81 @@ def test_relation_exactly_zero():
 def test_relation_float_small():
     resid = fig8.relation_residual(0.3)
     assert pl.max_abs(resid) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the word evaluator against Fraction-array products
+
+
+def reference_word(t, letters):
+    """The word as products of the Fraction (or float) generators and
+    their Gauss-Jordan inverses, left to right."""
+    M, N = fig8.generators(t)
+    mats = {"m": M, "n": N, "M": pl.mat_inv(M), "N": pl.mat_inv(N)}
+    return functools.reduce(np.matmul, (mats[c] for c in letters))
+
+
+def reference_relation_residual(t):
+    M, N = fig8.generators(t)
+    W = reference_word(t, "nMNm")
+    lhs, rhs = M @ W, W @ N
+    pos = max(((i, j) for i in range(4) for j in range(4)), key=lambda ij: abs(pl.to_float(rhs)[ij]))
+    lam = lhs[pos] / rhs[pos]
+    return lhs - lam * rhs
+
+
+#: negative t, the unipotent point, heights from 10 to about 10^30 and the
+#: dyadic rationals of float t that the sweep and the obstruction use
+ORACLE_TS = [
+    Fraction(-1, 4),
+    Fraction(-7, 3),
+    Fraction(1, 2),
+    Fraction(13, 3),
+    Fraction(5, 19),
+    Fraction(31, 11),
+    Fraction(1001, 3001),
+    Fraction(10 ** 30 + 1, 3 * 10 ** 30 + 7),
+    Fraction(-(10 ** 29) - 3, 10 ** 30 + 9),
+    Fraction(0.1),
+    Fraction(0.37),
+    Fraction(1.3),
+    Fraction(fig8.t_of_s(1e-6)),
+] + [Fraction(float(t)) for t in np.linspace(0.3, 0.7, 5)]
+
+
+def assert_same_fractions(A, B):
+    assert A.shape == B.shape == (4, 4) and A.dtype == object
+    assert all(isinstance(v, Fraction) for v in A.flat)
+    assert all(a == b for a, b in zip(A.flat, B.flat))
+
+
+@pytest.mark.parametrize("t", ORACLE_TS)
+def test_longitude_equals_fraction_product(t):
+    assert_same_fractions(fig8.longitude(t), reference_word(t, "nMNmmNMn"))
+
+
+@pytest.mark.parametrize("letters", ["m", "n", "M", "N", "mM", "Nn", "nMNm", "NNmMMn", "mnMN" * 3])
+def test_words_equal_fraction_products(letters):
+    for t in (Fraction(-2, 9), Fraction(3, 7), Fraction(10 ** 30 - 1, 10 ** 29 + 3)):
+        assert_same_fractions(fig8.word(t, letters), reference_word(t, letters))
+
+
+@pytest.mark.parametrize("t", ORACLE_TS)
+def test_relation_residual_equals_reference(t):
+    resid = fig8.relation_residual(t)
+    assert_same_fractions(resid, reference_relation_residual(t))
+    assert all(v == 0 for v in resid.flat)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5, -0.7, 1e-3, 2.5, 1 / 3])
+def test_float_words_bit_identical(t):
+    # float t keeps the float generators, Gauss-Jordan inverses and the
+    # product order, so every bit matches the Fraction-free path's reference
+    for letters in ("nMNmmNMn", "nMNm"):
+        W = fig8.word(t, letters)
+        assert W.dtype == float and np.array_equal(W, reference_word(t, letters))
+    assert np.array_equal(fig8.longitude(t), reference_word(t, "nMNmmNMn"))
+    assert np.array_equal(fig8.relation_residual(t), reference_relation_residual(t))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +335,10 @@ def test_verify_report_fields():
 def test_sweep_rows():
     rows = fig8.sweep_rows(0.3, 0.7, 5)
     assert len(rows) == 5
+    for r in rows:
+        t = Fraction(r["t"])
+        assert (r["closed_triple"], r["closed_single"]) == (float(2 * t), float(1 / (8 * t ** 3)))
+        assert r["triple_rel_dev"] == 0.0 and r["single_rel_dev"] == 0.0
     mid = rows[2]
     assert mid["t"] == pytest.approx(0.5)
     assert not mid["obstructed"]
@@ -276,6 +356,9 @@ def test_sweep_rows_follow_the_longitude(monkeypatch):
     monkeypatch.setattr(fig8, "longitude", diagonal(3, 3, 3, 5))
     rows = fig8.sweep_rows(0.3, 0.7, 3)
     assert [(r["eig_triple"], r["eig_single"], r["obstructed"]) for r in rows] == [(3.0, 5.0, True)] * 3
+    # the deviation columns measure the spectrum against 2t and 1/(8t^3)
+    assert rows[0]["triple_rel_dev"] == abs(3.0 - 0.6) / 0.6
+    assert rows[0]["single_rel_dev"] == abs(5.0 - rows[0]["closed_single"]) / rows[0]["closed_single"]
     monkeypatch.setattr(fig8, "longitude", diagonal(2, 2, 2, 2))
     rows = fig8.sweep_rows(0.3, 0.7, 3)
     assert [(r["eig_triple"], r["eig_single"], r["obstructed"]) for r in rows] == [(2.0, 2.0, False)] * 3

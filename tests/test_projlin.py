@@ -100,9 +100,10 @@ def test_minpoly_float_agrees_with_exact():
     x = lprime(Fraction(1, 2), Fraction(1, 3))
     m_exact = pl.minimal_polynomial(x)
     m_float = pl.minimal_polynomial(pl.to_float(x))
-    assert m_float.approx_equal(
-        pl.Polynomial(tuple(float(c) for c in m_exact.coeffs)), tol=1e-9
-    )
+    assert m_float.degree == m_exact.degree
+    a = np.array([float(c) for c in m_float.coeffs])
+    b = np.array([float(c) for c in m_exact.coeffs])
+    assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(b)))
 
 
 def test_minpoly_float_ill_conditioned_refused():
@@ -194,6 +195,64 @@ def test_spectrum_square_free_factors():
     spec = pl.real_spectrum(N)
     assert [m for _, m in spec] == [2, 2]
     assert [float(v) for v, _ in spec] == pytest.approx([-2 ** 0.5, 2 ** 0.5], abs=1e-15)
+
+
+def reference_char_poly(M):
+    """The trace recursion on the matrix itself, in its own scalars."""
+    n = M.shape[0]
+    exact = pl.is_exact(M)
+    Mk, I, cs = np.array(M, copy=True), pl.identity(n, exact=exact), []
+    for k in range(1, n + 1):
+        ck = sum(Mk[i, i] for i in range(n)) / k
+        cs.append(ck)
+        if k < n:
+            Mk = M @ (Mk - ck * I)
+    return pl.Polynomial.from_coeffs([-c for c in reversed(cs)] + [Fraction(1) if exact else 1.0])
+
+
+def _char_poly_cases():
+    rng = random.Random(41)
+    yield pl.zero_matrix(4, exact=True)
+    yield pl.identity(4, exact=True)
+    yield fig8.longitude(Fraction(10 ** 30 + 1, 3 * 10 ** 30 + 7))
+    for _ in range(30):
+        yield rand_rational_matrix(rng, invertible=False)
+    for _ in range(10):
+        M = rand_rational_matrix(rng)
+        M[3] = M[0] * Fraction(rng.randint(-3, 3), rng.randint(1, 4)) - M[1]  # rank at most 3
+        yield M
+        N = pl.zero_matrix(4, exact=True)  # strictly upper triangular, conjugated: nilpotent
+        for i in range(4):
+            for j in range(i + 1, 4):
+                N[i, j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        G = rand_rational_matrix(rng)
+        yield G @ N @ pl.mat_inv(G)
+        yield pl.exact_matrix([[_height_rational(rng) for _ in range(4)] for _ in range(4)])
+
+
+def test_char_poly_equals_trace_recursion_on_fractions():
+    cases = list(_char_poly_cases())
+    for M in cases:
+        p = pl.char_poly(M)
+        assert all(isinstance(c, Fraction) for c in p.coeffs)
+        assert p.coeffs == reference_char_poly(M).coeffs
+    # the singular and nilpotent cases are what they claim to be
+    assert sum(pl.mat_det(M) == 0 for M in cases) >= 21
+    assert sum(pl.char_poly(M).coeffs == (0, 0, 0, 0, 1) for M in cases) >= 11
+
+
+def test_char_poly_float_path_unchanged():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        M = rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-3, 4)
+        assert pl.char_poly(M).coeffs == reference_char_poly(M).coeffs
+
+
+def test_integer_scaled_is_least():
+    M = pl.exact_matrix([["1/6", "-3/4", 0, 5], ["2/9", 1, "7/12", "-1/2"], [0] * 4, [1, 2, 3, "1/8"]])
+    A, d = pl.integer_scaled(M)
+    assert d == 72 and all(type(v) is int for v in A.flat)
+    assert all(Fraction(a, d) == v for a, v in zip(A.flat, M.flat))
 
 
 def _conjugated(rng, block, diag):
