@@ -124,7 +124,7 @@ def cmd_cusp_volume(args) -> int:
         return 2
     b = abs(s) * fig8.meridian_translation(s)
     cutoffs = _float_list(args.cutoffs)
-    fd = cuspvol.CuspFundamentalDomain(floor=args.k, dilation=abs(s), translation=b, cutoff=max(cutoffs))
+    fd = cuspvol.CuspFundamentalDomain(floor=args.k, dilation=abs(s), translation=b)
     rows = cuspvol.cusp_volume_table(fd, cutoffs, q, method=args.method)
     csv_path = cuspvol.write_volume_table_csv(outdir / "cusp_volume.csv", rows)
     svg_path = domains.write_curve_svg(
@@ -179,10 +179,10 @@ def cmd_lattice_normalize(args) -> int:
     outdir = _out_dir(args)
     with open(args.infile) as fh:
         payload = json.load(fh)
-    lat = cusplie.lattice_from_json(payload)
+    A, B = (projlin.to_float(projlin.matrix_from_json(payload[k])) for k in ("A", "B"))
     try:
-        res = cusplie.normalize_pair(projlin.to_float(lat.A), projlin.to_float(lat.B))
-    except cusplie.HypothesesError as err:
+        res = cusplie.normalize_pair(A, B)
+    except ValueError as err:
         print(f"normalization failed: {err}", file=sys.stderr)
         return 1
     path = _write_json(outdir / "normalization.json", res.to_json())

@@ -12,11 +12,16 @@ shape is conjugated into LPrime or LPrimeMinus, deciding the sign.  With
 exact rational input the conjugation is carried out over Q or, when the
 final rescaling needs a square root, over a quadratic extension, so the
 reported residual is exactly zero.
+
+Group elements take one path to the same checks: ``proj_normalize_lift``
+rescales a lift to triple eigenvalue 1 and ``mat_log`` takes its log.
+``classify`` profiles that log, and ``normalize_pair`` tests the pair for
+projective commutation and its two logs for rank 2 before it hands them
+to ``normalize_algebra_pair``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,58 +214,24 @@ def minpoly_profile(x, tol=1e-9) -> MinPolyProfile:
     return MinPolyProfile(deg - 1, f, False)
 
 
-def _group_minpoly_profile(M, tol=1e-9) -> MinPolyProfile:
-    """Profile of log(M) read off from the minimal polynomial of M.
-
-    Uses that t^n (t - f) on the algebra side becomes (t-1)^n (t - e^f)
-    for the exponential; exact for rational eigenvalues.
-    """
-    m = minimal_polynomial(M, tol=tol)
-    one = Fraction(1) if is_exact(M) else 1.0
-    p = m
-    n1 = 0
-    scale = max(abs(float(c)) for c in m.coeffs) or 1.0
-    while p.degree > 0:
-        val = p(one)
-        if (val == 0) if is_exact(M) else (abs(float(val)) <= 1e3 * tol * scale):
-            p = p.deflate(one)
-            n1 += 1
-        else:
-            break
-    if p.degree == 0:
-        if n1 < 3 or n1 > 4:
-            raise ProfileShapeError(f"group minimal polynomial {m} has the wrong shape")
-        return MinPolyProfile(n1 - 1, Fraction(0) if is_exact(M) else 0.0, True)
-    if p.degree != 1 or n1 not in (2, 3):
-        raise ProfileShapeError(f"group minimal polynomial {m} has the wrong shape")
-    lam = -p.coeffs[0] / p.coeffs[1]
-    if float(lam) <= 0:
-        raise ProfileShapeError("group element has a non-positive eigenvalue")
-    return MinPolyProfile(n1, math.log(float(lam)), False)
-
-
 def classify(g, tol=1e-9) -> str:
     """Pure translation / pure dilation / generic, per the (n, f) profile.
 
-    ``g`` may be a LieAlgElem, an algebra matrix is not accepted raw
-    (wrap it in minpoly_profile); a 4x4 array is treated as a group
-    element whose log lies in a conjugate of the model families.
+    ``g`` is a LieAlgElem or a 4x4 group element whose log lies in a
+    conjugate of the model families; a group element is profiled through
+    the log of its canonical lift (``proj_normalize_lift``).
     """
     if isinstance(g, LieAlgElem):
-        profile = minpoly_profile(g, tol=tol)
-    else:
-        profile = _group_minpoly_profile(g, tol=tol)
+        return classify_profile(minpoly_profile(g, tol=tol))
+    return classify_profile(minpoly_profile(mat_log(proj_normalize_lift(g, tol=tol), tol=tol), tol=tol))
+
+
+def classify_profile(profile: MinPolyProfile) -> str:
     if profile.is_zero:
         raise ValueError("identity element has no classification")
     if profile.kernel_flag:
         if profile.n != 2:
             raise ProfileShapeError("kernel element with n = 3 violates the family shape")
-        return PURE_TRANSLATION
-    return PURE_DILATION if profile.n == 2 else GENERIC
-
-
-def classify_profile(profile: MinPolyProfile) -> str:
-    if profile.kernel_flag:
         return PURE_TRANSLATION
     return PURE_DILATION if profile.n == 2 else GENERIC
 
@@ -415,6 +386,24 @@ def _scan_combinations(limit=3):
     return sorted(pairs, key=lambda ij: (abs(ij[0]) + abs(ij[1]), ij))
 
 
+def _dependent(alpha, beta, tol) -> bool:
+    """Whether two 4x4 matrices span less than two dimensions.
+
+    Exactly, beta is a multiple of alpha iff alpha[p] beta = beta[p] alpha
+    for an entry alpha[p] != 0.  In floats, a zero matrix is dependent and
+    otherwise the normalized pair must have its smaller singular value
+    above ``tol``.
+    """
+    if is_exact(alpha) and is_exact(beta):
+        p = next((ij for ij, v in np.ndenumerate(alpha) if v != 0), None)
+        return p is None or all(v == 0 for v in (alpha[p] * beta - beta[p] * alpha).flat)
+    va, vb = to_float(alpha).reshape(-1), to_float(beta).reshape(-1)
+    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+    if na == 0 or nb == 0:
+        return True
+    return np.linalg.svd(np.stack([va / na, vb / nb]), compute_uv=False)[-1] <= tol
+
+
 def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     """Conjugate the algebra spanned by two commuting 4x4 matrices into
     LPrime (sign +1) or LPrimeMinus (sign -1).
@@ -435,16 +424,7 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     comm_resid = projlin.max_abs(to_float(comm))
     if (comm_resid != 0) if exact else (comm_resid > tol * scale ** 2):
         raise HypothesesError(f"generators do not commute (residual {comm_resid:.3e})")
-    # rank 2: the two matrices must be linearly independent; exactly, beta is
-    # a multiple of alpha iff alpha[p] beta = beta[p] alpha, alpha[p] != 0
-    if exact:
-        p = next((ij for ij, v in np.ndenumerate(alpha) if v != 0), None)
-        dependent = p is None or all(v == 0 for v in (alpha[p] * beta - beta[p] * alpha).flat)
-    else:
-        va, vb = to_float(alpha).reshape(-1), to_float(beta).reshape(-1)
-        smin = np.linalg.svd(np.stack([va / np.linalg.norm(va), vb / np.linalg.norm(vb)]), compute_uv=False)[-1]
-        dependent = smin <= tol
-    if dependent:
+    if _dependent(alpha, beta, tol):
         raise HypothesesError("generators span less than two dimensions")
 
     # fast path: already in a model family
@@ -599,10 +579,9 @@ def proj_normalize_lift(M, tol=1e-9):
         if mult >= 3:
             if float(lam) == 0:
                 raise ValueError("singular matrix cannot be normalized")
-            out = M / lam
-            if any(float(l) <= 0 for l, _ in real_spectrum(out, tol=tol)):
+            if any(float(l / lam) <= 0 for l, _ in spec):
                 raise ValueError("no lift with positive spectrum exists")
-            return out
+            return M / lam
     raise ValueError("no eigenvalue of multiplicity 3 or more; cannot pick a canonical lift")
 
 
@@ -610,17 +589,18 @@ def normalize_pair(A, B, tol=1e-9) -> NormalizationResult:
     """Group-level normalization of a commuting pair of projective maps.
 
     Lifts are normalized so the triple eigenvalue is 1, logs are taken
-    (numerically), and the algebra algorithm runs; the group images and
-    profiles of both images are attached for verification.  Already
-    normalized pairs pass through with the identity conjugator.
+    (numerically) and tested for rank 2, and the algebra algorithm runs;
+    the group images and profiles of both images are attached for
+    verification.  Already normalized pairs pass through with the
+    identity conjugator.
     """
     if not proj_equal(A @ B, B @ A, tol=tol):
         raise HypothesesError("generators do not commute projectively")
     A = proj_normalize_lift(A, tol=tol)
     B = proj_normalize_lift(B, tol=tol)
-    for M in (A, B):
-        if any(float(l) <= 0 for l, _ in real_spectrum(M, tol=tol)):
-            raise HypothesesError("generator without positive real spectrum")
+    logs = tuple(mat_log(M, tol=tol) for M in (A, B))
+    if _dependent(*logs, tol):
+        raise HypothesesError("generators span less than two dimensions")
     # fast path: both already in model group form with a consistent sign
     # (unipotent factors match both families and decide nothing)
     sa = _group_pattern_sign(A, tol=tol)
@@ -630,18 +610,14 @@ def normalize_pair(A, B, tol=1e-9) -> NormalizationResult:
         if len(decisive) == 1:
             sign = decisive.pop()
             C = identity(4, exact=is_exact(A) and is_exact(B))
-            logs = tuple(mat_log(M, tol=tol) for M in (A, B))
             params = tuple((L[1, 1], L[0, 2]) for L in logs)
             return NormalizationResult(sign, C, logs, params, 0.0, False, group_images=(A, B))
-    logA = mat_log(A, tol=tol)
-    logB = mat_log(B, tol=tol)
-    res = normalize_algebra_pair(logA, logB, tol=tol)
+    res = normalize_algebra_pair(*logs, tol=tol)
     Cf = res.conjugator_float()
     Cfi = np.linalg.inv(Cf)
     group_images = (Cf @ to_float(A) @ Cfi, Cf @ to_float(B) @ Cfi)
     for img in res.images:
-        profile = minpoly_profile(np.asarray(img, dtype=float), tol=1e-7)
-        classify_profile(profile)
+        classify_profile(minpoly_profile(np.asarray(img, dtype=float), tol=1e-7))
     return NormalizationResult(
         res.sign, res.conjugator, res.images, res.params, res.residual, res.exact, group_images=group_images
     )
@@ -774,37 +750,3 @@ def l0_to_parabolic(m) -> np.ndarray:
     translation parameters (x, y) map to off-diagonal x + i y."""
     x, y = _translation_params(m)
     return np.array([[1.0, complex(float(x), float(y))], [0.0, 1.0]], dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# lattices
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """Ordered pair of commuting generators of a rank-2 abelian group.
-
-    Construction verifies projective commutation and rank 2 (via the
-    logs of canonical lifts); failure raises HypothesesError.
-    """
-
-    A: object
-    B: object
-
-    def __post_init__(self):
-        if not proj_equal(self.A @ self.B, self.B @ self.A, tol=1e-9):
-            raise HypothesesError("lattice generators do not commute projectively")
-        la = mat_log(proj_normalize_lift(self.A)).reshape(-1)
-        lb = mat_log(proj_normalize_lift(self.B)).reshape(-1)
-        na, nb = np.linalg.norm(la), np.linalg.norm(lb)
-        if na == 0 or nb == 0:
-            raise HypothesesError("lattice generator is trivial")
-        smin = np.linalg.svd(np.stack([la / na, lb / nb]), compute_uv=False)[-1]
-        if smin <= 1e-9:
-            raise HypothesesError("lattice generators are not independent (rank below 2)")
-
-
-def lattice_from_json(obj) -> Lattice:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return Lattice(projlin.matrix_from_json(obj["A"]), projlin.matrix_from_json(obj["B"]))

@@ -29,12 +29,11 @@ from .projlin import to_float
 
 @dataclass(frozen=True)
 class CuspFundamentalDomain:
-    """Fundamental domain data: floor level, lattice parameters, cutoff."""
+    """Fundamental domain data: floor level and lattice parameters."""
 
     floor: float
     dilation: float
     translation: float
-    cutoff: float
 
     def __post_init__(self):
         if self.floor <= 0:
@@ -49,10 +48,6 @@ class CuspFundamentalDomain:
     @property
     def x3_range(self):
         return (0.0, self.translation)
-
-    def region(self, cutoff=None) -> Region:
-        hi = self.cutoff if cutoff is None else cutoff
-        return Region(DomainDPrime(), self.x2_range, self.x3_range, (0.0, hi), floor_level=self.floor)
 
     def shell(self, lo, hi) -> Region:
         return Region(DomainDPrime(), self.x2_range, self.x3_range, (lo, hi), floor_level=self.floor)

@@ -4,9 +4,12 @@ The two-generator presentation < m, n | m w = w n > with
 w = n m^-1 n^-1 m is represented by an explicit one-parameter family of
 unipotent matrix pairs; the longitude is the word w w_reversed.  Words
 are exact for rational parameters, taken in integers over one common
-denominator.  s = log(1/(16 t^4)) places the hyperbolic point at 0, and
-the peripheral pair admits closed normalized forms converging to an
-explicit pair of parabolic translations.
+denominator.  s = log(1/(16 t^4)) places the hyperbolic point at 0
+(``s_of_t`` also checks t > 0), and the peripheral pair admits closed
+normalized forms converging to an explicit pair of parabolic
+translations.  The peripheral pair (meridian, longitude) is plain
+matrices: ``normalization_consistency`` checks its commutation and rank
+through ``cusplie.normalize_pair``.
 
 A closed-form table for the longitude matrix circulates with one
 ambiguous entry; the group word is authoritative here and
@@ -31,39 +34,6 @@ def _coerce_t(t):
     if t == 0:
         raise ValueError("family parameter t must be nonzero")
     return t
-
-
-@dataclass(frozen=True)
-class HolonomyParams:
-    """Family parameter t > 0 with its derived coordinate s.
-
-    s(1/2) = 0 and t(s) = (1/2) exp(-s/4) inverts the map on t > 0.
-    """
-
-    t: object
-
-    def __post_init__(self):
-        if float(self.t) <= 0:
-            raise ValueError("holonomy parameter must be positive")
-
-    @property
-    def s(self) -> float:
-        return s_of_t(self.t)
-
-
-@dataclass(frozen=True)
-class PeripheralPair:
-    """Commuting meridian and longitude matrices with their regime tag."""
-
-    meridian: object
-    longitude: object
-    exact: bool
-
-    def __post_init__(self):
-        if not projlin.proj_equal(
-            self.meridian @ self.longitude, self.longitude @ self.meridian, tol=1e-9
-        ):
-            raise ValueError("peripheral matrices do not commute projectively")
 
 
 def generators(t):
@@ -149,13 +119,6 @@ def longitude_spectrum(t):
     """Eigenvalues with multiplicities of the longitude (exact for
     rational t); {2t x3, 1/(8 t^3)} away from the unipotent point."""
     return real_spectrum(longitude(t))
-
-
-def peripheral_pair(t) -> PeripheralPair:
-    """The commuting meridian/longitude pair at parameter t."""
-    t = _coerce_t(t)
-    M, _ = generators(t)
-    return PeripheralPair(M, longitude(t), exact=isinstance(t, Fraction))
 
 
 def displayed_longitude(t, stray_reading="t"):
@@ -352,20 +315,19 @@ def normalization_consistency(t) -> NormalizationReport:
 def verify_report(t) -> dict:
     """The per-parameter verification record used by the command line."""
     t = _coerce_t(t)
-    HolonomyParams(t)  # validates t > 0
-    pair = peripheral_pair(t)
+    s = s_of_t(t)  # validates t > 0
     resid = relation_residual(t)
     exact = is_exact(resid)
     resid_max = projlin.max_abs(to_float(resid))
-    spec = real_spectrum(pair.longitude)
+    spec = longitude_spectrum(t)
     report = normalization_consistency(t)
     return {
         "t": str(t) if exact else float(t),
-        "s": s_of_t(t),
+        "s": s,
         "relation_exact": bool(exact and resid_max == 0.0),
         "relation_residual": float(resid_max),
         "longitude_spectrum": [[float(l), m] for l, m in spec],
-        "obstruction": obstruction_at_t(t) if exact else strict_convexity_obstruction(s_of_t(t)),
+        "obstruction": obstruction_at_t(t) if exact else strict_convexity_obstruction(s),
         "normalized_params": report.to_json(),
     }
 

@@ -232,14 +232,6 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial.from_coeffs(out)
 
-    def deflate(self, root):
-        """Divide by (t - root); the caller asserts root is a root."""
-        cs = list(reversed(self.coeffs))
-        out = [cs[0]]
-        for c in cs[1:-1]:
-            out.append(c + root * out[-1])
-        return Polynomial.from_coeffs(list(reversed(out)))
-
     def eval_matrix(self, M):
         acc = zero_matrix(M.shape[0], exact=is_exact(M))
         I = identity(M.shape[0], exact=is_exact(M))

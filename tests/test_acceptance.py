@@ -114,7 +114,7 @@ def test_criterion_05_closed_form_norms():
 
 def test_criterion_06_volume_finiteness():
     q = hilbert.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5))
-    fd = cuspvol.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF, cutoff=80.0)
+    fd = cuspvol.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF)
     rows = cuspvol.cusp_volume_table(fd, [10, 20, 40, 80], q, method="grid")
     estimates = [r["estimate"] for r in rows]
     assert all(b > a for a, b in zip(estimates, estimates[1:]))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from convexcusp import cli, cusplie, projlin as pl
+from convexcusp import cli, projlin as pl
 from convexcusp.cusplie import LieAlgElem, group_exp
 
 
@@ -112,10 +112,9 @@ def test_lattice_normalize(tmp_path):
     B = pl.to_float(group_exp(LieAlgElem("LPrime", (0.0, 0.9))))
     G = np.array([[1.0, 0.5, 0, 0], [0, 1, 0.25, 0], [0.5, 0, 1, 0], [0, 0, 0.5, 1]])
     Gi = np.linalg.inv(G)
-    lat = cusplie.Lattice(G @ A @ Gi, G @ B @ Gi)
     infile = tmp_path / "gens.json"
     with open(infile, "w") as fh:
-        json.dump({"A": pl.matrix_to_json(lat.A), "B": pl.matrix_to_json(lat.B)}, fh)
+        json.dump({"A": pl.matrix_to_json(G @ A @ Gi), "B": pl.matrix_to_json(G @ B @ Gi)}, fh)
     assert run(["lattice", "normalize", "--in", str(infile), "--out", str(tmp_path)]) == 0
     report = json.load(open(tmp_path / "normalization.json"))
     assert report["sign"] == 1
@@ -130,6 +129,17 @@ def test_lattice_normalize_bad_input(tmp_path):
     with open(infile, "w") as fh:
         json.dump({"A": pl.matrix_to_json(A), "B": pl.matrix_to_json(A @ A)}, fh)
     assert run(["lattice", "normalize", "--in", str(infile), "--out", str(tmp_path)]) == 1
+
+
+def test_lattice_normalize_rejects_trivial_generator(tmp_path, capsys):
+    # the identity has a zero log, so the pair spans at most one dimension
+    B = pl.to_float(group_exp(LieAlgElem("LPrime", (0.0, 0.9))))
+    infile = tmp_path / "trivial.json"
+    with open(infile, "w") as fh:
+        json.dump({"A": pl.matrix_to_json(np.eye(4)), "B": pl.matrix_to_json(B)}, fh)
+    assert run(["lattice", "normalize", "--in", str(infile), "--out", str(tmp_path)]) == 1
+    assert "normalization failed: generators span less than two dimensions" in capsys.readouterr().err
+    assert not (tmp_path / "normalization.json").exists()
 
 
 def test_domain_export(tmp_path):

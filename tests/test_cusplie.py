@@ -261,6 +261,23 @@ def test_normalize_pair_group_level():
         assert cl._group_pattern_sign(img, tol=1e-7) == 1
 
 
+@pytest.mark.parametrize("power", [-1, 2])
+def test_normalize_pair_rejects_rank_one_model_pair(power):
+    # both generators in model form, so the rank test must precede the fast path
+    A = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.5, 0.0))))
+    with pytest.raises(cl.HypothesesError, match="span less than two"):
+        cl.normalize_pair(A, np.linalg.matrix_power(A, power))
+
+
+def test_normalize_rejects_zero_generator():
+    B = pl.to_float(cl.alg_matrix(LieAlgElem("LPrime", (0.0, 0.9))))
+    with pytest.raises(cl.HypothesesError, match="span less than two"):
+        cl.normalize_algebra_pair(np.zeros((4, 4)), B)
+    g = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 0.9))))
+    with pytest.raises(cl.HypothesesError, match="span less than two"):
+        cl.normalize_pair(np.eye(4), g)
+
+
 def test_normalize_accepts_scaled_lifts():
     gA = 3.0 * pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.6, 0.4))))
     gB = -2.0 * pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 0.9))))
@@ -409,15 +426,15 @@ def test_mirror_family_escapes_log_domain():
 def test_lattice_validation():
     A = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.5, 0.0))))
     B = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 1.0))))
-    lat = cl.Lattice(A, B)
-    obj = {"A": pl.matrix_to_json(lat.A), "B": pl.matrix_to_json(lat.B)}
-    back = cl.lattice_from_json(obj)
-    assert np.allclose(pl.to_float(back.A), A)
+    assert cl.normalize_pair(A, B).sign == 1
+    obj = {"A": pl.matrix_to_json(A), "B": pl.matrix_to_json(B)}
+    assert np.allclose(pl.to_float(pl.matrix_from_json(obj["A"])), A)
+    assert np.allclose(pl.to_float(pl.matrix_from_json(obj["B"])), B)
     with pytest.raises(cl.HypothesesError):
-        cl.Lattice(A, np.linalg.inv(A))  # rank 1
+        cl.normalize_pair(A, np.linalg.inv(A))  # rank 1
     M, N = np.eye(4), np.eye(4).copy()
     N[0, 1] = 1.0
     M2 = N.copy()
     M2[2, 3] = 1.0
     with pytest.raises(cl.HypothesesError):
-        cl.Lattice(M2, M2 @ M2)  # commuting but rank 1 again
+        cl.normalize_pair(M2, M2 @ M2)  # commuting but rank 1 again

@@ -9,7 +9,7 @@ from convexcusp.domains import DomainDPrime, VerticalShiftDomain, write_curve_sv
 
 S_REF = math.log(16)
 B_REF = S_REF * fig8.meridian_translation(S_REF)
-FD_REF = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF, cutoff=80.0)
+FD_REF = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF)
 FAST_Q = hb.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5))
 
 
@@ -132,7 +132,7 @@ def test_volume_table_against_profile_reduction():
 
 
 def test_volume_table_empty_rectangle():
-    empty = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=0.0, cutoff=80.0)
+    empty = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=0.0)
     rows = cv.cusp_volume_table(empty, [10, 20], FAST_Q, method="grid")
     assert all(r["estimate"] == 0.0 for r in rows)
 
@@ -147,7 +147,7 @@ def test_volume_tail_bound_consistency():
 
 
 def test_mc_stderr_halves_with_quadrupled_samples():
-    fd = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF, cutoff=8.0)
+    fd = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF)
     q1 = hb.QuadratureSpec(sphere_nodes=288, mc_samples=400, seed=2)
     q2 = hb.QuadratureSpec(sphere_nodes=288, mc_samples=1600, seed=2)
     r1 = cv.cusp_volume_table(fd, [8.0], q1, method="mc")[0]

@@ -306,19 +306,18 @@ def test_pipeline_degenerate_at_half():
 
 
 def test_holonomy_params_type():
-    p = fig8.HolonomyParams(Fraction(1, 4))
-    assert p.s == pytest.approx(math.log(16), abs=1e-15)
-    assert fig8.t_of_s(fig8.HolonomyParams(0.37).s) == pytest.approx(0.37, abs=1e-16)
+    assert fig8.s_of_t(Fraction(1, 4)) == pytest.approx(math.log(16), abs=1e-15)
+    assert float(fig8.t_of_s(fig8.s_of_t(Fraction(1, 4)))) == pytest.approx(0.25, abs=1e-16)
+    assert fig8.t_of_s(fig8.s_of_t(0.37)) == pytest.approx(0.37, abs=1e-16)
     with pytest.raises(ValueError):
-        fig8.HolonomyParams(-1)
+        fig8.s_of_t(-1)
 
 
 def test_peripheral_pair_type():
-    pair = fig8.peripheral_pair(Fraction(1, 3))
-    assert pair.exact
-    assert pl.proj_equal(pair.meridian @ pair.longitude, pair.longitude @ pair.meridian)
-    with pytest.raises(ValueError):
-        fig8.PeripheralPair(pair.meridian, fig8.generators(Fraction(1, 3))[1], exact=True)
+    # the meridian and the companion generator do not commute: no pair
+    M, N = fig8.generators(Fraction(1, 3))
+    with pytest.raises(cl.HypothesesError, match="commute"):
+        cl.normalize_pair(M, N)
 
 
 def test_verify_report_fields():
