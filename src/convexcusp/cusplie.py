@@ -16,8 +16,9 @@ reported residual is exactly zero.
 Group elements take one path to the same checks: ``proj_normalize_lift``
 rescales a lift to triple eigenvalue 1 and ``mat_log`` takes its log.
 ``classify`` profiles that log, and ``normalize_pair`` tests the pair for
-projective commutation and its two logs for rank 2 before it hands them
-to ``normalize_algebra_pair``.
+projective commutation and hands its two logs to
+``normalize_algebra_pair``, which tests them for rank 2 before its
+model-form fast path.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ PURE_DILATION = "PureDilation"
 GENERIC = "Generic"
 
 FAMILIES = ("L0", "Lt", "LPrime", "LPrimeMinus")
+
+#: relative tolerance of the float rank, commutation, model-form and
+#: degeneracy decisions of the normalization
+NORMALIZE_TOL = 1e-9
 
 
 class HypothesesError(ValueError):
@@ -92,12 +97,6 @@ class LieAlgElem:
     def __rmul__(self, c):
         u, v = self.params
         return LieAlgElem(self.family, (c * u, c * v), self.t)
-
-    def matrix(self):
-        return alg_matrix(self)
-
-    def exp(self):
-        return group_exp(self)
 
 
 def alg_matrix(e: LieAlgElem):
@@ -214,7 +213,7 @@ def minpoly_profile(x, tol=1e-9) -> MinPolyProfile:
     return MinPolyProfile(deg - 1, f, False)
 
 
-def classify(g, tol=1e-9) -> str:
+def classify(g) -> str:
     """Pure translation / pure dilation / generic, per the (n, f) profile.
 
     ``g`` is a LieAlgElem or a 4x4 group element whose log lies in a
@@ -222,8 +221,8 @@ def classify(g, tol=1e-9) -> str:
     the log of its canonical lift (``proj_normalize_lift``).
     """
     if isinstance(g, LieAlgElem):
-        return classify_profile(minpoly_profile(g, tol=tol))
-    return classify_profile(minpoly_profile(mat_log(proj_normalize_lift(g, tol=tol), tol=tol), tol=tol))
+        return classify_profile(minpoly_profile(g))
+    return classify_profile(minpoly_profile(mat_log(proj_normalize_lift(g))))
 
 
 def classify_profile(profile: MinPolyProfile) -> str:
@@ -386,13 +385,13 @@ def _scan_combinations(limit=3):
     return sorted(pairs, key=lambda ij: (abs(ij[0]) + abs(ij[1]), ij))
 
 
-def _dependent(alpha, beta, tol) -> bool:
+def _dependent(alpha, beta) -> bool:
     """Whether two 4x4 matrices span less than two dimensions.
 
     Exactly, beta is a multiple of alpha iff alpha[p] beta = beta[p] alpha
     for an entry alpha[p] != 0.  In floats, a zero matrix is dependent and
     otherwise the normalized pair must have its smaller singular value
-    above ``tol``.
+    above ``NORMALIZE_TOL``.
     """
     if is_exact(alpha) and is_exact(beta):
         p = next((ij for ij, v in np.ndenumerate(alpha) if v != 0), None)
@@ -401,10 +400,10 @@ def _dependent(alpha, beta, tol) -> bool:
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na == 0 or nb == 0:
         return True
-    return np.linalg.svd(np.stack([va / na, vb / nb]), compute_uv=False)[-1] <= tol
+    return np.linalg.svd(np.stack([va / na, vb / nb]), compute_uv=False)[-1] <= NORMALIZE_TOL
 
 
-def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
+def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     """Conjugate the algebra spanned by two commuting 4x4 matrices into
     LPrime (sign +1) or LPrimeMinus (sign -1).
 
@@ -413,8 +412,10 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     Jordan form, read the induced linear form on the span from the
     commutant constraints, then kill the shear and rescale.  Exact input
     yields an exactly zero residual (over Q or Q(sqrt(d))); float input
-    reports the max pattern violation.  Violated hypotheses raise
-    HypothesesError naming the failure.
+    reports the max pattern violation.  A pair already in a model family
+    (exactly, or within ``NORMALIZE_TOL`` relative for float input)
+    keeps the identity conjugator and reports its measured residual.
+    Violated hypotheses raise HypothesesError naming the failure.
     """
     exact = is_exact(alpha) and is_exact(beta)
     if alpha.shape != (4, 4) or beta.shape != (4, 4):
@@ -422,17 +423,19 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     scale = max(projlin.max_abs(to_float(alpha)), projlin.max_abs(to_float(beta)), 1.0)
     comm = alpha @ beta - beta @ alpha
     comm_resid = projlin.max_abs(to_float(comm))
-    if (comm_resid != 0) if exact else (comm_resid > tol * scale ** 2):
+    if (comm_resid != 0) if exact else (comm_resid > NORMALIZE_TOL * scale ** 2):
         raise HypothesesError(f"generators do not commute (residual {comm_resid:.3e})")
-    if _dependent(alpha, beta, tol):
+    if _dependent(alpha, beta):
         raise HypothesesError("generators span less than two dimensions")
 
-    # fast path: already in a model family
+    # fast path: already in a model family; an element with no dilation
+    # part fits both, so the other one decides the sign
     for sgn in (1, -1):
-        if max(family_pattern_residual(alpha, sgn), family_pattern_residual(beta, sgn)) == 0.0:
+        resid = max(family_pattern_residual(alpha, sgn), family_pattern_residual(beta, sgn))
+        if (resid == 0) if exact else (resid <= NORMALIZE_TOL * scale):
             C = identity(4, exact=exact)
             params = tuple((m[1, 1], m[0, 2]) for m in (alpha, beta))
-            return NormalizationResult(sgn, C, (alpha, beta), params, 0.0, exact)
+            return NormalizationResult(sgn, C, (alpha, beta), params, resid, exact)
 
     # scan small integer combinations; among the generic (n = 3) elements
     # keep the one with the largest eigenvalue relative to its size, which
@@ -442,7 +445,7 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     for i, j in _scan_combinations():
         cand = i * alpha + j * beta
         try:
-            profile = minpoly_profile(cand, tol=tol)
+            profile = minpoly_profile(cand)
         except ProfileShapeError as err:
             raise HypothesesError(f"combination {i},{j}: {err}") from err
         except projlin.IllConditionedError:
@@ -472,7 +475,7 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     cand_cols = [(Q @ identity(4, exact=exact)[:, k]) for k in range(4)]
     scores = [projlin.max_abs(to_float((nil2 @ c).reshape(1, -1))) for c in cand_cols]
     k = int(np.argmax(scores))
-    if (scores[k] == 0) if exact else (scores[k] <= tol * scale ** 2):
+    if (scores[k] == 0) if exact else (scores[k] <= NORMALIZE_TOL * scale ** 2):
         raise HypothesesError("generic element has nilpotent order below 3")
     w4 = cand_cols[k]
     w3 = gen @ w4
@@ -503,11 +506,11 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     b_b = beta_j[0, 2]
     e14_b = beta_j[0, 3]
     denom = f_b - f * b_b
-    if (denom == 0) if exact else (abs(float(denom)) <= tol * scale):
+    if (denom == 0) if exact else (abs(float(denom)) <= NORMALIZE_TOL * scale):
         raise HypothesesError("eigenvalue functional is degenerate on the span")
     c1 = e14_b / denom
     c2 = -c1 * f
-    if (c1 == 0) if exact else (abs(float(c1)) <= tol):
+    if (c1 == 0) if exact else (abs(float(c1)) <= NORMALIZE_TOL):
         raise HypothesesError("top-right functional vanishes (minimal polynomial not divisible by t^2)")
     sign = 1 if float(c1) < 0 else -1
 
@@ -544,37 +547,14 @@ def normalize_algebra_pair(alpha, beta, tol=1e-9) -> NormalizationResult:
     return NormalizationResult(sign, C, images, params, float(residual), exact)
 
 
-def _group_pattern_sign(M, tol=1e-9):
-    """Detect a group element already in model form; returns +-1 or None."""
-    Mf = to_float(M)
-    scale = max(1.0, projlin.max_abs(Mf))
-    zeros = [(0, 1), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
-    if any(abs(Mf[i, j]) > tol * scale for i, j in zeros):
-        return None
-    if any(abs(Mf[i, i] - 1.0) > tol * scale for i in (0, 2, 3)):
-        return None
-    if abs(Mf[0, 2] - Mf[2, 3]) > tol * scale:
-        return None
-    lam = Mf[1, 1]
-    if lam <= 0:
-        return None
-    a = math.log(lam)
-    b = Mf[0, 2]
-    if abs(Mf[0, 3] - (b * b / 2 - a)) <= tol * scale:
-        return 1
-    if abs(Mf[0, 3] - (b * b / 2 + a)) <= tol * scale:
-        return -1
-    return None
-
-
-def proj_normalize_lift(M, tol=1e-9):
+def proj_normalize_lift(M):
     """Rescale a projective representative so its triple eigenvalue is 1.
 
     The model cusp groups have spectrum {1, 1, 1, lambda}; an arbitrary
     lift differs by a scalar, recovered from the eigenvalue of algebraic
     multiplicity at least 3.
     """
-    spec = real_spectrum(M, tol=tol)
+    spec = real_spectrum(M)
     for lam, mult in spec:
         if mult >= 3:
             if float(lam) == 0:
@@ -585,34 +565,20 @@ def proj_normalize_lift(M, tol=1e-9):
     raise ValueError("no eigenvalue of multiplicity 3 or more; cannot pick a canonical lift")
 
 
-def normalize_pair(A, B, tol=1e-9) -> NormalizationResult:
+def normalize_pair(A, B) -> NormalizationResult:
     """Group-level normalization of a commuting pair of projective maps.
 
     Lifts are normalized so the triple eigenvalue is 1, logs are taken
-    (numerically) and tested for rank 2, and the algebra algorithm runs;
-    the group images and profiles of both images are attached for
-    verification.  Already normalized pairs pass through with the
-    identity conjugator.
+    (numerically) and handed to ``normalize_algebra_pair``, which tests
+    them for rank 2 and passes a pair already in model form through with
+    the identity conjugator and its measured residual; the group images
+    are attached and the profiles of both images checked.
     """
-    if not proj_equal(A @ B, B @ A, tol=tol):
+    if not proj_equal(A @ B, B @ A):
         raise HypothesesError("generators do not commute projectively")
-    A = proj_normalize_lift(A, tol=tol)
-    B = proj_normalize_lift(B, tol=tol)
-    logs = tuple(mat_log(M, tol=tol) for M in (A, B))
-    if _dependent(*logs, tol):
-        raise HypothesesError("generators span less than two dimensions")
-    # fast path: both already in model group form with a consistent sign
-    # (unipotent factors match both families and decide nothing)
-    sa = _group_pattern_sign(A, tol=tol)
-    sb = _group_pattern_sign(B, tol=tol)
-    if sa is not None and sb is not None:
-        decisive = {s for s, M in ((sa, A), (sb, B)) if not _is_unipotent(M, tol)}
-        if len(decisive) == 1:
-            sign = decisive.pop()
-            C = identity(4, exact=is_exact(A) and is_exact(B))
-            params = tuple((L[1, 1], L[0, 2]) for L in logs)
-            return NormalizationResult(sign, C, logs, params, 0.0, False, group_images=(A, B))
-    res = normalize_algebra_pair(*logs, tol=tol)
+    A = proj_normalize_lift(A)
+    B = proj_normalize_lift(B)
+    res = normalize_algebra_pair(mat_log(A), mat_log(B))
     Cf = res.conjugator_float()
     Cfi = np.linalg.inv(Cf)
     group_images = (Cf @ to_float(A) @ Cfi, Cf @ to_float(B) @ Cfi)
@@ -621,10 +587,6 @@ def normalize_pair(A, B, tol=1e-9) -> NormalizationResult:
     return NormalizationResult(
         res.sign, res.conjugator, res.images, res.params, res.residual, res.exact, group_images=group_images
     )
-
-
-def _is_unipotent(M, tol):
-    return abs(float(M[1, 1]) - 1.0) <= tol * max(1.0, projlin.max_abs(to_float(M)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class UnboundedSearchError(RuntimeError):
 #: a ray of a parabolic domain still inside at this parameter, in
 #: Euclidean arc length, has an ideal end
 IDEAL_PROBE = 2.0 ** 29
-#: default absolute tolerance for boundary crossings
+#: absolute tolerance of the Newton chord exits
 CHORD_TOL = 1e-12
 #: Newton steps allowed per chord of a parabolic domain before the
 #: search counts as diverged
@@ -97,11 +97,11 @@ class ConvexDomain:
 
     # -- chords --------------------------------------------------------
 
-    def _ray_exit(self, X, V, tol):
+    def _ray_exit(self, X, V):
         """Exit parameters tau > 0 of rays X + tau*V (inf when ideal)."""
         raise NotImplementedError
 
-    def chord_taus(self, x, dirs, tol=CHORD_TOL):
+    def chord_taus(self, x, dirs):
         """Signed boundary parameters along x + tau*dirs.
 
         ``x`` is one interior point or an (m,3) batch, and the N rows of
@@ -114,7 +114,7 @@ class ConvexDomain:
         come from one ``_ray_exit`` call on the forward rays (X, U)
         stacked over the back rays (X, -U), each row solved on its own.
         Exits are solved along unit directions, so the ideal probe does
-        not depend on how a direction is scaled; ``tol`` bounds the
+        not depend on how a direction is scaled; ``CHORD_TOL`` bounds the
         error of the Newton solver, while the quadrics' closed forms are
         accurate to rounding.  Non-finite input raises
         UnboundedSearchError, then a zero direction or a base point
@@ -135,10 +135,10 @@ class ConvexDomain:
             raise ValueError("chord base point must be interior")
         X = np.repeat(x, run, axis=0)
         U = dirs / norms[:, None]
-        plus, minus = self._ray_exit(np.concatenate([X, X]), np.concatenate([U, -U]), tol).reshape(2, -1) / norms
+        plus, minus = self._ray_exit(np.concatenate([X, X]), np.concatenate([U, -U])).reshape(2, -1) / norms
         return -minus, plus
 
-    def chord_endpoints(self, x, v, tol=CHORD_TOL):
+    def chord_endpoints(self, x, v):
         """Both intersections of the line x + R*v with the boundary.
 
         Returns a pair (p_minus, p_plus); an ideal end is reported as
@@ -146,7 +146,7 @@ class ConvexDomain:
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        tm, tp = self.chord_taus(x, v[None, :], tol=tol)
+        tm, tp = self.chord_taus(x, v[None, :])
         p_minus = None if np.isinf(tm[0]) else x + tm[0] * v
         p_plus = None if np.isinf(tp[0]) else x + tp[0] * v
         return p_minus, p_plus
@@ -210,7 +210,7 @@ class ParabolicDomain(ConvexDomain):
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.base_contains_batch(b2, b3) & (pts[:, 0] > self.boundary_value_batch(b2, b3))
 
-    def _ray_exit(self, X, V, tol):
+    def _ray_exit(self, X, V):
         """Exit parameters of rays X + tau*V by Newton's method.
 
         In the family member a ray has Q = y1 + tau d1 - (y3 + tau d3)^2/2
@@ -221,7 +221,8 @@ class ParabolicDomain(ConvexDomain):
         t w; near the edge s = 0 on G = s - exp(-Q'), which has the same
         zero, is concave and stays finite for s <= 0; and on g itself
         where Q' + log s loses accuracy (``_series_rows``).  A ray leaves
-        once its step is at most max(tol/2, 4 ulp(tau)) or not positive.
+        once its step is at most max(CHORD_TOL/2, 4 ulp(tau)) or not
+        positive.
         At t = 0 (D0 and its horoballs) g = Q - w^2/2 is a quadratic in
         tau and its positive root is the exit, with no Newton step.
         Rays in the recession cone of the member are ideal: d2 = d3 = 0
@@ -258,7 +259,7 @@ class ParabolicDomain(ConvexDomain):
                 step = _newton_step(t, ray, tau)
                 if not np.isfinite(step).all():
                     raise UnboundedSearchError(V[rows[np.argmax(~np.isfinite(step))]])
-                keep = step > np.maximum(0.5 * tol, _four_ulp(tau))
+                keep = step > np.maximum(0.5 * CHORD_TOL, _four_ulp(tau))
                 tau = tau - np.maximum(step, 0.0)
                 out[rows] = tau
                 rows, tau, ray = rows[keep], tau[keep], np.compress(keep, ray, axis=1)
@@ -438,13 +439,13 @@ class BallDomain(ConvexDomain):
         W[:, 0] += 1.0
         return np.eye(3) - 2.0 * W[:, :, None] * W[:, None, :] / np.einsum("ij,ij->i", W, W)[:, None, None]
 
-    def _ray_exit(self, X, V, tol):
+    def _ray_exit(self, X, V):
         """Exit parameters of rays X + tau*V: the positive root of
         |X + tau V|^2 = 1, by the form that does not cancel.  With
         b = X.V, a = |V|^2 and c = 1 - |X|^2 it is c/(b + sqrt(b^2 + a c))
         for b > 0 and (sqrt(b^2 + a c) - b)/a otherwise.  c is positive
         wherever ``contains_batch`` holds, which tests the same |X|^2 < 1.
-        ``tol`` is unused: the root is accurate to rounding."""
+        The root is accurate to rounding."""
         b = np.einsum("ij,ij->i", X, V)
         a = np.einsum("ij,ij->i", V, V)
         c = 1.0 - np.einsum("ij,ij->i", X, X)

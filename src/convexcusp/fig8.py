@@ -244,12 +244,13 @@ def strict_convexity_obstruction(s) -> bool:
     rational), via the polynomial identity behind projective unipotency,
     so the answer flips exactly at s = 0.
     """
-    return obstruction_at_t(Fraction(t_of_s(s)))
+    return obstruction_at_t(t_of_s(s))
 
 
 def obstruction_at_t(t) -> bool:
-    """Same test parameterized by rational t directly (exact)."""
-    return not projlin.is_proj_unipotent(longitude(_coerce_t(t)))
+    """Same test parameterized by t directly, decided exactly at the
+    rational value of t (binary floats are rational)."""
+    return not projlin.is_proj_unipotent(longitude(Fraction(_coerce_t(t))))
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import CHORD_TOL, ConvexDomain, ParabolicDomain, VerticalShiftDomain
+from .domains import ConvexDomain, ParabolicDomain, VerticalShiftDomain
 
 #: Lebesgue volume of the Euclidean ball of diameter 1 (normalising
 #: constant of the 3-dimensional Hausdorff measure used throughout)
 ALPHA3 = math.pi / 6
+#: relative distance off their line at which ``cross_ratio`` rejects
+#: four points
+COLLINEAR_TOL = 1e-9
 
 
 class QuadratureError(ArithmeticError):
@@ -56,18 +59,18 @@ class RegionError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and node counts for the numeric geometry.
+    """Node counts, accuracy target, cutoff and seed of the numeric geometry.
 
     ``sphere_nodes`` is realised as a Gauss-Legendre x uniform product
     grid on the sphere with twice as many azimuthal as polar nodes, so
     2312 becomes a 34 x 68 grid.  ``seed`` keys the Philox stream used
-    by Monte Carlo integration and is recorded in every report.
+    by Monte Carlo integration and is recorded in every report.  Chords
+    are solved to ``domains.CHORD_TOL``.
     """
 
     sphere_nodes: int = 2312
     mc_samples: int = 200_000
     seed: int = 0
-    chord_tol: float = CHORD_TOL
     cutoff: float | None = None
     rel_target: float = 1e-3
     grid_shape: tuple = (8, 6, 6)
@@ -75,8 +78,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.sphere_nodes <= 0 or self.mc_samples <= 0:
             raise ValueError("node and sample counts must be positive")
-        if self.chord_tol <= 0:
-            raise ValueError("chord tolerance must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -90,12 +91,12 @@ def _positions(points, origin, direction):
     return [None if p is None else float(np.dot(np.atleast_1d(p) - origin, direction)) for p in points]
 
 
-def cross_ratio(a, x, y, b, collinear_tol=1e-9) -> float:
+def cross_ratio(a, x, y, b) -> float:
     """Projective cross ratio of four ordered collinear points.
 
     ``a`` and ``b`` may be None (ideal); the corresponding ratio factor
     is then 1, the one-sided limit convention.  Non-collinear input
-    (residual above ``collinear_tol`` relative to the configuration
+    (residual above ``COLLINEAR_TOL`` relative to the configuration
     size) is rejected.
     """
     pts = [None if p is None else np.atleast_1d(np.asarray(p, dtype=float)) for p in (a, x, y, b)]
@@ -115,7 +116,7 @@ def cross_ratio(a, x, y, b, collinear_tol=1e-9) -> float:
         resid = max(
             np.linalg.norm((p - finite[0]) - np.dot(p - finite[0], u) * u) for p in finite
         )
-        if resid > collinear_tol * scale:
+        if resid > COLLINEAR_TOL * scale:
             raise ValueError(f"points are not collinear (residual {resid:.3e})")
     ta, tx, ty, tb = _positions(pts, finite[0], u)
     num = (abs(ty - ta) if ta is not None else 1.0) * (abs(tx - tb) if tb is not None else 1.0)
@@ -125,13 +126,13 @@ def cross_ratio(a, x, y, b, collinear_tol=1e-9) -> float:
     return num / den
 
 
-def hilbert_distance(dom: ConvexDomain, x, y, tol=CHORD_TOL) -> float:
+def hilbert_distance(dom: ConvexDomain, x, y) -> float:
     """Hilbert distance between x and y: a batch of one of
     ``hilbert_distance_pairs``."""
-    return float(hilbert_distance_pairs(dom, x, y, tol=tol)[0])
+    return float(hilbert_distance_pairs(dom, x, y)[0])
 
 
-def hilbert_distance_pairs(dom: ConvexDomain, X, Y, tol=CHORD_TOL):
+def hilbert_distance_pairs(dom: ConvexDomain, X, Y):
     """Distances between paired interior points, via chord parameters.
 
     X and Y are (n,3) batches, or one of them a single point.
@@ -142,7 +143,7 @@ def hilbert_distance_pairs(dom: ConvexDomain, X, Y, tol=CHORD_TOL):
     V = Y - X
     deg = ~np.any(V, axis=1)
     V = np.where(deg[:, None], np.array([1.0, 0, 0]), V)
-    tm, tp = dom.chord_taus(X, V, tol=tol)
+    tm, tp = dom.chord_taus(X, V)
     if not dom.contains_batch(Y).all():
         raise ValueError("distance end point must be interior")
     # point positions 0 and 1 in chord units; ideal factors collapse to 1
@@ -154,21 +155,16 @@ def hilbert_distance_pairs(dom: ConvexDomain, X, Y, tol=CHORD_TOL):
     return out
 
 
-def hilbert_distance_many(dom: ConvexDomain, x, Y, tol=CHORD_TOL):
-    """Distances from one interior point to many others."""
-    return hilbert_distance_pairs(dom, np.asarray(x, dtype=float)[None, :], Y, tol=tol)
-
-
-def finsler_norm(dom: ConvexDomain, x, v, tol=CHORD_TOL) -> float:
+def finsler_norm(dom: ConvexDomain, x, v) -> float:
     """Tangent norm |v| (1/|x-p_minus| + 1/|x-p_plus|); ideal ends add 0."""
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         return 0.0
-    return float(finsler_norm_batch(dom, x, v[None, :], tol=tol)[0])
+    return float(finsler_norm_batch(dom, x, v[None, :])[0])
 
 
-def finsler_norm_batch(dom: ConvexDomain, x, dirs, tol=CHORD_TOL):
-    tm, tp = dom.chord_taus(x, dirs, tol=tol)
+def finsler_norm_batch(dom: ConvexDomain, x, dirs):
+    tm, tp = dom.chord_taus(x, dirs)
     with np.errstate(divide="ignore"):
         u = np.where(np.isinf(tm), 0.0, -1.0 / tm)
         w = np.where(np.isinf(tp), 0.0, 1.0 / tp)
@@ -247,7 +243,7 @@ def _unit_ball_volumes(dom, X, q):
     step = max(1, DENSITY_CHUNK_ROWS // 6)
     for a in range(0, len(X), step):
         P = X[a : a + step]
-        frame_norms = finsler_norm_batch(dom, P, frames[a : a + step].reshape(-1, 3), tol=q.chord_tol)
+        frame_norms = finsler_norm_batch(dom, P, frames[a : a + step].reshape(-1, 3))
         radii[a : a + len(P)] = 1.0 / frame_norms.reshape(-1, 3)
     fine = np.empty(len(X))
     coarse = np.empty(len(X))
@@ -256,7 +252,7 @@ def _unit_ball_volumes(dom, X, q):
         P, R = X[a : a + step], radii[a : a + step]
         k = len(P)
         dirs = np.einsum("kni,kij->knj", nodes[None, :, :] * R[:, None, :], frames[a : a + step]).reshape(k * n, 3)
-        norms = finsler_norm_batch(dom, P, dirs, tol=q.chord_tol)
+        norms = finsler_norm_batch(dom, P, dirs)
         r3 = (1.0 / norms.reshape(k, n)) ** 3
         scale = np.prod(R, axis=1)
         fine[a : a + k] = scale * np.sum(W * r3[:, :n_fine], axis=1) / 3.0
@@ -323,7 +319,7 @@ def busemann_density(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRATUR
     return (rho, gap) if return_gap else rho
 
 
-def metric_ball_density(dom: ConvexDomain, x, rho=0.02, n_nodes=128, tol=CHORD_TOL) -> float:
+def metric_ball_density(dom: ConvexDomain, x, rho=0.02, n_nodes=128) -> float:
     """Density estimated from Hilbert metric balls alone.
 
     Solves d(x, x + r u) = rho in closed form from the chord parameters
@@ -335,7 +331,7 @@ def metric_ball_density(dom: ConvexDomain, x, rho=0.02, n_nodes=128, tol=CHORD_T
     """
     U, W = sphere_quadrature(n_nodes)
     x = np.asarray(x, dtype=float)
-    tm, tp = dom.chord_taus(x, U[: len(U) // 2], tol=tol)
+    tm, tp = dom.chord_taus(x, U[: len(U) // 2])
     with np.errstate(divide="ignore"):
         u = np.where(np.isinf(tm), 0.0, -1.0 / tm)
         w = np.where(np.isinf(tp), 0.0, 1.0 / tp)
@@ -514,7 +510,7 @@ def hausdorff_oracle(dom: ConvexDomain, region: Region, eps: float, details=Fals
     corners = np.array([[a, b, c] for a in region.x1_range for b in region.x2_range for c in region.x3_range])
     if not dom.contains_batch(corners).all():
         raise RegionError("oracle box must lie inside the domain")
-    diam = float(np.max(hilbert_distance_many(dom, corners[0], corners[1:])))
+    diam = float(np.max(hilbert_distance_pairs(dom, corners[0], corners[1:])))
     if diam >= 1.0:
         raise RegionError("oracle box too large (Hilbert diameter >= 1)")
 

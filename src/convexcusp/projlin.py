@@ -2,7 +2,9 @@
 
 Exact matrices carry ``fractions.Fraction`` entries inside object-dtype
 numpy arrays, so +, -, *, / never round.  Float matrices are plain IEEE
-float64 arrays and every comparison on them takes an explicit tolerance.
+float64 arrays, compared at the relative tolerances named below;
+``minimal_polynomial`` takes its tolerance as an argument, since its
+callers use two.
 All functions are pure; nothing here mutates its arguments, so concurrent
 use is safe.
 
@@ -32,6 +34,14 @@ class IllConditionedError(ArithmeticError):
 
 class NonRealSpectrumError(ValueError):
     """Raised when a real spectrum is requested but complex eigenvalues exist."""
+
+
+#: relative tolerance of float projective equality (``proj_equal``)
+PROJ_EQUAL_TOL = 1e-9
+#: relative radius at which float eigenvalues are clustered
+#: (``real_spectrum``): a defective eigenvalue of multiplicity k splits
+#: into a cluster of radius about eps^(1/k)
+SPECTRUM_CLUSTER_TOL = 3e-4
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +164,6 @@ def max_abs(M) -> float:
 # projective points and maps
 
 
-def canonical_point(v):
-    """Scale a homogeneous coordinate vector so its last nonzero entry is 1."""
-    v = np.array(v, copy=True)
-    nz = [i for i in range(len(v)) if v[i] != 0]
-    if not nz:
-        raise ValueError("zero vector does not define a projective point")
-    return v / v[nz[-1]]
-
-
 def apply_affine_batch(M, pts):
     """Vectorised float chart action on an (n,3) array of affine points."""
     Mf = to_float(M)
@@ -172,12 +173,13 @@ def apply_affine_batch(M, pts):
     return hom / w[:, None]
 
 
-def proj_equal(A, B, tol=1e-12) -> bool:
+def proj_equal(A, B) -> bool:
     """Whether B = lambda*A for a nonzero scalar (projective equality).
 
     Exact regime: decided exactly.  Float regime: the scalar is taken from
     the ratio at A's largest-magnitude entry and the comparison is
-    entrywise with relative tolerance ``tol``.  Singular input rejected.
+    entrywise with relative tolerance ``PROJ_EQUAL_TOL``.  Singular input
+    rejected.
     """
     if mat_det(A) == 0 or mat_det(B) == 0:
         raise SingularMatrixError("projective equality needs invertible matrices")
@@ -191,7 +193,7 @@ def proj_equal(A, B, tol=1e-12) -> bool:
     Af, Bf = to_float(A), to_float(B)
     lam = Bf[pos] / Af[pos]
     resid = np.max(np.abs(Bf - lam * Af))
-    return bool(resid <= tol * max(1.0, np.max(np.abs(Bf))))
+    return bool(resid <= PROJ_EQUAL_TOL * max(1.0, np.max(np.abs(Bf))))
 
 
 # ---------------------------------------------------------------------------
@@ -441,51 +443,30 @@ def _series_inverse(coeffs, order):
     return inv
 
 
-def spectral_projectors(M, spectrum=None, tol=1e-9):
-    """Projectors onto generalized eigenspaces for a real-split matrix.
-
-    Returns ``[(lam, mult, P)]``; works in float64.  Uses the polynomial
-    interpolation that is congruent to 1 modulo (t-lam)^mult and to 0
-    modulo the other factors.
-    """
-    Mf = to_float(M)
-    if spectrum is None:
-        spectrum = real_spectrum(M, tol=tol)
-    spec = [(float(l), m) for l, m in spectrum]
-    out = []
-    for lam, mult in spec:
-        rest = [1.0]
-        for mu, mmu in spec:
-            if mu == lam:
-                continue
-            f = Polynomial.from_coeffs(rest)
-            for _ in range(mmu):
-                f = f.mul(Polynomial((-mu, 1.0)))
-            rest = list(f.coeffs)
-        # invert the cofactor modulo (t - lam)^mult
-        shifted = _shift_poly([float(c) for c in rest], lam)
-        inv = _series_inverse(shifted, mult)
-        u_poly = Polynomial.from_coeffs(_shift_poly(inv, -lam))
-        g = Polynomial.from_coeffs(rest).mul(u_poly)
-        P = g.eval_matrix(Mf)
-        out.append((lam, mult, P))
-    return out
-
-
-def mat_log(M, tol=1e-9):
+def mat_log(M):
     """Principal logarithm of a matrix with positive real spectrum (float64).
 
-    Splits along spectral projectors and takes the finite nilpotent
-    series on each block; eigenvalue logs are the only transcendental
-    ingredients.
+    Splits along the spectral projectors onto the generalized eigenspaces
+    and takes the finite nilpotent series on each block; eigenvalue logs
+    are the only transcendental ingredients.  The projector of lam with
+    multiplicity m is g(M) for the polynomial g congruent to 1 modulo
+    (t - lam)^m and to 0 modulo the other factors.
     """
     Mf = to_float(M)
-    spectrum = real_spectrum(M, tol=tol)
-    if any(float(l) <= 0 for l, _ in spectrum):
+    spec = [(float(l), m) for l, m in real_spectrum(M)]
+    if any(l <= 0 for l, _ in spec):
         raise ValueError("matrix log requires positive real eigenvalues")
     n = Mf.shape[0]
     out = np.zeros((n, n))
-    for lam, mult, P in spectral_projectors(Mf, spectrum=spectrum, tol=tol):
+    for lam, mult in spec:
+        rest = Polynomial((1.0,))
+        for mu, mmu in spec:
+            if mu != lam:
+                for _ in range(mmu):
+                    rest = rest.mul(Polynomial((-mu, 1.0)))
+        # invert the cofactor modulo (t - lam)^mult
+        inv = _series_inverse(_shift_poly(list(rest.coeffs), lam), mult)
+        P = rest.mul(Polynomial.from_coeffs(_shift_poly(inv, -lam))).eval_matrix(Mf)
         N = (Mf - lam * np.eye(n)) @ P / lam
         out += math.log(lam) * P
         term = P.copy()
@@ -625,7 +606,7 @@ def _real_roots(poly: Polynomial):
     return roots
 
 
-def real_spectrum(M, tol=1e-9):
+def real_spectrum(M):
     """Eigenvalues with algebraic multiplicities, sorted ascending.
 
     Exact regime: the characteristic polynomial is split into square-free
@@ -634,9 +615,9 @@ def real_spectrum(M, tol=1e-9):
     are isolated by Sturm sequences (``_real_roots``).  Rational roots
     come back as Fractions and irrational ones as correctly rounded
     floats; there is no fallback to float eigenvalues.  Float regime:
-    numpy eigenvalues, clustered at relative tolerance ``tol``.  Complex
-    eigenvalues raise NonRealSpectrumError, in the exact regime by an
-    exact count.
+    numpy eigenvalues, clustered at relative radius
+    ``SPECTRUM_CLUSTER_TOL``.  Complex eigenvalues raise
+    NonRealSpectrumError, in the exact regime by an exact count.
     """
     if is_exact(M):
         out = []
@@ -649,9 +630,8 @@ def real_spectrum(M, tol=1e-9):
         return sorted(out, key=lambda rm: rm[0])
     eig = np.linalg.eigvals(np.asarray(M, dtype=float))
     scale = max(1.0, float(np.max(np.abs(eig))))
-    # defective eigenvalues split into complex clusters of radius about
-    # eps^(1/k); cluster first, then require the cluster means to be real
-    ctol = max(tol, 3e-4) * scale
+    # cluster first, then require the cluster means to be real
+    ctol = SPECTRUM_CLUSTER_TOL * scale
     order = np.argsort(eig.real + 1e-12 * eig.imag)
     clusters = []
     for v in eig[order]:
@@ -668,17 +648,14 @@ def real_spectrum(M, tol=1e-9):
     return out
 
 
-def is_proj_unipotent(M, tol=1e-9) -> bool:
-    """Whether all eigenvalues coincide after projective rescaling.
-
-    Exact regime: tests char(t) == (t - tr/4)^4 exactly.
-    """
+def is_proj_unipotent(M) -> bool:
+    """Whether all eigenvalues coincide after projective rescaling,
+    decided exactly for an exact M: char(t) == (t - tr/4)^4."""
+    if not is_exact(M):
+        raise TypeError("projective unipotency is decided exactly; pass an exact matrix")
     n = M.shape[0]
-    if is_exact(M):
-        lam = sum(M[i, i] for i in range(n)) / n
-        return char_poly(M).coeffs == poly_from_roots([lam] * n).coeffs
-    spec = real_spectrum(M, tol=tol)
-    return len(spec) == 1
+    lam = sum(M[i, i] for i in range(n)) / n
+    return char_poly(M).coeffs == poly_from_roots([lam] * n).coeffs
 
 
 # ---------------------------------------------------------------------------

