@@ -2,9 +2,10 @@
 
 Four abelian families of 4x4 matrices drive everything here, tagged
 "L0", "Lt", "LPrime" and "LPrimeMinus".  Elements are stored as a family
-tag plus a real parameter pair; ``alg_matrix`` and ``group_exp``
-reproduce the closed matrix forms, and the minimal polynomial of a
-nonzero element always has the shape t^n (t - f) with n in {2, 3}.
+tag plus a real parameter pair; ``alg_matrix`` reproduces the closed
+matrix forms and ``group_exp`` their exponentials, and the minimal
+polynomial of a nonzero element always has the shape t^n (t - f) with
+n in {2, 3}.
 
 ``normalize_algebra_pair`` implements the constructive classification:
 a two-dimensional abelian algebra whose minimal polynomial map has that
@@ -122,50 +123,13 @@ def alg_matrix(e: LieAlgElem):
 
 
 def group_exp(e: LieAlgElem):
-    """Exponential of a family element.
+    """Exponential of a family element, ``projlin.mat_exp`` of its matrix.
 
-    Exact whenever every entry is rational (always for L0; for the other
-    families when the dilation part vanishes): the element is then
-    nilpotent and ``projlin.mat_exp`` sums its finite series in
-    Fractions.  Float closed forms otherwise.  Always agrees with the
-    generic matrix exponential.
+    Exact when the element is nilpotent with rational entries (always
+    for exact L0; for the other families when the dilation part
+    vanishes), float64 otherwise.
     """
-    u, v = e.params
-    if _exactish(u, v) and (e.t is None or _exactish(e.t)) and (e.family == "L0" or u == 0):
-        return projlin.mat_exp(alg_matrix(e))
-    if e.family == "L0":
-        x, y = float(u), float(v)
-        return projlin.float_matrix(
-            [
-                [1.0, x, y, (x * x + y * y) / 2],
-                [0.0, 1.0, 0.0, x],
-                [0.0, 0.0, 1.0, y],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-    if e.family == "Lt":
-        r, s, t = float(u), float(v), float(e.t)
-        etr = math.exp(t * r)
-        g1 = (etr - 1.0) / t
-        g2 = (etr - t * r - 1.0) / (t * t)
-        return projlin.float_matrix(
-            [
-                [1.0, g1, s, g2 + s * s / 2],
-                [0.0, etr, 0.0, g1],
-                [0.0, 0.0, 1.0, s],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-    sign = -1 if e.family == "LPrime" else 1
-    a, b = float(u), float(v)
-    return projlin.float_matrix(
-        [
-            [1.0, 0.0, b, b * b / 2 + sign * a],
-            [0.0, math.exp(a), 0.0, 0.0],
-            [0.0, 0.0, 1.0, b],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    return projlin.mat_exp(alg_matrix(e))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +418,7 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
             continue
         if profile.is_zero:
             raise HypothesesError("generators are linearly dependent over the integers")
-        if profile.n == 3:
+        if profile.n == 3 and not profile.kernel_flag:
             quality = abs(float(profile.f_value)) / max(projlin.max_abs(to_float(cand)), 1e-300)
             if quality > best_quality:
                 gen, gen_profile, combo = cand, profile, (i, j)

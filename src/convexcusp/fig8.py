@@ -195,34 +195,15 @@ def meridian_translation(s) -> float:
 def normalized_peripheral(s):
     """Closed normalized forms of the peripheral pair at parameter s != 0.
 
-    Both matrices lie in the deformed cusp group with family parameter s
-    (their logs have parameters (0, meridian_translation(s)) and (1, 0))
-    and they commute.
+    Both matrices lie in the deformed cusp group with family parameter s:
+    they are the exponentials of the Lt elements (0, meridian_translation(s))
+    and (1, 0) at t = s, so they commute.
     """
     s = float(s)
     if s == 0:
         raise ValueError("normalized pair is defined for s != 0; use limit_pair at 0")
     m = meridian_translation(s)
-    M = projlin.float_matrix(
-        [
-            [1.0, 0.0, m, m * m / 2.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, m],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    es = math.exp(s)
-    g1 = (es - 1.0) / s
-    g2 = (es - s - 1.0) / (s * s)
-    L = projlin.float_matrix(
-        [
-            [1.0, g1, 0.0, g2],
-            [0.0, es, 0.0, g1],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    return M, L
+    return tuple(cusplie.group_exp(LieAlgElem("Lt", p, t=s)) for p in ((0.0, m), (1.0, 0.0)))
 
 
 def limit_pair():

@@ -42,6 +42,9 @@ PROJ_EQUAL_TOL = 1e-9
 #: (``real_spectrum``): a defective eigenvalue of multiplicity k splits
 #: into a cluster of radius about eps^(1/k)
 SPECTRUM_CLUSTER_TOL = 3e-4
+#: relative bound on X^3 (X - fI), f = tr X, against max(1, |X|)^4 for a
+#: float matrix to count as a cusp-algebra element (``mat_exp``, ``mat_log``)
+CUSP_CUBIC_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +237,6 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial.from_coeffs(out)
 
-    def eval_matrix(self, M):
-        acc = zero_matrix(M.shape[0], exact=is_exact(M))
-        I = identity(M.shape[0], exact=is_exact(M))
-        for c in reversed(self.coeffs):
-            acc = acc @ M + c * I
-        return acc
-
     def __str__(self):
         terms = []
         for p in range(self.degree, -1, -1):
@@ -379,101 +375,84 @@ def minimal_polynomial(M, tol=1e-9) -> Polynomial:
             raise IllConditionedError(
                 f"Krylov rank decision ambiguous (relative gap {ratio:.3e})"
             )
-    raise AssertionError("Cayley-Hamilton violated")
+    # Cayley-Hamilton holds, so no degree passing means the rank
+    # decisions were too close to call in floats
+    raise IllConditionedError("no Krylov dependency up to degree 4 passed its rank test")
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential and logarithm
+# matrix exponential and logarithm on the cusp algebras
 
 
-def is_nilpotent(M) -> bool:
-    """Exact nilpotency test (M^n == 0); supports both regimes."""
-    P = np.linalg.matrix_power(M, M.shape[0])
-    return all(v == 0 for v in P.flat)
+def _taylor(coeffs):
+    """Taylor coefficients at 0, exact and in floats, as far as the series
+    of ``_cusp_function`` needs for double precision at |f| < 1/2."""
+    return coeffs, [float(c) for c in coeffs]
 
 
-def mat_exp(M):
-    """Matrix exponential.
+_EXP_TAYLOR = _taylor([Fraction(1, math.factorial(k)) for k in range(20)])
+_LOG1P_TAYLOR = _taylor([Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, 60)])
 
-    Nilpotent exact input: finite Taylor series, exact result.  Anything
-    else: scaling and squaring with a degree-20 Taylor core, which keeps
-    the series remainder below 1e-14 relative; returns float64.
+
+def _cusp_function(X, taylor, F):
+    """F(X) for a matrix with X^3 (X - fI) = 0, where f = tr X.
+
+    Then F(X) = q(X) for the cubic q that agrees with F to second order
+    at 0 and at f.  For |f| < 1/2 that is p(X) + r(f) X^3, where p is the
+    degree-2 Taylor polynomial of F and r(f) = (F(f) - p(f)) / f^3 is
+    summed from its series, which does not cancel as f -> 0; the terms
+    are added from the smallest up.  Otherwise P = X^3 / tr X^3 (tr X^3 =
+    f^3) is the projector onto the f-eigenline, N = X - fP is nilpotent
+    of order 3, and F(X) = p(N) + (F(f) - F(0)) P.  Exact input with
+    f = 0 gives an exact result (r(0) is the third coefficient); other
+    exact input is evaluated in floats.  Input off the shape (exactly, or
+    beyond ``CUSP_CUBIC_TOL`` relative in floats) raises ValueError.
     """
-    n = M.shape[0]
-    if is_exact(M):
-        if is_nilpotent(M):
-            acc = identity(n, exact=True)
-            term = identity(n, exact=True)
-            for k in range(1, n):
-                term = term @ M / k
-                acc = acc + term
-            return acc
-        M = to_float(M)
-    Mf = np.asarray(M, dtype=float)
-    norm = np.max(np.sum(np.abs(Mf), axis=1))
-    s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    A = Mf / (2.0 ** s)
-    acc = np.eye(n)
-    for k in range(20, 0, -1):
-        acc = A @ acc / k + np.eye(n)
-    for _ in range(s):
-        acc = acc @ acc
-    return acc
+    n = X.shape[0]
+    f = sum(X[i, i] for i in range(n))
+    X2 = X @ X
+    X3 = X2 @ X
+    off = max_abs(X3 @ X - f * X3)
+    if (off != 0) if is_exact(X) else (off > CUSP_CUBIC_TOL * max(1.0, max_abs(X)) ** 4):
+        raise ValueError(f"matrix is off the cusp shape X^3 (X - fI) = 0 (residual {float(off):.3e})")
+    exact = is_exact(X) and f == 0
+    if not exact:
+        X, X2, X3, f = to_float(X), to_float(X2), to_float(X3), float(f)
+    taylor = taylor[0] if exact else taylor[1]
+    c0, c1, c2 = taylor[:3]
+    if abs(f) < 0.5:
+        r = 0
+        for c in reversed(taylor[3:]):
+            r = r * f + c
+        return c0 * identity(n, exact) + (c1 * X + (c2 * X2 + r * X3))
+    P = X3 / sum(X3[i, i] for i in range(n))
+    N = X - f * P
+    return c0 * np.eye(n) + c1 * N + c2 * (N @ N) + (F(f) - c0) * P
 
 
-def _shift_poly(coeffs, a):
-    """Rewrite sum c_k t^k as a polynomial in z = t - a (Taylor shift)."""
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += a * out[j + 1]
-    return out
+def mat_exp(X):
+    """Exponential of a cusp-algebra element: X^3 (X - fI) = 0, f = tr X.
+
+    Exact nilpotent input gives an exact result; anything else float64.
+    """
+    return _cusp_function(X, _EXP_TAYLOR, math.exp)
 
 
-def _series_inverse(coeffs, order):
-    """Power-series inverse of sum c_k z^k (c_0 != 0) through z^(order-1)."""
-    inv = [1.0 / coeffs[0]]
-    for k in range(1, order):
-        s = 0.0
-        for j in range(1, k + 1):
-            cj = coeffs[j] if j < len(coeffs) else 0.0
-            s += cj * inv[k - j]
-        inv.append(-s / coeffs[0])
-    return inv
+def _log1p(f):
+    if f <= -1:
+        raise ValueError("matrix log requires a positive eigenvalue lambda")
+    return math.log1p(f)
 
 
 def mat_log(M):
-    """Principal logarithm of a matrix with positive real spectrum (float64).
+    """Principal logarithm of a canonical cusp-group lift, spectrum
+    {1, 1, 1, lambda} with lambda > 0: log(1 + X) at X = M - I, which has
+    X^3 (X - fI) = 0 and lambda = 1 + f.
 
-    Splits along the spectral projectors onto the generalized eigenspaces
-    and takes the finite nilpotent series on each block; eigenvalue logs
-    are the only transcendental ingredients.  The projector of lam with
-    multiplicity m is g(M) for the polynomial g congruent to 1 modulo
-    (t - lam)^m and to 0 modulo the other factors.
+    Exact unipotent input gives an exact result; anything else float64.
     """
-    Mf = to_float(M)
-    spec = [(float(l), m) for l, m in real_spectrum(M)]
-    if any(l <= 0 for l, _ in spec):
-        raise ValueError("matrix log requires positive real eigenvalues")
-    n = Mf.shape[0]
-    out = np.zeros((n, n))
-    for lam, mult in spec:
-        rest = Polynomial((1.0,))
-        for mu, mmu in spec:
-            if mu != lam:
-                for _ in range(mmu):
-                    rest = rest.mul(Polynomial((-mu, 1.0)))
-        # invert the cofactor modulo (t - lam)^mult
-        inv = _series_inverse(_shift_poly(list(rest.coeffs), lam), mult)
-        P = rest.mul(Polynomial.from_coeffs(_shift_poly(inv, -lam))).eval_matrix(Mf)
-        N = (Mf - lam * np.eye(n)) @ P / lam
-        out += math.log(lam) * P
-        term = P.copy()
-        for k in range(1, mult):
-            term = term @ N
-            out += ((-1.0) ** (k + 1) / k) * term
-    return out
+    X = M - identity(M.shape[0], exact=is_exact(M))
+    return _cusp_function(X, _LOG1P_TAYLOR, _log1p)
 
 
 # ---------------------------------------------------------------------------

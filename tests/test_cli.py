@@ -142,6 +142,21 @@ def test_lattice_normalize_rejects_trivial_generator(tmp_path, capsys):
     assert not (tmp_path / "normalization.json").exists()
 
 
+def test_lattice_normalize_ill_conditioned_is_a_failure(tmp_path, capsys, monkeypatch):
+    def undecided(A, B):
+        raise pl.IllConditionedError("Krylov rank decision ambiguous")
+
+    monkeypatch.setattr(cli.cusplie, "normalize_pair", undecided)
+    g = pl.to_float(group_exp(LieAlgElem("LPrime", (0.0, 0.9))))
+    infile = tmp_path / "gens.json"
+    with open(infile, "w") as fh:
+        json.dump({"A": pl.matrix_to_json(g), "B": pl.matrix_to_json(g)}, fh)
+    assert run(["lattice", "normalize", "--in", str(infile), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "normalization failed: Krylov rank decision ambiguous" in err and "Traceback" not in err
+    assert not (tmp_path / "normalization.json").exists()
+
+
 def test_lattice_normalize_missing_generator_is_usage_error(tmp_path, capsys):
     A = pl.to_float(group_exp(LieAlgElem("LPrime", (0.5, 0.0))))
     infile = tmp_path / "one.json"

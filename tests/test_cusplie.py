@@ -8,6 +8,7 @@ import pytest
 from convexcusp import cusplie as cl, projlin as pl
 from convexcusp.cusplie import LieAlgElem
 from convexcusp.domains import DomainDPrime
+from test_projlin import expm_reference
 
 
 def rand_rational_matrix(rng):
@@ -80,7 +81,7 @@ def test_group_exp_matches_generic_exponential():
             t = rng.uniform(0.2, 1.5) if fam == "Lt" else None
             e = LieAlgElem(fam, tuple(rng.uniform(-1.5, 1.5, 2)), t=t)
             closed = pl.to_float(cl.group_exp(e))
-            generic = pl.mat_exp(pl.to_float(cl.alg_matrix(e)))
+            generic = expm_reference(pl.to_float(cl.alg_matrix(e)))
             assert np.max(np.abs(closed - generic)) <= 1e-12 * max(1.0, np.max(np.abs(closed)))
 
 
@@ -290,6 +291,36 @@ def test_normalize_rejects_zero_generator():
     g = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 0.9))))
     with pytest.raises(cl.HypothesesError, match="span less than two"):
         cl.normalize_pair(np.eye(4), g)
+
+
+def _conjugated_pair(seed, a, b):
+    G = np.random.default_rng(seed).uniform(-1, 1, (4, 4))
+    Gi = np.linalg.inv(G)
+    return tuple(
+        G @ pl.to_float(cl.group_exp(LieAlgElem("LPrime", p))) @ Gi for p in ((a, b), (0.0, 1.0))
+    )
+
+
+def test_normalize_pair_small_dilation():
+    # the dilation eigenvalue e^a approaches the triple eigenvalue 1
+    for seed in range(5):
+        for k in range(5, 19):
+            res = cl.normalize_pair(*_conjugated_pair(seed, 10 ** (-3 + k / 6), 0.5))
+            assert res.sign == 1 and res.residual <= 1e-9
+
+
+def test_normalize_pair_skips_kernel_elements_in_the_scan():
+    # at a = 3.17e-4 the scanned combinations have minimal polynomial t^4
+    # in floats; none of them is generic, and none is divided by f^3 = 0
+    with pytest.raises(cl.HypothesesError, match="no generic"):
+        cl.normalize_pair(*_conjugated_pair(3, 3.17e-4, 0.0))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_normalize_pair_skips_undecided_krylov_ranks(b):
+    # some combinations pass no rank test of minimal_polynomial at all
+    res = cl.normalize_pair(*_conjugated_pair(3, 0.015, b))
+    assert res.sign == 1 and res.residual <= 1e-9
 
 
 def test_normalize_accepts_scaled_lifts():

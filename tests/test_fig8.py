@@ -263,6 +263,15 @@ def test_normalized_pair_converges_to_limit():
         assert dev <= C * s
 
 
+def test_normalized_pair_near_the_hyperbolic_point():
+    # (e^s - s - 1)/s^2 must not cancel as s -> 0
+    M0, L0 = fig8.limit_pair()
+    for s in (1e-3, 1e-6, 1e-9, -1e-9):
+        Ms, Ls = fig8.normalized_peripheral(s)
+        assert np.max(np.abs(Ls - L0)) <= 2 * abs(s)
+        assert np.max(np.abs(Ms - M0)) <= 2 * abs(s)
+
+
 def test_limit_cusp_shape():
     m, l = fig8.limit_elements()
     shape = cl.cusp_shape(m, l)
@@ -305,6 +314,17 @@ def test_pipeline_two_fifths():
     assert rep.meridian_class == cl.PURE_TRANSLATION
     expected = -math.log(16 * (2 / 5) ** 4)
     assert abs(rep.dilation_f - expected) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "t", ["1/50", "1/20", "1/10", "1/4", "2/5", "49/100", "199/400", "499/1000", "501/1000", "3/5", "2", "31/3"]
+)
+def test_pipeline_dilation_is_s(t):
+    # including t within 1/1000 of the unipotent point 1/2, where s ~ 8e-3
+    rep = fig8.normalization_consistency(Fraction(t))
+    assert rep.sign == 1 and not rep.degenerate
+    assert rep.longitude_class == cl.PURE_DILATION
+    assert abs(rep.dilation_f - rep.s) <= 1e-9 * abs(rep.s)
 
 
 def test_pipeline_degenerate_at_half():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convexcusp import fig8, projlin as pl
+from convexcusp import cusplie, fig8, projlin as pl
 from convexcusp.cusplie import LieAlgElem, alg_matrix, group_exp
 
 
@@ -134,6 +134,22 @@ def test_exp_translation_element():
     assert E[0, 2] == b and E[0, 3] == b * b / 2 and E[2, 3] == b
 
 
+def expm_reference(M):
+    """Generic float exponential: scaling and squaring with a degree-20
+    Taylor core, which keeps the series remainder below 1e-14 relative."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    norm = np.max(np.sum(np.abs(M), axis=1))
+    s = int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    A = M / (2.0 ** s)
+    acc = np.eye(n)
+    for k in range(20, 0, -1):
+        acc = A @ acc / k + np.eye(n)
+    for _ in range(s):
+        acc = acc @ acc
+    return acc
+
+
 def test_exp_nilpotent_series_matches_scaling_squaring():
     rng = random.Random(2)
     for _ in range(10):
@@ -141,7 +157,7 @@ def test_exp_nilpotent_series_matches_scaling_squaring():
         s = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         x = alg_matrix(LieAlgElem("L0", (r, s)))
         exact = pl.to_float(pl.mat_exp(x))
-        numeric = pl.mat_exp(pl.to_float(x))
+        numeric = expm_reference(pl.to_float(x))
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(exact - numeric)) <= 1e-13 * scale
 
@@ -370,6 +386,43 @@ def test_mat_log_round_trip():
     g = pl.to_float(group_exp(LieAlgElem("LPrime", (0.7, 0.4))))
     L = pl.mat_log(g)
     assert np.max(np.abs(pl.mat_exp(L) - g)) <= 1e-12
+
+
+def test_exp_and_log_of_nilpotent_and_unipotent_stay_exact():
+    x = alg_matrix(LieAlgElem("LPrime", (0, Fraction(3, 7))))
+    g = pl.mat_exp(x)
+    assert pl.is_exact(g) and g[0, 3] == Fraction(9, 98)
+    assert pl.mat_log(g).tolist() == x.tolist()
+    x = alg_matrix(LieAlgElem("L0", (Fraction(-2, 5), Fraction(1, 3))))
+    assert pl.mat_log(pl.mat_exp(x)).tolist() == x.tolist()
+
+
+def test_mat_log_inverts_conjugated_group_elements():
+    # near a coincident eigenvalue (small a) and with a long Jordan chain
+    # (b = 3) the log of the canonical lift stays within 1e-10 relative
+    mags = np.geomspace(5e-4, 5, 13)
+    for seed in range(8):
+        G = np.random.default_rng(seed).uniform(-1, 1, (4, 4))
+        Gi = np.linalg.inv(G)
+        for b in (0.0, 0.5, 3.0):
+            for a in np.concatenate([mags, -mags]):
+                e = LieAlgElem("LPrime", (float(a), b))
+                ref = G @ pl.to_float(alg_matrix(e)) @ Gi
+                lift = cusplie.proj_normalize_lift(G @ pl.to_float(group_exp(e)) @ Gi)
+                assert np.max(np.abs(pl.mat_log(lift) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_exp_and_log_reject_matrices_off_the_cusp_shape():
+    M = pl.exact_matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
+    for A in (M, pl.to_float(M), np.random.default_rng(0).normal(size=(4, 4))):
+        for fn in (pl.mat_exp, pl.mat_log):
+            with pytest.raises(ValueError):
+                fn(A)
+    # the right shape with a non-positive eigenvalue has no real log
+    g = pl.to_float(group_exp(LieAlgElem("LPrime", (0.5, 0.2))))
+    g[1, 1] = -g[1, 1]
+    with pytest.raises(ValueError, match="positive eigenvalue"):
+        pl.mat_log(g)
 
 
 def canonical_point(v):
