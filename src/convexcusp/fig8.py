@@ -166,10 +166,14 @@ def longitude_display_report(t, stray_reading="t") -> dict:
 
 
 def s_of_t(t) -> float:
-    """Coordinate change s = log(1 / (16 t^4)); s decreases in t."""
+    """Coordinate change s = log(1 / (16 t^4)); s decreases in t.  For
+    1/4 < t < 3/4 it is -4 log1p(2t - 1), accurate next to t = 1/2: 2t - 1
+    is exact for a float t and rounded once for a rational one."""
     t = _coerce_t(t)
     if float(t) <= 0:
         raise ValueError("s is defined for t > 0")
+    if 0.25 < t < 0.75:
+        return -4.0 * math.log1p(float(2 * t - 1))
     return -math.log(16.0 * float(t) ** 4)
 
 

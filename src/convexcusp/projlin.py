@@ -203,6 +203,12 @@ def proj_equal(A, B) -> bool:
 # polynomials (degree <= 4 throughout)
 
 
+def _trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial with ascending coefficient tuple (index = power)."""
@@ -211,31 +217,11 @@ class Polynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs):
-        cs = list(coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
+        return cls(tuple(_trim(list(coeffs))))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def monic(self):
-        lead = self.coeffs[-1]
-        return Polynomial(tuple(c / lead for c in self.coeffs))
-
-    def mul(self, other):
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.from_coeffs(out)
 
     def __str__(self):
         terms = []
@@ -253,37 +239,31 @@ class Polynomial:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def poly_from_roots(roots, exact=True):
-    p = Polynomial((Fraction(1),) if exact else (1.0,))
-    for r in roots:
-        p = p.mul(Polynomial((-r, Fraction(1) if exact else 1.0)))
-    return p
+def _trace_recursion(M, exact):
+    """Ascending coefficients of det(tI - M) = t^n - c1 t^(n-1) - ... - cn
+    by the trace recursion.  Exact input is an integer matrix: every c_k
+    is then an integer, so the division by k is exact."""
+    n, cs, Mk = M.shape[0], [], M
+    I = np.identity(n, dtype=object if exact else float)
+    for k in range(1, n + 1):
+        tr = sum(Mk[i, i] for i in range(n))
+        cs.append(tr // k if exact else tr / k)
+        if k < n:
+            Mk = M @ (Mk - cs[-1] * I)
+    return [-c for c in reversed(cs)] + [1 if exact else 1.0]
 
 
 def char_poly(M) -> Polynomial:
-    """Characteristic polynomial by the trace recursion (both regimes).
+    """Characteristic polynomial det(tI - M), monic, in both regimes.
 
-    Returns the monic polynomial det(tI - M) with exact coefficients in
-    the exact regime.  There the recursion runs on the integer matrix
-    A = d M: every c_k of an integer matrix is an integer, so the
-    division by k is exact, and c_k(M) = c_k(A) / d^k.
+    The exact regime runs the trace recursion on the integer matrix
+    A = d M and returns Fractions: c_k(M) = c_k(A) / d^k.
     """
-    n = M.shape[0]
-    exact = is_exact(M)
-    if exact:
-        M, d = integer_scaled(M)
-    cs = []
-    Mk = np.array(M, copy=True)
-    I = np.identity(n, dtype=object) if exact else identity(n)
-    for k in range(1, n + 1):
-        tr = sum(Mk[i, i] for i in range(n))
-        ck = tr // k if exact else tr / k
-        cs.append(Fraction(ck, d ** k) if exact else ck)
-        if k < n:
-            Mk = M @ (Mk - ck * I)
-    # det(tI - M) = t^n - c1 t^(n-1) - c2 t^(n-2) - ... - cn
-    coeffs = [-c for c in reversed(cs)] + [Fraction(1) if exact else 1.0]
-    return Polynomial.from_coeffs(coeffs)
+    if not is_exact(M):
+        return Polynomial.from_coeffs(_trace_recursion(M, exact=False))
+    A, d = integer_scaled(M)
+    p = _trace_recursion(A, exact=True)
+    return Polynomial.from_coeffs([Fraction(c, d ** (len(p) - 1 - k)) for k, c in enumerate(p)])
 
 
 # ---------------------------------------------------------------------------
@@ -456,56 +436,55 @@ def mat_log(M):
 
 
 # ---------------------------------------------------------------------------
-# real spectra
+# real spectra; exact ones run on integer polynomials, int lists ascending
 
 
-def _poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    return Polynomial.from_coeffs([x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+def _derivative(p):
+    return [k * c for k, c in enumerate(p)][1:] or [0]
 
 
-def _poly_derivative(p: Polynomial) -> Polynomial:
-    return Polynomial.from_coeffs([k * c for k, c in enumerate(p.coeffs)][1:] or [0])
+def _pdivmod(a, b):
+    """Quotient and remainder of lc(b)^(deg a - deg b + 1) a by b (the
+    remainder is a when deg a < deg b): for a monic b, those of a."""
+    q, r, lb, db = [0] * max(1, len(a) - len(b) + 1), list(a), b[-1], len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        c = r[k + db]
+        if lb != 1:
+            q, r = [lb * v for v in q], [lb * v for v in r]
+        q[k] += c
+        for j, v in enumerate(b):
+            r[k + j] -= c * v
+    return q, _trim(r[:db] or [0])
 
 
-def _poly_divmod(a: Polynomial, b: Polynomial):
-    """Quotient and remainder of exact polynomials; ``b`` is nonzero."""
-    db = b.degree
-    if a.degree < db:
-        return Polynomial.from_coeffs([0]), a
-    rem = list(a.coeffs)
-    quot = [0] * (a.degree - db + 1)
-    for k in range(a.degree - db, -1, -1):
-        q = rem[k + db] / b.coeffs[-1]
-        quot[k] = q
-        for j, c in enumerate(b.coeffs):
-            rem[k + j] -= q * c
-    return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem[:db] or [0])
+def _primitive(p):
+    """p over its content, with a positive leading coefficient."""
+    c = math.gcd(*p) or 1
+    return [v // (c if p[-1] > 0 else -c) for v in p]
 
 
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor of exact polynomials, not both zero."""
-    while any(b.coeffs):
-        a, b = b, _poly_divmod(a, b)[1]
-    return a.monic()
+def _int_gcd(a, b):
+    """Primitive gcd, positive leading coefficient, by pseudo-remainders."""
+    while any(b):
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return _primitive(a)
 
 
-def _squarefree_factors(p: Polynomial):
-    """Yun's square-free factorisation of a monic exact polynomial.
+def _squarefree_factors(p):
+    """Yun's square-free factorisation of a monic integer polynomial.
 
-    Returns [(a_i, i)] with p = prod a_i^i, each a_i monic, square-free
-    and coprime to the others; constant factors are left out.
+    Returns [(a_i, i)] with p = prod a_i^i, each a_i square-free and
+    coprime to the others; constant factors are left out.  Every gcd
+    divides a monic polynomial, so it is monic and each quotient exact.
     """
-    dp = _poly_derivative(p)
-    g = _poly_gcd(p, dp)
-    b = _poly_divmod(p, g)[0]
-    d = _poly_sub(_poly_divmod(dp, g)[0], _poly_derivative(b))
-    out = []
-    i = 1
-    while b.degree > 0:
-        a = _poly_gcd(b, d)
-        b = _poly_divmod(b, a)[0]
-        d = _poly_sub(_poly_divmod(d, a)[0], _poly_derivative(b))
-        if a.degree > 0:
+    g = _int_gcd(p, _derivative(p))
+    b, c = _pdivmod(p, g)[0], _pdivmod(_derivative(p), g)[0]
+    out, i = [], 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _int_gcd(b, d)
+        b, c = _pdivmod(b, a)[0], _pdivmod(d, a)[0]
+        if len(a) > 1:
             out.append((a, i))
         i += 1
     return out
@@ -519,34 +498,43 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
+def _value(p, x):
+    """den^deg(p) p(x) at a Fraction x = num/den, in ints: the sign of p(x)."""
+    acc, scale, num, den = p[-1], 1, x.numerator, x.denominator
+    for c in reversed(p[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
+
+
 def _sign_changes(chain, x):
     """Sign changes along the values of a Sturm chain at x, zeros skipped."""
-    values = [v for v in (q(x) for q in chain) if v != 0]
+    values = [v for v in (_value(q, x) for q in chain) if v != 0]
     return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
 
 
-def _isolated_root(poly: Polynomial, a, b, lead):
-    """The one root of a square-free exact polynomial in (a, b].
+def _isolated_root(poly, a, b, lead):
+    """The one root of a square-free integer polynomial in (a, b].
 
     A rational root has a denominator dividing ``lead``, the leading
-    coefficient of the primitive integer multiple of ``poly``, so two
-    such numbers lie at least 1/lead^2 apart: once the interval is
-    narrower than half that, the nearest fraction with denominator at
-    most ``lead`` is the one candidate.  An irrational root is narrowed
-    until both ends round to the same float, its correctly rounded value.
+    coefficient of the primitive part of ``poly``, so two such numbers
+    lie at least 1/lead^2 apart: once the interval is narrower than half
+    that, the nearest fraction with denominator at most ``lead`` is the
+    one candidate.  An irrational root is narrowed until both ends round
+    to the same float, its correctly rounded value.
     """
-    fb = poly(b)
+    fb = _value(poly, b)
     tested = False
     while fb != 0:
         if not tested and b - a < Fraction(1, 2 * lead * lead):
             tested = True
             c = ((a + b) / 2).limit_denominator(lead)
-            if a < c < b and poly(c) == 0:
+            if a < c < b and _value(poly, c) == 0:
                 return c
         if tested and float(a) == float(b):
             return float(a)
         m = (a + b) / 2
-        fm = poly(m)
+        fm = _value(poly, m)
         if fm == 0 or (fm > 0) == (fb > 0):
             b, fb = m, fm
         else:
@@ -554,25 +542,32 @@ def _isolated_root(poly: Polynomial, a, b, lead):
     return b
 
 
-def _real_roots(poly: Polynomial):
-    """Real roots of a square-free exact polynomial of degree >= 2.
+def _sturm_chain(poly):
+    """p, p', -rem(p, p'), ... by pseudo-remainders over their contents,
+    scaled by |lc|^k: lc^k would flip signs after a degree gap."""
+    chain = [poly, _derivative(poly)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        rem = _pdivmod(a, b)[1]  # times lc(b)^(deg a - deg b + 1)
+        content = math.gcd(*rem) * (1 if b[-1] < 0 and (len(a) - len(b)) % 2 == 0 else -1)
+        chain.append([c // content for c in rem])
+    return chain
+
+
+def _real_roots(poly):
+    """Real roots of a square-free integer polynomial of degree >= 2.
 
     Sturm's theorem counts the roots in (a, b] as V(a) - V(b), the sign
-    changes of the chain p, p', -rem(p, p'), ... at the two ends.  The
-    roots are isolated by bisection from the Cauchy bound; fewer real
-    roots than the degree raise NonRealSpectrumError.
+    changes of ``_sturm_chain`` at the two ends.  The roots are isolated
+    by bisection from the Cauchy bound; fewer real roots than the degree
+    raise NonRealSpectrumError.
     """
-    chain = [poly, _poly_derivative(poly)]
-    while chain[-1].degree > 0:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        chain.append(Polynomial(tuple(-c for c in rem.coeffs)))
-    bound = 1 + max(abs(c / poly.coeffs[-1]) for c in poly.coeffs[:-1])
+    chain = _sturm_chain(poly)
+    bound = 1 + max(Fraction(abs(c), abs(poly[-1])) for c in poly[:-1])
     v_lo, v_hi = _sign_changes(chain, -bound), _sign_changes(chain, bound)
-    if v_lo - v_hi < poly.degree:
+    if v_lo - v_hi < len(poly) - 1:
         raise NonRealSpectrumError("characteristic polynomial has complex roots")
-    den = math.lcm(*(c.denominator for c in poly.coeffs))
-    ints = [int(c * den) for c in poly.coeffs]
-    lead = abs(ints[-1]) // math.gcd(*ints)
+    lead = abs(poly[-1]) // math.gcd(*poly)
     roots, stack = [], [(-bound, v_lo, bound, v_hi)]
     while stack:
         a, va, b, vb = stack.pop()
@@ -588,23 +583,23 @@ def _real_roots(poly: Polynomial):
 def real_spectrum(M):
     """Eigenvalues with algebraic multiplicities, sorted ascending.
 
-    Exact regime: the characteristic polynomial is split into square-free
-    factors (Yun), whose multiplicities are those of their roots.  A
-    linear factor is solved directly; the roots of every other factor
-    are isolated by Sturm sequences (``_real_roots``).  Rational roots
-    come back as Fractions and irrational ones as correctly rounded
-    floats; there is no fallback to float eigenvalues.  Float regime:
-    numpy eigenvalues, clustered at relative radius
+    Exact regime, in ints: det(xI - A) for A = d M is split into
+    square-free factors (Yun), whose multiplicities are those of their
+    roots.  A linear factor gives its root x / d directly; every other
+    factor is rewritten in lambda = x / d, so that a float root is rounded
+    once, and its roots are isolated by Sturm chains (``_real_roots``).
+    Rational roots come back as Fractions and irrational ones as correctly
+    rounded floats; there is no fallback to float eigenvalues.  Float
+    regime: numpy eigenvalues, clustered at relative radius
     ``SPECTRUM_CLUSTER_TOL``.  Complex eigenvalues raise
     NonRealSpectrumError, in the exact regime by an exact count.
     """
     if is_exact(M):
+        A, d = integer_scaled(M)
         out = []
-        for factor, mult in _squarefree_factors(char_poly(M)):
-            if factor.degree == 1:
-                roots = [-factor.coeffs[0] / factor.coeffs[1]]
-            else:
-                roots = _real_roots(factor)
+        for factor, mult in _squarefree_factors(_trace_recursion(A, exact=True)):
+            roots = ([Fraction(-factor[0], factor[1] * d)] if len(factor) == 2
+                     else _real_roots([c * d ** k for k, c in enumerate(factor)]))
             out += [(r, mult) for r in roots]
         return sorted(out, key=lambda rm: rm[0])
     eig = np.linalg.eigvals(np.asarray(M, dtype=float))
@@ -629,12 +624,13 @@ def real_spectrum(M):
 
 def is_proj_unipotent(M) -> bool:
     """Whether all eigenvalues coincide after projective rescaling,
-    decided exactly for an exact M: char(t) == (t - tr/4)^4."""
+    decided exactly for an exact M: p = det(xI - A), A = d M, is
+    (x - tr A / n)^n, that is n^k p_(n-k) = C(n, k) p_(n-1)^k for all k."""
     if not is_exact(M):
         raise TypeError("projective unipotency is decided exactly; pass an exact matrix")
-    n = M.shape[0]
-    lam = sum(M[i, i] for i in range(n)) / n
-    return char_poly(M).coeffs == poly_from_roots([lam] * n).coeffs
+    p = _trace_recursion(integer_scaled(M)[0], exact=True)
+    n = len(p) - 1
+    return all(n ** k * p[n - k] == math.comb(n, k) * p[n - 1] ** k for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

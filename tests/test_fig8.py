@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,19 @@ def test_round_trip():
     for t in (0.1, 0.25, 0.5, 0.9, 2.0):
         assert abs(fig8.t_of_s(fig8.s_of_t(t)) - t) <= 1e-15 * t
     assert fig8.s_of_t(Fraction(1, 4)) == pytest.approx(math.log(16), abs=1e-15)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_s_next_to_the_unipotent_point_against_decimal(k):
+    # -log(16 t^4) loses about eps / |s| relative here (2.2e-5 at
+    # 1/2 - 1e-12); -4 log1p(2t - 1) is accurate to rounding
+    for t in (Fraction(1, 2) + Fraction(1, 10 ** k), Fraction(1, 2) - Fraction(1, 10 ** k),
+              0.5 + 10.0 ** -k, 0.5 - 10.0 ** -k):
+        exact = Fraction(t)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            oracle = -4 * (Decimal(2 * exact.numerator) / Decimal(exact.denominator)).ln()
+            assert abs(Decimal(fig8.s_of_t(t)) - oracle) <= Decimal(2.0 ** -52) * abs(oracle)
 
 
 def test_s_rejects_nonpositive():

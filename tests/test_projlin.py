@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_spectrum_identity():
 def test_spectrum_longitude_quarter():
     L = fig8.longitude(Fraction(1, 4))
     # oracle: the exact characteristic polynomial factors as (t-1/2)^3 (t-8)
-    expected = pl.poly_from_roots([Fraction(1, 2)] * 3 + [Fraction(8)])
+    expected = poly_from_roots([Fraction(1, 2)] * 3 + [Fraction(8)])
     assert pl.char_poly(L).coeffs == expected.coeffs
     assert pl.real_spectrum(L) == [(Fraction(1, 2), 3), (Fraction(8), 1)]
 
@@ -211,6 +212,142 @@ def test_spectrum_square_free_factors():
     spec = pl.real_spectrum(N)
     assert [m for _, m in spec] == [2, 2]
     assert [float(v) for v, _ in spec] == pytest.approx([-2 ** 0.5, 2 ** 0.5], abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction algorithm exact spectra used before they ran on ints: Yun's
+# split and Sturm chains on the monic characteristic polynomial in lambda
+
+
+def poly_from_roots(roots):
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return pl.Polynomial.from_coeffs(coeffs)
+
+
+def _ref_sub(a, b):
+    return pl.Polynomial.from_coeffs([x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+
+
+def _ref_derivative(p):
+    return pl.Polynomial.from_coeffs([k * c for k, c in enumerate(p.coeffs)][1:] or [0])
+
+
+def _ref_divmod(a, b):
+    db = b.degree
+    if a.degree < db:
+        return pl.Polynomial.from_coeffs([0]), a
+    rem = list(a.coeffs)
+    quot = [0] * (a.degree - db + 1)
+    for k in range(a.degree - db, -1, -1):
+        q = rem[k + db] / b.coeffs[-1]
+        quot[k] = q
+        for j, c in enumerate(b.coeffs):
+            rem[k + j] -= q * c
+    return pl.Polynomial.from_coeffs(quot), pl.Polynomial.from_coeffs(rem[:db] or [0])
+
+
+def _ref_gcd(a, b):
+    while any(b.coeffs):
+        a, b = b, _ref_divmod(a, b)[1]
+    return pl.Polynomial(tuple(c / a.coeffs[-1] for c in a.coeffs))
+
+
+def reference_squarefree(p):
+    """Yun's split of a monic Fraction polynomial into monic factors."""
+    dp = _ref_derivative(p)
+    g = _ref_gcd(p, dp)
+    b = _ref_divmod(p, g)[0]
+    d = _ref_sub(_ref_divmod(dp, g)[0], _ref_derivative(b))
+    out, i = [], 1
+    while b.degree > 0:
+        a = _ref_gcd(b, d)
+        b = _ref_divmod(b, a)[0]
+        d = _ref_sub(_ref_divmod(d, a)[0], _ref_derivative(b))
+        if a.degree > 0:
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def _at(p, x):
+    """p(x) by Horner, in the scalars of x."""
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_sign_changes(chain, x):
+    values = [v for v in (_at(q, x) for q in chain) if v != 0]
+    return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
+
+
+def _ref_isolated_root(poly, a, b, lead):
+    fb = _at(poly, b)
+    tested = False
+    while fb != 0:
+        if not tested and b - a < Fraction(1, 2 * lead * lead):
+            tested = True
+            c = ((a + b) / 2).limit_denominator(lead)
+            if a < c < b and _at(poly, c) == 0:
+                return c
+        if tested and float(a) == float(b):
+            return float(a)
+        m = (a + b) / 2
+        fm = _at(poly, m)
+        if fm == 0 or (fm > 0) == (fb > 0):
+            b, fb = m, fm
+        else:
+            a = m
+    return b
+
+
+def reference_sturm_chain(poly):
+    chain = [poly, _ref_derivative(poly)]
+    while chain[-1].degree > 0:
+        rem = _ref_divmod(chain[-2], chain[-1])[1]
+        chain.append(pl.Polynomial(tuple(-c for c in rem.coeffs)))
+    return chain
+
+
+def reference_real_roots(poly):
+    """Sturm chain by Fraction remainders, bisection from the Cauchy bound."""
+    chain = reference_sturm_chain(poly)
+    bound = 1 + max(abs(c / poly.coeffs[-1]) for c in poly.coeffs[:-1])
+    v_lo, v_hi = _ref_sign_changes(chain, -bound), _ref_sign_changes(chain, bound)
+    if v_lo - v_hi < poly.degree:
+        raise pl.NonRealSpectrumError("characteristic polynomial has complex roots")
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    ints = [int(c * den) for c in poly.coeffs]
+    lead = abs(ints[-1]) // math.gcd(*ints)
+    roots, stack = [], [(-bound, v_lo, bound, v_hi)]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            roots.append(_ref_isolated_root(poly, a, b, lead))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = _ref_sign_changes(chain, m)
+            stack += [(a, va, m, vm), (m, vm, b, vb)]
+    return roots
+
+
+def reference_real_spectrum(M):
+    out = []
+    for factor, mult in reference_squarefree(pl.char_poly(M)):
+        if factor.degree == 1:
+            roots = [-factor.coeffs[0] / factor.coeffs[1]]
+        else:
+            roots = reference_real_roots(factor)
+        out += [(r, mult) for r in roots]
+    return sorted(out, key=lambda rm: rm[0])
+
+
+def reference_is_proj_unipotent(M):
+    lam = sum(M[i, i] for i in range(4)) / 4
+    return pl.char_poly(M).coeffs == poly_from_roots([lam] * 4).coeffs
 
 
 def reference_char_poly(M):
@@ -325,7 +462,7 @@ def test_spectrum_property_irrational_and_complex_blocks():
         assert [v for v, _ in spec if isinstance(v, Fraction)] == [lam]
         floats = [v for v, _ in spec if isinstance(v, float)]
         assert len(floats) == 3
-        assert all(_correctly_rounded(f, lambda x: cubic(x - r)) for f in floats)
+        assert all(_correctly_rounded(f, lambda x: _at(cubic, x - r)) for f in floats)
         # t^3 - 2 has one real root
         with pytest.raises(pl.NonRealSpectrumError):
             pl.real_spectrum(_conjugated(rng, [[0, 0, 2], [1, 0, 0], [0, 1, 0]], [lam]))
@@ -340,7 +477,7 @@ def test_spectrum_irrational_root_next_to_a_rational_one():
     assert [v for v, _ in spec if isinstance(v, Fraction)] == [0, 3]
     p = pl.Polynomial((Fraction(1), Fraction(-10), Fraction(1)))
     floats = [v for v, _ in spec if isinstance(v, float)]
-    assert len(floats) == 2 and all(_correctly_rounded(f, p) for f in floats)
+    assert len(floats) == 2 and all(_correctly_rounded(f, lambda x: _at(p, x)) for f in floats)
 
 
 @pytest.mark.parametrize("dens", [(1000003, 1000033, 1000037), (46021, 46027, 46049)])
@@ -354,6 +491,104 @@ def test_spectrum_of_close_large_height_eigenvalues(dens):
     assert time.perf_counter() - start < 1.0
     assert spec == [(Fraction(1, q), 1) for q in reversed(dens)] + [(Fraction(3), 1)]
     assert all(isinstance(v, Fraction) for v, _ in spec)
+
+
+def _typed(spec):
+    """A spectrum with every value tagged by its type, floats by their bits."""
+    return [(type(v), v.hex() if isinstance(v, float) else v, m) for v, m in spec]
+
+
+def _outcome(spectrum, M):
+    try:
+        return _typed(spectrum(M))
+    except pl.NonRealSpectrumError:
+        return "complex"
+
+
+def _property_cases():
+    """Longitudes, conjugated Jordan forms and irrational cubic blocks."""
+    rng = random.Random(616)
+    ts = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(60)]
+    for t in ts + [Fraction(1, 2), Fraction(1001, 3001), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7)]:
+        yield fig8.longitude(t)
+    for i in range(200):
+        # two eigenvalues for four places: always a repeated one, and the
+        # random entries above the diagonal make its Jordan blocks nontrivial
+        a, b = _height_rational(rng), Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        s, q = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+        if i % 4 == 0:  # a real, irrational or complex pair next to a double eigenvalue
+            yield _conjugated(rng, [[0, -q], [1, s]], [a, a])
+        elif i % 4 == 1:  # one Jordan block of size 2 for each root of t^2 - s t + q
+            yield _conjugated(rng, [[0, -q, 1, 0], [1, s, 0, 1], [0, 0, 0, -q], [0, 0, 1, s]], [])
+        else:
+            yield _conjugated(rng, (), [rng.choice((a, b)) for _ in range(4)])
+    for _ in range(10):
+        r, lam = _height_rational(rng), _height_rational(rng)
+        yield _conjugated(rng, [[r, 0, -1], [1, r, 3], [0, 1, r]], [lam])
+
+
+def test_exact_spectra_equal_the_fraction_algorithm():
+    outcomes = []
+    for M in _property_cases():
+        outcome = _outcome(reference_real_spectrum, M)
+        assert _outcome(pl.real_spectrum, M) == outcome
+        assert pl.char_poly(M).coeffs == reference_char_poly(M).coeffs
+        assert pl.is_proj_unipotent(M) == reference_is_proj_unipotent(M)
+        outcomes.append(outcome)
+    # the cases reach what they are for
+    assert len(outcomes) == 273
+    assert sum(o == "complex" for o in outcomes) >= 30
+    assert sum(any(t is float for t, _, _ in o) for o in outcomes if o != "complex") >= 55
+    assert sum(any(m > 1 for _, _, m in o) for o in outcomes if o != "complex") >= 225
+
+
+def test_irrational_root_is_rounded_once():
+    # the factor in x = 3 lambda is x^2 - 2: sqrt(2) / 3 taken through
+    # the float sqrt(2) rounds twice and misses the nearest float
+    M = pl.exact_matrix([[0, "2/3", 0, 0], ["1/3", 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert pl.integer_scaled(M)[1] == 3
+    spec = pl.real_spectrum(M)
+    assert [m for _, m in spec] == [1, 1, 2] and spec[2][0] == 1
+    root = spec[1][0]
+    assert spec[0][0] == -root and root != math.sqrt(2) / 3
+    assert _correctly_rounded(root, lambda x: 9 * x * x - 2)
+
+
+@pytest.mark.parametrize("p, real_roots", [
+    ([1, 4, 0, 0, 1], 2), ([1, 1, 0, 0, 1], 0), ([1, -4, 0, 0, 1], 2), ([-2, 0, 9], 2), ([-2, 0, 0, 1], 1),
+])
+def test_sturm_chain_counts_with_either_leading_sign(p, real_roots):
+    # x^4 + c x + e has a first remainder of degree 1, so the next pseudo-
+    # remainder carries the cube of that remainder's leading coefficient
+    for q in (p, [-c for c in p]):
+        ref = reference_sturm_chain(pl.Polynomial(tuple(Fraction(c) for c in q)))
+        bound = 1 + max(Fraction(abs(c), abs(q[-1])) for c in q[:-1])
+        assert _ref_sign_changes(ref, -bound) - _ref_sign_changes(ref, bound) == real_roots
+        chain = pl._sturm_chain(q)
+        for x in (-bound, Fraction(-1, 3), Fraction(0), Fraction(1, 3), bound):
+            assert pl._sign_changes(chain, x) == _ref_sign_changes(ref, x)
+        if real_roots == len(q) - 1:
+            assert pl._real_roots(q) == pl._real_roots([-c for c in q])
+        else:
+            with pytest.raises(pl.NonRealSpectrumError):
+                pl._real_roots(q)
+
+
+def test_exact_spectra_do_not_need_the_least_d(monkeypatch):
+    rng = random.Random(618)
+    cases = [fig8.longitude(Fraction(3, 7)), 3 * fig8.longitude(Fraction(1, 2)),
+             _conjugated(rng, [[0, 0, -1], [1, 0, 3], [0, 1, 0]], [Fraction(2, 5)]),
+             _conjugated(rng, (), [Fraction(1, 3)] * 3 + [Fraction(-2)]),
+             _conjugated(rng, [[0, 0, 2], [1, 0, 0], [0, 1, 0]], [Fraction(1)])]
+
+    def results():
+        return [(_outcome(pl.real_spectrum, M), pl.char_poly(M).coeffs, pl.is_proj_unipotent(M)) for M in cases]
+
+    least = results()
+    scaled = pl.integer_scaled
+    monkeypatch.setattr(pl, "integer_scaled", lambda M: tuple(6 * v for v in scaled(M)))
+    assert pl.integer_scaled(cases[0])[1] == 6 * scaled(cases[0])[1]
+    assert results() == least
 
 
 def test_spectrum_of_exponential_matches_exp_of_spectrum():
@@ -380,6 +615,22 @@ def test_is_proj_unipotent_decides_exactly():
     assert not pl.is_proj_unipotent(fig8.longitude(Fraction(1, 4)))
     with pytest.raises(TypeError):
         pl.is_proj_unipotent(np.eye(4))
+    # the same trace as I, and trace 0 with two double eigenvalues
+    assert not pl.is_proj_unipotent(pl.exact_matrix([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]))
+    assert not pl.is_proj_unipotent(pl.exact_matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]]))
+    rng = random.Random(619)
+    for _ in range(20):
+        lam = _height_rational(rng) or Fraction(1)
+        N = pl.zero_matrix(4, exact=True)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                N[i, j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        G = rand_rational_matrix(rng)
+        T = pl.identity(4, exact=True) + N
+        assert pl.is_proj_unipotent(G @ T @ pl.mat_inv(G)) and pl.is_proj_unipotent(lam * T)
+        assert pl.is_proj_unipotent(lam * pl.identity(4, exact=True))
+        T[3, 3] += Fraction(1, 10 ** 9)  # one eigenvalue moved off the others
+        assert not pl.is_proj_unipotent(G @ (lam * T) @ pl.mat_inv(G))
 
 
 def test_mat_log_round_trip():
