@@ -239,31 +239,17 @@ class Polynomial:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def _trace_recursion(M, exact):
-    """Ascending coefficients of det(tI - M) = t^n - c1 t^(n-1) - ... - cn
-    by the trace recursion.  Exact input is an integer matrix: every c_k
-    is then an integer, so the division by k is exact."""
-    n, cs, Mk = M.shape[0], [], M
-    I = np.identity(n, dtype=object if exact else float)
+def _trace_recursion(A):
+    """Ascending coefficients of det(tI - A) = t^n - c1 t^(n-1) - ... - cn
+    for an integer matrix A, by the trace recursion: every c_k is an
+    integer, so the division by k is exact."""
+    n, cs, Ak = A.shape[0], [], A
+    I = np.identity(n, dtype=object)
     for k in range(1, n + 1):
-        tr = sum(Mk[i, i] for i in range(n))
-        cs.append(tr // k if exact else tr / k)
+        cs.append(sum(Ak[i, i] for i in range(n)) // k)
         if k < n:
-            Mk = M @ (Mk - cs[-1] * I)
-    return [-c for c in reversed(cs)] + [1 if exact else 1.0]
-
-
-def char_poly(M) -> Polynomial:
-    """Characteristic polynomial det(tI - M), monic, in both regimes.
-
-    The exact regime runs the trace recursion on the integer matrix
-    A = d M and returns Fractions: c_k(M) = c_k(A) / d^k.
-    """
-    if not is_exact(M):
-        return Polynomial.from_coeffs(_trace_recursion(M, exact=False))
-    A, d = integer_scaled(M)
-    p = _trace_recursion(A, exact=True)
-    return Polynomial.from_coeffs([Fraction(c, d ** (len(p) - 1 - k)) for k, c in enumerate(p)])
+            Ak = A @ (Ak - cs[-1] * I)
+    return [-c for c in reversed(cs)] + [1]
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +583,7 @@ def real_spectrum(M):
     if is_exact(M):
         A, d = integer_scaled(M)
         out = []
-        for factor, mult in _squarefree_factors(_trace_recursion(A, exact=True)):
+        for factor, mult in _squarefree_factors(_trace_recursion(A)):
             roots = ([Fraction(-factor[0], factor[1] * d)] if len(factor) == 2
                      else _real_roots([c * d ** k for k, c in enumerate(factor)]))
             out += [(r, mult) for r in roots]
@@ -628,7 +614,7 @@ def is_proj_unipotent(M) -> bool:
     (x - tr A / n)^n, that is n^k p_(n-k) = C(n, k) p_(n-1)^k for all k."""
     if not is_exact(M):
         raise TypeError("projective unipotency is decided exactly; pass an exact matrix")
-    p = _trace_recursion(integer_scaled(M)[0], exact=True)
+    p = _trace_recursion(integer_scaled(M)[0])
     n = len(p) - 1
     return all(n ** k * p[n - k] == math.comb(n, k) * p[n - 1] ** k for k in range(n + 1))
 

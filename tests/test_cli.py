@@ -1,9 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convexcusp import cli, projlin as pl
+from convexcusp import claims, cli, projlin as pl
 from convexcusp.cusplie import LieAlgElem, group_exp
 
 
@@ -204,3 +209,47 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["nonsense"])
     assert err.value.code == 2
+
+
+def test_selftest_prints_every_row_and_is_deterministic():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [
+        subprocess.run([sys.executable, "-m", "convexcusp.cli", "selftest"], env=dict(env, PYTHONHASHSEED=seed),
+                       capture_output=True, check=False)
+        for seed in ("1", "2")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.decode().splitlines()
+    n = len(claims.TABLE)
+    assert n >= 13 and len({row.key for row in claims.TABLE}) == n
+    assert [line.split()[:2] for line in lines[:-1]] == [["PASS", row.key] for row in claims.TABLE]
+    assert lines[-1] == f"{n}/{n} claims hold"
+
+
+def test_readme_lists_every_claim_row():
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    assert re.findall(r"^\| `([a-z0-9-]+)` \|", readme, flags=re.M) == [row.key for row in claims.TABLE]
+
+
+def test_selftest_fails_a_row_over_its_bound(monkeypatch, capsys):
+    row = next(r for r in claims.TABLE if r.key == "peripheral-convergence")
+    value = row.measure(**row.inputs)
+    monkeypatch.setattr(claims, "TABLE", (row._replace(bound=value / 2),))
+    assert run(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["FAIL", "peripheral-convergence", f"{value:.3g}", "<=", f"{value / 2:g}"]
+    assert out[1] == "0/1 claims hold"
+
+
+def test_selftest_fails_a_row_whose_measure_raises(monkeypatch, capsys):
+    def diverges():
+        raise ArithmeticError("no convergence")
+
+    broken = claims.TABLE[0]._replace(measure=diverges, inputs={})
+    monkeypatch.setattr(claims, "TABLE", (broken, claims.TABLE[1]))
+    assert run(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["FAIL", broken.key, "ArithmeticError:", "no", "convergence"]
+    assert out[1].startswith(f"PASS {claims.TABLE[1].key}") and out[2] == "1/2 claims hold"

@@ -173,9 +173,6 @@ def test_spectrum_identity():
 
 def test_spectrum_longitude_quarter():
     L = fig8.longitude(Fraction(1, 4))
-    # oracle: the exact characteristic polynomial factors as (t-1/2)^3 (t-8)
-    expected = poly_from_roots([Fraction(1, 2)] * 3 + [Fraction(8)])
-    assert pl.char_poly(L).coeffs == expected.coeffs
     assert pl.real_spectrum(L) == [(Fraction(1, 2), 3), (Fraction(8), 1)]
 
 
@@ -336,7 +333,7 @@ def reference_real_roots(poly):
 
 def reference_real_spectrum(M):
     out = []
-    for factor, mult in reference_squarefree(pl.char_poly(M)):
+    for factor, mult in reference_squarefree(reference_char_poly(M)):
         if factor.degree == 1:
             roots = [-factor.coeffs[0] / factor.coeffs[1]]
         else:
@@ -347,7 +344,7 @@ def reference_real_spectrum(M):
 
 def reference_is_proj_unipotent(M):
     lam = sum(M[i, i] for i in range(4)) / 4
-    return pl.char_poly(M).coeffs == poly_from_roots([lam] * 4).coeffs
+    return reference_char_poly(M).coeffs == poly_from_roots([lam] * 4).coeffs
 
 
 def reference_char_poly(M):
@@ -383,22 +380,22 @@ def _char_poly_cases():
         yield pl.exact_matrix([[_height_rational(rng) for _ in range(4)] for _ in range(4)])
 
 
-def test_char_poly_equals_trace_recursion_on_fractions():
+def scaled_reference_char_poly(M):
+    """det(tI - d M) for (A, d) = integer_scaled(M): c_k d^(n-k) from the
+    Fraction recursion on M itself."""
+    d, coeffs = pl.integer_scaled(M)[1], reference_char_poly(M).coeffs
+    return [c * d ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs)]
+
+
+def test_trace_recursion_is_the_scaled_char_poly():
     cases = list(_char_poly_cases())
     for M in cases:
-        p = pl.char_poly(M)
-        assert all(isinstance(c, Fraction) for c in p.coeffs)
-        assert p.coeffs == reference_char_poly(M).coeffs
+        p = pl._trace_recursion(pl.integer_scaled(M)[0])
+        assert all(type(c) is int for c in p)
+        assert p == scaled_reference_char_poly(M)
     # the singular and nilpotent cases are what they claim to be
     assert sum(pl.mat_det(M) == 0 for M in cases) >= 21
-    assert sum(pl.char_poly(M).coeffs == (0, 0, 0, 0, 1) for M in cases) >= 11
-
-
-def test_char_poly_float_path_unchanged():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        M = rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-3, 4)
-        assert pl.char_poly(M).coeffs == reference_char_poly(M).coeffs
+    assert sum(reference_char_poly(M).coeffs == (0, 0, 0, 0, 1) for M in cases) >= 11
 
 
 def test_integer_scaled_is_least():
@@ -532,7 +529,7 @@ def test_exact_spectra_equal_the_fraction_algorithm():
     for M in _property_cases():
         outcome = _outcome(reference_real_spectrum, M)
         assert _outcome(pl.real_spectrum, M) == outcome
-        assert pl.char_poly(M).coeffs == reference_char_poly(M).coeffs
+        assert pl._trace_recursion(pl.integer_scaled(M)[0]) == scaled_reference_char_poly(M)
         assert pl.is_proj_unipotent(M) == reference_is_proj_unipotent(M)
         outcomes.append(outcome)
     # the cases reach what they are for
@@ -582,7 +579,7 @@ def test_exact_spectra_do_not_need_the_least_d(monkeypatch):
              _conjugated(rng, [[0, 0, 2], [1, 0, 0], [0, 1, 0]], [Fraction(1)])]
 
     def results():
-        return [(_outcome(pl.real_spectrum, M), pl.char_poly(M).coeffs, pl.is_proj_unipotent(M)) for M in cases]
+        return [(_outcome(pl.real_spectrum, M), pl.is_proj_unipotent(M)) for M in cases]
 
     least = results()
     scaled = pl.integer_scaled
