@@ -259,29 +259,3 @@ def write_displacement_csv(path, profile: DisplacementProfile):
         for lev, d in zip(profile.levels, profile.displacements):
             w.writerow([f"{lev:.12g}", f"{d:.12g}"])
     return path
-
-
-# ---------------------------------------------------------------------------
-# lattice tiling of the base
-
-
-def tiling_overlap_fraction(fd: CuspFundamentalDomain, n_samples=10_000, seed=0) -> float:
-    """Fraction of sample points of the doubled base rectangle covered by
-    zero or more than one lattice translate of the fundamental rectangle.
-
-    The dilation acts by x2 -> e^a x2 and the translation by
-    x3 -> x3 + b; half-open tiles make the fraction vanish exactly up to
-    boundary hits.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    a = fd.dilation
-    b = fd.translation
-    x2 = rng.uniform(1.0, math.exp(2 * a), n_samples)
-    x3 = rng.uniform(0.0, 2 * b, n_samples)
-    counts = np.zeros(n_samples, dtype=int)
-    for i_dil in (0, 1):
-        lo2, hi2 = math.exp(i_dil * a), math.exp((i_dil + 1) * a)
-        for j_tr in (0, 1):
-            lo3, hi3 = j_tr * b, (j_tr + 1) * b
-            counts += ((x2 >= lo2) & (x2 < hi2) & (x3 >= lo3) & (x3 < hi3)).astype(int)
-    return float(np.mean(counts != 1))

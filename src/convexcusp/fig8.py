@@ -3,17 +3,15 @@
 The two-generator presentation < m, n | m w = w n > with
 w = n m^-1 n^-1 m is represented by an explicit one-parameter family of
 unipotent matrix pairs; the longitude is the word w w_reversed.  Words
-are exact for rational parameters, taken in integers over one common
-denominator.  s = log(1/(16 t^4)) places the hyperbolic point at 0
+are exact for rational parameters: the four letters are integer matrices
+in closed form over one denominator, and a word is reduced once to the
+least denominator, the form that the exact spectrum and the unipotency
+test take.  s = log(1/(16 t^4)) places the hyperbolic point at 0
 (``s_of_t`` also checks t > 0), and the peripheral pair admits closed
 normalized forms converging to an explicit pair of parabolic
 translations.  The peripheral pair (meridian, longitude) is plain
 matrices: ``normalization_consistency`` checks its commutation and rank
 through ``cusplie.normalize_pair``.
-
-A closed-form table for the longitude matrix circulates with one
-ambiguous entry; the group word is authoritative here and
-``longitude_display_report`` compares the two entrywise.
 """
 
 from __future__ import annotations
@@ -52,23 +50,26 @@ def _letters(t):
     """The generators and their inverses as (numerator, denominator) pairs,
     keyed m, n, M = m^-1 and N = n^-1.
 
-    Rational t: integer object matrices over the common denominator d of
-    both generators.  Each generator g = I + X is unipotent, X^4 = 0, so
-    g^-1 = I - X + X^2 - X^3 takes no elimination and d^3 g^-1 is an
-    integer matrix.  Float t: the float generators and their Gauss-Jordan
-    inverses over denominator 1.
+    Rational t = p/q: integer object matrices over the one denominator
+    d = lcm(2q, |p|), in closed form.  Each generator is unipotent,
+    g = I + X with X^3 = 0, so g^-1 = I - X + X^2 has the denominator of g.
+    Float t: the float generators and their Gauss-Jordan inverses over
+    denominator 1.
     """
-    M, N = generators(t)
-    if not is_exact(M):
+    t = _coerce_t(t)
+    if not isinstance(t, Fraction):
+        M, N = generators(t)
         return {"m": (M, 1), "n": (N, 1), "M": (mat_inv(M), 1), "N": (mat_inv(N), 1)}
-    A, d = projlin.integer_scaled(np.hstack([M, N]))
-    dI = d * np.identity(4, dtype=object)
-    out = {}
-    for g, G in (("m", A[:, :4]), ("n", A[:, 4:])):
-        X = G - dI  # d (g - I)
-        out[g] = (G, d)
-        out[g.upper()] = (d * d * dI + X @ (X @ (dI - X) - d * dI), d ** 3)
-    return out
+    p, q = t.numerator, t.denominator
+    d = math.lcm(2 * q, abs(p))
+    dt, dr, h = d * p // q, d * q // p, d // 2  # d t, d / t and d / 2
+    rows = {
+        "m": [[d, 0, d, dt - d], [0, d, d, dt], [0, 0, d, dt + h], [0, 0, 0, d]],
+        "n": [[d, 0, 0, 0], [2 * d + dr, d, 0, 0], [2 * d, d, d, 0], [d, d, 0, d]],
+        "M": [[d, 0, -d, 3 * h], [0, d, -d, h], [0, 0, d, -dt - h], [0, 0, 0, d]],
+        "N": [[d, 0, 0, 0], [-2 * d - dr, d, 0, 0], [dr, -d, d, 0], [d + dr, -d, 0, d]],
+    }
+    return {c: (np.array(r, dtype=object), d) for c, r in rows.items()}
 
 
 def _product(*factors):
@@ -77,6 +78,19 @@ def _product(*factors):
     for g, e in factors[1:]:
         num, den = num @ g, den * e
     return num, den
+
+
+def _word(t, letters):
+    """The word as a (numerator, denominator) pair.  Rational t: the
+    integer matrix and least denominator of ``integer_scaled`` of the
+    word, by one gcd, since the reduced denominators of num / den have
+    the lcm den / gcd(den, num)."""
+    mats = _letters(t)
+    num, den = _product(*(mats[c] for c in letters))
+    if num.dtype != object:
+        return num, den
+    g = math.gcd(den, *num.flat)
+    return num // g, den // g
 
 
 def _fractions(num, den):
@@ -88,8 +102,7 @@ def word(t, letters):
     """The product of the generators named by ``letters`` (m, n and the
     inverses M, N), left to right.  Exact for rational t, where the
     product is taken in Python ints and reduced to Fractions at the end."""
-    mats = _letters(t)
-    num, den = _product(*(mats[c] for c in letters))
+    num, den = _word(t, letters)
     return _fractions(num, den) if num.dtype == object else num
 
 
@@ -109,60 +122,24 @@ def relation_residual(t):
     return lhs - lam * rhs
 
 
+#: the longitude n m^-1 n^-1 m^2 n^-1 m^-1 n as ``word`` letters
+LONGITUDE = "nMNmmNMn"
+
+
 def longitude(t):
     """The longitude word n m^-1 n^-1 m^2 n^-1 m^-1 n, evaluated exactly
     for rational t; commutes projectively with the meridian."""
-    return word(t, "nMNmmNMn")
+    return word(t, LONGITUDE)
 
 
 def longitude_spectrum(t):
     """Eigenvalues with multiplicities of the longitude (exact for
-    rational t); {2t x3, 1/(8 t^3)} away from the unipotent point."""
+    rational t, from its integer word); {2t x3, 1/(8 t^3)} away from the
+    unipotent point."""
+    t = _coerce_t(t)
+    if isinstance(t, Fraction):
+        return real_spectrum(*_word(t, LONGITUDE))
     return real_spectrum(longitude(t))
-
-
-def displayed_longitude(t, stray_reading="t"):
-    """The closed-form longitude table.
-
-    One entry of the table contains a stray symbol; ``stray_reading``
-    selects how to read it ("t" or "2t").  Evaluating the group word
-    shows "t" is the reading that reproduces it.
-    """
-    t = _coerce_t(t)
-    stray = {"t": t, "2t": 2 * t}[stray_reading]
-    rows = [
-        [
-            (8 * t ** 3 - 4 * t ** 2 - 2 * t - 1) / (8 * t ** 2),
-            (8 * t ** 3 + 4 * t ** 2 + 2 * stray + 1) / (8 * t ** 2),
-            (-4 * t ** 2 - 1) / (4 * t ** 2),
-            (40 * t ** 3 + 24 * t ** 2 + 4 * t + 3) / (8 * t ** 2),
-        ],
-        [
-            (8 * t ** 4 - 4 * t ** 3 - 2 * t ** 2 - t - 1) / (8 * t ** 3),
-            (8 * t ** 4 + 4 * t ** 3 + 2 * t ** 2 + t + 1) / (8 * t ** 3),
-            (4 * t ** 3 - 4 * t ** 2 + t - 1) / (4 * t ** 3),
-            (56 * t ** 4 + 16 * t ** 3 + 20 * t ** 2 + t + 3) / (8 * t ** 3),
-        ],
-        [0, 0, 2 * t, 0],
-        [0, 0, 0, 2 * t],
-    ]
-    return (projlin.exact_matrix if isinstance(t, Fraction) else projlin.float_matrix)(rows)
-
-
-def longitude_display_report(t, stray_reading="t") -> dict:
-    """Entrywise comparison of the word longitude against the closed-form
-    table under the chosen stray-symbol reading; {(i, j): bool}."""
-    t = _coerce_t(t)
-    word = longitude(t)
-    disp = displayed_longitude(t, stray_reading=stray_reading)
-    report = {}
-    for i in range(4):
-        for j in range(4):
-            if isinstance(t, Fraction):
-                report[(i, j)] = word[i, j] == disp[i, j]
-            else:
-                report[(i, j)] = abs(word[i, j] - disp[i, j]) <= 1e-12 * max(1.0, abs(disp[i, j]))
-    return report
 
 
 def s_of_t(t) -> float:
@@ -235,7 +212,7 @@ def strict_convexity_obstruction(s) -> bool:
 def obstruction_at_t(t) -> bool:
     """Same test parameterized by t directly, decided exactly at the
     rational value of t (binary floats are rational)."""
-    return not projlin.is_proj_unipotent(longitude(Fraction(_coerce_t(t))))
+    return not projlin.is_proj_unipotent(_word(Fraction(_coerce_t(t)), LONGITUDE)[0])
 
 
 @dataclass(frozen=True)
@@ -273,11 +250,15 @@ def normalization_consistency(t) -> NormalizationReport:
     """
     t = _coerce_t(t)
     s = s_of_t(t)
-    M, _ = generators(t)
-    L = longitude(t)
-    L_scaled = L / (2 * t)
+    if isinstance(t, Fraction):
+        # L / (2t) = A q / (2 p d) for L = A / d and t = p / q; int / int
+        # rounds each entry once, as float(Fraction) does
+        (M, dm), (A, d) = _letters(t)["m"], _word(t, LONGITUDE)
+        pair = (M / dm).astype(float), (A * t.denominator / (2 * t.numerator * d)).astype(float)
+    else:
+        pair = generators(t)[0], longitude(t) / (2 * t)
     try:
-        res = cusplie.normalize_pair(to_float(M), to_float(L_scaled))
+        res = cusplie.normalize_pair(*pair)
     except HypothesesError:
         if t == Fraction(1, 2):
             return NormalizationReport(t, s, 0, True, None, None, None, None, None)

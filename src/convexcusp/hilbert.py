@@ -22,10 +22,6 @@ computed on a coarse sphere quadrature in the same solve: with
 QuadratureError, with ``check=False`` it never raises and the integrators
 record the worst relative gap instead (``VolumeEstimate.quad_gap``).
 
-A slow covering-style oracle estimates the same measure from metric
-balls only (no Finsler norm, no density integration) and is used to
-cross-check the main pipeline on small boxes.
-
 Monte Carlo sampling uses a counter-based Philox stream keyed by the
 seed, with all sample coordinates derived up front, so results are
 deterministic for a fixed seed no matter how evaluation is chunked.
@@ -44,9 +40,6 @@ from .domains import ConvexDomain, ParabolicDomain, VerticalShiftDomain
 #: Lebesgue volume of the Euclidean ball of diameter 1 (normalising
 #: constant of the 3-dimensional Hausdorff measure used throughout)
 ALPHA3 = math.pi / 6
-#: relative distance off their line at which ``cross_ratio`` rejects
-#: four points
-COLLINEAR_TOL = 1e-9
 
 
 class QuadratureError(ArithmeticError):
@@ -84,46 +77,7 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
-# cross ratio and distance
-
-
-def _positions(points, origin, direction):
-    return [None if p is None else float(np.dot(np.atleast_1d(p) - origin, direction)) for p in points]
-
-
-def cross_ratio(a, x, y, b) -> float:
-    """Projective cross ratio of four ordered collinear points.
-
-    ``a`` and ``b`` may be None (ideal); the corresponding ratio factor
-    is then 1, the one-sided limit convention.  Non-collinear input
-    (residual above ``COLLINEAR_TOL`` relative to the configuration
-    size) is rejected.
-    """
-    pts = [None if p is None else np.atleast_1d(np.asarray(p, dtype=float)) for p in (a, x, y, b)]
-    finite = [p for p in pts if p is not None]
-    dims = {len(p) for p in finite}
-    if len(dims) != 1:
-        raise ValueError("cross ratio points must share a dimension")
-    ref = pts[3] - pts[0] if pts[0] is not None and pts[3] is not None else pts[2] - pts[1]
-    scale = max(np.linalg.norm(p - q) for p in finite for q in finite)
-    if np.linalg.norm(ref) == 0:
-        ref = pts[2] - pts[1]
-    if np.linalg.norm(ref) == 0:
-        # x == y and no independent direction: degenerate but collinear
-        return 1.0
-    u = ref / np.linalg.norm(ref)
-    if scale > 0:
-        resid = max(
-            np.linalg.norm((p - finite[0]) - np.dot(p - finite[0], u) * u) for p in finite
-        )
-        if resid > COLLINEAR_TOL * scale:
-            raise ValueError(f"points are not collinear (residual {resid:.3e})")
-    ta, tx, ty, tb = _positions(pts, finite[0], u)
-    num = (abs(ty - ta) if ta is not None else 1.0) * (abs(tx - tb) if tb is not None else 1.0)
-    den = (abs(tx - ta) if ta is not None else 1.0) * (abs(ty - tb) if tb is not None else 1.0)
-    if den == 0:
-        raise ValueError("degenerate cross ratio (coincident with an endpoint)")
-    return num / den
+# distance
 
 
 def hilbert_distance(dom: ConvexDomain, x, y) -> float:
@@ -319,28 +273,6 @@ def busemann_density(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRATUR
     return (rho, gap) if return_gap else rho
 
 
-def metric_ball_density(dom: ConvexDomain, x, rho=0.02, n_nodes=128) -> float:
-    """Density estimated from Hilbert metric balls alone.
-
-    Solves d(x, x + r u) = rho in closed form from the chord parameters
-    and divides out rho; independent of the Finsler-norm route, so it
-    serves as an oracle for ``busemann_density``.  Antipodal node pairs
-    cancel the O(rho) bias.  Only the hemisphere H of the quadrature
-    [H; -H] is solved: the two exits of the line along u give the radii
-    of both u and -u.
-    """
-    U, W = sphere_quadrature(n_nodes)
-    x = np.asarray(x, dtype=float)
-    tm, tp = dom.chord_taus(x, U[: len(U) // 2])
-    with np.errstate(divide="ignore"):
-        u = np.where(np.isinf(tm), 0.0, -1.0 / tm)
-        w = np.where(np.isinf(tp), 0.0, 1.0 / tp)
-    K = math.exp(rho)
-    r = (K - 1.0) / np.concatenate([u + K * w, w + K * u]) / rho
-    vol = float(np.sum(W * r ** 3) / 3.0)
-    return ALPHA3 / vol
-
-
 # ---------------------------------------------------------------------------
 # regions and volume integration
 
@@ -475,67 +407,3 @@ def _volume_grid(region: Region, q: QuadratureSpec, shape):
     for w, r in zip(weights, rho):
         total += w * r
     return total, float(np.max(gap, initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# covering oracle
-
-
-@dataclass(frozen=True)
-class HausdorffEstimate:
-    value: float
-    raw_cover_sum: float
-    cells: int
-    max_cell_diameter: float
-
-
-def hausdorff_oracle(dom: ConvexDomain, region: Region, eps: float, details=False):
-    """Covering-style volume oracle for a small box.
-
-    The box is split into a cubical grid that is refined until every
-    cell has Hilbert diameter below ``eps``; each cell then contributes
-    its Lebesgue volume weighted by the metric-ball density at its
-    centre.  The plain covering sum alpha_3 * sum(diam^3) is reported
-    alongside for reference (it carries the cube-versus-ball shape
-    constant and is a gross overestimate by design).
-
-    Refuses boxes of Hilbert diameter >= 1 (this estimator is meant as a
-    local oracle, not an integrator).
-    """
-    lo = np.array([region.x1_range[0], region.x2_range[0], region.x3_range[0]])
-    hi = np.array([region.x1_range[1], region.x2_range[1], region.x3_range[1]])
-    if np.all(hi <= lo):
-        z = HausdorffEstimate(0.0, 0.0, 0, 0.0)
-        return z if details else 0.0
-    corners = np.array([[a, b, c] for a in region.x1_range for b in region.x2_range for c in region.x3_range])
-    if not dom.contains_batch(corners).all():
-        raise RegionError("oracle box must lie inside the domain")
-    diam = float(np.max(hilbert_distance_pairs(dom, corners[0], corners[1:])))
-    if diam >= 1.0:
-        raise RegionError("oracle box too large (Hilbert diameter >= 1)")
-
-    n = 2
-    while True:
-        edges = [np.linspace(lo[i], hi[i], n + 1) for i in range(3)]
-        starts = np.stack(np.meshgrid(*[e[:-1] for e in edges], indexing="ij"), axis=-1).reshape(-1, 3)
-        step = (hi - lo) / n
-        # cell diameter: the largest Hilbert length among the 4 main diagonals
-        dmax = np.zeros(len(starts))
-        for sign in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
-            d = np.array(sign, dtype=float) * step
-            lo_corner = starts + np.where(d < 0, -d, 0.0)
-            hi_corner = lo_corner + d
-            dmax = np.maximum(dmax, hilbert_distance_pairs(dom, lo_corner, hi_corner))
-        if float(dmax.max()) < eps or n >= 32:
-            break
-        n *= 2
-    if float(dmax.max()) >= eps:
-        raise RegionError("cover refinement exhausted before reaching eps")
-    centers = starts + 0.5 * step
-    cell_vol = float(np.prod(step))
-    dens = np.array([metric_ball_density(dom, c) for c in centers])
-    value = float(np.sum(dens) * cell_vol)
-    raw = float(ALPHA3 * np.sum(dmax ** 3))
-    out = HausdorffEstimate(value, raw, len(centers), float(dmax.max()))
-    return out if details else value
-

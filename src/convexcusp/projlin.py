@@ -566,10 +566,12 @@ def _real_roots(poly):
     return roots
 
 
-def real_spectrum(M):
+def real_spectrum(M, d=None):
     """Eigenvalues with algebraic multiplicities, sorted ascending.
 
-    Exact regime, in ints: det(xI - A) for A = d M is split into
+    Given ``d``, M is an integer object matrix standing for M / d, as
+    ``integer_scaled`` returns it; d need not be the least.  Exact regime,
+    in ints: det(xI - A) for A = d M is split into
     square-free factors (Yun), whose multiplicities are those of their
     roots.  A linear factor gives its root x / d directly; every other
     factor is rewritten in lambda = x / d, so that a float root is rounded
@@ -581,7 +583,7 @@ def real_spectrum(M):
     NonRealSpectrumError, in the exact regime by an exact count.
     """
     if is_exact(M):
-        A, d = integer_scaled(M)
+        A, d = integer_scaled(M) if d is None else (M, d)
         out = []
         for factor, mult in _squarefree_factors(_trace_recursion(A)):
             roots = ([Fraction(-factor[0], factor[1] * d)] if len(factor) == 2
@@ -611,7 +613,9 @@ def real_spectrum(M):
 def is_proj_unipotent(M) -> bool:
     """Whether all eigenvalues coincide after projective rescaling,
     decided exactly for an exact M: p = det(xI - A), A = d M, is
-    (x - tr A / n)^n, that is n^k p_(n-k) = C(n, k) p_(n-1)^k for all k."""
+    (x - tr A / n)^n, that is n^k p_(n-k) = C(n, k) p_(n-1)^k for all k.
+    The test is projective, so an integer matrix A stands for every A / d
+    and needs no denominator."""
     if not is_exact(M):
         raise TypeError("projective unipotency is decided exactly; pass an exact matrix")
     p = _trace_recursion(integer_scaled(M)[0])

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from convexcusp import cusplie as cl, fig8, projlin as pl
+import reference_oracles as ro
+from test_projlin import reference_is_proj_unipotent, reference_real_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,59 @@ def test_float_words_bit_identical(t):
     assert np.array_equal(fig8.relation_residual(t), reference_relation_residual(t))
 
 
+def _integer_word_ts():
+    """Seeded rationals of both signs and heights from 10 to 10^12, the
+    unipotent point, 1001/3001 and the large-height t of the CI verify."""
+    rng = random.Random(1818)
+    ts = []
+    for _ in range(24):
+        k = rng.randint(1, 12)
+        ts.append(Fraction(rng.randint(1, 10 ** k), rng.randint(1, 10 ** k)) * rng.choice((1, -1)))
+    return ts + [Fraction(1, 2), Fraction(1001, 3001), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7)]
+
+
+@pytest.mark.parametrize("t", _integer_word_ts())
+def test_integer_words_equal_the_fraction_algorithm(t):
+    M, N = fig8.generators(t)
+    letters = fig8._letters(t)
+    for c, g in (("m", M), ("n", N), ("M", pl.mat_inv(M)), ("N", pl.mat_inv(N))):
+        A, d = letters[c]
+        assert all(type(v) is int for v in A.flat) and type(d) is int and d > 0
+        assert all(Fraction(a, d) == v for a, v in zip(A.flat, g.flat))
+    # the reduced word is integer_scaled of the Fraction product, least d included
+    L = reference_word(t, fig8.LONGITUDE)
+    A, d = fig8._word(t, fig8.LONGITUDE)
+    A_ref, d_ref = pl.integer_scaled(L)
+    assert d == d_ref and all(type(a) is int and a == b for a, b in zip(A.flat, A_ref.flat))
+    spec = fig8.longitude_spectrum(t)
+    assert spec == reference_real_spectrum(L) and all(type(v) is Fraction for v, _ in spec)
+    assert fig8.obstruction_at_t(t) is not reference_is_proj_unipotent(L)
+    assert all(v == 0 for v in fig8.relation_residual(t).flat)
+
+
+def test_exact_spectra_go_through_the_traced_entry_points(monkeypatch):
+    # the benchmark tracer wraps module attributes; an exact spectrum or
+    # unipotency test that bypassed them would escape its float-results count
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append((name, args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fig8, "real_spectrum", spy("real_spectrum", pl.real_spectrum))
+    monkeypatch.setattr(pl, "is_proj_unipotent", spy("is_proj_unipotent", pl.is_proj_unipotent))
+    t = Fraction(3, 7)
+    spec = fig8.longitude_spectrum(t)
+    assert not fig8.obstruction_at_t(Fraction(1, 2)) and fig8.obstruction_at_t(t)
+    assert [name for name, _ in calls] == ["real_spectrum", "is_proj_unipotent", "is_proj_unipotent"]
+    (_, (A, d)), (_, (B,)), (_, (C,)) = calls
+    assert d == pl.integer_scaled(fig8.longitude(t))[1]
+    assert all(X.dtype == object and all(type(v) is int for v in X.flat) for X in (A, B, C))
+    assert all(type(v) is Fraction for v, _ in spec)
+
+
 # ---------------------------------------------------------------------------
 # the longitude
 
@@ -162,14 +217,14 @@ def test_obstruction_at_float_t_is_exact():
 
 def test_display_matches_word_under_t_reading():
     for t in (Fraction(1, 3), Fraction(2, 7), Fraction(3, 4)):
-        report = fig8.longitude_display_report(t, stray_reading="t")
+        report = ro.longitude_display_report(t, stray_reading="t")
         assert all(report.values())
 
 
 def test_display_mismatch_under_2t_reading():
     # the table entry with the stray symbol disagrees exactly there
     for t in (Fraction(1, 3), Fraction(2, 7)):
-        report = fig8.longitude_display_report(t, stray_reading="2t")
+        report = ro.longitude_display_report(t, stray_reading="2t")
         assert [k for k, ok in report.items() if not ok] == [(0, 1)]
 
 
@@ -339,6 +394,28 @@ def test_pipeline_dilation_is_s(t):
     assert rep.sign == 1 and not rep.degenerate
     assert rep.longitude_class == cl.PURE_DILATION
     assert abs(rep.dilation_f - rep.s) <= 1e-9 * abs(rep.s)
+
+
+@pytest.mark.parametrize(
+    "t", [Fraction(1, 4), Fraction(-7, 3), Fraction(499, 1000), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7)]
+)
+def test_pipeline_pair_is_the_rounded_fraction_pair(monkeypatch, t):
+    # the floats built from the integer word are those of the Fraction
+    # pair (meridian, longitude / (2t)), each entry rounded once
+    seen = []
+
+    def capture(A, B):
+        seen.append((A, B))
+        raise cl.HypothesesError("captured")
+
+    monkeypatch.setattr(cl, "normalize_pair", capture)
+    monkeypatch.setattr(fig8, "s_of_t", lambda t: 0.0)  # the pair is defined for t < 0 too
+    with pytest.raises(cl.HypothesesError, match="captured"):
+        fig8.normalization_consistency(t)
+    M, _ = fig8.generators(t)
+    (A, B), = seen
+    assert A.dtype == B.dtype == float and np.array_equal(A, pl.to_float(M))
+    assert np.array_equal(B, pl.to_float(reference_word(t, fig8.LONGITUDE) / (2 * t)))
 
 
 def test_pipeline_degenerate_at_half():
