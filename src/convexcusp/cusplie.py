@@ -3,9 +3,11 @@
 Four abelian families of 4x4 matrices drive everything here, tagged
 "L0", "Lt", "LPrime" and "LPrimeMinus".  Elements are stored as a family
 tag plus a real parameter pair; ``alg_matrix`` reproduces the closed
-matrix forms and ``group_exp`` their exponentials, and the minimal
-polynomial of a nonzero element always has the shape t^n (t - f) with
-n in {2, 3}.
+matrix forms and ``group_exp`` their exponentials.  Every element X
+satisfies X^3 (X - fI) = 0 with f = tr X, so the minimal polynomial of
+a nonzero element has the shape t^n (t - f) with n in {2, 3}.
+``minpoly_profile`` reads (n, f) from ``minimal_polynomial`` for exact
+input and from that cubic for float input, at ``PROFILE_TOL``.
 
 ``normalize_algebra_pair`` implements the constructive classification:
 a two-dimensional abelian algebra whose minimal polynomial map has that
@@ -15,9 +17,9 @@ final rescaling needs a square root, over a quadratic extension, so the
 reported residual is exactly zero.
 
 Group elements take one path to the same checks: ``proj_normalize_lift``
-rescales a lift to triple eigenvalue 1 and ``mat_log`` takes its log.
-``classify`` profiles that log, and ``normalize_pair`` tests the pair for
-projective commutation and hands its two logs to
+rescales a lift to triple eigenvalue 1.  ``classify`` profiles g - I of
+that lift, and ``normalize_pair`` tests the pair for projective
+commutation and hands the two ``mat_log`` logs to
 ``normalize_algebra_pair``, which tests them for rank 2 before its
 model-form fast path.
 """
@@ -51,6 +53,10 @@ FAMILIES = ("L0", "Lt", "LPrime", "LPrimeMinus")
 #: relative tolerance of the float rank, commutation, model-form and
 #: degeneracy decisions of the normalization
 NORMALIZE_TOL = 1e-9
+#: relative tolerance of the float profile decisions: a power X^k
+#: vanishes when its largest entry is at most PROFILE_TOL |X|^k, with
+#: |X| the largest entry of X
+PROFILE_TOL = 1e-9
 
 
 class HypothesesError(ValueError):
@@ -146,47 +152,59 @@ class MinPolyProfile:
     is_zero: bool = False
 
 
-def minpoly_profile(x, tol=1e-9) -> MinPolyProfile:
+def minpoly_profile(x) -> MinPolyProfile:
     """Extract (n, f) from the minimal polynomial of an algebra element.
 
     Accepts a LieAlgElem or a raw 4x4 matrix in either regime.  The zero
     element is reported separately; anything whose minimal polynomial is
-    not t^n (t - f) with n in {2, 3} raises ProfileShapeError.
+    not t^n (t - f) with n in {2, 3} raises ProfileShapeError.  Exact
+    input is decided on ``minimal_polynomial``.  Float input is decided
+    from f = tr X and the powers of X: the shape is X^3 (X - fI) = 0, the
+    kernel flag |f| <= PROFILE_TOL |X|, and n = 2 when X^2 (X - fI)
+    vanishes (X^3 when f = 0), each power X^k compared against
+    PROFILE_TOL |X|^k.
     """
     M = alg_matrix(x) if isinstance(x, LieAlgElem) else x
     if all(v == 0 for v in np.asarray(M).flat):
         return MinPolyProfile(None, None, False, is_zero=True)
-    m = minimal_polynomial(M, tol=tol)
-    coeffs = list(m.coeffs)
-    deg = m.degree
-    scale = max(abs(float(c)) for c in coeffs) or 1.0
+    if is_exact(M):
+        m = minimal_polynomial(M)
+        if m.degree not in (3, 4) or any(c != 0 for c in m.coeffs[: m.degree - 1]):
+            raise ProfileShapeError(f"minimal polynomial {m} is not of shape t^n (t - f)")
+        f = -m.coeffs[-2]
+        return MinPolyProfile(m.degree - 1, f, f == 0)
+    X = np.asarray(M, dtype=float)
+    size = float(np.max(np.abs(X)))
 
-    def iszero(c):
-        return c == 0 if is_exact(M) else abs(float(c)) <= tol * scale
+    def vanishes(P, k):
+        return np.max(np.abs(P)) <= PROFILE_TOL * size ** k
 
-    if deg < 3 or deg > 4:
-        raise ProfileShapeError(f"minimal polynomial {m} is not of shape t^n (t - f)")
-    if not all(iszero(c) for c in coeffs[: deg - 1]):
-        raise ProfileShapeError(f"minimal polynomial {m} is not of shape t^n (t - f)")
-    f = -coeffs[deg - 1]
-    if iszero(f):
-        # t^deg: the kernel case t^(n+1) with f = 0
-        n = deg - 1
-        f = Fraction(0) if is_exact(M) else 0.0
-        return MinPolyProfile(n, f, True)
-    return MinPolyProfile(deg - 1, f, False)
+    f = float(np.trace(X))
+    X2 = X @ X
+    X3 = X2 @ X
+    if not vanishes(X3 @ X - f * X3, 4):
+        raise ProfileShapeError("matrix is off the cusp shape X^3 (X - fI) = 0")
+    kernel = abs(f) <= PROFILE_TOL * size
+    if kernel:
+        f = 0.0
+    if vanishes(X2 - f * X, 2):
+        raise ProfileShapeError("minimal polynomial t^2 or t (t - f) is not of shape t^n (t - f)")
+    return MinPolyProfile(2 if vanishes(X3 - f * X2, 3) else 3, f, kernel)
 
 
 def classify(g) -> str:
     """Pure translation / pure dilation / generic, per the (n, f) profile.
 
     ``g`` is a LieAlgElem or a 4x4 group element whose log lies in a
-    conjugate of the model families; a group element is profiled through
-    the log of its canonical lift (``proj_normalize_lift``).
+    conjugate of the model families.  A group element is profiled as
+    X = g - I of its canonical lift (``proj_normalize_lift``): X has
+    X^3 (X - fI) = 0 with f = lambda - 1 and the (n, kernel) class of
+    the log.
     """
     if isinstance(g, LieAlgElem):
         return classify_profile(minpoly_profile(g))
-    return classify_profile(minpoly_profile(mat_log(proj_normalize_lift(g))))
+    lift = proj_normalize_lift(g)
+    return classify_profile(minpoly_profile(lift - identity(4, exact=is_exact(lift))))
 
 
 def classify_profile(profile: MinPolyProfile) -> str:
@@ -331,10 +349,9 @@ class NormalizationResult:
         return np.array([[float(v) for v in row] for row in self.conjugator])
 
     def to_json(self) -> dict:
-        C = self.conjugator_float()
         return {
             "sign": self.sign,
-            "conjugator": {"regime": "float", "rows": C.tolist()},
+            "conjugator": projlin.matrix_to_json(self.conjugator_float()),
             "residual": self.residual,
         }
 
@@ -412,10 +429,6 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
             profile = minpoly_profile(cand)
         except ProfileShapeError as err:
             raise HypothesesError(f"combination {i},{j}: {err}") from err
-        except projlin.IllConditionedError:
-            # borderline rank decision on one combination proves nothing
-            # either way; a clean generic element elsewhere suffices
-            continue
         if profile.is_zero:
             raise HypothesesError("generators are linearly dependent over the integers")
         if profile.n == 3 and not profile.kernel_flag:
@@ -547,7 +560,7 @@ def normalize_pair(A, B) -> NormalizationResult:
     Cfi = np.linalg.inv(Cf)
     group_images = (Cf @ to_float(A) @ Cfi, Cf @ to_float(B) @ Cfi)
     for img in res.images:
-        classify_profile(minpoly_profile(np.asarray(img, dtype=float), tol=1e-7))
+        classify_profile(minpoly_profile(np.asarray(img, dtype=float)))
     return NormalizationResult(
         res.sign, res.conjugator, res.images, res.params, res.residual, res.exact, group_images=group_images
     )

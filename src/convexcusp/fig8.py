@@ -264,8 +264,8 @@ def normalization_consistency(t) -> NormalizationReport:
             return NormalizationReport(t, s, 0, True, None, None, None, None, None)
         raise
     mer_img, lon_img = (np.asarray(img, dtype=float) for img in res.images)
-    mer_prof = cusplie.minpoly_profile(mer_img, tol=1e-7)
-    lon_prof = cusplie.minpoly_profile(lon_img, tol=1e-7)
+    mer_prof = cusplie.minpoly_profile(mer_img)
+    lon_prof = cusplie.minpoly_profile(lon_img)
     return NormalizationReport(
         t,
         s,
@@ -323,7 +323,7 @@ def sweep_rows(t_min: float, t_max: float, steps: int):
             mdev = float(np.max(np.abs(Ms - M0)))
             ldev = float(np.max(np.abs(Ls - L0)))
         exact_t = Fraction(t)  # a binary float is an exact rational
-        spec = real_spectrum(longitude(exact_t))
+        spec = longitude_spectrum(exact_t)
         eigs = [float(lam) for lam, mult in sorted(spec, key=lambda e: -e[1]) for _ in range(mult)]
         triple, single = float(2 * exact_t), float(1 / (8 * exact_t ** 3))
         rows.append(

@@ -30,7 +30,7 @@ deterministic for a fixed seed no matter how evaluation is chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +52,7 @@ class RegionError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts, accuracy target, cutoff and seed of the numeric geometry.
+    """Node counts, accuracy target and seed of the numeric geometry.
 
     ``sphere_nodes`` is realised as a Gauss-Legendre x uniform product
     grid on the sphere with twice as many azimuthal as polar nodes, so
@@ -64,7 +64,6 @@ class QuadratureSpec:
     sphere_nodes: int = 2312
     mc_samples: int = 200_000
     seed: int = 0
-    cutoff: float | None = None
     rel_target: float = 1e-3
     grid_shape: tuple = (8, 6, 6)
 
@@ -338,10 +337,6 @@ def busemann_volume(region: Region, q: QuadratureSpec = DEFAULT_QUADRATURE, meth
     of their nodes is recorded as ``quad_gap``.  A region that escapes
     its domain raises RegionError.
     """
-    if region.x1_range[1] is None:
-        if q.cutoff is None:
-            raise RegionError("open-ended region needs a vertical cutoff in the quadrature spec")
-        region = replace(region, x1_range=(region.x1_range[0], q.cutoff))
     if region.is_empty():
         return VolumeEstimate(0.0, 0.0, 0, q.seed, method)
     if method == "mc":

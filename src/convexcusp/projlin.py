@@ -2,9 +2,9 @@
 
 Exact matrices carry ``fractions.Fraction`` entries inside object-dtype
 numpy arrays, so +, -, *, / never round.  Float matrices are plain IEEE
-float64 arrays, compared at the relative tolerances named below;
-``minimal_polynomial`` takes its tolerance as an argument, since its
-callers use two.
+float64 arrays, compared at the relative tolerances named below.
+``minimal_polynomial`` is exact-only: float cusp-algebra elements are
+profiled from X^3 (X - fI) = 0 in ``cusplie.minpoly_profile``.
 All functions are pure; nothing here mutates its arguments, so concurrent
 use is safe.
 
@@ -26,10 +26,6 @@ import numpy as np
 
 class SingularMatrixError(ValueError):
     """Raised when an operation requires an invertible matrix."""
-
-
-class IllConditionedError(ArithmeticError):
-    """Raised when a float-regime rank decision is too close to call."""
 
 
 class NonRealSpectrumError(ValueError):
@@ -294,56 +290,22 @@ def _solve_exact_dependency(cols, target):
     return sol
 
 
-def minimal_polynomial(M, tol=1e-9) -> Polynomial:
-    """Monic generator of the annihilating ideal of a 4x4 matrix.
-
-    Exact regime: successive Krylov dependencies decided by exact
-    elimination.  Float regime: the dependency decision uses the smallest
-    relative singular value of the stacked, column-normalised power
-    vectors; a decision inside the band [tol, 1000*tol) raises
-    IllConditionedError.
-    """
+def minimal_polynomial(M) -> Polynomial:
+    """Monic generator of the annihilating ideal of an exact 4x4 matrix,
+    from successive Krylov dependencies decided by exact elimination.
+    Float input raises TypeError."""
+    if not is_exact(M):
+        raise TypeError("minimal polynomials are decided exactly; pass an exact matrix")
     n = M.shape[0]
-    exact = is_exact(M)
-    powers = [identity(n, exact=exact)]
+    powers = [identity(n, exact=True)]
     for _ in range(n):
         powers.append(powers[-1] @ M)
     vecs = [_vec(P) for P in powers]
-    if exact:
-        for d in range(1, n + 1):
-            sol = _solve_exact_dependency(vecs[:d], vecs[d])
-            if sol is not None:
-                coeffs = [-c for c in sol] + [Fraction(1)]
-                return Polynomial.from_coeffs(coeffs)
-        raise AssertionError("Cayley-Hamilton violated")
-    scales = []
-    fvecs = []
-    mscale = max(1.0, float(np.max(np.abs(np.asarray(vecs[1], dtype=float)))))
-    for v in vecs:
-        v = np.asarray(v, dtype=float)
-        s = np.linalg.norm(v)
-        scales.append(s if s > 0 else 1.0)
-        fvecs.append(v / (s if s > 0 else 1.0))
     for d in range(1, n + 1):
-        # an (almost) exactly vanishing power means m(t) = t^d
-        if np.linalg.norm(np.asarray(vecs[d], dtype=float)) <= 1e-12 * mscale ** d:
-            return Polynomial.from_coeffs([0.0] * d + [1.0])
-        stack = np.stack(fvecs[: d + 1], axis=1)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        ratio = sv[-1] / sv[0]
-        if ratio <= tol:
-            A = np.stack(fvecs[:d], axis=1)
-            b = fvecs[d]
-            c, *_ = np.linalg.lstsq(A, b, rcond=None)
-            coeffs = [-c[i] * scales[d] / scales[i] for i in range(d)] + [1.0]
-            return Polynomial.from_coeffs(coeffs)
-        if ratio < 1e3 * tol:
-            raise IllConditionedError(
-                f"Krylov rank decision ambiguous (relative gap {ratio:.3e})"
-            )
-    # Cayley-Hamilton holds, so no degree passing means the rank
-    # decisions were too close to call in floats
-    raise IllConditionedError("no Krylov dependency up to degree 4 passed its rank test")
+        sol = _solve_exact_dependency(vecs[:d], vecs[d])
+        if sol is not None:
+            return Polynomial.from_coeffs([-c for c in sol] + [Fraction(1)])
+    raise AssertionError("Cayley-Hamilton violated")
 
 
 # ---------------------------------------------------------------------------

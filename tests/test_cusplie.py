@@ -110,6 +110,62 @@ def test_profile_wrong_shape():
         cl.minpoly_profile(M)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 0): 1, (1, 1): 2, (2, 2): 3, (3, 3): 4},  # off the cubic
+        {(1, 1): 5},  # t (t - f)
+        {(0, 1): 5},  # t^2
+        {(0, 1): 1e-4, (2, 3): 1e-4},  # t^2 at a small |X|
+    ],
+)
+def test_profile_wrong_shape_in_both_regimes(entries):
+    rows = [[entries.get((i, j), 0) for j in range(4)] for i in range(4)]
+    for M in (pl.exact_matrix([[Fraction(v) for v in row] for row in rows]), pl.float_matrix(rows)):
+        with pytest.raises(cl.ProfileShapeError):
+            cl.minpoly_profile(M)
+
+
+def _conjugated_element(family, G, size, ratio):
+    """G x G^-1 for an element x of ``family``, rescaled to |X| = size
+    (largest entry) and with f / |X| about ``ratio``; x is the element
+    (1, 0) when ``ratio`` is None."""
+    t = Fraction(2, 3) if family == "Lt" else None
+    Gi = pl.mat_inv(G)
+    translation = G @ cl.alg_matrix(LieAlgElem(family, (0, 1), t)) @ Gi
+    dilation = G @ cl.alg_matrix(LieAlgElem(family, (1, 0), t)) @ Gi
+    f = sum(dilation[i, i] for i in range(4))
+    if ratio is None:
+        X = dilation
+    else:
+        X = translation + (ratio * pl.max_abs(translation) / f if f else ratio) * dilation
+    return X * (size / pl.max_abs(X))
+
+
+@pytest.mark.parametrize("family", cl.FAMILIES)
+def test_float_profiles_agree_with_exact_ones(family):
+    # conjugated elements with |X| from 1e-6 to 1e3, f / |X| from about 1
+    # down to 1e-6 and 0, and the pure dilations; the exact profile is
+    # the oracle
+    rng = random.Random(11)
+    classes, ratios = set(), []
+    for size in (Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1), Fraction(10**3)):
+        for ratio in (Fraction(1), Fraction(1, 10**3), Fraction(1, 10**6), Fraction(0), None):
+            for _ in range(3):
+                X = _conjugated_element(family, rand_rational_matrix(rng), size, ratio)
+                exact = cl.minpoly_profile(X)
+                flt = cl.minpoly_profile(pl.to_float(X))
+                assert (flt.n, flt.kernel_flag) == (exact.n, exact.kernel_flag)
+                assert abs(flt.f_value - float(exact.f_value)) <= 1e-12 * float(size)
+                classes.add((exact.n, exact.kernel_flag))
+                ratios.append(abs(exact.f_value) / size)
+    if family == "L0":
+        assert classes == {(2, True)}
+    else:
+        assert classes == {(3, False), (2, False), (2, True)}
+        assert min(r for r in ratios if r) <= Fraction(101, 10**8)
+
+
 def test_classify_examples():
     assert cl.classify(pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0, 2.0))))) == cl.PURE_TRANSLATION
     assert cl.classify(pl.to_float(cl.group_exp(LieAlgElem("LPrime", (1.0, 0))))) == cl.PURE_DILATION
@@ -309,17 +365,32 @@ def test_normalize_pair_small_dilation():
             assert res.sign == 1 and res.residual <= 1e-9
 
 
-def test_normalize_pair_skips_kernel_elements_in_the_scan():
-    # at a = 3.17e-4 the scanned combinations have minimal polynomial t^4
-    # in floats; none of them is generic, and none is divided by f^3 = 0
-    with pytest.raises(cl.HypothesesError, match="no generic"):
+def test_normalize_pair_small_dilation_fails_the_commutant_check():
+    # at a = 3.17e-4 every scanned combination of both generators is
+    # generic (f far above PROFILE_TOL |X|); the f^3 projector then
+    # amplifies the rounding of the logs past the commutant check
+    A, B = (pl.mat_log(cl.proj_normalize_lift(g)) for g in _conjugated_pair(3, 3.17e-4, 0.0))
+    for i, j in cl._scan_combinations():
+        # (i, 0) is a pure dilation and (0, j) a pure translation
+        profile = cl.minpoly_profile(i * A + j * B)
+        assert (profile.n, profile.kernel_flag) == ((3, False) if i and j else (2, i == 0))
+    with pytest.raises(cl.HypothesesError, match="companion violates the commutant constraints"):
         cl.normalize_pair(*_conjugated_pair(3, 3.17e-4, 0.0))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
-def test_normalize_pair_skips_undecided_krylov_ranks(b):
-    # some combinations pass no rank test of minimal_polynomial at all
+def test_normalize_pair_conjugated_dilation_of_a_few_hundredths(b):
     res = cl.normalize_pair(*_conjugated_pair(3, 0.015, b))
+    assert res.sign == 1 and res.residual <= 1e-9
+
+
+@pytest.mark.parametrize("a", [3.2e-4, 5e-4, 7e-4])
+def test_normalize_pair_model_pair_at_small_dilation(a):
+    # the images of a generic element with small f are profiled as
+    # generic, not as nilpotent
+    gA = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (a, 0.5))))
+    gB = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 1.0))))
+    res = cl.normalize_pair(gA, gB)
     assert res.sign == 1 and res.residual <= 1e-9
 
 

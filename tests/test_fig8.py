@@ -465,17 +465,22 @@ def test_sweep_rows():
 
 
 def test_sweep_rows_follow_the_longitude(monkeypatch):
-    # the spectrum and obstruction columns are computed from longitude(t),
-    # not written from the closed forms 2t, 1/(8t^3) and t != 1/2
+    # the spectrum and obstruction columns are computed from the integer
+    # longitude word, not written from the closed forms 2t, 1/(8t^3) and
+    # t != 1/2
     def diagonal(*entries):
-        return lambda t: pl.exact_matrix([[entries[i] if i == j else 0 for j in range(4)] for i in range(4)])
+        def word(t, letters):
+            assert letters == fig8.LONGITUDE and isinstance(t, Fraction)
+            return np.array([[entries[i] if i == j else 0 for j in range(4)] for i in range(4)], dtype=object), 1
 
-    monkeypatch.setattr(fig8, "longitude", diagonal(3, 3, 3, 5))
+        return word
+
+    monkeypatch.setattr(fig8, "_word", diagonal(3, 3, 3, 5))
     rows = fig8.sweep_rows(0.3, 0.7, 3)
     assert [(r["eig_triple"], r["eig_single"], r["obstructed"]) for r in rows] == [(3.0, 5.0, True)] * 3
     # the deviation columns measure the spectrum against 2t and 1/(8t^3)
     assert rows[0]["triple_rel_dev"] == abs(3.0 - 0.6) / 0.6
     assert rows[0]["single_rel_dev"] == abs(5.0 - rows[0]["closed_single"]) / rows[0]["closed_single"]
-    monkeypatch.setattr(fig8, "longitude", diagonal(2, 2, 2, 2))
+    monkeypatch.setattr(fig8, "_word", diagonal(2, 2, 2, 2))
     rows = fig8.sweep_rows(0.3, 0.7, 3)
     assert [(r["eig_triple"], r["eig_single"], r["obstructed"]) for r in rows] == [(2.0, 2.0, False)] * 3

@@ -613,18 +613,6 @@ def test_volume_nested_domain_comparison():
     assert outer < inner
 
 
-def test_open_ended_region_uses_spec_cutoff():
-    region = hb.Region(DP, (1.0, 2.0), (0.0, 0.5), (0.0, None), floor_level=0.5)
-    q = hb.QuadratureSpec(sphere_nodes=288, grid_shape=(4, 3, 3), cutoff=10.0)
-    est = hb.busemann_volume(region, q, method="grid")
-    closed = hb.busemann_volume(
-        hb.Region(DP, (1.0, 2.0), (0.0, 0.5), (0.0, 10.0), floor_level=0.5), q, method="grid"
-    )
-    assert est.estimate == closed.estimate
-    with pytest.raises(hb.RegionError):
-        hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288), method="grid")
-
-
 def test_mc_determinism_and_stderr_scaling():
     region = region_box(DP, 2.0, 1.0, 0.0)
     q1 = hb.QuadratureSpec(sphere_nodes=288, mc_samples=500, seed=9)
