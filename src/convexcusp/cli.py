@@ -7,7 +7,8 @@ and library versions.  Outputs are byte-identical for identical
 configuration and seed.
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
-Rational parameters are written as "p/q"; decimals are read as floats.
+``fig8 verify --t`` reads "p/q", integers and decimals exactly (0.3 is
+3/10, 1e-3 is 1/1000); every other numeric option is a float.
 """
 
 from __future__ import annotations
@@ -22,17 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cusplie, cuspvol, domains, fig8, hilbert, projlin
-
-
-def parse_number(text: str):
-    """Exact Fraction for "p/q" or integer literals, float otherwise."""
-    text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def _float_list(text: str):
@@ -85,7 +75,7 @@ def _quadrature(args) -> hilbert.QuadratureSpec:
 
 def cmd_fig8_verify(args) -> int:
     outdir = _out_dir(args)
-    t = parse_number(args.t)
+    t = args.t
     report = fig8.verify_report(t)
     path = _write_json(outdir / "fig8_verify.json", report)
     _write_manifest(outdir, "fig8 verify", {"t": str(t)}, None, [path])
@@ -244,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig8_p = sub.add_parser("fig8", help="holonomy family verification")
     fig8_sub = fig8_p.add_subparsers(dest="subcommand", required=True)
     v = fig8_sub.add_parser("verify", help="relation, spectra and obstruction report")
-    v.add_argument("--t", required=True, help='family parameter, "p/q" for exact')
+    v.add_argument("--t", type=Fraction, required=True, help='family parameter, "p/q" or a decimal, read exactly')
     v.add_argument("--out")
     v.set_defaults(func=cmd_fig8_verify)
     sw = fig8_sub.add_parser("sweep", help="CSV sweep of spectra and cusp-shape convergence")
@@ -304,13 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ZeroDivisionError as err:  # Fraction("1/0"); argparse catches only TypeError and ValueError
+        parser.error(f"invalid rational: {err}")
     try:
         return args.func(args)
     except (json.JSONDecodeError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, cusplie.HypothesesError, hilbert.RegionError) as err:
+    except (ValueError, ArithmeticError, cusplie.HypothesesError, hilbert.RegionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .cusplie import LieAlgElem, group_exp
 from .domains import DomainDPrime, VerticalShiftDomain
-from .hilbert import QuadratureSpec, Region, busemann_volume, hilbert_distance, unit_ball_lebesgue
-from .projlin import to_float
+from .hilbert import QuadratureSpec, Region, busemann_volume, hilbert_distance_pairs, unit_ball_lebesgue
+from .projlin import apply_affine_batch, to_float
 
 
 @dataclass(frozen=True)
@@ -207,15 +207,6 @@ class DisplacementProfile:
     constancy_spread: float
 
 
-def _translation_map(b: float):
-    return to_float(group_exp(LieAlgElem("LPrime", (0.0, float(b)))))
-
-
-def _apply(mat, x):
-    v = mat @ np.append(np.asarray(x, dtype=float), 1.0)
-    return v[:3] / v[3]
-
-
 def displacement_profile(s, meridian, levels, ambient_level=None) -> DisplacementProfile:
     """Displacement d(z, g z) of the translation g at points lifted
     vertically through the given horosphere levels.
@@ -232,21 +223,19 @@ def displacement_profile(s, meridian, levels, ambient_level=None) -> Displacemen
     if ambient_level >= levels[0]:
         raise ValueError("ambient horoball level must sit below the lowest level")
     b = float(meridian if np.isscalar(meridian) else to_float(meridian)[0, 2])
-    g = _translation_map(b)
+    g = group_exp(LieAlgElem("LPrime", (0.0, b)))
     ambient = VerticalShiftDomain(DomainDPrime(), ambient_level)
-    vals = []
-    for lev in levels:
-        z = np.array([lev, 1.0, 0.0])
-        vals.append(hilbert_distance(ambient, z, _apply(g, z)))
+    z = np.array([[lev, 1.0, 0.0] for lev in levels])
     # constancy along the bottom horosphere: move the base point around
     # its orbit with eight group elements and remeasure
-    spread_vals = []
-    z0 = np.array([levels[0], 1.0, 0.0])
-    for a_par, b_par in ((0.3, 0.0), (-0.4, 0.2), (0.1, -0.5), (0.0, 0.7), (-0.2, -0.3), (0.5, 0.4), (-0.6, 0.1), (0.2, 0.6)):
-        h = to_float(group_exp(LieAlgElem("LPrime", (a_par, b_par))))
-        y = _apply(h, z0)
-        spread_vals.append(hilbert_distance(ambient, y, _apply(g, y)))
-    spread = max(spread_vals) - min(spread_vals)
+    orbit = [
+        apply_affine_batch(group_exp(LieAlgElem("LPrime", p)), z[:1])
+        for p in ((0.3, 0.0), (-0.4, 0.2), (0.1, -0.5), (0.0, 0.7), (-0.2, -0.3), (0.5, 0.4), (-0.6, 0.1), (0.2, 0.6))
+    ]
+    X = np.vstack([z, *orbit])
+    d = hilbert_distance_pairs(ambient, X, apply_affine_batch(g, X))
+    vals, spread_vals = d[: len(levels)].tolist(), d[len(levels):]
+    spread = float(np.max(spread_vals) - np.min(spread_vals))
     if spread > 1e-6:
         raise ArithmeticError(f"displacement varies along a horosphere (spread {spread:.3e})")
     return DisplacementProfile(float(s), tuple(levels), tuple(vals), float(ambient_level), float(spread))

@@ -2,14 +2,15 @@
 
 The two-generator presentation < m, n | m w = w n > with
 w = n m^-1 n^-1 m is represented by an explicit one-parameter family of
-unipotent matrix pairs; the longitude is the word w w_reversed.  Words
-are exact for rational parameters: the four letters are integer matrices
-in closed form over one denominator, and a word is reduced once to the
-least denominator, the form that the exact spectrum and the unipotency
-test take.  s = log(1/(16 t^4)) places the hyperbolic point at 0
-(``s_of_t`` also checks t > 0), and the peripheral pair admits closed
-normalized forms converging to an explicit pair of parabolic
-translations.  The peripheral pair (meridian, longitude) is plain
+unipotent matrix pairs; the longitude is the word w w_reversed.  The
+parameter t is always the rational it names (a float is the binary
+rational it denotes), so every word is exact: the four letters are
+integer matrices in closed form over one denominator, and a word is
+reduced once to the least denominator, the form that the exact spectrum
+and the unipotency test take.  s = log(1/(16 t^4)) places the hyperbolic
+point at 0 (``s_of_t`` also checks t > 0), and the peripheral pair
+admits closed normalized forms converging to an explicit pair of
+parabolic translations.  The peripheral pair (meridian, longitude) is plain
 matrices: ``normalization_consistency`` checks its commutation and rank
 through ``cusplie.normalize_pair``.
 """
@@ -24,42 +25,36 @@ import numpy as np
 
 from . import cusplie, projlin
 from .cusplie import HypothesesError, LieAlgElem
-from .projlin import is_exact, mat_inv, real_spectrum, to_float
+from .projlin import real_spectrum, to_float
 
 
-def _coerce_t(t):
-    t = Fraction(t) if isinstance(t, (int, Fraction)) else float(t)
+def _coerce_t(t) -> Fraction:
+    """The family parameter as the rational it names; a float is the
+    binary rational it denotes."""
+    t = Fraction(t)
     if t == 0:
         raise ValueError("family parameter t must be nonzero")
     return t
 
 
 def generators(t):
-    """The unipotent generator pair (meridian image, companion image).
-
-    Exact rational matrices for rational t.
-    """
+    """The unipotent generator pair (meridian image, companion image) as
+    exact rational matrices."""
     t = _coerce_t(t)
     M = [[1, 0, 1, t - 1], [0, 1, 1, t], [0, 0, 1, t + Fraction(1, 2)], [0, 0, 0, 1]]
     N = [[1, 0, 0, 0], [2 + 1 / t, 1, 0, 0], [2, 1, 1, 0], [1, 1, 0, 1]]
-    make = projlin.exact_matrix if isinstance(t, Fraction) else projlin.float_matrix
-    return make(M), make(N)
+    return projlin.exact_matrix(M), projlin.exact_matrix(N)
 
 
 def _letters(t):
     """The generators and their inverses as (numerator, denominator) pairs,
     keyed m, n, M = m^-1 and N = n^-1.
 
-    Rational t = p/q: integer object matrices over the one denominator
+    For t = p/q: integer object matrices over the one denominator
     d = lcm(2q, |p|), in closed form.  Each generator is unipotent,
     g = I + X with X^3 = 0, so g^-1 = I - X + X^2 has the denominator of g.
-    Float t: the float generators and their Gauss-Jordan inverses over
-    denominator 1.
     """
     t = _coerce_t(t)
-    if not isinstance(t, Fraction):
-        M, N = generators(t)
-        return {"m": (M, 1), "n": (N, 1), "M": (mat_inv(M), 1), "N": (mat_inv(N), 1)}
     p, q = t.numerator, t.denominator
     d = math.lcm(2 * q, abs(p))
     dt, dr, h = d * p // q, d * q // p, d // 2  # d t, d / t and d / 2
@@ -81,14 +76,12 @@ def _product(*factors):
 
 
 def _word(t, letters):
-    """The word as a (numerator, denominator) pair.  Rational t: the
-    integer matrix and least denominator of ``integer_scaled`` of the
-    word, by one gcd, since the reduced denominators of num / den have
-    the lcm den / gcd(den, num)."""
+    """The word as a (numerator, denominator) pair: the integer matrix
+    and least denominator of ``integer_scaled`` of the word, by one gcd,
+    since the reduced denominators of num / den have the lcm
+    den / gcd(den, num)."""
     mats = _letters(t)
     num, den = _product(*(mats[c] for c in letters))
-    if num.dtype != object:
-        return num, den
     g = math.gcd(den, *num.flat)
     return num // g, den // g
 
@@ -100,26 +93,22 @@ def _fractions(num, den):
 
 def word(t, letters):
     """The product of the generators named by ``letters`` (m, n and the
-    inverses M, N), left to right.  Exact for rational t, where the
-    product is taken in Python ints and reduced to Fractions at the end."""
-    num, den = _word(t, letters)
-    return _fractions(num, den) if num.dtype == object else num
+    inverses M, N), left to right, as an exact matrix: the product is
+    taken in Python ints and reduced to Fractions at the end."""
+    return _fractions(*_word(t, letters))
 
 
 def relation_residual(t):
     """Residual matrix of the group relation m w = w n, w = n m^-1 n^-1 m.
 
-    The projective scale is fixed from the largest entries; with exact
-    rational t the residual is exactly zero.
+    The projective scale is fixed from the largest entries; the residual
+    is exactly zero.
     """
     mats = _letters(t)
     W = _product(*(mats[c] for c in "nMNm"))
     (lhs, den), (rhs, _) = _product(mats["m"], W), _product(W, mats["n"])
     pos = max(np.ndindex(4, 4), key=lambda ij: abs(rhs[ij]))
-    if lhs.dtype == object:
-        return _fractions(lhs * rhs[pos] - lhs[pos] * rhs, den * rhs[pos])
-    lam = lhs[pos] / rhs[pos]
-    return lhs - lam * rhs
+    return _fractions(lhs * rhs[pos] - lhs[pos] * rhs, den * rhs[pos])
 
 
 #: the longitude n m^-1 n^-1 m^2 n^-1 m^-1 n as ``word`` letters
@@ -127,31 +116,28 @@ LONGITUDE = "nMNmmNMn"
 
 
 def longitude(t):
-    """The longitude word n m^-1 n^-1 m^2 n^-1 m^-1 n, evaluated exactly
-    for rational t; commutes projectively with the meridian."""
+    """The longitude word n m^-1 n^-1 m^2 n^-1 m^-1 n, evaluated exactly;
+    commutes projectively with the meridian."""
     return word(t, LONGITUDE)
 
 
 def longitude_spectrum(t):
-    """Eigenvalues with multiplicities of the longitude (exact for
-    rational t, from its integer word); {2t x3, 1/(8 t^3)} away from the
-    unipotent point."""
-    t = _coerce_t(t)
-    if isinstance(t, Fraction):
-        return real_spectrum(*_word(t, LONGITUDE))
-    return real_spectrum(longitude(t))
+    """Exact eigenvalues with multiplicities of the longitude, from its
+    integer word; {2t x3, 1/(8 t^3)} away from the unipotent point."""
+    return real_spectrum(*_word(t, LONGITUDE))
 
 
 def s_of_t(t) -> float:
-    """Coordinate change s = log(1 / (16 t^4)); s decreases in t.  For
-    1/4 < t < 3/4 it is -4 log1p(2t - 1), accurate next to t = 1/2: 2t - 1
-    is exact for a float t and rounded once for a rational one."""
+    """Coordinate change s = log(1 / (16 t^4)) = -4 log(2t); s decreases
+    in t.  For 1/4 < t < 3/4 it is -4 log1p(2t - 1), accurate next to
+    t = 1/2, with 2t - 1 rounded once.  Elsewhere 2t is rounded once, so
+    s stays finite wherever 2t rounds to a positive finite float."""
     t = _coerce_t(t)
-    if float(t) <= 0:
+    if t <= 0:
         raise ValueError("s is defined for t > 0")
     if 0.25 < t < 0.75:
         return -4.0 * math.log1p(float(2 * t - 1))
-    return -math.log(16.0 * float(t) ** 4)
+    return -4.0 * math.log(float(2 * t))
 
 
 def t_of_s(s) -> float:
@@ -212,7 +198,7 @@ def strict_convexity_obstruction(s) -> bool:
 def obstruction_at_t(t) -> bool:
     """Same test parameterized by t directly, decided exactly at the
     rational value of t (binary floats are rational)."""
-    return not projlin.is_proj_unipotent(_word(Fraction(_coerce_t(t)), LONGITUDE)[0])
+    return not projlin.is_proj_unipotent(_word(t, LONGITUDE)[0])
 
 
 @dataclass(frozen=True)
@@ -250,13 +236,10 @@ def normalization_consistency(t) -> NormalizationReport:
     """
     t = _coerce_t(t)
     s = s_of_t(t)
-    if isinstance(t, Fraction):
-        # L / (2t) = A q / (2 p d) for L = A / d and t = p / q; int / int
-        # rounds each entry once, as float(Fraction) does
-        (M, dm), (A, d) = _letters(t)["m"], _word(t, LONGITUDE)
-        pair = (M / dm).astype(float), (A * t.denominator / (2 * t.numerator * d)).astype(float)
-    else:
-        pair = generators(t)[0], longitude(t) / (2 * t)
+    # L / (2t) = A q / (2 p d) for L = A / d and t = p / q; int / int
+    # rounds each entry once, as float(Fraction) does
+    (M, dm), (A, d) = _letters(t)["m"], _word(t, LONGITUDE)
+    pair = (M / dm).astype(float), (A * t.denominator / (2 * t.numerator * d)).astype(float)
     try:
         res = cusplie.normalize_pair(*pair)
     except HypothesesError:
@@ -284,17 +267,15 @@ def verify_report(t) -> dict:
     t = _coerce_t(t)
     s = s_of_t(t)  # validates t > 0
     resid = relation_residual(t)
-    exact = is_exact(resid)
-    resid_max = projlin.max_abs(to_float(resid))
     spec = longitude_spectrum(t)
     report = normalization_consistency(t)
     return {
-        "t": str(t) if exact else float(t),
+        "t": str(t),
         "s": s,
-        "relation_exact": bool(exact and resid_max == 0.0),
-        "relation_residual": float(resid_max),
+        "relation_exact": not any(resid.flat),
+        "relation_residual": float(projlin.max_abs(to_float(resid))),
         "longitude_spectrum": [[float(l), m] for l, m in spec],
-        "obstruction": obstruction_at_t(t) if exact else strict_convexity_obstruction(s),
+        "obstruction": obstruction_at_t(t),
         "normalized_params": report.to_json(),
     }
 

@@ -19,9 +19,14 @@ def run(argv):
 def test_parse_numbers():
     from fractions import Fraction
 
-    assert cli.parse_number("1/2") == Fraction(1, 2)
-    assert cli.parse_number("3") == 3
-    assert cli.parse_number("0.25") == 0.25
+    def parse(text):
+        return cli.build_parser().parse_args(["fig8", "verify", "--t", text]).t
+
+    assert parse("1/2") == Fraction(1, 2)
+    assert parse("3") == 3
+    assert parse("0.25") == Fraction(1, 4)
+    assert parse("0.3") == Fraction(3, 10) and parse("1e-3") == Fraction(1, 1000)
+    assert all(type(parse(text)) is Fraction for text in ("1/2", "3", "0.25"))
 
 
 def test_fig8_verify(tmp_path, capsys):
@@ -38,6 +43,34 @@ def test_fig8_verify_quarter(tmp_path):
     report = json.load(open(tmp_path / "fig8_verify.json"))
     assert report["longitude_spectrum"] == [[0.5, 3], [8.0, 1]]
     assert report["obstruction"] is True
+
+
+def test_fig8_verify_reads_a_decimal_exactly(tmp_path):
+    assert run(["fig8", "verify", "--t", "1/4", "--out", str(tmp_path / "q")]) == 0
+    assert run(["fig8", "verify", "--t", "0.25", "--out", str(tmp_path / "d")]) == 0
+    for name in ("fig8_verify.json", "manifest.json"):
+        assert (tmp_path / "q" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+    assert run(["fig8", "verify", "--t", "0.3", "--out", str(tmp_path / "p3")]) == 0
+    report = json.load(open(tmp_path / "p3" / "fig8_verify.json"))
+    assert report["t"] == "3/10" and report["relation_exact"] is True and report["relation_residual"] == 0.0
+
+
+@pytest.mark.parametrize("t", ["inf", "nan", "x", "1/0"])
+def test_fig8_verify_rejects_a_non_number(tmp_path, t):
+    with pytest.raises(SystemExit) as err:
+        run(["fig8", "verify", "--t", t, "--out", str(tmp_path)])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("t", ["1e300", "1e-300"])
+def test_fig8_verify_out_of_range_is_an_error_line(tmp_path, t):
+    # the whole command line, so that a traceback would reach stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "convexcusp.cli", "fig8", "verify", "--t", t, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_fig8_sweep(tmp_path):

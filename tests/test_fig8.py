@@ -47,8 +47,10 @@ def test_relation_exactly_zero():
 
 
 def test_relation_float_small():
+    # a float t is the binary rational it denotes: the residual is exactly zero
     resid = fig8.relation_residual(0.3)
-    assert pl.max_abs(resid) <= 1e-12
+    assert resid.dtype == object and all(type(v) is Fraction and v == 0 for v in resid.flat)
+    assert fig8.word(0.3, "m").dtype == object
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +58,8 @@ def test_relation_float_small():
 
 
 def reference_word(t, letters):
-    """The word as products of the Fraction (or float) generators and
-    their Gauss-Jordan inverses, left to right."""
+    """The word as products of the Fraction generators and their
+    Gauss-Jordan inverses, left to right."""
     M, N = fig8.generators(t)
     mats = {"m": M, "n": N, "M": pl.mat_inv(M), "N": pl.mat_inv(N)}
     return functools.reduce(np.matmul, (mats[c] for c in letters))
@@ -113,17 +115,6 @@ def test_relation_residual_equals_reference(t):
     resid = fig8.relation_residual(t)
     assert_same_fractions(resid, reference_relation_residual(t))
     assert all(v == 0 for v in resid.flat)
-
-
-@pytest.mark.parametrize("t", [0.3, 0.5, -0.7, 1e-3, 2.5, 1 / 3])
-def test_float_words_bit_identical(t):
-    # float t keeps the float generators, Gauss-Jordan inverses and the
-    # product order, so every bit matches the Fraction-free path's reference
-    for letters in ("nMNmmNMn", "nMNm"):
-        W = fig8.word(t, letters)
-        assert W.dtype == float and np.array_equal(W, reference_word(t, letters))
-    assert np.array_equal(fig8.longitude(t), reference_word(t, "nMNmmNMn"))
-    assert np.array_equal(fig8.relation_residual(t), reference_relation_residual(t))
 
 
 def _integer_word_ts():
@@ -215,6 +206,16 @@ def test_obstruction_at_float_t_is_exact():
     assert fig8.obstruction_at_t(0.5 + 1e-7)
 
 
+def test_longitude_spectrum_at_float_t_is_exact():
+    # float eigenvalues of the longitude at 0.49999 cluster 2t and
+    # 1/(8t^3) into one fourfold eigenvalue; the exact spectrum keeps both
+    t = 0.49999
+    spec = fig8.longitude_spectrum(t)
+    exact = Fraction(t)
+    assert spec == [(2 * exact, 3), (1 / (8 * exact ** 3), 1)]
+    assert len(spec) == 2 and fig8.obstruction_at_t(t) is True
+
+
 def test_display_matches_word_under_t_reading():
     for t in (Fraction(1, 3), Fraction(2, 7), Fraction(3, 4)):
         report = ro.longitude_display_report(t, stray_reading="t")
@@ -262,6 +263,13 @@ def test_s_next_to_the_unipotent_point_against_decimal(k):
 def test_s_rejects_nonpositive():
     with pytest.raises(ValueError):
         fig8.s_of_t(-1)
+
+
+def test_s_far_from_the_unipotent_point():
+    # -4 log(2t) stays finite where 16 t^4 overflows or underflows
+    for t in (Fraction(10 ** 300), Fraction(1, 10 ** 300), 1e300, 1e-300):
+        s = fig8.s_of_t(t)
+        assert math.isfinite(s) and s == pytest.approx(-4 * math.log(2) - 4 * math.log(float(t)), rel=1e-15)
 
 
 def test_s_monotone_decreasing_in_t():
