@@ -630,7 +630,7 @@ def convergence_conjugate(a_path, b_path, t, h=None) -> ConvergenceResult:
 
 
 # ---------------------------------------------------------------------------
-# cusp shape and the parabolic model
+# cusp shape
 
 
 @dataclass(frozen=True)
@@ -682,10 +682,3 @@ def cusp_shape(m, l) -> CuspShape:
     if im_sign < 0:
         return CuspShape(-raw, raw, True)
     return CuspShape(raw, raw, False)
-
-
-def l0_to_parabolic(m) -> np.ndarray:
-    """The isomorphism onto upper triangular parabolics of PSL(2, C):
-    translation parameters (x, y) map to off-diagonal x + i y."""
-    x, y = _translation_params(m)
-    return np.array([[1.0, complex(float(x), float(y))], [0.0, 1.0]], dtype=complex)

@@ -87,6 +87,9 @@ class ConvexDomain:
     """Base class: chords from the exits ``_ray_exit`` of each domain."""
 
     family = None
+    #: whether the domain is a projective ball, on which the Hilbert norm
+    #: is quadratic and diagonal in ``quadrature_frames``
+    quadric = False
 
     def contains_batch(self, pts):
         raise NotImplementedError
@@ -166,6 +169,11 @@ class ParabolicDomain(ConvexDomain):
 
     t = 0.0
 
+    @property
+    def quadric(self):
+        """D0 and its horoballs, the members at t = 0, are quadrics."""
+        return self.t == 0
+
     def quadrature_frames(self, X):
         """Unit-ball frames (e1, f2, f3) of determinant 1 at the rows of
         X, as an (m,3,3) array of rows.  f3 = (x3, 0, 1): x3 -> -x3
@@ -176,7 +184,9 @@ class ParabolicDomain(ConvexDomain):
         up to the scale of e2.  At t = 0 (D0 and its horoballs) f2 =
         (x2, 1, 0): the involution with linear part (v1 - 2 x2 v2, -v2,
         v3) negates it and keeps e1 and f3, so the quadratic Hilbert
-        norm of the quadric is diagonal in the frame."""
+        norm of the quadric is diagonal in the frame, the unit ball the
+        ellipsoid on the frame radii, and its volume a closed form with
+        no quadrature to check (gap 0)."""
         frames = np.tile(np.eye(3), (len(X), 1, 1))
         frames[:, 2, 0] = X[:, 2]
         if self.t == 0:
@@ -276,9 +286,11 @@ def _ray_start(t, Y, D):
     """Coefficient rows of the rays Y + tau*D in the member t, and a
     parameter at or beyond the exit of every non-ideal ray.
 
-    The rows are p0, p1, pa, s0, sv of Q' = p0 + p1 tau - pa tau^2 and
-    s = s0 + tau sv, and, for the series rows (none when |t| >= 1/2),
-    q0, q1, a, y2, d2 of Q = q0 + q1 tau - a tau^2 and w = y2 + tau d2.
+    The rows are p0, p1, pa, m0, sv of Q' = p0 + p1 tau - pa tau^2 and
+    s - 1 = m0 + tau sv (s itself is rounded near 1, where the exits
+    from points next to y2 = 0 need s - 1), and, for the series rows
+    (none when |t| >= 1/2), q0, q1, a, y2, d2 of Q = q0 + q1 tau - a
+    tau^2 and w = y2 + tau d2.
 
     w^2 psi(t w) is convex in w, so it lies above its tangents at w = y2
     and at w = 0 (zero): g lies below two concave quadratics, and the
@@ -297,9 +309,10 @@ def _ray_start(t, Y, D):
     tt = t * t
     # in p1 the w term goes before the quadratic one: in D_1, the image
     # of DPrime, this recovers v1 from v1 + v2 even where v1 << v2
-    ray = np.array([t * (t * q0 - y2), t * (t * d1 - d2) - tt * r3, tt * a, 1.0 + t * y2, t * d2])
-    p0, p1, pa, s0, sv = ray
-    tau = _positive_root(p0 + np.log(s0), p1 + sv / s0, pa)
+    ray = np.array([t * (t * q0 - y2), t * (t * d1 - d2) - tt * r3, tt * a, t * y2, t * d2])
+    p0, p1, pa, m0, sv = ray
+    s0 = 1.0 + m0
+    tau = _positive_root(p0 + np.log1p(m0), p1 + sv / s0, pa)
     if tt < 0.25:
         ray = np.concatenate([ray, [q0, q1, a, y2, d2]])
         near = _series_rows(t, y2, d2, 0.0)
@@ -332,16 +345,24 @@ def _positive_root(c, b, a):
 
 def _newton_step(t, ray, tau):
     """Newton decrements f/f' at parameters tau beyond the exit: on g
-    on the series rows, and elsewhere on G = s - exp(-Q') near the edge
-    (s < 1, Q' > -50) and on Q' + log s away from it."""
-    p0, p1, pa, s0, sv = ray[:5]
-    s = s0 + tau * sv
+    on the series rows, and elsewhere on G = (s - 1) - expm1(-Q') near
+    the edge (s < 1, Q' > -50) and on Q' + log1p(s - 1) away from it.
+    Both are taken of m = s - 1, so neither cancels where s is near 1.
+    With h = pa tau - p1, -Q' = tau h - p0 and -dQ'/dtau = h + pa tau;
+    G' = sv + exp(-Q') dQ'/dtau, and the log branch's decrement is
+    taken as s (Q' + log s)/(sv + s dQ'/dtau), so both share one
+    denominator."""
+    p0, p1, pa, m0, sv = ray[:5]
+    m = m0 + tau * sv
     pt = pa * tau
-    minus_q = tau * (pt - p1) - p0
-    dq = p1 - (pt + pt)
-    edge = (s < 1.0) & (minus_q < 50.0)
-    e = np.exp(minus_q)  # overflows only off the edge rows, where it is unused
-    step = np.where(edge, (s - e) / (sv + dq * e), (np.log(s) - minus_q) / (dq + sv / s))
+    h = pt - p1
+    minus_q = tau * h - p0
+    minus_dq = h + pt
+    edge = (m < 0.0) & (minus_q < 50.0)
+    e = np.expm1(minus_q)  # overflows only off the edge rows, where it is unused
+    s = 1.0 + m
+    num = np.where(edge, m - e, s * (np.log1p(m) - minus_q))
+    step = num / (sv - minus_dq * np.where(edge, 1.0 + e, s))
     if len(ray) > 5:
         near = _series_rows(t, ray[8], ray[9], tau)
         q0, q1, a, y2, d2 = ray[5:, near]
@@ -421,6 +442,7 @@ class BallDomain(ConvexDomain):
     """Open Euclidean unit ball; the closed-form Hilbert metric oracle."""
 
     family = "Ball"
+    quadric = True
 
     def contains_batch(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -433,7 +455,9 @@ class BallDomain(ConvexDomain):
         The first row is -+x/|x|, and the reflection in the plane of x and
         the second row fixes x and negates the third.  The Hilbert norm of
         the ball is invariant under the rotations about x, so its form is
-        diagonal in the frame."""
+        diagonal in the frame, the unit ball the ellipsoid on the frame
+        radii, and its volume a closed form with no quadrature to check
+        (gap 0)."""
         r = np.linalg.norm(X, axis=1)[:, None]
         W = np.where(X[:, :1] < 0, -1.0, 1.0) * X / np.where(r > 0, r, 1.0)
         W[:, 0] += 1.0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,18 @@ def _coerce_t(t) -> Fraction:
     if t == 0:
         raise ValueError("family parameter t must be nonzero")
     return t
+
+
+def _t_text(t: Fraction) -> str:
+    """t as p/q or, where it is shorter, as the exact decimal in
+    scientific notation (1e300 for 10^300, 2.5e-7); ties go to p/q."""
+    with localcontext() as ctx:
+        ctx.traps[Inexact] = True
+        try:
+            sci = str((Decimal(t.numerator) / t.denominator).normalize()).lower().replace("+", "")
+        except Inexact:
+            return str(t)
+    return min(str(t), sci, key=len)
 
 
 def generators(t):
@@ -131,13 +144,20 @@ def s_of_t(t) -> float:
     """Coordinate change s = log(1 / (16 t^4)) = -4 log(2t); s decreases
     in t.  For 1/4 < t < 3/4 it is -4 log1p(2t - 1), accurate next to
     t = 1/2, with 2t - 1 rounded once.  Elsewhere 2t is rounded once, so
-    s stays finite wherever 2t rounds to a positive finite float."""
+    s stays finite wherever 2t rounds to a positive finite float; where
+    it rounds to 0 or overflows, ValueError names t."""
     t = _coerce_t(t)
     if t <= 0:
         raise ValueError("s is defined for t > 0")
     if 0.25 < t < 0.75:
         return -4.0 * math.log1p(float(2 * t - 1))
-    return -4.0 * math.log(float(2 * t))
+    try:
+        two_t = float(2 * t)
+    except OverflowError:
+        two_t = math.inf
+    if not 0.0 < two_t < math.inf:
+        raise ValueError(f"t = {_t_text(t)} is out of range: 2t rounds to {two_t} as a float")
+    return -4.0 * math.log(two_t)
 
 
 def t_of_s(s) -> float:
@@ -232,14 +252,21 @@ def normalization_consistency(t) -> NormalizationReport:
     family (sign +1), the longitude image is a pure dilation whose
     eigenvalue functional equals s(t), and the meridian image is a pure
     translation.  At t = 1/2 the pair is entirely unipotent and the
-    degenerate branch is reported instead of an error.
+    degenerate branch is reported instead of an error.  Where the float
+    pair overflows or L/(2t) rounds to a singular matrix, ValueError
+    names t.
     """
     t = _coerce_t(t)
     s = s_of_t(t)
     # L / (2t) = A q / (2 p d) for L = A / d and t = p / q; int / int
     # rounds each entry once, as float(Fraction) does
     (M, dm), (A, d) = _letters(t)["m"], _word(t, LONGITUDE)
-    pair = (M / dm).astype(float), (A * t.denominator / (2 * t.numerator * d)).astype(float)
+    try:
+        pair = (M / dm).astype(float), (A * t.denominator / (2 * t.numerator * d)).astype(float)
+    except OverflowError:
+        raise ValueError(f"t = {_t_text(t)} is out of range: L/(2t) overflows as a float") from None
+    if projlin.mat_det(pair[1]) == 0:
+        raise ValueError(f"t = {_t_text(t)} is out of range: L/(2t) is singular as a float")
     try:
         res = cusplie.normalize_pair(*pair)
     except HypothesesError:

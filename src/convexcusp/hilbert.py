@@ -9,18 +9,21 @@ density, by seeded Monte Carlo or a Gauss-Legendre product grid.
 
 ``unit_ball_lebesgue`` and ``busemann_density`` take one point (float
 result) or an (m,3) batch of points ((m,) array result).  Unit balls
-are integrated in each domain's frame (``quadrature_frames``), whose
-third row a symmetry of the domain fixing the point negates, one line
-per orbit of that reflection and of -1 on the sphere quadrature
-(``line_quadrature``); on the ball and D0 the norm is quadratic and
-diagonal in the frame, so the rescaled unit ball is round.  A batch is
-solved in chunks of points whose chord rows go through one
-``chord_taus`` call each, and gives the same values bit for bit as one
-point at a time, whatever the chunking.  Each unit-ball volume is also
-computed on a coarse sphere quadrature in the same solve: with
-``check=True`` a coarse/fine disagreement at any point raises
-QuadratureError, with ``check=False`` it never raises and the integrators
-record the worst relative gap instead (``VolumeEstimate.quad_gap``).
+are measured in each domain's frame (``quadrature_frames``), whose
+third row a symmetry of the domain fixing the point negates.  On the
+quadrics (the ball, D0 and its horoballs) the norm is quadratic and
+diagonal in the frame, so the unit ball is the ellipsoid on the three
+frame radii and its volume a closed form.  On the other domains it is
+integrated with one line per orbit of that reflection and of -1 on the
+sphere quadrature (``line_quadrature``).  A batch is solved in chunks
+of points whose chord rows go through one ``chord_taus`` call each, and
+gives the same values bit for bit as one point at a time, whatever the
+chunking.  Each quadrature volume is also computed on a coarse sphere
+quadrature in the same solve: with ``check=True`` a coarse/fine
+disagreement at any point raises QuadratureError, with ``check=False``
+it never raises and the integrators record the worst relative gap
+instead (``VolumeEstimate.quad_gap``).  A closed-form volume has no
+quadrature to check, and its gap is 0.
 
 Monte Carlo sampling uses a counter-based Philox stream keyed by the
 seed, with all sample coordinates derived up front, so results are
@@ -175,8 +178,21 @@ def line_quadrature(n_nodes: int):
 DENSITY_CHUNK_ROWS = 4096
 
 
+def _frame_radii(dom, X, frames):
+    """Radii 1/F along the three frame rows of every point, from one
+    chord solve per chunk of points, as an (m,3) array."""
+    radii = np.empty((len(X), 3))
+    step = max(1, DENSITY_CHUNK_ROWS // 6)
+    for a in range(0, len(X), step):
+        P = X[a : a + step]
+        frame_norms = finsler_norm_batch(dom, P, frames[a : a + step].reshape(-1, 3))
+        radii[a : a + len(P)] = 1.0 / frame_norms.reshape(-1, 3)
+    return radii
+
+
 def _unit_ball_volumes(dom, X, q):
-    """Fine and coarse unit-ball volumes at the rows of an (m,3) array.
+    """Fine and coarse unit-ball volumes at the rows of an (m,3) array,
+    by the sphere quadrature.
 
     The three frame chords (``dom.quadrature_frames``) of every point go
     into one chord solve per chunk of points, and then, per smaller
@@ -192,12 +208,7 @@ def _unit_ball_volumes(dom, X, q):
     n_fine, n = len(U), len(U) + len(Uc)
     nodes = np.concatenate([U, Uc])
     frames = dom.quadrature_frames(X)
-    radii = np.empty((len(X), 3))
-    step = max(1, DENSITY_CHUNK_ROWS // 6)
-    for a in range(0, len(X), step):
-        P = X[a : a + step]
-        frame_norms = finsler_norm_batch(dom, P, frames[a : a + step].reshape(-1, 3))
-        radii[a : a + len(P)] = 1.0 / frame_norms.reshape(-1, 3)
+    radii = _frame_radii(dom, X, frames)
     fine = np.empty(len(X))
     coarse = np.empty(len(X))
     step = max(1, DENSITY_CHUNK_ROWS // (2 * n))
@@ -216,12 +227,18 @@ def _unit_ball_volumes(dom, X, q):
 def _ball_volumes(dom, x, q, check):
     """Fine unit-ball volumes and relative fine/coarse gaps, as (m,) arrays.
 
-    The check runs here, after the solve has returned, so that the
-    traceback of a QuadratureError holds no chord arrays.
+    On a quadric (``dom.quadric``) the norm is quadratic and diagonal in
+    the frame, so the unit ball is the ellipsoid on the frame radii, of
+    volume (4 pi/3) r1 r2 r3 = 8 alpha_3 r1 r2 r3 and gap 0; every other
+    domain takes the sphere quadrature.  The check runs here, after the
+    solve has returned, so that the traceback of a QuadratureError holds
+    no chord arrays.
     """
     X = np.asarray(x, dtype=float).reshape(-1, 3)
     if not dom.contains_batch(X).all():
         raise ValueError("unit ball requested at a non-interior point")
+    if dom.quadric:
+        return 8.0 * ALPHA3 * np.prod(_frame_radii(dom, X, dom.quadrature_frames(X)), axis=1), np.zeros(len(X))
     fine, coarse = _unit_ball_volumes(dom, X, q)
     if check:
         bad = np.abs(fine - coarse) > 10.0 * q.rel_target * np.abs(fine)
@@ -237,18 +254,21 @@ def unit_ball_lebesgue(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRAT
     """Lebesgue volume of the unit Finsler ball in the tangent space.
 
     ``x`` is one interior point, giving a float, or an (m,3) batch,
-    giving an (m,) array.  Computed as (1/3) * integral of r(u)^3 over
-    the sphere, one node per orbit of lines (``line_quadrature``), with
-    directions rescaled by the radii along the domain's quadrature frame
-    to keep the integrand order-one in anisotropic tangent spaces.  A
-    symmetry of the domain fixing x negates the frame's third row, which
-    halves the lines.  On the ball and D0 the rescaled unit ball is
-    round, so the quadrature is exact to rounding; LPrime keeps the D'
-    frame, so D' densities are equivariant to rounding.  A coarse pass
-    at a quarter of the nodes is solved alongside the fine one; with
-    ``check`` it must agree with the fine pass to within ten times
-    ``q.rel_target`` at every point or QuadratureError is raised.  A
-    non-interior point raises ValueError.
+    giving an (m,) array.  The radii r_i = 1/F(f_i) along the domain's
+    quadrature frame come first.  On a quadric (the ball, D0 and its
+    horoballs) the norm is quadratic and diagonal in the frame, so the
+    unit ball is an ellipsoid and its volume (4 pi/3) r1 r2 r3, from
+    those 3 chord lines alone; ``check`` has no quadrature to check
+    there and never raises.  Elsewhere it is (1/3) * integral of r(u)^3
+    over the sphere, one node per orbit of lines (``line_quadrature``),
+    with directions rescaled by the radii to keep the integrand
+    order-one in anisotropic tangent spaces.  A symmetry of the domain
+    fixing x negates the frame's third row, which halves the lines;
+    LPrime keeps the D' frame, so D' densities are equivariant to
+    rounding.  A coarse pass at a quarter of the nodes is solved
+    alongside the fine one; with ``check`` it must agree with the fine
+    pass to within ten times ``q.rel_target`` at every point or
+    QuadratureError is raised.  A non-interior point raises ValueError.
     """
     fine, _ = _ball_volumes(dom, x, q, check)
     return float(fine[0]) if np.ndim(x) == 1 else fine
@@ -263,7 +283,8 @@ def busemann_density(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRATUR
     integrators that sample densely pass ``check=False``, which never
     raises, and ``return_gap=True``, which adds the relative fine/coarse
     gap |fine - coarse|/fine of each unit-ball volume (same shape as
-    the densities) so that they can report the worst one.
+    the densities) so that they can report the worst one.  On a quadric
+    the volume is closed-form, 6 rays per point, and the gap is 0.
     """
     fine, gap = _ball_volumes(dom, x, q, check)
     rho = ALPHA3 / fine

@@ -62,15 +62,18 @@ def test_fig8_verify_rejects_a_non_number(tmp_path, t):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("t", ["1e300", "1e-300"])
+@pytest.mark.parametrize("t", ["1e300", "1e-300", "1e400", "1e-400"])
 def test_fig8_verify_out_of_range_is_an_error_line(tmp_path, t):
-    # the whole command line, so that a traceback would reach stderr
+    # the whole command line, so that a traceback would reach stderr: one
+    # error line that names t.  At 1e400 and 1e-400 2t rounds to inf and
+    # 0 (s_of_t); at 1e300 the float L/(2t) is singular, and at 1e-300 it
+    # overflows (normalization_consistency)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "convexcusp.cli", "fig8", "verify", "--t", t, "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, check=False)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: t = {t} is out of range: ") and proc.stderr.count("\n") == 1
 
 
 def test_fig8_sweep(tmp_path):

@@ -492,19 +492,6 @@ def test_cusp_shape_invariant_under_conjugation_in_family():
     assert conj.omega == base.omega
 
 
-def test_parabolic_model_identity_and_homomorphism():
-    assert np.array_equal(cl.l0_to_parabolic(LieAlgElem("L0", (0, 0))), np.eye(2))
-    P = cl.l0_to_parabolic(LieAlgElem("L0", (1, 2)))
-    assert P[0, 1] == 1 + 2j
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        a = LieAlgElem("L0", tuple(rng.uniform(-2, 2, 2)))
-        b = LieAlgElem("L0", tuple(rng.uniform(-2, 2, 2)))
-        lhs = cl.l0_to_parabolic(a) @ cl.l0_to_parabolic(b)
-        rhs = cl.l0_to_parabolic(a + b)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # the convex orbit distinction
 

@@ -265,6 +265,15 @@ def test_s_rejects_nonpositive():
         fig8.s_of_t(-1)
 
 
+@pytest.mark.parametrize("t, text", [(Fraction(10 ** 400), "1e400"), (Fraction(1, 10 ** 400), "1e-400"), (Fraction(25 * 10 ** 399), "2.5e400"), (Fraction(1, 3 * 10 ** 400), None)])
+def test_s_names_a_t_whose_2t_leaves_the_float_range(t, text):
+    # 2t rounds to inf or to 0; the error names t exactly, in scientific
+    # notation where that is shorter than p/q
+    with pytest.raises(ValueError, match="out of range") as err:
+        fig8.s_of_t(t)
+    assert f"t = {text or t} is" in str(err.value)
+
+
 def test_s_far_from_the_unipotent_point():
     # -4 log(2t) stays finite where 16 t^4 overflows or underflows
     for t in (Fraction(10 ** 300), Fraction(1, 10 ** 300), 1e300, 1e-300):

@@ -210,7 +210,9 @@ HEMISPHERE_CASES = {
 def test_hemisphere_density_matches_full_sphere(name, n):
     # one line per orbit against every node; 128 and 2312 nodes have an
     # even polar count, 578 (17 x 34) an odd one, with a ring of lines on
-    # the equator that the reflection pairs among themselves
+    # the equator that the reflection pairs among themselves.  On the
+    # quadrics (Ball, D0) the density is the closed form of the frame
+    # radii, which every node of the quadrature reproduces
     dom, pts = HEMISPHERE_CASES[name]
     pts = np.array(pts)
     assert dom.contains_batch(pts).all()
@@ -431,23 +433,66 @@ def test_d0_density_and_distance_are_those_of_a_ball():
     assert np.all(np.abs(hb.hilbert_distance_pairs(DomainD0(), X, X[::-1]) - ref) <= 1e-10 * np.maximum(1.0, ref))
 
 
+def _quadric_cases(rng, name, n):
+    """n points of the quadric ``name``, 1e-4 to 1 from the boundary, with
+    the domain and the closed-form densities at them."""
+    depth = 10 ** rng.uniform(-4, 0, n)
+    if name == "Ball":
+        U = rng.normal(size=(n, 3))
+        X = (1.0 - depth)[:, None] * U / np.linalg.norm(U, axis=1)[:, None]
+        return BALL, X, (1.0 - np.einsum("ij,ij->i", X, X)) ** -2
+    shift = 0.0 if name == "D0" else 0.7
+    b2, b3 = rng.uniform(-3, 3, n), rng.uniform(-3, 3, n)
+    X = np.column_stack([shift + depth + 0.5 * (b2 ** 2 + b3 ** 2), b2, b3])
+    return (DomainD0() if shift == 0 else VerticalShiftDomain(DomainD0(), shift)), X, _d0_density(X - [shift, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("name", ["Ball", "D0"])
 def test_quadric_density_is_exact_at_32_nodes(name):
     # the Hilbert norm of a quadric is quadratic and diagonal in the
     # quadrature frame, so the rescaled unit ball is round and even the
-    # 32-node quadrature is exact, 1e-4 to 1 from the boundary
-    rng = np.random.default_rng(29)
-    depth = 10 ** rng.uniform(-4, 0, 200)
-    if name == "Ball":
-        dom, U = BALL, rng.normal(size=(200, 3))
-        X = (1.0 - depth)[:, None] * U / np.linalg.norm(U, axis=1)[:, None]
-        ref = (1.0 - np.einsum("ij,ij->i", X, X)) ** -2
-    else:
-        dom, b2, b3 = DomainD0(), rng.uniform(-3, 3, 200), rng.uniform(-3, 3, 200)
-        X = np.column_stack([depth + 0.5 * (b2 ** 2 + b3 ** 2), b2, b3])
-        ref = _d0_density(X)
-    rho = hb.busemann_density(dom, X, hb.QuadratureSpec(sphere_nodes=32))
-    assert np.all(np.abs(rho - ref) <= 1e-9 * ref)
+    # 32-node sphere quadrature, called directly, is exact, 1e-4 to 1
+    # from the boundary; its coarse pass at 8 nodes agrees with it
+    dom, X, ref = _quadric_cases(np.random.default_rng(29), name, 200)
+    fine, coarse = hb._unit_ball_volumes(dom, X, hb.QuadratureSpec(sphere_nodes=32))
+    assert np.all(np.abs(hb.ALPHA3 / fine - ref) <= 1e-9 * ref)
+    assert np.all(np.abs(coarse - fine) <= 1e-9 * fine)
+
+
+#: the benchmark's two tilted near-boundary density points: D0 1e-3 above
+#: its boundary over (0.5, 0.2), and the Ball 1e-4 inside its sphere
+TILTED = {"D0": np.array([1e-3 + 0.5 * (0.5 ** 2 + 0.2 ** 2), 0.5, 0.2]), "Ball": (1.0 - 1e-4) * np.ones(3) / math.sqrt(3.0)}
+
+
+@pytest.mark.parametrize("name", ["Ball", "D0", "D0 horoball"])
+def test_quadric_densities_are_their_closed_forms(name):
+    # on a quadric the product path measures the unit ball as the
+    # ellipsoid on its 3 frame radii: (1 - |x|^2)^-2 on the Ball, and the
+    # hyperbolic cusp profile 4 kappa^2 rho = 1 on D0 and its horoballs,
+    # kappa the height above the boundary, from 1e-3 to 1e3 over off-axis
+    # base points; |x|^2 and kappa are rounded as the membership test
+    # rounds them.  check=True has no quadrature to check and never
+    # raises, the gap is 0, and the generic quadrature, called directly
+    # on the same points, agrees to its own 1e-9
+    rng = np.random.default_rng(67)
+    dom, X, ref = _quadric_cases(rng, name, 40)
+    if name != "Ball":
+        # 13 heights over off-axis base points, and 1e-3 over the axis
+        kappa = np.append(10.0 ** np.arange(-3.0, 3.5, 0.5), 1e-3)
+        b2, b3 = np.append(rng.uniform(-3, 3, 13), 0.0), np.append(rng.uniform(-3, 3, 13), 0.0)
+        shift = getattr(dom, "shift", 0.0)
+        K = np.column_stack([shift + kappa + 0.5 * (b2 ** 2 + b3 ** 2), b2, b3])
+        X, ref = np.vstack([X, K]), np.concatenate([ref, _d0_density(K - [shift, 0.0, 0.0])])
+    if name in TILTED:
+        x = TILTED[name]
+        X = np.vstack([X, x])
+        ref = np.append(ref, (1.0 - x @ x) ** -2 if name == "Ball" else _d0_density(x)[0])
+    rho, gap = hb.busemann_density(dom, X, return_gap=True)
+    assert np.all(np.abs(rho - ref) <= 1e-12 * ref)
+    assert not gap.any()
+    assert [hb.busemann_density(dom, x) for x in X[-2:]] == rho[-2:].tolist()
+    fine, _ = hb._unit_ball_volumes(dom, X, hb.DEFAULT_QUADRATURE)
+    assert np.all(np.abs(hb.ALPHA3 / fine - ref) <= 1e-9 * ref)
 
 
 @pytest.mark.parametrize("t", [10.0 ** -k for k in range(3, 11)])
@@ -524,11 +569,11 @@ def test_batched_density_checks_every_point():
         hb.busemann_density(DP, np.array([[2.0, 1.0, 0.0], [-5.0, 1.0, 0.0]]), q, check=False)
 
 
-def _counting(cls):
-    """An instance of the domain class ``cls`` that counts the rows its
-    membership test sees and the rays it solves."""
+def _counting(dom):
+    """A copy of ``dom`` that counts the rows its membership test sees and
+    the rays it solves."""
 
-    class Counting(cls):
+    class Counting(type(dom)):
         rows = rays = 0
 
         def contains_batch(self, pts):
@@ -539,30 +584,40 @@ def _counting(cls):
             self.rays += len(X)
             return super()._ray_exit(X, V)
 
-    return Counting()
+    counting = object.__new__(Counting)
+    counting.__dict__.update(vars(dom))
+    return counting
 
 
-#: chord lines of one density: 3 frame lines and one line per orbit of
-#: the fine and the coarse quadrature; the orbits hold two lines of H, or
-#: one on the equator of the 17 x 34 grid at 578 nodes
-DENSITY_LINES = {("Ball", 2312): 3 + 578 + 145, ("Ball", 578): 3 + 145 + 32, ("D0", 2312): 3 + 578 + 145, ("D0", 578): 3 + 145 + 32}
+#: chord lines of one density: the 3 frame lines, and on the domains
+#: without a closed form one line per orbit of the fine and the coarse
+#: quadrature; the orbits hold two lines of H, or one on the equator of
+#: the 17 x 34 grid at 578 nodes
+DENSITY_LINES = {2312: 3 + 578 + 145, 578: 3 + 145 + 32}
+COUNT_CASES = {
+    **{name: BATCH_CASES[name] for name in ("Ball", "D0", "DPrime")},
+    "D0 horoball": (VerticalShiftDomain(DomainD0(), 0.5), [[1.5, 0.0, 0.0], [2.5, 0.5, -0.7], [2.0, -1.0, 0.3], [4.5, 1.2, 0.8]]),
+}
 
 
-@pytest.mark.parametrize("name", ["Ball", "D0"])
+@pytest.mark.parametrize("name", list(COUNT_CASES))
 @pytest.mark.parametrize("q", [hb.DEFAULT_QUADRATURE, FAST_Q], ids=["2312 nodes", "578 nodes"])
 def test_density_tests_each_point_once_per_solve(name, q):
-    # the density checks its points once and each of its two chord solves
+    # the density checks its points once and each of its chord solves
     # once more, however the points are chunked, and solves both rays of
-    # every line it needs.  No chord tests another point: the Ball has
-    # no ideal ends, and D0 probes only rays whose root is clipped to the
-    # ideal probe, which none is here (its ideal e1 rays lie in the
-    # recession cone)
-    dom, pts = BATCH_CASES[name]
-    counting = _counting(type(dom))
+    # every line it needs: on the quadrics the 3 frame lines alone, in
+    # one solve, whatever the node count; on D' those and the node
+    # lines, in two.  No chord tests another point: the Ball has no
+    # ideal ends, and D0 and D' probe only rays whose start is clipped
+    # to the ideal probe, which none is here (their ideal e1 rays lie in
+    # the recession cone)
+    dom, pts = COUNT_CASES[name]
+    counting = _counting(dom)
     pts = np.array(pts)
     rho = hb.busemann_density(counting, pts, q)
-    assert counting.rays == 2 * DENSITY_LINES[name, q.sphere_nodes] * len(pts)
-    assert counting.rows == 3 * len(pts)
+    lines, solves = (3, 1) if dom.quadric else (DENSITY_LINES[q.sphere_nodes], 2)
+    assert counting.rays == 2 * lines * len(pts)
+    assert counting.rows == (1 + solves) * len(pts)
     assert rho.tolist() == hb.busemann_density(dom, pts, q).tolist()
 
 
