@@ -177,6 +177,11 @@ TABLE = (
           _normalization_failures, dict(seed=2, pairs=2), 0),
     Claim("fig8-normalization", "the normalized longitude is a pure dilation by s(t)",
           _fig8_dilation_error, dict(ts=(Fraction(1, 4),)), 1e-10),
+    Claim("meridian-translation-identity", "the meridian translation b has b^2/s = sinh(s/4)/3 = (1 - 4t^2)/(12t) exactly",
+          lambda ts: sum(  # b^2/u = r^2 v_m^2/u = -sign v_m^2/g_L, read from the exact sheared pair
+              -r.sign * r.sheared[0][0, 2] ** 2 / fig8._readout(r.sheared[1])[2] != (1 - 4 * r.t ** 2) / (12 * r.t)
+              for r in map(fig8.normalization_consistency, ts)),
+          dict(ts=(Fraction(1, 4), Fraction(499, 1000), Fraction(31, 3))), 0),
     Claim("peripheral-convergence", "the normalized pair is within C|s| of its limit",
           _convergence_rate_ratio, dict(svals=(1e-1, 1e-2, 1e-3, 1e-4)), 1.25),
     Claim("lattice-convergence", "linear paths converge exactly; dependent paths are rejected",

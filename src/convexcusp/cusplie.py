@@ -14,7 +14,9 @@ a two-dimensional abelian algebra whose minimal polynomial map has that
 shape is conjugated into LPrime or LPrimeMinus, deciding the sign.  With
 exact rational input the conjugation is carried out over Q or, when the
 final rescaling needs a square root, over a quadratic extension, so the
-reported residual is exactly zero.
+reported residual is exactly zero.  Its basis, the Jordan chain of a
+generic element and a column of its eigenline projector, is
+``chain_basis``; ``fig8`` builds the exact peripheral pair's on it.
 
 Group elements take one path to the same checks: ``proj_normalize_lift``
 rescales a lift to triple eigenvalue 1.  ``classify`` profiles g - I of
@@ -288,10 +290,6 @@ class _QuadExt:
             return NotImplemented
         return self.p == o.p and self.q == o.q
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.p, self.q, self.d))
 
@@ -315,12 +313,12 @@ _PATTERN_ZEROS = ((0, 0), (0, 1), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2)
 def _pattern_violations(M, sign: int):
     """Values that must vanish for membership in the sign family.
 
-    ``sign`` +1 means LPrime (top-right entry -a), -1 means LPrimeMinus.
+    ``sign`` +1 means LPrime (top-right entry -a), -1 means LPrimeMinus;
+    0 leaves that top-right coupling out and checks the zero pattern and
+    the translation entries that both families share.
     """
-    vals = [M[i, j] for i, j in _PATTERN_ZEROS]
-    vals.append(M[0, 2] - M[2, 3])
-    vals.append(M[0, 3] - (-1 if sign > 0 else 1) * M[1, 1])
-    return vals
+    vals = [M[i, j] for i, j in _PATTERN_ZEROS] + [M[0, 2] - M[2, 3]]
+    return vals + [M[0, 3] + sign * M[1, 1]] if sign else vals
 
 
 def family_pattern_residual(M, sign: int) -> float:
@@ -384,6 +382,29 @@ def _dependent(alpha, beta) -> bool:
     return np.linalg.svd(np.stack([va / na, vb / nb]), compute_uv=False)[-1] <= NORMALIZE_TOL
 
 
+def chain_basis(P, X, scale=1.0):
+    """The basis (w1, w2, w3, w4) in which X, nilpotent of order 3 on the
+    range of I - P, and the eigenline projector P commute into model form:
+    w4 is the column of I - P with the largest X^2 w4, w3 = X w4, w1 = X w3,
+    and w2 the largest column of P.  Float input is decided relative to
+    ``scale``; HypothesesError when X^2 (I - P) = 0 or the basis degenerates.
+    """
+    exact = is_exact(P) and is_exact(X)
+    Q = identity(4, exact=exact) - P
+    X2Q = X @ X @ Q
+    k = max(range(4), key=lambda j: projlin.max_abs(X2Q[:, j]))
+    score = projlin.max_abs(X2Q[:, k])
+    if (score == 0) if exact else (score <= NORMALIZE_TOL * scale ** 2):
+        raise HypothesesError("generic element has nilpotent order below 3")
+    w3 = X @ Q[:, k]
+    w2 = P[:, max(range(4), key=lambda j: projlin.max_abs(P[:, j]))]
+    T = np.column_stack([X @ w3, w2, w3, Q[:, k]])
+    det = projlin.mat_det(T)
+    if (det == 0) if exact else (abs(det) <= 1e-14 * max(1.0, scale) ** 4):
+        raise HypothesesError("Jordan basis construction degenerated")
+    return T
+
+
 def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     """Conjugate the algebra spanned by two commuting 4x4 matrices into
     LPrime (sign +1) or LPrimeMinus (sign -1).
@@ -440,48 +461,19 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
         raise HypothesesError("no generic (n = 3) element found among the scanned combinations")
     companion = beta if combo[0] != 0 else alpha
 
-    f = gen_profile.f_value
-    if not exact:
-        f = float(f)
+    f = gen_profile.f_value if exact else float(gen_profile.f_value)
     # spectral projector onto the f-eigenline: (gen/f)^3 is idempotent
-    P = gen @ gen @ gen / (f ** 3)
-    gen_nil = gen - f * P
-    Q = identity(4, exact=exact) - P
-    nil2 = gen_nil @ gen_nil
-    # Jordan chain w4 -> w3 -> w1 in the nilpotent summand, w2 spans the eigenline
-    cand_cols = [(Q @ identity(4, exact=exact)[:, k]) for k in range(4)]
-    scores = [projlin.max_abs(to_float((nil2 @ c).reshape(1, -1))) for c in cand_cols]
-    k = int(np.argmax(scores))
-    if (scores[k] == 0) if exact else (scores[k] <= NORMALIZE_TOL * scale ** 2):
-        raise HypothesesError("generic element has nilpotent order below 3")
-    w4 = cand_cols[k]
-    w3 = gen @ w4
-    w1 = gen @ w3
-    pcols = [P @ identity(4, exact=exact)[:, k] for k in range(4)]
-    pscores = [projlin.max_abs(to_float(c.reshape(1, -1))) for c in pcols]
-    w2 = pcols[int(np.argmax(pscores))]
-    T = np.empty((4, 4), dtype=object if exact else float)
-    for idx, w in enumerate((w1, w2, w3, w4)):
-        T[:, idx] = w
-    det = projlin.mat_det(T)
-    if (det == 0) if exact else (abs(det) <= 1e-14 * max(1.0, scale) ** 4):
-        raise HypothesesError("Jordan basis construction degenerated")
+    T = chain_basis(gen @ gen @ gen / (f ** 3), gen, scale)
     Ti = mat_inv(T)
 
     beta_j = Ti @ companion @ T
-    # commutant constraints for the reduced companion
-    must_vanish = [beta_j[i, j] for i, j in ((0, 1), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))]
-    must_vanish += [beta_j[0, 0] - beta_j[2, 2], beta_j[0, 0] - beta_j[3, 3], beta_j[0, 2] - beta_j[2, 3]]
-    violated = any(v != 0 for v in must_vanish) if exact else max(abs(float(v)) for v in must_vanish) > 1e-7 * scale
-    if violated:
-        resid = max(abs(float(v)) for v in must_vanish)
+    # the reduced companion lies in the commutant of the Jordan form and
+    # has triple eigenvalue 0: the shape that both families share
+    must_vanish = _pattern_violations(beta_j, 0)
+    resid = max(abs(float(v)) for v in must_vanish)
+    if any(v != 0 for v in must_vanish) if exact else resid > 1e-7 * scale:
         raise HypothesesError(f"companion violates the commutant constraints (residual {resid:.3e})")
-    b11 = beta_j[0, 0]
-    if (b11 != 0) if exact else (abs(float(b11)) > 1e-7 * scale):
-        raise HypothesesError("companion has a nonzero triple eigenvalue (wrong minimal polynomial shape)")
-    f_b = beta_j[1, 1]
-    b_b = beta_j[0, 2]
-    e14_b = beta_j[0, 3]
+    f_b, b_b, e14_b = beta_j[1, 1], beta_j[0, 2], beta_j[0, 3]
     denom = f_b - f * b_b
     if (denom == 0) if exact else (abs(float(denom)) <= NORMALIZE_TOL * scale):
         raise HypothesesError("eigenvalue functional is degenerate on the span")
@@ -495,24 +487,14 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     W = identity(4, exact=exact)
     W[2, 3] = c2
     d_abs = abs(c1) if exact else abs(float(c1))
-    if exact:
-        root = projlin._rational_sqrt(Fraction(d_abs))
-        if root is not None:
-            v = 1 / root
-            S = identity(4, exact=True)
-        else:
-            v = _QuadExt(0, Fraction(1), d_abs) / d_abs  # 1/sqrt(d) = sqrt(d)/d
-            S = np.empty((4, 4), dtype=object)
-            for i in range(4):
-                for j in range(4):
-                    S[i, j] = _QuadExt(Fraction(i == j), 0, d_abs)
-        S[0, 0] = v * v if isinstance(v, _QuadExt) else Fraction(v) ** 2
-        S[2, 2] = v
-    else:
+    if not exact:
         v = 1.0 / math.sqrt(d_abs)
-        S = np.eye(4)
-        S[0, 0] = v * v
-        S[2, 2] = v
+    elif (root := projlin._rational_sqrt(Fraction(d_abs))) is not None:
+        v = 1 / root
+    else:
+        v = _QuadExt(0, Fraction(1), d_abs) / d_abs  # 1/sqrt(d) = sqrt(d)/d
+    S = identity(4, exact=exact) + 0 * v  # entries in the field of v
+    S[0, 0], S[2, 2] = v * v, v
     C = S @ (W @ Ti)
     Cinv = mat_inv(C)
 

@@ -10,9 +10,9 @@ reduced once to the least denominator, the form that the exact spectrum
 and the unipotency test take.  s = log(1/(16 t^4)) places the hyperbolic
 point at 0 (``s_of_t`` also checks t > 0), and the peripheral pair
 admits closed normalized forms converging to an explicit pair of
-parabolic translations.  The peripheral pair (meridian, longitude) is plain
-matrices: ``normalization_consistency`` checks its commutation and rank
-through ``cusplie.normalize_pair``.
+parabolic translations.  ``normalization_consistency`` puts the peripheral
+pair (meridian, L/(2t)) in the cusp normal form exactly, in the
+translation-line basis of ``cusplie.chain_basis``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cusplie, projlin
-from .cusplie import HypothesesError, LieAlgElem
+from .cusplie import LieAlgElem
 from .projlin import real_spectrum, to_float
 
 
@@ -50,13 +50,22 @@ def _t_text(t: Fraction) -> str:
     return min(str(t), sci, key=len)
 
 
+def _float(x, t, name) -> float:
+    """The exact value ``name`` = x as a float; where a nonzero x rounds
+    to 0.0 or overflows, ValueError names t."""
+    try:
+        y = float(x)
+    except OverflowError:
+        y = math.inf
+    if x and not 0 < abs(y) < math.inf:
+        raise ValueError(f"t = {_t_text(t)} is out of range: {name} rounds to {y} as a float")
+    return y
+
+
 def generators(t):
     """The unipotent generator pair (meridian image, companion image) as
     exact rational matrices."""
-    t = _coerce_t(t)
-    M = [[1, 0, 1, t - 1], [0, 1, 1, t], [0, 0, 1, t + Fraction(1, 2)], [0, 0, 0, 1]]
-    N = [[1, 0, 0, 0], [2 + 1 / t, 1, 0, 0], [2, 1, 1, 0], [1, 1, 0, 1]]
-    return projlin.exact_matrix(M), projlin.exact_matrix(N)
+    return word(t, "m"), word(t, "n")
 
 
 def _letters(t):
@@ -151,13 +160,7 @@ def s_of_t(t) -> float:
         raise ValueError("s is defined for t > 0")
     if 0.25 < t < 0.75:
         return -4.0 * math.log1p(float(2 * t - 1))
-    try:
-        two_t = float(2 * t)
-    except OverflowError:
-        two_t = math.inf
-    if not 0.0 < two_t < math.inf:
-        raise ValueError(f"t = {_t_text(t)} is out of range: 2t rounds to {two_t} as a float")
-    return -4.0 * math.log(two_t)
+    return -4.0 * math.log(_float(2 * t, t, "2t"))
 
 
 def t_of_s(s) -> float:
@@ -232,6 +235,7 @@ class NormalizationReport:
     dilation_f: float | None
     meridian_b: float | None
     residual: float | None
+    sheared: tuple | None = None  # the exact sheared basis images of m - I and L/(2t) - I
 
     def to_json(self) -> dict:
         return {
@@ -245,63 +249,69 @@ class NormalizationReport:
         }
 
 
-def normalization_consistency(t) -> NormalizationReport:
-    """Run the pair normalization on (meridian, longitude / (2t)).
+def _log(x: Fraction) -> float:
+    """log x of a rational x > 0: log1p(x - 1) next to 1, the log of the
+    float x inside the normal range, else log(numerator) - log(denominator)."""
+    if abs(x - 1) <= Fraction(1, 2):
+        return math.log1p(float(x - 1))
+    if abs(x.numerator.bit_length() - x.denominator.bit_length()) < 1000:
+        return math.log(x)
+    return math.log(x.numerator) - math.log(x.denominator)
 
-    Away from the unipotent point the pair lands in the convex-orbit
-    family (sign +1), the longitude image is a pure dilation whose
-    eigenvalue functional equals s(t), and the meridian image is a pure
-    translation.  At t = 1/2 the pair is entirely unipotent and the
-    degenerate branch is reported instead of an error.  Where the float
-    pair overflows or L/(2t) rounds to a singular matrix, ValueError
-    names t.
+
+def _readout(Z):
+    """(lambda - 1, v, g = e14 - v^2/2) of g - I = Z in the translation-line basis."""
+    return Z[1, 1], Z[0, 2], Z[0, 3] - Z[0, 2] ** 2 / 2
+
+
+def normalization_consistency(t) -> NormalizationReport:
+    """The cusp normal form of the peripheral pair (meridian, L/(2t)), exactly.
+
+    X = m - I, Y = L/(2t) - I; f = tr Y = 0 only at t = 1/2, the degenerate
+    report.  ``cusplie.chain_basis`` of (P = Y^3/f^3, X) is the translation-
+    line basis (``_readout``).  The shear c = g_m/v_m clears the meridian's g,
+    and the scale r^2 = -sign u/(g_L - c v_L) > 0, u = log lambda_L, takes
+    the pair to LPrime(0, b = r v_m) and LPrime(u, r v_L) (LPrimeMinus at
+    sign -1).  u and b are the only floats; the residual is the exact
+    pattern residual of the sheared pair, so 0.0 certifies it.
     """
     t = _coerce_t(t)
     s = s_of_t(t)
-    # L / (2t) = A q / (2 p d) for L = A / d and t = p / q; int / int
-    # rounds each entry once, as float(Fraction) does
-    (M, dm), (A, d) = _letters(t)["m"], _word(t, LONGITUDE)
-    try:
-        pair = (M / dm).astype(float), (A * t.denominator / (2 * t.numerator * d)).astype(float)
-    except OverflowError:
-        raise ValueError(f"t = {_t_text(t)} is out of range: L/(2t) overflows as a float") from None
-    if projlin.mat_det(pair[1]) == 0:
-        raise ValueError(f"t = {_t_text(t)} is out of range: L/(2t) is singular as a float")
-    try:
-        res = cusplie.normalize_pair(*pair)
-    except HypothesesError:
-        if t == Fraction(1, 2):
-            return NormalizationReport(t, s, 0, True, None, None, None, None, None)
-        raise
-    mer_img, lon_img = (np.asarray(img, dtype=float) for img in res.images)
-    mer_prof = cusplie.minpoly_profile(mer_img)
-    lon_prof = cusplie.minpoly_profile(lon_img)
-    return NormalizationReport(
-        t,
-        s,
-        res.sign,
-        False,
-        cusplie.classify_profile(mer_prof),
-        cusplie.classify_profile(lon_prof),
-        float(lon_img[1, 1]),
-        float(mer_img[0, 2]),
-        res.residual,
-    )
+    I = projlin.identity(4, exact=True)
+    X, Y = word(t, "m") - I, longitude(t) / (2 * t) - I
+    f = np.trace(Y)
+    if f == 0:
+        return NormalizationReport(t, s, 0, True, None, None, None, None, None)
+    T = cusplie.chain_basis(Y @ Y @ Y / f ** 3, X)
+    Ti = projlin.mat_inv(T)
+    based = [Ti @ Z @ T for Z in (X, Y)]
+    _, v_m, g_m = _readout(based[0])
+    W, Wi = I.copy(), I.copy()
+    W[2, 3], Wi[2, 3] = g_m / v_m, -g_m / v_m
+    sheared = tuple(W @ Z @ Wi for Z in based)
+    (d_m, v_m, _), (d_L, v_L, g_L) = map(_readout, sheared)
+    sign = 1 if d_L * g_L < 0 else -1
+    u, q = _log(1 + d_L), -sign * v_m ** 2 / g_L  # q = r^2 v_m^2 / u
+    # LPrime(a, b) is a pure translation at a = 0, a pure dilation at b = 0; a = u vanishes with lambda - 1
+    classes = [cusplie.PURE_TRANSLATION if d == 0 else cusplie.PURE_DILATION if v == 0 else cusplie.GENERIC
+               for d, v in ((d_m, v_m), (d_L, v_L))]
+    residual = max(cusplie.family_pattern_residual(Z, 0) for Z in sheared)
+    return NormalizationReport(t, s, sign, False, *classes, u, math.sqrt(_float(q, t, "b^2/u") * u), residual, sheared)
 
 
 def verify_report(t) -> dict:
-    """The per-parameter verification record used by the command line."""
+    """The per-parameter verification record used by the command line;
+    ``_float`` converts its exact values."""
     t = _coerce_t(t)
-    s = s_of_t(t)  # validates t > 0
+    report = normalization_consistency(t)  # s_of_t validates t > 0
     resid = relation_residual(t)
     spec = longitude_spectrum(t)
-    report = normalization_consistency(t)
     return {
         "t": str(t),
-        "s": s,
+        "s": report.s,
         "relation_exact": not any(resid.flat),
-        "relation_residual": float(projlin.max_abs(to_float(resid))),
-        "longitude_spectrum": [[float(l), m] for l, m in spec],
+        "relation_residual": max(_float(abs(v), t, "the relation residual") for v in resid.flat),
+        "longitude_spectrum": [[_float(l, t, "a longitude eigenvalue"), m] for l, m in spec],
         "obstruction": obstruction_at_t(t),
         "normalized_params": report.to_json(),
     }

@@ -105,7 +105,11 @@ def test_criterion_07_normalization_round_trip():
     assert measured("normalization-roundtrip", 0, seed=707, pairs=pairs) == 0
     err = measured("fig8-normalization", 1e-10, ts=(Fraction(1, 4), Fraction(2, 5)))
     assert err <= 1e-10
-    report(7, f"{2 * pairs} exact round trips with zero residual; pipeline dilation error {err:.1e}")
+    half, tiny = Fraction(1, 2), Fraction(1, 10 ** 12)
+    ts = (Fraction(1, 50), Fraction(2, 5), half - tiny, half + tiny, Fraction(31, 3), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7))
+    assert measured("meridian-translation-identity", 0, ts=ts) == 0
+    report(7, f"{2 * pairs} exact round trips with zero residual; pipeline dilation error {err:.1e}; "
+              f"b^2/s = (1 - 4t^2)/(12t) exactly at {len(ts)} t")
 
 
 def test_criterion_08_convergence():

@@ -66,14 +66,27 @@ def test_fig8_verify_rejects_a_non_number(tmp_path, t):
 def test_fig8_verify_out_of_range_is_an_error_line(tmp_path, t):
     # the whole command line, so that a traceback would reach stderr: one
     # error line that names t.  At 1e400 and 1e-400 2t rounds to inf and
-    # 0 (s_of_t); at 1e300 the float L/(2t) is singular, and at 1e-300 it
-    # overflows (normalization_consistency)
+    # 0 (s_of_t); at 1e300 the eigenvalue 1/(8t^3) of the record rounds to
+    # 0.0, and at 1e-300 it overflows (verify_report)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "convexcusp.cli", "fig8", "verify", "--t", t, "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: t = {t} is out of range: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "t", [f"{5 * 10 ** (k - 1) + side}/{10 ** k}" for k in range(1, 13) for side in (1, -1)]
+    + ["1e-4", "1e-8", "1e-15", "1e-30"]
+)
+def test_fig8_verify_normalizes_next_to_the_unipotent_point_and_at_small_t(tmp_path, t):
+    # t = 1/2 +- 10^-k for k = 1..12, where s is about -+4 10^-k, and small t
+    assert run(["fig8", "verify", "--t", t, "--out", str(tmp_path)]) == 0
+    report = json.load(open(tmp_path / "fig8_verify.json"))
+    params, s = report["normalized_params"], report["s"]
+    assert params["sign"] == 1 and params["residual"] == 0.0
+    assert abs(params["longitude"]["f_value"] - s) <= 1e-9 * abs(s)
 
 
 def test_fig8_sweep(tmp_path):

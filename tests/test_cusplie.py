@@ -238,6 +238,27 @@ def test_normalize_exact_round_trip(family, expected_sign):
         assert float(pb1) == pytest.approx(float(b1) * float(pb2) / float(b2), abs=1e-12)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_normalize_exact_over_a_quadratic_extension(sign):
+    # the top-right entry is 2 (not 1) times the dilation entry, so the
+    # final rescaling needs 1/sqrt(2): the conjugator lies over Q(sqrt 2)
+    # and still conjugates the pair exactly into the family
+    x1 = pl.exact_matrix([[0, 0, 1, -4 * sign], [0, 2, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    x2 = pl.exact_matrix([[0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, 3], [0, 0, 0, 0]])
+    G = pl.exact_matrix([[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
+    Gi = pl.mat_inv(G)
+    pair = (G @ x1 @ Gi, G @ x2 @ Gi)
+    res = cl.normalize_algebra_pair(*pair)
+    C = res.conjugator
+    assert res.sign == sign and res.residual == 0.0 and res.exact
+    assert all(type(v) is cl._QuadExt for v in C.flat)
+    for x, img in zip(pair, res.images):
+        assert all(v == 0 for v in (C @ x - img @ C).flat)
+    (a1, b1), (a2, b2) = res.params
+    assert (a1, a2) == (2, 0) and float(b1) == pytest.approx(-sign / math.sqrt(2), rel=1e-15)
+    assert float(b2) == pytest.approx(3 * float(b1), rel=1e-15)
+
+
 def test_normalize_float_round_trip():
     rng = np.random.default_rng(8)
     for fam, expected in (("LPrime", 1), ("LPrimeMinus", -1)):

@@ -413,26 +413,28 @@ def test_pipeline_dilation_is_s(t):
     assert abs(rep.dilation_f - rep.s) <= 1e-9 * abs(rep.s)
 
 
-@pytest.mark.parametrize(
-    "t", [Fraction(1, 4), Fraction(-7, 3), Fraction(499, 1000), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7)]
-)
-def test_pipeline_pair_is_the_rounded_fraction_pair(monkeypatch, t):
-    # the floats built from the integer word are those of the Fraction
-    # pair (meridian, longitude / (2t)), each entry rounded once
-    seen = []
-
-    def capture(A, B):
-        seen.append((A, B))
-        raise cl.HypothesesError("captured")
-
-    monkeypatch.setattr(cl, "normalize_pair", capture)
-    monkeypatch.setattr(fig8, "s_of_t", lambda t: 0.0)  # the pair is defined for t < 0 too
-    with pytest.raises(cl.HypothesesError, match="captured"):
-        fig8.normalization_consistency(t)
-    M, _ = fig8.generators(t)
-    (A, B), = seen
-    assert A.dtype == B.dtype == float and np.array_equal(A, pl.to_float(M))
-    assert np.array_equal(B, pl.to_float(reference_word(t, fig8.LONGITUDE) / (2 * t)))
+@pytest.mark.parametrize("t", [Fraction(1, 4), Fraction(499, 1000), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7)])
+def test_pipeline_sheared_pair_meets_the_lprime_pattern(t):
+    # the sheared basis images Zm, ZL of m - I and L/(2t) - I are exact:
+    # I + Zm is exp(LPrime(0, v)) and I + ZL is exp(LPrime(a, 0)) up to the
+    # scale r, so r^2 (e14 of ZL) = -u, with u = log(1/(16 t^4)) = s
+    rep = fig8.normalization_consistency(t)
+    Zm, ZL = rep.sheared
+    I = pl.identity(4, exact=True)
+    assert all(type(v) is Fraction for Z in rep.sheared for v in Z.flat)
+    assert rep.residual == 0.0 and all(v == 0 for Z in rep.sheared for v in cl._pattern_violations(Z, 0))
+    assert Zm[1, 1] == 0 and Zm[0, 2] != 0 and Zm[0, 3] == Zm[0, 2] ** 2 / 2
+    assert ZL[0, 2] == 0 and ZL[1, 1] == 1 / (16 * t ** 4) - 1 and ZL[0, 3] != 0
+    r2 = (rep.meridian_b / Zm[0, 2]) ** 2
+    assert rep.sign == 1 and r2 * ZL[0, 3] == pytest.approx(-rep.s, rel=1e-14)
+    # conjugate to the pair: the same exact commutation and minimal polynomials
+    X, Y = fig8.word(t, "m") - I, fig8.longitude(t) / (2 * t) - I
+    assert np.array_equal(Zm @ ZL, ZL @ Zm)
+    for Z, ref in ((Zm, X), (ZL, Y)):
+        assert pl.minimal_polynomial(Z).coeffs == pl.minimal_polynomial(ref).coeffs
+    # the classes, decided exactly on the group images
+    assert rep.meridian_class == cl.classify(I + Zm) == cl.PURE_TRANSLATION
+    assert rep.longitude_class == cl.classify(I + ZL) == cl.PURE_DILATION
 
 
 def test_pipeline_degenerate_at_half():
