@@ -14,9 +14,8 @@ a two-dimensional abelian algebra whose minimal polynomial map has that
 shape is conjugated into LPrime or LPrimeMinus, deciding the sign.  With
 exact rational input the conjugation is carried out over Q or, when the
 final rescaling needs a square root, over a quadratic extension, so the
-reported residual is exactly zero.  Its basis, the Jordan chain of a
-generic element and a column of its eigenline projector, is
-``chain_basis``; ``fig8`` builds the exact peripheral pair's on it.
+reported residual is exactly zero.  ``chain_basis``, the Jordan chain of
+a generic element and its eigenline, is the basis that ``fig8`` shares.
 
 Group elements take one path to the same checks: ``proj_normalize_lift``
 rescales a lift to triple eigenvalue 1.  ``classify`` profiles g - I of
@@ -290,6 +289,10 @@ class _QuadExt:
             return NotImplemented
         return self.p == o.p and self.q == o.q
 
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return NotImplemented if eq is NotImplemented else not eq
+
     def __hash__(self):
         return hash((self.p, self.q, self.d))
 
@@ -383,24 +386,20 @@ def _dependent(alpha, beta) -> bool:
 
 
 def chain_basis(P, X, scale=1.0):
-    """The basis (w1, w2, w3, w4) in which X, nilpotent of order 3 on the
-    range of I - P, and the eigenline projector P commute into model form:
-    w4 is the column of I - P with the largest X^2 w4, w3 = X w4, w1 = X w3,
-    and w2 the largest column of P.  Float input is decided relative to
-    ``scale``; HypothesesError when X^2 (I - P) = 0 or the basis degenerates.
-    """
+    """The basis (X w3, w2, w3 = X w4, w4) that puts X, nilpotent of order 3
+    on the range of I - P, and the eigenline projector P in model form: w4 is
+    the column of I - P with the largest X^2 w4, w2 the largest column of P.
+    Float input is decided relative to ``scale``."""
     exact = is_exact(P) and is_exact(X)
     Q = identity(4, exact=exact) - P
     X2Q = X @ X @ Q
     k = max(range(4), key=lambda j: projlin.max_abs(X2Q[:, j]))
-    score = projlin.max_abs(X2Q[:, k])
-    if (score == 0) if exact else (score <= NORMALIZE_TOL * scale ** 2):
+    if projlin.max_abs(X2Q[:, k]) <= (0 if exact else NORMALIZE_TOL * scale ** 2):
         raise HypothesesError("generic element has nilpotent order below 3")
     w3 = X @ Q[:, k]
     w2 = P[:, max(range(4), key=lambda j: projlin.max_abs(P[:, j]))]
     T = np.column_stack([X @ w3, w2, w3, Q[:, k]])
-    det = projlin.mat_det(T)
-    if (det == 0) if exact else (abs(det) <= 1e-14 * max(1.0, scale) ** 4):
+    if abs(projlin.mat_det(T)) <= (0 if exact else 1e-14 * max(1.0, scale) ** 4):
         raise HypothesesError("Jordan basis construction degenerated")
     return T
 
@@ -487,14 +486,24 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     W = identity(4, exact=exact)
     W[2, 3] = c2
     d_abs = abs(c1) if exact else abs(float(c1))
-    if not exact:
-        v = 1.0 / math.sqrt(d_abs)
-    elif (root := projlin._rational_sqrt(Fraction(d_abs))) is not None:
-        v = 1 / root
+    if exact:
+        root = projlin._rational_sqrt(Fraction(d_abs))
+        if root is not None:
+            v = 1 / root
+            S = identity(4, exact=True)
+        else:
+            v = _QuadExt(0, Fraction(1), d_abs) / d_abs  # 1/sqrt(d) = sqrt(d)/d
+            S = np.empty((4, 4), dtype=object)
+            for i in range(4):
+                for j in range(4):
+                    S[i, j] = _QuadExt(Fraction(i == j), 0, d_abs)
+        S[0, 0] = v * v if isinstance(v, _QuadExt) else Fraction(v) ** 2
+        S[2, 2] = v
     else:
-        v = _QuadExt(0, Fraction(1), d_abs) / d_abs  # 1/sqrt(d) = sqrt(d)/d
-    S = identity(4, exact=exact) + 0 * v  # entries in the field of v
-    S[0, 0], S[2, 2] = v * v, v
+        v = 1.0 / math.sqrt(d_abs)
+        S = np.eye(4)
+        S[0, 0] = v * v
+        S[2, 2] = v
     C = S @ (W @ Ti)
     Cinv = mat_inv(C)
 

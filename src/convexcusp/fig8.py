@@ -51,8 +51,7 @@ def _t_text(t: Fraction) -> str:
 
 
 def _float(x, t, name) -> float:
-    """The exact value ``name`` = x as a float; where a nonzero x rounds
-    to 0.0 or overflows, ValueError names t."""
+    """float(x); ValueError names t where the nonzero value ``name`` = x rounds to 0.0 or overflows."""
     try:
         y = float(x)
     except OverflowError:
@@ -235,6 +234,7 @@ class NormalizationReport:
     dilation_f: float | None
     meridian_b: float | None
     residual: float | None
+    q: Fraction | None = None  # b^2/u = r^2 v_m^2/u, exact
     sheared: tuple | None = None  # the exact sheared basis images of m - I and L/(2t) - I
 
     def to_json(self) -> dict:
@@ -250,8 +250,7 @@ class NormalizationReport:
 
 
 def _log(x: Fraction) -> float:
-    """log x of a rational x > 0: log1p(x - 1) next to 1, the log of the
-    float x inside the normal range, else log(numerator) - log(denominator)."""
+    """log x of a rational x > 0: log1p next to 1, log(x) in the float range, else log num - log den."""
     if abs(x - 1) <= Fraction(1, 2):
         return math.log1p(float(x - 1))
     if abs(x.numerator.bit_length() - x.denominator.bit_length()) < 1000:
@@ -268,12 +267,10 @@ def normalization_consistency(t) -> NormalizationReport:
     """The cusp normal form of the peripheral pair (meridian, L/(2t)), exactly.
 
     X = m - I, Y = L/(2t) - I; f = tr Y = 0 only at t = 1/2, the degenerate
-    report.  ``cusplie.chain_basis`` of (P = Y^3/f^3, X) is the translation-
-    line basis (``_readout``).  The shear c = g_m/v_m clears the meridian's g,
-    and the scale r^2 = -sign u/(g_L - c v_L) > 0, u = log lambda_L, takes
-    the pair to LPrime(0, b = r v_m) and LPrime(u, r v_L) (LPrimeMinus at
-    sign -1).  u and b are the only floats; the residual is the exact
-    pattern residual of the sheared pair, so 0.0 certifies it.
+    report.  In the basis ``cusplie.chain_basis`` of (Y^3/f^3, X), sheared by
+    c = g_m/v_m (``_readout``), r^2 = -sign u/g_L > 0, u = log lambda_L, scales
+    the pair to LPrime(0, b = r v_m) and LPrime(u, r v_L) (LPrimeMinus at sign -1).
+    u and b are the only floats; q = b^2/u is exact, and a 0.0 residual certifies the form.
     """
     t = _coerce_t(t)
     s = s_of_t(t)
@@ -284,34 +281,31 @@ def normalization_consistency(t) -> NormalizationReport:
         return NormalizationReport(t, s, 0, True, None, None, None, None, None)
     T = cusplie.chain_basis(Y @ Y @ Y / f ** 3, X)
     Ti = projlin.mat_inv(T)
-    based = [Ti @ Z @ T for Z in (X, Y)]
-    _, v_m, g_m = _readout(based[0])
-    W, Wi = I.copy(), I.copy()
-    W[2, 3], Wi[2, 3] = g_m / v_m, -g_m / v_m
-    sheared = tuple(W @ Z @ Wi for Z in based)
-    (d_m, v_m, _), (d_L, v_L, g_L) = map(_readout, sheared)
+    _, v_m, g_m = _readout(Ti @ X @ T)
+    # the shear W = I + c e_34 conjugates by T W^-1, whose inverse is W T^-1
+    T[:, 3], Ti[2] = T[:, 3] - g_m / v_m * T[:, 2], Ti[2] + g_m / v_m * Ti[3]
+    sheared = tuple(Ti @ Z @ T for Z in (X, Y))
+    d_L, _, g_L = _readout(sheared[1])
     sign = 1 if d_L * g_L < 0 else -1
-    u, q = _log(1 + d_L), -sign * v_m ** 2 / g_L  # q = r^2 v_m^2 / u
-    # LPrime(a, b) is a pure translation at a = 0, a pure dilation at b = 0; a = u vanishes with lambda - 1
+    u, q = _log(1 + d_L), -sign * v_m ** 2 / g_L
     classes = [cusplie.PURE_TRANSLATION if d == 0 else cusplie.PURE_DILATION if v == 0 else cusplie.GENERIC
-               for d, v in ((d_m, v_m), (d_L, v_L))]
+               for d, v, _ in map(_readout, sheared)]
     residual = max(cusplie.family_pattern_residual(Z, 0) for Z in sheared)
-    return NormalizationReport(t, s, sign, False, *classes, u, math.sqrt(_float(q, t, "b^2/u") * u), residual, sheared)
+    b = math.sqrt(abs(_float(q, t, "b^2/u"))) * math.sqrt(abs(u))  # q u = b^2 may overflow
+    return NormalizationReport(t, s, sign, False, *classes, u, b, residual, q, sheared)
 
 
 def verify_report(t) -> dict:
-    """The per-parameter verification record used by the command line;
-    ``_float`` converts its exact values."""
+    """The record of ``fig8 verify``; ``_float`` converts its exact values."""
     t = _coerce_t(t)
     report = normalization_consistency(t)  # s_of_t validates t > 0
     resid = relation_residual(t)
-    spec = longitude_spectrum(t)
     return {
         "t": str(t),
         "s": report.s,
         "relation_exact": not any(resid.flat),
         "relation_residual": max(_float(abs(v), t, "the relation residual") for v in resid.flat),
-        "longitude_spectrum": [[_float(l, t, "a longitude eigenvalue"), m] for l, m in spec],
+        "longitude_spectrum": [[_float(l, t, "a longitude eigenvalue"), m] for l, m in longitude_spectrum(t)],
         "obstruction": obstruction_at_t(t),
         "normalized_params": report.to_json(),
     }

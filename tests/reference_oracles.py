@@ -3,8 +3,8 @@
 Each one reaches a quantity of the package by a route that shares no
 code with the route it checks: cross ratios of four collinear points,
 Busemann densities from Hilbert metric balls alone, a covering-style
-volume estimate, the closed-form longitude table of the figure-eight
-family, and the tiling of the base by the lattice rectangle.
+volume estimate, the closed-form generators and longitude table of the
+figure-eight family, and the tiling of the base by the lattice rectangle.
 """
 
 from __future__ import annotations
@@ -154,7 +154,16 @@ def hausdorff_oracle(dom: ConvexDomain, region: Region, eps: float, details=Fals
 
 
 # ---------------------------------------------------------------------------
-# the longitude table
+# the generators and the longitude table
+
+
+def reference_generators(t):
+    """The generator pair (meridian image, companion image) in closed form,
+    as Fraction matrices, independent of ``fig8``'s integer letters."""
+    t = fig8._coerce_t(t)
+    M = [[1, 0, 1, t - 1], [0, 1, 1, t], [0, 0, 1, t + Fraction(1, 2)], [0, 0, 0, 1]]
+    N = [[1, 0, 0, 0], [2 + 1 / t, 1, 0, 0], [2, 1, 1, 0], [1, 1, 0, 1]]
+    return projlin.exact_matrix(M), projlin.exact_matrix(N)
 
 
 def displayed_longitude(t, stray_reading="t"):

@@ -29,6 +29,12 @@ def test_generators_reject_zero():
         fig8.generators(0)
 
 
+@pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(-7, 3), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7), 0.3])
+def test_generators_equal_the_closed_form(t):
+    for G, R in zip(fig8.generators(t), ro.reference_generators(t)):
+        assert_same_fractions(G, R)
+
+
 def test_generators_unipotent():
     rng = random.Random(31)
     for _ in range(8):
@@ -58,15 +64,15 @@ def test_relation_float_small():
 
 
 def reference_word(t, letters):
-    """The word as products of the Fraction generators and their
-    Gauss-Jordan inverses, left to right."""
-    M, N = fig8.generators(t)
+    """The word as products of the closed-form Fraction generators and
+    their Gauss-Jordan inverses, left to right."""
+    M, N = ro.reference_generators(t)
     mats = {"m": M, "n": N, "M": pl.mat_inv(M), "N": pl.mat_inv(N)}
     return functools.reduce(np.matmul, (mats[c] for c in letters))
 
 
 def reference_relation_residual(t):
-    M, N = fig8.generators(t)
+    M, N = ro.reference_generators(t)
     W = reference_word(t, "nMNm")
     lhs, rhs = M @ W, W @ N
     pos = max(((i, j) for i in range(4) for j in range(4)), key=lambda ij: abs(pl.to_float(rhs)[ij]))
@@ -130,7 +136,7 @@ def _integer_word_ts():
 
 @pytest.mark.parametrize("t", _integer_word_ts())
 def test_integer_words_equal_the_fraction_algorithm(t):
-    M, N = fig8.generators(t)
+    M, N = ro.reference_generators(t)
     letters = fig8._letters(t)
     for c, g in (("m", M), ("n", N), ("M", pl.mat_inv(M)), ("N", pl.mat_inv(N))):
         A, d = letters[c]
@@ -427,6 +433,7 @@ def test_pipeline_sheared_pair_meets_the_lprime_pattern(t):
     assert ZL[0, 2] == 0 and ZL[1, 1] == 1 / (16 * t ** 4) - 1 and ZL[0, 3] != 0
     r2 = (rep.meridian_b / Zm[0, 2]) ** 2
     assert rep.sign == 1 and r2 * ZL[0, 3] == pytest.approx(-rep.s, rel=1e-14)
+    assert rep.q == -Zm[0, 2] ** 2 / ZL[0, 3] == (1 - 4 * t ** 2) / (12 * t)  # b^2/u, exactly
     # conjugate to the pair: the same exact commutation and minimal polynomials
     X, Y = fig8.word(t, "m") - I, fig8.longitude(t) / (2 * t) - I
     assert np.array_equal(Zm @ ZL, ZL @ Zm)
@@ -435,6 +442,14 @@ def test_pipeline_sheared_pair_meets_the_lprime_pattern(t):
     # the classes, decided exactly on the group images
     assert rep.meridian_class == cl.classify(I + Zm) == cl.PURE_TRANSLATION
     assert rep.longitude_class == cl.classify(I + ZL) == cl.PURE_DILATION
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 10 ** 306), Fraction(10 ** 307)])
+def test_pipeline_meridian_b_is_finite_where_b_squared_overflows(t):
+    # q = b^2/u and u are finite floats at these t, their product b^2 is not
+    rep = fig8.normalization_consistency(t)
+    assert math.isfinite(float(rep.q)) and float(rep.q) * rep.dilation_f == math.inf
+    assert rep.meridian_b == pytest.approx(abs(rep.s) * fig8.meridian_translation(rep.s), rel=1e-12)
 
 
 def test_pipeline_degenerate_at_half():
