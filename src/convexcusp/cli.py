@@ -14,6 +14,7 @@ Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -226,7 +227,10 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(prog="convexcusp", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

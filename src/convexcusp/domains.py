@@ -11,9 +11,11 @@ are vertical shifts.  A Euclidean ball domain is included as a
 closed-form metric oracle for the Hilbert geometry code.
 
 Membership and boundary values are closed forms in each domain's own
-coordinates, and so are the chords of the two quadrics: the exit of a
-ray from the ball, and from D0 and its horoballs, is the positive root
-of a quadratic in the chord parameter.  Chord endpoints of the members
+coordinates (at t = 0 the quadric (x2^2 + x3^2)/2 itself, with no
+psi), and so are the chords of the two quadrics: the exit of a ray from
+the ball, and from D0 and its horoballs, is the positive root of a
+quadratic in the chord parameter.  ``chord_taus`` checks its input once,
+then solves.  Chord endpoints of the members
 t != 0 come from one Newton solver on the concave chord function of the
 member, vectorised over rays; the affine maps leave the chord parameter
 unchanged.  A ray of a parabolic domain has an ideal end when it lies
@@ -28,6 +30,7 @@ negates: Householder reflections onto the radius for the ball,
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -104,7 +107,7 @@ class ConvexDomain:
         """Exit parameters tau > 0 of rays X + tau*V (inf when ideal)."""
         raise NotImplementedError
 
-    def chord_taus(self, x, dirs):
+    def chord_taus(self, x, dirs, checked=False):
         """Signed boundary parameters along x + tau*dirs.
 
         ``x`` is one interior point or an (m,3) batch, and the N rows of
@@ -119,24 +122,33 @@ class ConvexDomain:
         Exits are solved along unit directions, so the ideal probe does
         not depend on how a direction is scaled; ``CHORD_TOL`` bounds the
         error of the Newton solver, while the quadrics' closed forms are
-        accurate to rounding.  Non-finite input raises
-        UnboundedSearchError, then a zero direction or a base point
-        outside the domain ValueError.
+        accurate to rounding.
+
+        The input is checked once, before the solve: non-finite input
+        raises UnboundedSearchError, then a zero direction or a base point
+        outside the domain ValueError, one membership test per base
+        point.  ``checked=True`` goes straight to the solve, for a caller
+        whose points and directions have passed that check already (the
+        node solves of a density, after its frame solve).
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         x = np.atleast_2d(np.asarray(x, dtype=float))
         run = len(dirs) // max(len(x), 1)
         if run * len(x) != len(dirs):
             raise ValueError(f"{len(dirs)} chord directions do not split among {len(x)} base points")
-        norms = np.linalg.norm(dirs, axis=1)
-        bad = np.repeat(~np.isfinite(x).all(axis=1), run) | ~np.isfinite(norms)
-        if bad.any():
-            raise UnboundedSearchError(dirs[np.argmax(bad)])
-        if np.any(norms == 0):
-            raise ValueError("chord direction must be nonzero")
-        if not self.contains_batch(x).all():
-            raise ValueError("chord base point must be interior")
-        X = np.repeat(x, run, axis=0)
+        # np.linalg.norm's own sum of squares, without its set-up
+        norms = np.sqrt(np.add.reduce(dirs * dirs, axis=1))
+        if not checked:
+            # one finiteness test for the batch; the rows only when it fails
+            if not math.isfinite(norms.sum() + x.sum()):
+                bad = np.repeat(~np.isfinite(x).all(axis=1), run) | ~np.isfinite(norms)
+                if bad.any():
+                    raise UnboundedSearchError(dirs[np.argmax(bad)])
+            if not norms.all():
+                raise ValueError("chord direction must be nonzero")
+            if not self.contains_batch(x).all():
+                raise ValueError("chord base point must be interior")
+        X = x if run == 1 else np.repeat(x, run, axis=0)
         U = dirs / norms[:, None]
         plus, minus = self._ray_exit(np.concatenate([X, X]), np.concatenate([U, -U])).reshape(2, -1) / norms
         return -minus, plus
@@ -202,8 +214,13 @@ class ParabolicDomain(ConvexDomain):
         return 1.0 + float(self.t) * np.asarray(b2, dtype=float) > 0
 
     def boundary_value_batch(self, b2, b3):
+        """h_t at the base points (b2, b3).  At t = 0 (D0 and its
+        horoballs) psi is the constant 1/2, and the closed form
+        b3^2/2 + b2^2 * 0.5 is the float the psi route gives, with no
+        log1p or series."""
         b2 = np.asarray(b2, dtype=float)
-        return 0.5 * np.asarray(b3, dtype=float) ** 2 + b2 ** 2 * _psi(float(self.t) * b2)
+        psi = 0.5 if self.t == 0 else _psi(float(self.t) * b2)
+        return 0.5 * np.asarray(b3, dtype=float) ** 2 + b2 ** 2 * psi
 
     def boundary_value(self, x2, x3) -> float:
         """Height of the boundary graph over a base point."""
@@ -244,8 +261,11 @@ class ParabolicDomain(ConvexDomain):
         t = float(self.t)
         Y, D = self._to_family(X, V)
         recede = (D[2] == 0) & ((D[1] == 0) & (D[0] > 0) if t == 0 else (t * D[1] >= 0) & (t * (t * D[0] - D[1]) >= 0))
-        rows = np.flatnonzero(~recede)
-        Y, D = [y[rows] for y in Y], [d[rows] for d in D]
+        if recede.any():
+            rows = np.flatnonzero(~recede)
+            Y, D = [y[rows] for y in Y], [d[rows] for d in D]
+        else:
+            rows = np.arange(len(X))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if t == 0:
                 (y1, y2, y3), (d1, d2, d3) = Y, D
@@ -258,22 +278,31 @@ class ParabolicDomain(ConvexDomain):
                 live[far] = ~self.contains_batch(X[rows[far]] + IDEAL_PROBE * V[rows[far]])
                 rows, tau, ray = rows[live], tau[live], ray[..., live]
             if t == 0:
-                if not np.isfinite(tau).all():
-                    raise UnboundedSearchError(V[rows[np.argmax(~np.isfinite(tau))]])
+                _check_finite(tau, V, rows)
                 out[rows] = np.fmin(tau, IDEAL_PROBE)
                 return out
-            # the live rays, compacted after every step
+            # the live rays, compacted after a step that ends some of them
             for _ in range(NEWTON_MAX_STEPS):
                 if not len(rows):
                     return out
                 step = _newton_step(t, ray, tau)
-                if not np.isfinite(step).all():
-                    raise UnboundedSearchError(V[rows[np.argmax(~np.isfinite(step))]])
+                _check_finite(step, V, rows)
                 keep = step > np.maximum(0.5 * CHORD_TOL, _four_ulp(tau))
                 tau = tau - np.maximum(step, 0.0)
-                out[rows] = tau
-                rows, tau, ray = rows[keep], tau[keep], np.compress(keep, ray, axis=1)
+                if not keep.all():
+                    out[rows] = tau
+                    rows, tau, ray = rows[keep], tau[keep], ray.compress(keep, axis=1)
         raise UnboundedSearchError(V[rows[0]])
+
+
+def _check_finite(a, V, rows):
+    """Raise UnboundedSearchError along the direction of the first row
+    of ``a`` that is not finite: one sum tests the whole batch, and the
+    rows are looked at only when it is not finite."""
+    if not math.isfinite(a.sum()):
+        bad = ~np.isfinite(a)
+        if bad.any():
+            raise UnboundedSearchError(V[rows[np.argmax(bad)]])
 
 
 def _four_ulp(tau):
@@ -309,19 +338,21 @@ def _ray_start(t, Y, D):
     tt = t * t
     # in p1 the w term goes before the quadratic one: in D_1, the image
     # of DPrime, this recovers v1 from v1 + v2 even where v1 << v2
-    ray = np.array([t * (t * q0 - y2), t * (t * d1 - d2) - tt * r3, tt * a, t * y2, t * d2])
-    p0, p1, pa, m0, sv = ray
+    ray = [t * (t * q0 - y2), t * (t * d1 - d2) - tt * r3, tt * a, t * y2, t * d2]
+    ray = np.array(ray + [q0, q1, a, y2, d2] if tt < 0.25 else ray)
+    p0, p1, pa, m0, sv = ray[:5]
     s0 = 1.0 + m0
-    tau = _positive_root(p0 + np.log1p(m0), p1 + sv / s0, pa)
+    # the roots under both tangents, at w = y2 and at w = 0, in one call
+    tau, cap = _positive_root(*np.array([[p0 + np.log1p(m0), q0], [p1 + sv / s0, q1], [pa, a]]))
     if tt < 0.25:
-        ray = np.concatenate([ray, [q0, q1, a, y2, d2]])
         near = _series_rows(t, y2, d2, 0.0)
-        y, v, s, u = y2[near], d2[near], s0[near], sv[near]
-        c, b = q0[near] - y * y * _psi_series(t * y), q1[near] - v * y / s
-        r1 = _positive_root(c, b, a[near] + 0.5 * (v / s) ** 2)
-        r2 = _positive_root(c, b, a[near] + 0.5 * (v / (s + 2.0 * r1 * u)) ** 2)
-        tau[near] = np.where(u <= 0, r1, np.where(r2 <= 2.0 * r1, r2, _positive_root(c, b, a[near])))
-    tau = np.fmin(tau, _positive_root(q0, q1, a))
+        if len(near):
+            y, v, s, u = y2[near], d2[near], s0[near], sv[near]
+            c, b = q0[near] - y * y * _psi_series(t * y), q1[near] - v * y / s
+            r1 = _positive_root(c, b, a[near] + 0.5 * (v / s) ** 2)
+            r2 = _positive_root(c, b, a[near] + 0.5 * (v / (s + 2.0 * r1 * u)) ** 2)
+            tau[near] = np.where(u <= 0, r1, np.where(r2 <= 2.0 * r1, r2, _positive_root(c, b, a[near])))
+    tau = np.fmin(tau, cap)
     tau = np.where(sv < 0, np.fmin(tau, -s0 / sv), tau)
     return ray, np.fmin(tau, IDEAL_PROBE)
 
@@ -359,12 +390,14 @@ def _newton_step(t, ray, tau):
     minus_q = tau * h - p0
     minus_dq = h + pt
     edge = (m < 0.0) & (minus_q < 50.0)
-    e = np.expm1(minus_q)  # overflows only off the edge rows, where it is unused
     s = 1.0 + m
-    num = np.where(edge, m - e, s * (np.log1p(m) - minus_q))
-    step = num / (sv - minus_dq * np.where(edge, 1.0 + e, s))
-    if len(ray) > 5:
-        near = _series_rows(t, ray[8], ray[9], tau)
+    if edge.any():
+        e = np.expm1(minus_q)  # overflows only off the edge rows, where it is unused
+        step = np.where(edge, m - e, s * (np.log1p(m) - minus_q)) / (sv - minus_dq * np.where(edge, 1.0 + e, s))
+    else:
+        step = s * (np.log1p(m) - minus_q) / (sv - minus_dq * s)
+    near = _series_rows(t, ray[8], ray[9], tau) if len(ray) > 5 else ()
+    if len(near):
         q0, q1, a, y2, d2 = ray[5:, near]
         tn = tau[near]
         w = y2 + tn * d2
@@ -416,7 +449,7 @@ class DomainDt(ParabolicDomain):
 _PSI_SERIES_BELOW = 0.25
 #: the coefficients 1/(2j + 3) of S(x) = sum x^j / (2j + 3), highest
 #: power first; with x = r^2 <= 1/49 the ten kept leave less than 1e-18
-_PSI_SERIES = 1.0 / (2.0 * np.arange(9, -1, -1) + 3.0)
+_PSI_SERIES = tuple(1.0 / (2.0 * j + 3.0) for j in range(9, -1, -1))
 
 
 def _psi(u):
@@ -433,9 +466,14 @@ def _psi(u):
 
 def _psi_series(u):
     """psi at |u| < 1/4 from log1p(u) = 2 atanh(r), r = u/(2 + u):
-    psi = (1 - r)/2 (1 - (1 - r) r S(r^2)), and psi(0) = 1/2 exactly."""
+    psi = (1 - r)/2 (1 - (1 - r) r S(r^2)), and psi(0) = 1/2 exactly.
+    S is summed by Horner's rule in np.polyval's order of operations."""
     r = u / (2.0 + u)
-    return 0.5 * (1.0 - r) * (1.0 - (1.0 - r) * r * np.polyval(_PSI_SERIES, r * r))
+    x = r * r
+    S = _PSI_SERIES[0] * x + _PSI_SERIES[1]
+    for c in _PSI_SERIES[2:]:
+        S = S * x + c
+    return 0.5 * (1.0 - r) * (1.0 - (1.0 - r) * r * S)
 
 
 class BallDomain(ConvexDomain):
@@ -457,9 +495,11 @@ class BallDomain(ConvexDomain):
         the ball is invariant under the rotations about x, so its form is
         diagonal in the frame, the unit ball the ellipsoid on the frame
         radii, and its volume a closed form with no quadrature to check
-        (gap 0)."""
+        (gap 0).  A non-finite point gets nan rows, which the chord check
+        of the frame solve then rejects."""
         r = np.linalg.norm(X, axis=1)[:, None]
-        W = np.where(X[:, :1] < 0, -1.0, 1.0) * X / np.where(r > 0, r, 1.0)
+        with np.errstate(invalid="ignore"):
+            W = np.where(X[:, :1] < 0, -1.0, 1.0) * X / np.where(r > 0, r, 1.0)
         W[:, 0] += 1.0
         return np.eye(3) - 2.0 * W[:, :, None] * W[:, None, :] / np.einsum("ij,ij->i", W, W)[:, None, None]
 

@@ -18,6 +18,7 @@ translation-line basis of ``cusplie.chain_basis``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -51,12 +52,14 @@ def _t_text(t: Fraction) -> str:
 
 
 def _float(x, t, name) -> float:
-    """float(x); ValueError names t where the nonzero value ``name`` = x rounds to 0.0 or overflows."""
+    """float(x); ValueError names t where the nonzero value ``name`` = x
+    rounds to 0.0 or to a subnormal, which keeps fewer than 53 bits, or
+    overflows."""
     try:
         y = float(x)
     except OverflowError:
         y = math.inf
-    if x and not 0 < abs(y) < math.inf:
+    if x and not sys.float_info.min <= abs(y) < math.inf:
         raise ValueError(f"t = {_t_text(t)} is out of range: {name} rounds to {y} as a float")
     return y
 

@@ -97,8 +97,9 @@ def hilbert_distance_pairs(dom: ConvexDomain, X, Y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     V = Y - X
-    deg = ~np.any(V, axis=1)
-    V = np.where(deg[:, None], np.array([1.0, 0, 0]), V)
+    deg = ~V.any(axis=1)
+    if deg.any():
+        V = np.where(deg[:, None], np.array([1.0, 0, 0]), V)
     tm, tp = dom.chord_taus(X, V)
     if not dom.contains_batch(Y).all():
         raise ValueError("distance end point must be interior")
@@ -120,7 +121,11 @@ def finsler_norm(dom: ConvexDomain, x, v) -> float:
 
 
 def finsler_norm_batch(dom: ConvexDomain, x, dirs):
-    tm, tp = dom.chord_taus(x, dirs)
+    return _finsler_norms(*dom.chord_taus(x, dirs))
+
+
+def _finsler_norms(tm, tp):
+    """Tangent norms from the chord parameters of their directions."""
     with np.errstate(divide="ignore"):
         u = np.where(np.isinf(tm), 0.0, -1.0 / tm)
         w = np.where(np.isinf(tp), 0.0, 1.0 / tp)
@@ -180,7 +185,9 @@ DENSITY_CHUNK_ROWS = 4096
 
 def _frame_radii(dom, X, frames):
     """Radii 1/F along the three frame rows of every point, from one
-    chord solve per chunk of points, as an (m,3) array."""
+    chord solve per chunk of points, as an (m,3) array.  This solve
+    checks the points, once each: a non-interior one raises
+    ValueError."""
     radii = np.empty((len(X), 3))
     step = max(1, DENSITY_CHUNK_ROWS // 6)
     for a in range(0, len(X), step):
@@ -201,7 +208,9 @@ def _unit_ball_volumes(dom, X, q):
     of directions; the node sets are split afterwards.  One node of
     each orbit of lines of ``line_quadrature`` goes in, at the orbit's
     weight: the norm is even, and invariant under the reflection u2 ->
-    -u2 of the frame.
+    -u2 of the frame.  The node solves skip the input check, which the
+    frame solve has made on the same points, and the node directions
+    are finite and nonzero, since the radii are.
     """
     U, W = line_quadrature(q.sphere_nodes)
     Uc, Wc = line_quadrature(max(8, q.sphere_nodes // 4))
@@ -216,7 +225,7 @@ def _unit_ball_volumes(dom, X, q):
         P, R = X[a : a + step], radii[a : a + step]
         k = len(P)
         dirs = np.einsum("kni,kij->knj", nodes[None, :, :] * R[:, None, :], frames[a : a + step]).reshape(k * n, 3)
-        norms = finsler_norm_batch(dom, P, dirs)
+        norms = _finsler_norms(*dom.chord_taus(P, dirs, checked=True))
         r3 = (1.0 / norms.reshape(k, n)) ** 3
         scale = np.prod(R, axis=1)
         fine[a : a + k] = scale * np.sum(W * r3[:, :n_fine], axis=1) / 3.0
@@ -230,13 +239,12 @@ def _ball_volumes(dom, x, q, check):
     On a quadric (``dom.quadric``) the norm is quadratic and diagonal in
     the frame, so the unit ball is the ellipsoid on the frame radii, of
     volume (4 pi/3) r1 r2 r3 = 8 alpha_3 r1 r2 r3 and gap 0; every other
-    domain takes the sphere quadrature.  The check runs here, after the
-    solve has returned, so that the traceback of a QuadratureError holds
-    no chord arrays.
+    domain takes the sphere quadrature.  Membership is tested once per
+    point, by the frame solve (``_frame_radii``).  The quadrature check
+    runs here, after the solve has returned, so that the traceback of a
+    QuadratureError holds no chord arrays.
     """
     X = np.asarray(x, dtype=float).reshape(-1, 3)
-    if not dom.contains_batch(X).all():
-        raise ValueError("unit ball requested at a non-interior point")
     if dom.quadric:
         return 8.0 * ALPHA3 * np.prod(_frame_radii(dom, X, dom.quadrature_frames(X)), axis=1), np.zeros(len(X))
     fine, coarse = _unit_ball_volumes(dom, X, q)
@@ -268,7 +276,9 @@ def unit_ball_lebesgue(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRAT
     rounding.  A coarse pass at a quarter of the nodes is solved
     alongside the fine one; with ``check`` it must agree with the fine
     pass to within ten times ``q.rel_target`` at every point or
-    QuadratureError is raised.  A non-interior point raises ValueError.
+    QuadratureError is raised.  A non-interior point raises ValueError
+    from the frame solve, which tests each point once; the node solves
+    reuse that test.
     """
     fine, _ = _ball_volumes(dom, x, q, check)
     return float(fine[0]) if np.ndim(x) == 1 else fine

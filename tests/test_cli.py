@@ -62,18 +62,27 @@ def test_fig8_verify_rejects_a_non_number(tmp_path, t):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("t", ["1e300", "1e-300", "1e400", "1e-400"])
+@pytest.mark.parametrize("t", ["1e300", "1e-300", "1e400", "1e-400", "1e103", "1e107"])
 def test_fig8_verify_out_of_range_is_an_error_line(tmp_path, t):
     # the whole command line, so that a traceback would reach stderr: one
     # error line that names t.  At 1e400 and 1e-400 2t rounds to inf and
     # 0 (s_of_t); at 1e300 the eigenvalue 1/(8t^3) of the record rounds to
-    # 0.0, and at 1e-300 it overflows (verify_report)
+    # 0.0, at 1e103 and 1e107 to a subnormal (1.25e-310 and 1.24e-322,
+    # with 45 and 5 significant bits), and at 1e-300 it overflows
+    # (verify_report)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "convexcusp.cli", "fig8", "verify", "--t", t, "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: t = {t} is out of range: ") and proc.stderr.count("\n") == 1
+
+
+def test_fig8_verify_keeps_the_last_normal_eigenvalue(tmp_path):
+    # at 1e102 the eigenvalue 1/(8t^3) = 1.25e-307 is still a normal float
+    assert run(["fig8", "verify", "--t", "1e102", "--out", str(tmp_path)]) == 0
+    report = json.load(open(tmp_path / "fig8_verify.json"))
+    assert report["longitude_spectrum"][0][0] == 1.25e-307
 
 
 @pytest.mark.parametrize(

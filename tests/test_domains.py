@@ -666,3 +666,27 @@ def test_dt_boundary_matches_series_across_the_switch():
     expected = 0.5 * 0.09 + y2 ** 2 * series
     got = dm.DomainDt(t).boundary_value_batch(y2, np.full_like(y2, 0.3))
     assert np.all(np.abs(got - expected) <= 2e-15 * expected)
+
+
+@pytest.mark.parametrize("dom", [dm.DomainD0(), dm.VerticalShiftDomain(dm.DomainD0(), 0.75)], ids=["D0", "D0 horoball"])
+def test_quadric_boundary_is_the_psi_route_bit_for_bit(dom):
+    # at t = 0 the boundary is the closed form b3^2/2 + b2^2 * 0.5, and
+    # psi(0 * b2) = 1/2 exactly, so the psi route gives the same floats
+    rng = np.random.default_rng(11)
+    mags = np.concatenate([[0.0, 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e150], np.exp(rng.uniform(-20, 20, 40))])
+    b2 = np.concatenate([mags, -mags])
+    b2, b3 = np.repeat(b2, len(b2)), np.tile(b2, len(b2))
+    psi_route = 0.5 * b3 ** 2 + b2 ** 2 * dm._psi(0.0 * b2)
+    if isinstance(dom, dm.VerticalShiftDomain):
+        psi_route = psi_route + dom.shift
+    got = dom.boundary_value_batch(b2, b3)
+    assert got.tobytes() == psi_route.tobytes()
+
+
+def test_psi_series_horner_matches_polyval_bit_for_bit():
+    # the series is summed in np.polyval's order of operations
+    u = np.linspace(-0.25, 0.25, 200_001)[1:-1]
+    u = np.concatenate([u, [0.0, -0.0, 1e-300, -1e-300, 0.2499999999999999, -0.2499999999999999]])
+    r = u / (2.0 + u)
+    expected = 0.5 * (1.0 - r) * (1.0 - (1.0 - r) * r * np.polyval(dm._PSI_SERIES, r * r))
+    assert dm._psi_series(u).tobytes() == expected.tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from convexcusp import hilbert as hb, projlin as pl
 from convexcusp.cusplie import LieAlgElem, group_exp
-from convexcusp.domains import BallDomain, DomainD0, DomainDPrime, DomainDt, VerticalShiftDomain, vt_map
+from convexcusp.domains import BallDomain, DomainD0, DomainDPrime, DomainDt, UnboundedSearchError, VerticalShiftDomain, vt_map
 import reference_oracles as ro
 
 BALL = BallDomain()
@@ -86,6 +86,46 @@ def test_distance_rejects_exterior_ends():
         hb.hilbert_distance_pairs(BALL, [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], [[0.5, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         hb.hilbert_distance_pairs(BALL, [[1.5, 0.0, 0.0]], [[0.5, 0.0, 0.0]])
+
+
+EXTERIOR_CASES = {
+    "Ball": (BALL, [0.3, -0.2, 0.1], [1.2, 0.0, 0.0]),
+    "D0": (DomainD0(), [2.0, 0.5, -0.7], [0.1, 1.0, 0.0]),
+    "DPrime": (DP, [2.0, 1.0, 0.0], [-5.0, 1.0, 0.0]),
+    "Dt": (DomainDt(0.5), [10.0, 1.0, 0.0], [-10.0, 1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(EXTERIOR_CASES))
+def test_non_interior_points_raise_value_error(name):
+    # each point is tested once, and a point outside raises ValueError
+    # from densities and distances, one point or a batch, in any place
+    dom, inside, outside = EXTERIOR_CASES[name]
+    batch = [inside, inside, outside]
+    with pytest.raises(ValueError):
+        hb.busemann_density(dom, np.array(outside), FAST_Q)
+    with pytest.raises(ValueError):
+        hb.busemann_density(dom, np.array(batch), FAST_Q, check=False)
+    with pytest.raises(ValueError):
+        hb.hilbert_distance(dom, inside, outside)
+    with pytest.raises(ValueError):
+        hb.hilbert_distance(dom, outside, inside)
+    with pytest.raises(ValueError):
+        hb.hilbert_distance_pairs(dom, batch, batch[::-1])
+    with pytest.raises(ValueError):
+        hb.hilbert_distance_pairs(dom, batch[::-1], inside)
+
+
+@pytest.mark.parametrize("name", list(EXTERIOR_CASES))
+def test_non_finite_density_points_raise_as_chords_do(name):
+    # the density's frame solve makes the chord check: a nan or inf
+    # coordinate is UnboundedSearchError, as for every chord and distance
+    dom, inside, _ = EXTERIOR_CASES[name]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(UnboundedSearchError):
+            hb.busemann_density(dom, np.array([bad, inside[1], inside[2]]), FAST_Q)
+        with pytest.raises(UnboundedSearchError):
+            hb.hilbert_distance(dom, inside, [bad, inside[1], inside[2]])
 
 
 def test_distance_symmetry():
@@ -603,21 +643,21 @@ COUNT_CASES = {
 @pytest.mark.parametrize("name", list(COUNT_CASES))
 @pytest.mark.parametrize("q", [hb.DEFAULT_QUADRATURE, FAST_Q], ids=["2312 nodes", "578 nodes"])
 def test_density_tests_each_point_once_per_solve(name, q):
-    # the density checks its points once and each of its chord solves
-    # once more, however the points are chunked, and solves both rays of
-    # every line it needs: on the quadrics the 3 frame lines alone, in
-    # one solve, whatever the node count; on D' those and the node
-    # lines, in two.  No chord tests another point: the Ball has no
-    # ideal ends, and D0 and D' probe only rays whose start is clipped
-    # to the ideal probe, which none is here (their ideal e1 rays lie in
-    # the recession cone)
+    # the density tests each point once, in its frame solve, however the
+    # points are chunked; the node solves reuse that test.  It solves
+    # both rays of every line it needs: on the quadrics the 3 frame
+    # lines alone, whatever the node count; on D' those and the node
+    # lines.  No chord tests another point: the Ball has no ideal ends,
+    # and D0 and D' probe only rays whose start is clipped to the ideal
+    # probe, which none is here (their ideal e1 rays lie in the
+    # recession cone)
     dom, pts = COUNT_CASES[name]
     counting = _counting(dom)
     pts = np.array(pts)
     rho = hb.busemann_density(counting, pts, q)
-    lines, solves = (3, 1) if dom.quadric else (DENSITY_LINES[q.sphere_nodes], 2)
+    lines = 3 if dom.quadric else DENSITY_LINES[q.sphere_nodes]
     assert counting.rays == 2 * lines * len(pts)
-    assert counting.rows == (1 + solves) * len(pts)
+    assert counting.rows == len(pts)
     assert rho.tolist() == hb.busemann_density(dom, pts, q).tolist()
 
 
