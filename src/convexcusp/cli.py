@@ -173,7 +173,7 @@ def cmd_lattice_normalize(args) -> int:
     if not isinstance(payload, dict) or not {"A", "B"} <= payload.keys():
         print(f"error: {args.infile} does not hold both generators A and B", file=sys.stderr)
         return 2
-    A, B = (projlin.to_float(projlin.matrix_from_json(payload[k])) for k in ("A", "B"))
+    A, B = (projlin.matrix_from_json(payload[k]) for k in ("A", "B"))
     try:
         res = cusplie.normalize_pair(A, B)
     except ValueError as err:

@@ -9,25 +9,22 @@ a nonzero element has the shape t^n (t - f) with n in {2, 3}.
 ``minpoly_profile`` reads (n, f) from ``minimal_polynomial`` for exact
 input and from that cubic for float input, at ``PROFILE_TOL``.
 
-``normalize_algebra_pair`` implements the constructive classification:
-a two-dimensional abelian algebra whose minimal polynomial map has that
-shape is conjugated into LPrime or LPrimeMinus, deciding the sign.  With
-exact rational input the conjugation is carried out over Q or, when the
-final rescaling needs a square root, over a quadratic extension, so the
-reported residual is exactly zero.  ``chain_basis``, the Jordan chain of
-a generic element and its eigenline, is the basis that ``fig8`` shares.
-
-Group elements take one path to the same checks: ``proj_normalize_lift``
-rescales a lift to triple eigenvalue 1.  ``classify`` profiles g - I of
-that lift, and ``normalize_pair`` tests the pair for projective
-commutation and hands the two ``mat_log`` logs to
-``normalize_algebra_pair``, which tests them for rank 2 before its
-model-form fast path.
+One core, ``translation_line_form``, puts a commuting pair in the cusp
+normal form: the eigenline projector and the Jordan chain of a trace-free
+element (``chain_basis``), a shear and a scale, deciding the sign of LPrime
+or LPrimeMinus.  It reads algebra elements, and g - I of canonical group
+lifts with g = e14 - v^2/2 where the log has its top-right entry.
+``normalize_algebra_pair`` scans small integer combinations for the generic
+element, and carries exact input over Q or a quadratic extension, so the
+residual is exactly zero.  ``normalize_pair`` rescales group lifts to
+triple eigenvalue 1 (``proj_normalize_lift``) and reads them directly, and
+``fig8`` reads the peripheral pair of rho_t in Fractions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +35,6 @@ from .projlin import (
     identity,
     is_exact,
     mat_inv,
-    mat_log,
     minimal_polynomial,
     proj_equal,
     real_spectrum,
@@ -344,7 +340,6 @@ class NormalizationResult:
     params: tuple
     residual: float
     exact: bool
-    group_images: tuple = None
 
     def conjugator_float(self):
         return np.array([[float(v) for v in row] for row in self.conjugator])
@@ -389,13 +384,11 @@ def chain_basis(P, X, scale=1.0):
     """The basis (X w3, w2, w3 = X w4, w4) that puts X, nilpotent of order 3
     on the range of I - P, and the eigenline projector P in model form: w4 is
     the column of I - P with the largest X^2 w4, w2 the largest column of P.
-    Float input is decided relative to ``scale``."""
+    A float basis is degenerate relative to ``scale``, the size of X."""
     exact = is_exact(P) and is_exact(X)
     Q = identity(4, exact=exact) - P
     X2Q = X @ X @ Q
     k = max(range(4), key=lambda j: projlin.max_abs(X2Q[:, j]))
-    if projlin.max_abs(X2Q[:, k]) <= (0 if exact else NORMALIZE_TOL * scale ** 2):
-        raise HypothesesError("generic element has nilpotent order below 3")
     w3 = X @ Q[:, k]
     w2 = P[:, max(range(4), key=lambda j: projlin.max_abs(P[:, j]))]
     T = np.column_stack([X @ w3, w2, w3, Q[:, k]])
@@ -404,19 +397,105 @@ def chain_basis(P, X, scale=1.0):
     return T
 
 
+def _readout(Z, group):
+    """(d, v, g) = (Z[1, 1], Z[0, 2], Z[0, 3]), less v^2/2 from g for Z = h - I."""
+    return Z[1, 1], Z[0, 2], (Z[0, 3] - Z[0, 2] ** 2 / 2) if group else Z[0, 3]
+
+
+def _log_lambda(d) -> float:
+    """log(1 + d), rounded once: log1p next to d = 0, log num - log den beyond floats."""
+    if not isinstance(d, Fraction) or abs(d) <= Fraction(1, 2):
+        return math.log1p(float(d))
+    x = 1 + d
+    big = abs(x.numerator.bit_length() - x.denominator.bit_length()) >= 1000
+    return math.log(x.numerator) - math.log(x.denominator) if big else math.log(x)
+
+
+#: ``inverse`` conjugates each generator to ``sheared``, reading (d, v, g) in ``reads``, g/u = -sign/r2
+#: for both; ``residual`` is the largest violation of the LPrime/LPrimeMinus pattern (0.0 certifies it)
+LineForm = namedtuple("LineForm", "sign inverse sheared reads u r2 residual")
+
+
+def translation_line_form(gens, Y, X, group) -> LineForm:
+    """The cusp normal form of the commuting pair ``gens``, short of the scale.
+
+    Y (f = tr Y != 0) and X span the pair: algebra elements, or g - I of
+    canonical lifts when ``group``.  P = E^2, E = Y/f - k N0 with the trace-free
+    N0 = X - (tr X / f) Y and k = (Y N0)/(f N0^2) at the largest entry of N0^2,
+    projects onto the f-eigenline; Y^2 - f Y stands in for an N0 of order below
+    3.  In the basis ``chain_basis(P, N0)`` each generator reads (d, v, g)
+    (``_readout``), u = d or log(1 + d).  The shear W = I + c e_34,
+    c = (g_A u_B - g_B u_A)/(v_A u_B - v_B u_A) (g/v of a unipotent generator,
+    exactly; a zero denominator is rank 1), leaves one g/u = -sign/r2, read at
+    the larger u.  Violated hypotheses raise HypothesesError.
+    """
+    exact = all(is_exact(M) for M in (*gens, Y, X))
+    f = np.trace(Y)
+    for N0 in (X - np.trace(X) / f * Y, Y @ Y - f * Y):
+        N2 = N0 @ N0
+        p = max(np.ndindex(4, 4), key=lambda ij: abs(N2[ij]))
+        size = 1.0 if exact else projlin.max_abs(N0)
+        if abs(N2[p]) > (0 if exact else NORMALIZE_TOL * size ** 2):
+            break
+    else:
+        raise HypothesesError("generators span less than two dimensions (both are pure dilations)")
+    E = Y / f - (Y[p[0]] @ N0[:, p[1]]) / (f * N2[p]) * N0
+    # E = P + e N0^2 with N0^2 = x y, y x = 0: E (I - e_q y/y_q) (I - x e_p/x_p) E
+    # is P with the large e N0^2 dropped before the product, not squared
+    P = (E - np.outer(E[:, p[1]], N2[p[0]] / N2[p])) @ (E - np.outer(N2[:, p[1]] / N2[p], E[p[0]]))
+    T = chain_basis(P, N0, size)
+    Ti = mat_inv(T)
+    Zs = [Ti @ Z @ T for Z in gens]
+    (dA, vA, gA), (dB, vB, gB) = (_readout(Z, group) for Z in Zs)
+    uA, uB = (_log_lambda(d) for d in (dA, dB)) if group else (dA, dB)
+    den = vA * uB - vB * uA
+    if den == 0 or not _exactish(den) and abs(den) <= NORMALIZE_TOL * (abs(vA * uB) + abs(vB * uA)):
+        raise HypothesesError("generators span less than two dimensions")
+    c = gA / vA if dA == 0 else gB / vB if dB == 0 else (gA * uB - gB * uA) / den
+    if exact and not _exactish(c):
+        Ti, Zs = to_float(Ti), [to_float(Z) for Z in Zs]
+    Ti[2] += c * Ti[3]
+    for Z in Zs:
+        Z[2] += c * Z[3]
+        Z[:, 3] -= c * Z[:, 2]
+    reads = tuple(_readout(Z, group) for Z in Zs)
+    (d, v, g), u = max(zip(reads, (uA, uB)), key=lambda ru: abs(ru[1]))
+    if abs(g) <= (0 if exact else NORMALIZE_TOL * abs(u) * max(vA * vA, vB * vB)):
+        raise HypothesesError("the dilation has no top-right entry: no conjugate of LPrime or LPrimeMinus holds the pair")
+    sign = 1 if d * g < 0 else -1
+    residual = max(family_pattern_residual(Z, 0) for Z in Zs)
+    if residual > (0.0 if is_exact(Zs[0]) else 1e-7 * max(projlin.max_abs(Z) for Z in Zs)):
+        raise HypothesesError(f"a generator violates the commutant constraints (residual {residual:.3e})")
+    return LineForm(sign, Ti, tuple(Zs), reads, (uA, uB), -sign * u / g, residual)
+
+
+def _scaled_conjugator(form):
+    """C = S ``form.inverse`` with S = diag(r^2, 1, r, 1), r = sqrt(r2): over Q,
+    or Q(sqrt r2) when r2 is rational but not a square, or in floats."""
+    r2 = form.r2
+    if not _exactish(r2):
+        return np.diag([r2, 1.0, math.sqrt(r2), 1.0]) @ to_float(form.inverse)
+    r = projlin._rational_sqrt(r2)
+    if r is None:
+        r = _QuadExt(0, 1, r2)
+        S = np.array([[_QuadExt(i == j, 0, r2) for j in range(4)] for i in range(4)], dtype=object)
+    else:
+        S = identity(4, exact=True)
+    S[0, 0], S[2, 2] = r * r, r
+    return S @ form.inverse
+
+
 def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     """Conjugate the algebra spanned by two commuting 4x4 matrices into
     LPrime (sign +1) or LPrimeMinus (sign -1).
 
-    Follows the constructive classification: scan small integer
-    combinations for a generic (n = 3) element, put it in the modified
-    Jordan form, read the induced linear form on the span from the
-    commutant constraints, then kill the shear and rescale.  Exact input
-    yields an exactly zero residual (over Q or Q(sqrt(d))); float input
+    The generic (n = 3) element among small integer combinations is Y of
+    ``translation_line_form``, whose form is then scaled: over Q or
+    Q(sqrt(d)) for exact input, with an exactly zero residual; float input
     reports the max pattern violation.  A pair already in a model family
-    (exactly, or within ``NORMALIZE_TOL`` relative for float input)
-    keeps the identity conjugator and reports its measured residual.
-    Violated hypotheses raise HypothesesError naming the failure.
+    (exactly, or within ``NORMALIZE_TOL`` relative for float input) keeps
+    the identity conjugator and its measured residual.  Violated
+    hypotheses raise HypothesesError naming the failure.
     """
     exact = is_exact(alpha) and is_exact(beta)
     if alpha.shape != (4, 4) or beta.shape != (4, 4):
@@ -454,65 +533,19 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
         if profile.n == 3 and not profile.kernel_flag:
             quality = abs(float(profile.f_value)) / max(projlin.max_abs(to_float(cand)), 1e-300)
             if quality > best_quality:
-                gen, gen_profile, combo = cand, profile, (i, j)
+                gen, combo = cand, (i, j)
                 best_quality = quality
     if gen is None:
         raise HypothesesError("no generic (n = 3) element found among the scanned combinations")
-    companion = beta if combo[0] != 0 else alpha
-
-    f = gen_profile.f_value if exact else float(gen_profile.f_value)
-    # spectral projector onto the f-eigenline: (gen/f)^3 is idempotent
-    T = chain_basis(gen @ gen @ gen / (f ** 3), gen, scale)
-    Ti = mat_inv(T)
-
-    beta_j = Ti @ companion @ T
-    # the reduced companion lies in the commutant of the Jordan form and
-    # has triple eigenvalue 0: the shape that both families share
-    must_vanish = _pattern_violations(beta_j, 0)
-    resid = max(abs(float(v)) for v in must_vanish)
-    if any(v != 0 for v in must_vanish) if exact else resid > 1e-7 * scale:
-        raise HypothesesError(f"companion violates the commutant constraints (residual {resid:.3e})")
-    f_b, b_b, e14_b = beta_j[1, 1], beta_j[0, 2], beta_j[0, 3]
-    denom = f_b - f * b_b
-    if (denom == 0) if exact else (abs(float(denom)) <= NORMALIZE_TOL * scale):
-        raise HypothesesError("eigenvalue functional is degenerate on the span")
-    c1 = e14_b / denom
-    c2 = -c1 * f
-    if (c1 == 0) if exact else (abs(float(c1)) <= NORMALIZE_TOL):
-        raise HypothesesError("top-right functional vanishes (minimal polynomial not divisible by t^2)")
-    sign = 1 if float(c1) < 0 else -1
-
-    # shear away c2, then rescale c1 to a unit
-    W = identity(4, exact=exact)
-    W[2, 3] = c2
-    d_abs = abs(c1) if exact else abs(float(c1))
-    if exact:
-        root = projlin._rational_sqrt(Fraction(d_abs))
-        if root is not None:
-            v = 1 / root
-            S = identity(4, exact=True)
-        else:
-            v = _QuadExt(0, Fraction(1), d_abs) / d_abs  # 1/sqrt(d) = sqrt(d)/d
-            S = np.empty((4, 4), dtype=object)
-            for i in range(4):
-                for j in range(4):
-                    S[i, j] = _QuadExt(Fraction(i == j), 0, d_abs)
-        S[0, 0] = v * v if isinstance(v, _QuadExt) else Fraction(v) ** 2
-        S[2, 2] = v
-    else:
-        v = 1.0 / math.sqrt(d_abs)
-        S = np.eye(4)
-        S[0, 0] = v * v
-        S[2, 2] = v
-    C = S @ (W @ Ti)
+    form = translation_line_form((alpha, beta), gen, beta if combo[0] != 0 else alpha, False)
+    C = _scaled_conjugator(form)
     Cinv = mat_inv(C)
-
     images = (C @ alpha @ Cinv, C @ beta @ Cinv)
-    residual = max(family_pattern_residual(img, sign) for img in images)
+    residual = max(family_pattern_residual(img, form.sign) for img in images)
     if exact and residual != 0.0:
         raise AssertionError("exact normalization left a nonzero residual")
     params = tuple((img[1, 1], img[0, 2]) for img in images)
-    return NormalizationResult(sign, C, images, params, float(residual), exact)
+    return NormalizationResult(form.sign, C, images, params, float(residual), exact)
 
 
 def proj_normalize_lift(M):
@@ -520,7 +553,9 @@ def proj_normalize_lift(M):
 
     The model cusp groups have spectrum {1, 1, 1, lambda}; an arbitrary
     lift differs by a scalar, recovered from the eigenvalue of algebraic
-    multiplicity at least 3.
+    multiplicity at least 3.  A float lift resolves lambda from it only beyond
+    ``projlin.SPECTRUM_CLUSTER_TOL``: one cluster of four with (g - I)^3 above
+    ``PROFILE_TOL`` |g - I|^3 raises HypothesesError.
     """
     spec = real_spectrum(M)
     for lam, mult in spec:
@@ -529,32 +564,46 @@ def proj_normalize_lift(M):
                 raise ValueError("singular matrix cannot be normalized")
             if any(float(l / lam) <= 0 for l, _ in spec):
                 raise ValueError("no lift with positive spectrum exists")
-            return M / lam
+            lift = M / lam
+            if mult == 4 and not is_exact(M):
+                X = lift - np.eye(4)
+                if np.max(np.abs(X @ X @ X)) > PROFILE_TOL * np.max(np.abs(X)) ** 3:
+                    raise HypothesesError("the dilation eigenvalue lies within the lift's resolution of the triple "
+                                          f"eigenvalue (SPECTRUM_CLUSTER_TOL = {projlin.SPECTRUM_CLUSTER_TOL:g} relative)")
+            return lift
     raise ValueError("no eigenvalue of multiplicity 3 or more; cannot pick a canonical lift")
 
 
-def normalize_pair(A, B) -> NormalizationResult:
-    """Group-level normalization of a commuting pair of projective maps.
+def _group_result(form, C, Z) -> NormalizationResult:
+    """The lifts I + Z conjugated by the float C, parameters (u of ``form``, v); the residual is
+    each image's largest distance from ``group_exp`` of them, relative to its largest entry."""
+    Ci = np.linalg.inv(C)
+    images = tuple(np.eye(4) + C @ to_float(z) @ Ci for z in Z)
+    params = tuple((u, img[0, 2]) for u, img in zip(form.u, images))
+    family = "LPrime" if form.sign == 1 else "LPrimeMinus"
+    residual = max(np.max(np.abs(img - group_exp(LieAlgElem(family, p)))) / np.max(np.abs(img)) for img, p in zip(images, params))
+    return NormalizationResult(form.sign, C, images, params, float(residual), False)
 
-    Lifts are normalized so the triple eigenvalue is 1, logs are taken
-    (numerically) and handed to ``normalize_algebra_pair``, which tests
-    them for rank 2 and passes a pair already in model form through with
-    the identity conjugator and its measured residual; the group images
-    are attached and the profiles of both images checked.
-    """
+
+def normalize_pair(A, B) -> NormalizationResult:
+    """Group-level normalization of a commuting pair of projective maps: the lifts
+    (``proj_normalize_lift``; exact input stays exact up to the logs u) give g - I to
+    ``translation_line_form``, Y the one of larger relative trace.  A pair already in model
+    form keeps the identity conjugator; the images are the conjugated lifts (``_group_result``)."""
     if not proj_equal(A @ B, B @ A):
         raise HypothesesError("generators do not commute projectively")
-    A = proj_normalize_lift(A)
-    B = proj_normalize_lift(B)
-    res = normalize_algebra_pair(mat_log(A), mat_log(B))
-    Cf = res.conjugator_float()
-    Cfi = np.linalg.inv(Cf)
-    group_images = (Cf @ to_float(A) @ Cfi, Cf @ to_float(B) @ Cfi)
-    for img in res.images:
-        classify_profile(minpoly_profile(np.asarray(img, dtype=float)))
-    return NormalizationResult(
-        res.sign, res.conjugator, res.images, res.params, res.residual, res.exact, group_images=group_images
-    )
+    exact = is_exact(A) and is_exact(B)
+    Z = [proj_normalize_lift(g if exact else to_float(g)) - identity(4, exact=exact) for g in (A, B)]
+    sizes = [max(projlin.max_abs(to_float(z)), 1e-300) for z in Z]
+    y = max((0, 1), key=lambda i: abs(float(np.trace(Z[i]))) / sizes[i])
+    if abs(float(np.trace(Z[y]))) <= NORMALIZE_TOL * sizes[y]:
+        raise HypothesesError("generators span less than two dimensions (both are unipotent)")
+    form = translation_line_form(Z, Z[y], Z[1 - y], True)
+    if max(family_pattern_residual(z, 0) for z in Z) <= NORMALIZE_TOL * max(*sizes, 1.0):
+        res = _group_result(form, np.eye(4), Z)
+        if res.residual <= NORMALIZE_TOL:
+            return res
+    return _group_result(form, _scaled_conjugator(form), Z)
 
 
 # ---------------------------------------------------------------------------

@@ -252,50 +252,29 @@ class NormalizationReport:
         }
 
 
-def _log(x: Fraction) -> float:
-    """log x of a rational x > 0: log1p next to 1, log(x) in the float range, else log num - log den."""
-    if abs(x - 1) <= Fraction(1, 2):
-        return math.log1p(float(x - 1))
-    if abs(x.numerator.bit_length() - x.denominator.bit_length()) < 1000:
-        return math.log(x)
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-def _readout(Z):
-    """(lambda - 1, v, g = e14 - v^2/2) of g - I = Z in the translation-line basis."""
-    return Z[1, 1], Z[0, 2], Z[0, 3] - Z[0, 2] ** 2 / 2
-
-
 def normalization_consistency(t) -> NormalizationReport:
     """The cusp normal form of the peripheral pair (meridian, L/(2t)), exactly.
 
     X = m - I, Y = L/(2t) - I; f = tr Y = 0 only at t = 1/2, the degenerate
-    report.  In the basis ``cusplie.chain_basis`` of (Y^3/f^3, X), sheared by
-    c = g_m/v_m (``_readout``), r^2 = -sign u/g_L > 0, u = log lambda_L, scales
-    the pair to LPrime(0, b = r v_m) and LPrime(u, r v_L) (LPrimeMinus at sign -1).
-    u and b are the only floats; q = b^2/u is exact, and a 0.0 residual certifies the form.
+    report.  ``cusplie.translation_line_form`` (N0 = X, as tr X = 0) reads the
+    meridian (0, v_m, 0) and L/(2t) (d_L, 0, g_L); r^2 = -sign u/g_L scales them
+    to LPrime(0, b = r v_m) and LPrime(u = log(1 + d_L), 0) (LPrimeMinus at sign
+    -1).  u and b are the only floats, q = b^2/u is exact, and a 0.0 residual
+    certifies the form.
     """
     t = _coerce_t(t)
     s = s_of_t(t)
     I = projlin.identity(4, exact=True)
     X, Y = word(t, "m") - I, longitude(t) / (2 * t) - I
-    f = np.trace(Y)
-    if f == 0:
+    if np.trace(Y) == 0:
         return NormalizationReport(t, s, 0, True, None, None, None, None, None)
-    T = cusplie.chain_basis(Y @ Y @ Y / f ** 3, X)
-    Ti = projlin.mat_inv(T)
-    _, v_m, g_m = _readout(Ti @ X @ T)
-    # the shear W = I + c e_34 conjugates by T W^-1, whose inverse is W T^-1
-    T[:, 3], Ti[2] = T[:, 3] - g_m / v_m * T[:, 2], Ti[2] + g_m / v_m * Ti[3]
-    sheared = tuple(Ti @ Z @ T for Z in (X, Y))
-    d_L, _, g_L = _readout(sheared[1])
-    sign = 1 if d_L * g_L < 0 else -1
-    u, q = _log(1 + d_L), -sign * v_m ** 2 / g_L
+    form = cusplie.translation_line_form((X, Y), Y, X, group=True)
+    (_, v_m, _), (_, _, g_L) = form.reads
+    q = -form.sign * v_m ** 2 / g_L
     classes = [cusplie.PURE_TRANSLATION if d == 0 else cusplie.PURE_DILATION if v == 0 else cusplie.GENERIC
-               for d, v, _ in map(_readout, sheared)]
-    residual = max(cusplie.family_pattern_residual(Z, 0) for Z in sheared)
-    b = math.sqrt(abs(_float(q, t, "b^2/u"))) * math.sqrt(abs(u))  # q u = b^2 may overflow
-    return NormalizationReport(t, s, sign, False, *classes, u, b, residual, q, sheared)
+               for d, v, _ in form.reads]
+    b = math.sqrt(abs(_float(q, t, "b^2/u"))) * math.sqrt(abs(form.u[1]))  # q u = b^2 may overflow
+    return NormalizationReport(t, s, form.sign, False, *classes, form.u[1], b, form.residual, q, form.sheared)
 
 
 def verify_report(t) -> dict:

@@ -3,10 +3,10 @@
 Exact matrices carry ``fractions.Fraction`` entries inside object-dtype
 numpy arrays, so +, -, *, / never round.  Float matrices are plain IEEE
 float64 arrays, compared at the relative tolerances named below.
-``minimal_polynomial`` is exact-only: float cusp-algebra elements are
-profiled from X^3 (X - fI) = 0 in ``cusplie.minpoly_profile``.
-All functions are pure; nothing here mutates its arguments, so concurrent
-use is safe.
+``minimal_polynomial`` is exact-only (float profiles: ``cusplie.minpoly_profile``).
+``mat_exp`` is the one cusp-algebra function; group lifts are not logged but
+read by ``cusplie.translation_line_form`` (g = e14 - v^2/2).  All functions are
+pure; nothing here mutates its arguments, so concurrent use is safe.
 
 Matrices are interchanged with other tools as JSON objects
 ``{"regime": "exact"|"float", "rows": [[..4 entries..] x4]}`` where exact
@@ -38,8 +38,9 @@ PROJ_EQUAL_TOL = 1e-9
 #: (``real_spectrum``): a defective eigenvalue of multiplicity k splits
 #: into a cluster of radius about eps^(1/k)
 SPECTRUM_CLUSTER_TOL = 3e-4
-#: relative bound on X^3 (X - fI), f = tr X, against max(1, |X|)^4 for a
-#: float matrix to count as a cusp-algebra element (``mat_exp``, ``mat_log``)
+#: relative bound on X^3 (X - fI), f = tr X, against max(1, |X|)^4 for a float
+#: cusp-algebra element of ``mat_exp``; group lifts are not logged: the one core
+#: ``cusplie.translation_line_form`` reads g = e14 - v^2/2 of g - I instead
 CUSP_CUBIC_TOL = 1e-9
 
 
@@ -309,32 +310,24 @@ def minimal_polynomial(M) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential and logarithm on the cusp algebras
+# matrix exponential on the cusp algebras
 
 
-def _taylor(coeffs):
-    """Taylor coefficients at 0, exact and in floats, as far as the series
-    of ``_cusp_function`` needs for double precision at |f| < 1/2."""
-    return coeffs, [float(c) for c in coeffs]
+#: 1/k! for k < 20, exact and in floats: double precision at |f| < 1/2
+_EXP_SERIES = [Fraction(1, math.factorial(k)) for k in range(20)]
+_EXP_FLOATS = [float(c) for c in _EXP_SERIES]
 
 
-_EXP_TAYLOR = _taylor([Fraction(1, math.factorial(k)) for k in range(20)])
-_LOG1P_TAYLOR = _taylor([Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, 60)])
+def mat_exp(X):
+    """Exponential of a cusp-algebra element: X^3 (X - fI) = 0, f = tr X.
 
-
-def _cusp_function(X, taylor, F):
-    """F(X) for a matrix with X^3 (X - fI) = 0, where f = tr X.
-
-    Then F(X) = q(X) for the cubic q that agrees with F to second order
-    at 0 and at f.  For |f| < 1/2 that is p(X) + r(f) X^3, where p is the
-    degree-2 Taylor polynomial of F and r(f) = (F(f) - p(f)) / f^3 is
-    summed from its series, which does not cancel as f -> 0; the terms
-    are added from the smallest up.  Otherwise P = X^3 / tr X^3 (tr X^3 =
-    f^3) is the projector onto the f-eigenline, N = X - fP is nilpotent
-    of order 3, and F(X) = p(N) + (F(f) - F(0)) P.  Exact input with
-    f = 0 gives an exact result (r(0) is the third coefficient); other
-    exact input is evaluated in floats.  Input off the shape (exactly, or
-    beyond ``CUSP_CUBIC_TOL`` relative in floats) raises ValueError.
+    exp(X) is the cubic in X that agrees with exp to second order at 0 and
+    at f: for |f| < 1/2, I + X + X^2/2 + r(f) X^3 with r(f) = (e^f - 1 - f -
+    f^2/2) / f^3 summed from its series, smallest terms first, so it does not
+    cancel as f -> 0; otherwise I + N + N^2/2 + (e^f - 1) P with the
+    eigenline projector P = X^3 / tr X^3 and N = X - fP.  Exact nilpotent
+    input gives an exact result, other input float64.  Input off the shape
+    (beyond ``CUSP_CUBIC_TOL`` relative in floats) raises ValueError.
     """
     n = X.shape[0]
     f = sum(X[i, i] for i in range(n))
@@ -346,41 +339,15 @@ def _cusp_function(X, taylor, F):
     exact = is_exact(X) and f == 0
     if not exact:
         X, X2, X3, f = to_float(X), to_float(X2), to_float(X3), float(f)
-    taylor = taylor[0] if exact else taylor[1]
-    c0, c1, c2 = taylor[:3]
+    series = _EXP_SERIES if exact else _EXP_FLOATS
     if abs(f) < 0.5:
         r = 0
-        for c in reversed(taylor[3:]):
+        for c in reversed(series[3:]):
             r = r * f + c
-        return c0 * identity(n, exact) + (c1 * X + (c2 * X2 + r * X3))
+        return identity(n, exact) + (X + (series[2] * X2 + r * X3))
     P = X3 / sum(X3[i, i] for i in range(n))
     N = X - f * P
-    return c0 * np.eye(n) + c1 * N + c2 * (N @ N) + (F(f) - c0) * P
-
-
-def mat_exp(X):
-    """Exponential of a cusp-algebra element: X^3 (X - fI) = 0, f = tr X.
-
-    Exact nilpotent input gives an exact result; anything else float64.
-    """
-    return _cusp_function(X, _EXP_TAYLOR, math.exp)
-
-
-def _log1p(f):
-    if f <= -1:
-        raise ValueError("matrix log requires a positive eigenvalue lambda")
-    return math.log1p(f)
-
-
-def mat_log(M):
-    """Principal logarithm of a canonical cusp-group lift, spectrum
-    {1, 1, 1, lambda} with lambda > 0: log(1 + X) at X = M - I, which has
-    X^3 (X - fI) = 0 and lambda = 1 + f.
-
-    Exact unipotent input gives an exact result; anything else float64.
-    """
-    X = M - identity(M.shape[0], exact=is_exact(M))
-    return _cusp_function(X, _LOG1P_TAYLOR, _log1p)
+    return np.eye(n) + N + series[2] * (N @ N) + (math.exp(f) - 1.0) * P
 
 
 # ---------------------------------------------------------------------------

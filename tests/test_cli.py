@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convexcusp import claims, cli, cusplie, projlin as pl
+from convexcusp import claims, cli, cusplie, fig8, projlin as pl
 from convexcusp.cusplie import LieAlgElem, group_exp
 
 
@@ -17,8 +18,6 @@ def run(argv):
 
 
 def test_parse_numbers():
-    from fractions import Fraction
-
     def parse(text):
         return cli.build_parser().parse_args(["fig8", "verify", "--t", text]).t
 
@@ -200,6 +199,25 @@ def test_lattice_normalize_file_keeps_its_wire_format(tmp_path):
     old = {"sign": res.sign, "conjugator": {"regime": "float", "rows": C.tolist()}, "residual": res.residual}
     expected = json.dumps(old, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "normalization.json").read_text() == expected
+
+
+def test_lattice_normalize_reads_an_exact_pair_exactly(tmp_path):
+    # the peripheral pair of rho_(1/4) as exact JSON: the lifts and the
+    # translation-line basis stay exact, and the logs u are the one float step
+    t = Fraction(1, 4)
+    A, B = fig8.word(t, "m"), fig8.longitude(t)
+    infile = tmp_path / "exact.json"
+    with open(infile, "w") as fh:
+        json.dump({"A": pl.matrix_to_json(A), "B": pl.matrix_to_json(B)}, fh)
+    assert run(["lattice", "normalize", "--in", str(infile), "--out", str(tmp_path)]) == 0
+    res = cusplie.normalize_pair(A, B)
+    expected = json.dumps(res.to_json(), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "normalization.json").read_text() == expected
+    assert res.to_json() != cusplie.normalize_pair(pl.to_float(A), pl.to_float(B)).to_json()
+    (a1, b1), (a2, b2) = res.params
+    assert res.sign == 1 and res.residual <= 1e-14 and a1 == 0.0 and abs(b2) <= 1e-15
+    assert a2 == pytest.approx(fig8.s_of_t(t), rel=1e-15)
+    assert abs(b1) == pytest.approx(fig8.normalization_consistency(t).meridian_b, rel=1e-14)
 
 
 def test_lattice_normalize_bad_input(tmp_path):

@@ -200,9 +200,18 @@ def test_normalize_group_fast_path():
     gB = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 1.0))))
     res = cl.normalize_pair(gA, gB)
     assert res.sign == 1
-    # the residual is measured on the logs, not asserted
-    assert res.residual == max(cl.family_pattern_residual(L, 1) for L in res.images) <= 1e-12
+    # the residual is measured against the model elements, not asserted
+    assert res.residual == _model_distance(res, "LPrime") <= 1e-12
     assert np.array_equal(pl.to_float(res.conjugator), np.eye(4))
+
+
+def _model_distance(res, family):
+    """Largest entry distance of the group images from group_exp of their
+    parameters, relative to each image's largest entry."""
+    return max(
+        float(np.max(np.abs(img - pl.to_float(cl.group_exp(LieAlgElem(family, p)))))) / np.max(np.abs(img))
+        for img, p in zip(res.images, res.params)
+    )
 
 
 def test_normalize_group_fast_path_unipotent_first_generator():
@@ -213,8 +222,8 @@ def test_normalize_group_fast_path_unipotent_first_generator():
     res = cl.normalize_pair(gA, gB)
     assert res.sign == -1
     assert np.array_equal(pl.to_float(res.conjugator), np.eye(4))
-    logs = [pl.mat_log(g) for g in (gA, gB)]
-    assert res.residual == max(cl.family_pattern_residual(L, -1) for L in logs) <= 1e-12
+    assert res.residual == _model_distance(res, "LPrimeMinus") <= 1e-12
+    assert res.params[0][0] == 0.0 and res.params[1][0] == pytest.approx(0.6, rel=1e-15)
 
 
 @pytest.mark.parametrize("family,expected_sign", [("LPrime", 1), ("LPrimeMinus", -1)])
@@ -242,7 +251,9 @@ def test_normalize_exact_round_trip(family, expected_sign):
 def test_normalize_exact_over_a_quadratic_extension(sign):
     # the top-right entry is 2 (not 1) times the dilation entry, so the
     # final rescaling needs 1/sqrt(2): the conjugator lies over Q(sqrt 2)
-    # and still conjugates the pair exactly into the family
+    # and still conjugates the pair exactly into the family.  The basis is
+    # the Jordan chain of N0 = x2 (trace 0), which reads v = 1 there, so
+    # the positive scale leaves b2 = 3 b1 > 0 in both families
     x1 = pl.exact_matrix([[0, 0, 1, -4 * sign], [0, 2, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     x2 = pl.exact_matrix([[0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, 3], [0, 0, 0, 0]])
     G = pl.exact_matrix([[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
@@ -255,7 +266,7 @@ def test_normalize_exact_over_a_quadratic_extension(sign):
     for x, img in zip(pair, res.images):
         assert all(v == 0 for v in (C @ x - img @ C).flat)
     (a1, b1), (a2, b2) = res.params
-    assert (a1, a2) == (2, 0) and float(b1) == pytest.approx(-sign / math.sqrt(2), rel=1e-15)
+    assert (a1, a2) == (2, 0) and float(b1) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
     assert float(b2) == pytest.approx(3 * float(b1), rel=1e-15)
 
 
@@ -348,9 +359,12 @@ def test_normalize_pair_group_level():
     gB = G @ pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 0.9)))) @ Gi
     res = cl.normalize_pair(gA, gB)
     assert res.sign == 1 and res.residual <= 1e-9
-    assert res.group_images is not None
-    for img in res.group_images:
-        assert cl.family_pattern_residual(pl.mat_log(img), 1) <= 1e-7 * max(1.0, np.max(np.abs(img)))
+    C = res.conjugator
+    for g, img in zip((gA, gB), res.images):
+        assert np.max(np.abs(C @ g - img @ C)) <= 1e-12
+    (a1, b1), (a2, b2) = res.params
+    assert a1 == pytest.approx(0.6, rel=1e-12) and abs(a2) <= 1e-12
+    assert b1 / b2 == pytest.approx(0.4 / 0.9, rel=1e-12)
 
 
 @pytest.mark.parametrize("power", [-1, 2])
@@ -370,33 +384,50 @@ def test_normalize_rejects_zero_generator():
         cl.normalize_pair(np.eye(4), g)
 
 
-def _conjugated_pair(seed, a, b):
+def _conjugated_pair(seed, a, b, family="LPrime"):
     G = np.random.default_rng(seed).uniform(-1, 1, (4, 4))
     Gi = np.linalg.inv(G)
     return tuple(
-        G @ pl.to_float(cl.group_exp(LieAlgElem("LPrime", p))) @ Gi for p in ((a, b), (0.0, 1.0))
+        G @ pl.to_float(cl.group_exp(LieAlgElem(family, p))) @ Gi for p in ((a, b), (0.0, 1.0))
     )
 
 
 def test_normalize_pair_small_dilation():
-    # the dilation eigenvalue e^a approaches the triple eigenvalue 1
-    for seed in range(5):
-        for k in range(5, 19):
-            res = cl.normalize_pair(*_conjugated_pair(seed, 10 ** (-3 + k / 6), 0.5))
-            assert res.sign == 1 and res.residual <= 1e-9
+    # the dilation eigenvalue e^a approaches the triple eigenvalue 1, down
+    # to the lift's resolution
+    for family, sign in (("LPrime", 1), ("LPrimeMinus", -1)):
+        for seed in range(5):
+            for a in np.geomspace(3.2e-4, 1.0, 22):
+                for b in (0.0, 0.5):
+                    res = cl.normalize_pair(*_conjugated_pair(seed, a, b, family))
+                    assert res.sign == sign and res.residual <= 1e-9
 
 
-def test_normalize_pair_small_dilation_fails_the_commutant_check():
-    # at a = 3.17e-4 every scanned combination of both generators is
-    # generic (f far above PROFILE_TOL |X|); the f^3 projector then
-    # amplifies the rounding of the logs past the commutant check
-    A, B = (pl.mat_log(cl.proj_normalize_lift(g)) for g in _conjugated_pair(3, 3.17e-4, 0.0))
-    for i, j in cl._scan_combinations():
-        # (i, 0) is a pure dilation and (0, j) a pure translation
-        profile = cl.minpoly_profile(i * A + j * B)
-        assert (profile.n, profile.kernel_flag) == ((3, False) if i and j else (2, i == 0))
-    with pytest.raises(cl.HypothesesError, match="companion violates the commutant constraints"):
-        cl.normalize_pair(*_conjugated_pair(3, 3.17e-4, 0.0))
+def test_normalize_pair_at_and_below_the_lift_resolution():
+    # real_spectrum clusters float eigenvalues at SPECTRUM_CLUSTER_TOL = 3e-4
+    # relative: e^a with a = 3.17e-4 stays apart from the triple eigenvalue,
+    # and with a = 1e-4 it joins it, which the lift reports
+    for family, sign in (("LPrime", 1), ("LPrimeMinus", -1)):
+        for b in (0.0, 0.5):
+            res = cl.normalize_pair(*_conjugated_pair(3, 3.17e-4, b, family))
+            assert res.sign == sign and res.residual <= 1e-9
+            with pytest.raises(cl.HypothesesError, match="lift's resolution"):
+                cl.normalize_pair(*_conjugated_pair(3, 1e-4, b, family))
+
+
+def test_normalize_pair_reads_the_parameters_of_conjugated_group_elements():
+    # near a coincident eigenvalue (small a) and with a long Jordan chain
+    # (b = 3) the parameters read from the lifts are the logs' to 1e-10:
+    # (a, b), (0, 1) goes to (a, b b2), (0, b2); the residual pins b2 = +-1,
+    # since the family fixes the top-right entry at -a
+    mags = np.geomspace(5e-4, 5, 13)
+    for seed in range(8):
+        for b in (0.0, 0.5, 3.0):
+            for a in np.concatenate([mags, -mags]):
+                res = cl.normalize_pair(*_conjugated_pair(seed, float(a), b))
+                (a1, b1), (a2, b2) = res.params
+                assert abs(a1 - a) <= 1e-10 * abs(a) and abs(a2) <= 1e-10
+                assert abs(b1 - b * b2) <= 1e-10 * max(1.0, b) and res.residual <= 1e-9
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])

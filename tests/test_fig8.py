@@ -320,13 +320,16 @@ def test_normalized_pair_spectrum():
 
 
 def test_normalized_logs_live_in_deformed_algebra():
+    # Lt(u, v) at t = s is the conjugate of LPrime(s u, s v) by vt_map(s),
+    # so the normal form of the pair reads the logs (0, s m) and (s, 0)
     s = 0.6
     Ms, Ls = fig8.normalized_peripheral(s)
     m = fig8.meridian_translation(s)
-    for mat, params in ((Ms, (0.0, m)), (Ls, (1.0, 0.0))):
-        log = pl.mat_log(mat)
-        expected = pl.to_float(cl.alg_matrix(cl.LieAlgElem("Lt", params, t=s)))
-        assert np.max(np.abs(log - expected)) <= 1e-10
+    res = cl.normalize_pair(Ms, Ls)
+    (a1, b1), (a2, b2) = res.params
+    assert res.sign == 1 and res.residual <= 1e-12
+    assert abs(a1) <= 1e-12 and abs(abs(b1) - s * m) <= 1e-12
+    assert abs(a2 - s) <= 1e-12 and abs(b2) <= 1e-12
 
 
 def test_entry_limit_is_parabolic_value():
