@@ -285,10 +285,6 @@ class _QuadExt:
             return NotImplemented
         return self.p == o.p and self.q == o.q
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.p, self.q, self.d))
 
@@ -399,7 +395,16 @@ def chain_basis(P, X, scale=1.0):
 
 def _readout(Z, group):
     """(d, v, g) = (Z[1, 1], Z[0, 2], Z[0, 3]), less v^2/2 from g for Z = h - I."""
-    return Z[1, 1], Z[0, 2], (Z[0, 3] - Z[0, 2] ** 2 / 2) if group else Z[0, 3]
+    g = Z[0, 3]
+    if group:
+        g -= Z[0, 2] ** 2 / 2
+    return Z[1, 1], Z[0, 2], g
+
+
+def _translation_size(Zs) -> float:
+    """The largest entry of the Zs off [1, 1]: the size of their translation
+    part, which lambda - 1 of a group lift does not swamp."""
+    return max(abs(float(Z[ij])) for Z in Zs for ij in np.ndindex(4, 4) if ij != (1, 1))
 
 
 def _log_lambda(d) -> float:
@@ -407,12 +412,14 @@ def _log_lambda(d) -> float:
     if not isinstance(d, Fraction) or abs(d) <= Fraction(1, 2):
         return math.log1p(float(d))
     x = 1 + d
-    big = abs(x.numerator.bit_length() - x.denominator.bit_length()) >= 1000
-    return math.log(x.numerator) - math.log(x.denominator) if big else math.log(x)
+    if abs(x.numerator.bit_length() - x.denominator.bit_length()) >= 1000:
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
 
 
 #: ``inverse`` conjugates each generator to ``sheared``, reading (d, v, g) in ``reads``, g/u = -sign/r2
-#: for both; ``residual`` is the largest violation of the LPrime/LPrimeMinus pattern (0.0 certifies it)
+#: for both; ``residual`` is the largest violation of the LPrime/LPrimeMinus pattern (0.0 certifies it),
+#: relative to ``_translation_size``
 LineForm = namedtuple("LineForm", "sign inverse sheared reads u r2 residual")
 
 
@@ -447,11 +454,19 @@ def translation_line_form(gens, Y, X, group) -> LineForm:
     Ti = mat_inv(T)
     Zs = [Ti @ Z @ T for Z in gens]
     (dA, vA, gA), (dB, vB, gB) = (_readout(Z, group) for Z in Zs)
-    uA, uB = (_log_lambda(d) for d in (dA, dB)) if group else (dA, dB)
+    uA, uB = dA, dB
+    if group:
+        uA, uB = _log_lambda(dA), _log_lambda(dB)
     den = vA * uB - vB * uA
-    if den == 0 or not _exactish(den) and abs(den) <= NORMALIZE_TOL * (abs(vA * uB) + abs(vB * uA)):
+    tol = 0 if _exactish(den) else NORMALIZE_TOL * (abs(vA * uB) + abs(vB * uA))
+    if abs(den) <= tol:
         raise HypothesesError("generators span less than two dimensions")
-    c = gA / vA if dA == 0 else gB / vB if dB == 0 else (gA * uB - gB * uA) / den
+    if dA == 0:
+        c = gA / vA
+    elif dB == 0:
+        c = gB / vB
+    else:
+        c = (gA * uB - gB * uA) / den
     if exact and not _exactish(c):
         Ti, Zs = to_float(Ti), [to_float(Z) for Z in Zs]
     Ti[2] += c * Ti[3]
@@ -461,28 +476,30 @@ def translation_line_form(gens, Y, X, group) -> LineForm:
     reads = tuple(_readout(Z, group) for Z in Zs)
     (d, v, g), u = max(zip(reads, (uA, uB)), key=lambda ru: abs(ru[1]))
     if abs(g) <= (0 if exact else NORMALIZE_TOL * abs(u) * max(vA * vA, vB * vB)):
-        raise HypothesesError("the dilation has no top-right entry: no conjugate of LPrime or LPrimeMinus holds the pair")
+        raise HypothesesError("the dilation has no top-right entry: "
+                              "no conjugate of LPrime or LPrimeMinus holds the pair")
     sign = 1 if d * g < 0 else -1
-    residual = max(family_pattern_residual(Z, 0) for Z in Zs)
-    if residual > (0.0 if is_exact(Zs[0]) else 1e-7 * max(projlin.max_abs(Z) for Z in Zs)):
+    residual = max(family_pattern_residual(Z, 0) for Z in Zs) / _translation_size(Zs)
+    if residual > (0.0 if is_exact(Zs[0]) else 1e-7):
         raise HypothesesError(f"a generator violates the commutant constraints (residual {residual:.3e})")
     return LineForm(sign, Ti, tuple(Zs), reads, (uA, uB), -sign * u / g, residual)
 
 
-def _scaled_conjugator(form):
-    """C = S ``form.inverse`` with S = diag(r^2, 1, r, 1), r = sqrt(r2): over Q,
-    or Q(sqrt r2) when r2 is rational but not a square, or in floats."""
-    r2 = form.r2
-    if not _exactish(r2):
-        return np.diag([r2, 1.0, math.sqrt(r2), 1.0]) @ to_float(form.inverse)
-    r = projlin._rational_sqrt(r2)
-    if r is None:
-        r = _QuadExt(0, 1, r2)
-        S = np.array([[_QuadExt(i == j, 0, r2) for j in range(4)] for i in range(4)], dtype=object)
+def _scaled_form(form):
+    """C = S ``form.inverse`` and the images S Z S^-1 of ``form.sheared``, scaled
+    entrywise, with S = diag(r^2, 1, r, 1), r = sqrt(r2): over Q, or Q(sqrt r2)
+    when r2 is rational but not a square, or in floats."""
+    r2, inverse, sheared = form.r2, form.inverse, form.sheared
+    if _exactish(r2):
+        r = projlin._rational_sqrt(r2)
+        if r is None:
+            r = _QuadExt(0, 1, r2)
+        s = np.array([r * r, r / r, r, r / r], dtype=object)  # r / r: the 1 of r's field
     else:
-        S = identity(4, exact=True)
-    S[0, 0], S[2, 2] = r * r, r
-    return S @ form.inverse
+        s = np.array([r2, 1.0, math.sqrt(r2), 1.0])
+        inverse, sheared = to_float(inverse), [to_float(Z) for Z in sheared]
+    ratios = np.outer(s, 1 / s)
+    return s[:, None] * inverse, tuple(ratios * Z for Z in sheared)
 
 
 def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
@@ -528,8 +545,6 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
             profile = minpoly_profile(cand)
         except ProfileShapeError as err:
             raise HypothesesError(f"combination {i},{j}: {err}") from err
-        if profile.is_zero:
-            raise HypothesesError("generators are linearly dependent over the integers")
         if profile.n == 3 and not profile.kernel_flag:
             quality = abs(float(profile.f_value)) / max(projlin.max_abs(to_float(cand)), 1e-300)
             if quality > best_quality:
@@ -538,9 +553,7 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     if gen is None:
         raise HypothesesError("no generic (n = 3) element found among the scanned combinations")
     form = translation_line_form((alpha, beta), gen, beta if combo[0] != 0 else alpha, False)
-    C = _scaled_conjugator(form)
-    Cinv = mat_inv(C)
-    images = (C @ alpha @ Cinv, C @ beta @ Cinv)
+    C, images = _scaled_form(form)
     residual = max(family_pattern_residual(img, form.sign) for img in images)
     if exact and residual != 0.0:
         raise AssertionError("exact normalization left a nonzero residual")
@@ -574,22 +587,19 @@ def proj_normalize_lift(M):
     raise ValueError("no eigenvalue of multiplicity 3 or more; cannot pick a canonical lift")
 
 
-def _group_result(form, C, Z) -> NormalizationResult:
-    """The lifts I + Z conjugated by the float C, parameters (u of ``form``, v); the residual is
-    each image's largest distance from ``group_exp`` of them, relative to its largest entry."""
-    Ci = np.linalg.inv(C)
-    images = tuple(np.eye(4) + C @ to_float(z) @ Ci for z in Z)
-    params = tuple((u, img[0, 2]) for u, img in zip(form.u, images))
-    family = "LPrime" if form.sign == 1 else "LPrimeMinus"
-    residual = max(np.max(np.abs(img - group_exp(LieAlgElem(family, p)))) / np.max(np.abs(img)) for img, p in zip(images, params))
-    return NormalizationResult(form.sign, C, images, params, float(residual), False)
+def _group_residual(Zs, sign, u) -> float:
+    """The largest violation by the Zs (h - I of both images) of the pattern
+    and of g = -sign u, relative to ``_translation_size``."""
+    gaps = [abs(_readout(Z, True)[2] + sign * uu) for Z, uu in zip(Zs, u)]
+    return max(max(family_pattern_residual(Z, 0) for Z in Zs), *gaps) / _translation_size(Zs)
 
 
 def normalize_pair(A, B) -> NormalizationResult:
     """Group-level normalization of a commuting pair of projective maps: the lifts
     (``proj_normalize_lift``; exact input stays exact up to the logs u) give g - I to
-    ``translation_line_form``, Y the one of larger relative trace.  A pair already in model
-    form keeps the identity conjugator; the images are the conjugated lifts (``_group_result``)."""
+    ``translation_line_form``, Y the one of larger relative trace.  The images are the
+    conjugated lifts, read from the sheared form, with their ``_group_residual``; a pair
+    already in model form keeps the identity conjugator."""
     if not proj_equal(A @ B, B @ A):
         raise HypothesesError("generators do not commute projectively")
     exact = is_exact(A) and is_exact(B)
@@ -599,11 +609,14 @@ def normalize_pair(A, B) -> NormalizationResult:
     if abs(float(np.trace(Z[y]))) <= NORMALIZE_TOL * sizes[y]:
         raise HypothesesError("generators span less than two dimensions (both are unipotent)")
     form = translation_line_form(Z, Z[y], Z[1 - y], True)
-    if max(family_pattern_residual(z, 0) for z in Z) <= NORMALIZE_TOL * max(*sizes, 1.0):
-        res = _group_result(form, np.eye(4), Z)
-        if res.residual <= NORMALIZE_TOL:
-            return res
-    return _group_result(form, _scaled_conjugator(form), Z)
+    C = np.eye(4)
+    residual = _group_residual(Z, form.sign, form.u)
+    if residual > NORMALIZE_TOL:
+        C, Z = _scaled_form(form)
+        residual = _group_residual(Z, form.sign, form.u)
+    params = tuple((u, z[0, 2]) for u, z in zip(form.u, Z))
+    images = tuple(np.eye(4) + to_float(z) for z in Z)
+    return NormalizationResult(form.sign, C, images, params, residual, False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convexcusp import cusplie as cl, projlin as pl
+from convexcusp import cusplie as cl, fig8, projlin as pl
 from convexcusp.cusplie import LieAlgElem
 from convexcusp.domains import DomainDPrime
 from test_projlin import expm_reference
@@ -200,8 +200,9 @@ def test_normalize_group_fast_path():
     gB = pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0.0, 1.0))))
     res = cl.normalize_pair(gA, gB)
     assert res.sign == 1
-    # the residual is measured against the model elements, not asserted
-    assert res.residual == _model_distance(res, "LPrime") <= 1e-12
+    # the residual is the images' own; their distance from the model
+    # elements is measured apart from it
+    assert res.residual <= 1e-12 and _model_distance(res, "LPrime") <= 1e-12
     assert np.array_equal(pl.to_float(res.conjugator), np.eye(4))
 
 
@@ -222,7 +223,7 @@ def test_normalize_group_fast_path_unipotent_first_generator():
     res = cl.normalize_pair(gA, gB)
     assert res.sign == -1
     assert np.array_equal(pl.to_float(res.conjugator), np.eye(4))
-    assert res.residual == _model_distance(res, "LPrimeMinus") <= 1e-12
+    assert res.residual <= 1e-12 and _model_distance(res, "LPrimeMinus") <= 1e-12
     assert res.params[0][0] == 0.0 and res.params[1][0] == pytest.approx(0.6, rel=1e-15)
 
 
@@ -428,6 +429,35 @@ def test_normalize_pair_reads_the_parameters_of_conjugated_group_elements():
                 (a1, b1), (a2, b2) = res.params
                 assert abs(a1 - a) <= 1e-10 * abs(a) and abs(a2) <= 1e-10
                 assert abs(b1 - b * b2) <= 1e-10 * max(1.0, b) and res.residual <= 1e-9
+    # beyond that the float lifts carry lambda = e^a, and the rounding of
+    # lambda swamps the translation part: the pair reads its parameters to
+    # within its residual (relative to the translation part), or is refused;
+    # at a = 30 no pair keeps its translation part
+    refused = set()
+    for seed in range(8):
+        for b in (0.0, 0.5, 3.0):
+            for a in np.geomspace(5, 30, 9):
+                try:
+                    res = cl.normalize_pair(*_conjugated_pair(seed, float(a), b))
+                except cl.HypothesesError:
+                    refused.add(float(a))
+                    continue
+                (a1, b1), (a2, b2) = res.params
+                tol = 1e-10 + 100 * res.residual
+                assert res.sign == 1 and abs(a1 - a) <= tol * a and abs(a2) <= tol
+                assert abs(b1 - b * b2) <= tol * max(1.0, b)
+    assert min(refused) > 10.0 and 30.0 in refused
+    # the float rounding of rho_t's peripheral pair: lambda = 6.25e14 at
+    # t = 10^-4 and 1.6e6 at 1/100
+    for t in (Fraction(1, 10**4), Fraction(1, 10**3), Fraction(1, 100)):
+        A, B = fig8.word(t, "m"), fig8.longitude(t)
+        b = fig8.normalization_consistency(t).meridian_b
+        try:
+            res = cl.normalize_pair(pl.to_float(A), pl.to_float(B))
+        except cl.HypothesesError:
+            assert t != Fraction(1, 100)
+            continue
+        assert res.sign == 1 and abs(abs(res.params[0][1]) - b) <= (1e-10 + 100 * res.residual) * b
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
