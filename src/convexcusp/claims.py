@@ -97,9 +97,11 @@ def _fig8_dilation_error(ts):
     return max(abs(r.dilation_f - fig8.s_of_t(r.t)) if ok else math.inf for r, ok in zip(reps, normal))
 
 
-def _convergence_rate_ratio(svals):
-    """Largest deviation/s of the normalized pair from its limit, over the first."""
-    rates = [max(np.max(np.abs(P - P0)) for P, P0 in zip(fig8.normalized_peripheral(s), fig8.limit_pair())) / s for s in svals]
+def _convergence_rate_ratio(ks):
+    """Largest deviation/|s| of the measured b/|s| from 1/(2 sqrt 3), over the first,
+    at t = 1/2 -+ 10^-k/8 (s about +-10^-k)."""
+    reps = [fig8.normalization_consistency(Fraction(1, 2) + sign * Fraction(1, 8 * 10 ** k)) for k in ks for sign in (-1, 1)]
+    rates = [abs(r.meridian_b / abs(r.s) - 1 / (2 * math.sqrt(3))) / abs(r.s) for r in reps]
     return max(rates) / rates[0]
 
 
@@ -181,8 +183,8 @@ TABLE = (
     Claim("meridian-translation-identity", "the meridian translation b has b^2/s = sinh(s/4)/3 = (1 - 4t^2)/(12t) exactly",
           lambda ts: sum(r.q != (1 - 4 * r.t ** 2) / (12 * r.t) for r in map(fig8.normalization_consistency, ts)),
           dict(ts=(Fraction(1, 4), Fraction(499, 1000), Fraction(31, 3))), 0),
-    Claim("peripheral-convergence", "the normalized pair is within C|s| of its limit",
-          _convergence_rate_ratio, dict(svals=(1e-1, 1e-2, 1e-3, 1e-4)), 1.25),
+    Claim("peripheral-convergence", "the measured meridian translation b/|s| is within C|s| of 1/(2 sqrt 3)",
+          _convergence_rate_ratio, dict(ks=(1, 2, 3, 4)), 1.25),
     Claim("lattice-convergence", "linear paths converge exactly; dependent paths are rejected",
           _lattice_violations, dict(u0=Fraction(1, 4)), 0),
     Claim("displacement-constancy", "displacement decreases with the level and is constant on horospheres",

@@ -7,8 +7,9 @@ and library versions.  Outputs are byte-identical for identical
 configuration and seed.
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
-``fig8 verify --t`` reads "p/q", integers and decimals exactly (0.3 is
-3/10, 1e-3 is 1/1000); every other numeric option is a float.
+``fig8 verify --t`` and ``fig8 sweep --t-min``/``--t-max`` read "p/q",
+integers and decimals exactly (0.3 is 3/10, 1e-3 is 1/1000); every other
+numeric option is a float or an integer.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ def cmd_fig8_verify(args) -> int:
 
 
 def cmd_fig8_sweep(args) -> int:
+    if args.steps < 1:
+        print("fig8 sweep needs --steps >= 1", file=sys.stderr)
+        return 2
     outdir = _out_dir(args)
     rows = fig8.sweep_rows(args.t_min, args.t_max, args.steps)
     path = outdir / "fig8_sweep.csv"
@@ -94,14 +98,11 @@ def cmd_fig8_sweep(args) -> int:
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        cols = ["t", "s", "eig_triple", "eig_single", "obstructed", "meridian_dev", "longitude_dev", "shape_im"]
-        cols += ["closed_triple", "triple_rel_dev", "closed_single", "single_rel_dev"]
-        w.writerow(cols)
+        w.writerow(rows[0])
         for r in rows:
-            w.writerow([f"{r[c]:.12g}" if isinstance(r[c], float) else r[c] for c in cols])
-    _write_manifest(
-        outdir, "fig8 sweep", {"t_min": args.t_min, "t_max": args.t_max, "steps": args.steps}, None, [path]
-    )
+            w.writerow("" if v is None else f"{v:.12g}" if isinstance(v, float) else v for v in r.values())
+    params = {"t_min": str(args.t_min), "t_max": str(args.t_max), "steps": args.steps}
+    _write_manifest(outdir, "fig8 sweep", params, None, [path])
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -241,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--t", type=Fraction, required=True, help='family parameter, "p/q" or a decimal, read exactly')
     v.add_argument("--out")
     v.set_defaults(func=cmd_fig8_verify)
-    sw = fig8_sub.add_parser("sweep", help="CSV sweep of spectra and cusp-shape convergence")
-    sw.add_argument("--t-min", type=float, required=True)
-    sw.add_argument("--t-max", type=float, required=True)
+    sw = fig8_sub.add_parser("sweep", help="CSV of the verify record along an exact grid of t")
+    sw.add_argument("--t-min", type=Fraction, required=True, help="first t, read exactly")
+    sw.add_argument("--t-max", type=Fraction, required=True, help="last t, read exactly")
     sw.add_argument("--steps", type=int, default=21)
     sw.add_argument("--out")
     sw.set_defaults(func=cmd_fig8_sweep)

@@ -17,8 +17,9 @@ lifts with g = e14 - v^2/2 where the log has its top-right entry.
 ``normalize_algebra_pair`` scans small integer combinations for the generic
 element, and carries exact input over Q or a quadratic extension, so the
 residual is exactly zero.  ``normalize_pair`` rescales group lifts to
-triple eigenvalue 1 (``proj_normalize_lift``) and reads them directly, and
-``fig8`` reads the peripheral pair of rho_t in Fractions.
+triple eigenvalue 1 (``proj_normalize_lift``), reads them directly and
+bounds each u by the float resolution of d, and ``fig8`` reads the
+peripheral pair of rho_t in Fractions.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def group_exp(e: LieAlgElem):
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomial profiles and classification
+# minimal polynomial profiles
 
 
 @dataclass(frozen=True)
@@ -187,31 +188,6 @@ def minpoly_profile(x) -> MinPolyProfile:
     if vanishes(X2 - f * X, 2):
         raise ProfileShapeError("minimal polynomial t^2 or t (t - f) is not of shape t^n (t - f)")
     return MinPolyProfile(2 if vanishes(X3 - f * X2, 3) else 3, f, kernel)
-
-
-def classify(g) -> str:
-    """Pure translation / pure dilation / generic, per the (n, f) profile.
-
-    ``g`` is a LieAlgElem or a 4x4 group element whose log lies in a
-    conjugate of the model families.  A group element is profiled as
-    X = g - I of its canonical lift (``proj_normalize_lift``): X has
-    X^3 (X - fI) = 0 with f = lambda - 1 and the (n, kernel) class of
-    the log.
-    """
-    if isinstance(g, LieAlgElem):
-        return classify_profile(minpoly_profile(g))
-    lift = proj_normalize_lift(g)
-    return classify_profile(minpoly_profile(lift - identity(4, exact=is_exact(lift))))
-
-
-def classify_profile(profile: MinPolyProfile) -> str:
-    if profile.is_zero:
-        raise ValueError("identity element has no classification")
-    if profile.kernel_flag:
-        if profile.n != 2:
-            raise ProfileShapeError("kernel element with n = 3 violates the family shape")
-        return PURE_TRANSLATION
-    return PURE_DILATION if profile.n == 2 else GENERIC
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +312,7 @@ class NormalizationResult:
     params: tuple
     residual: float
     exact: bool
+    u_error: tuple | None = None  # group pairs: the bound d's float resolution sets on each u's error
 
     def conjugator_float(self):
         return np.array([[float(v) for v in row] for row in self.conjugator])
@@ -561,23 +538,35 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     return NormalizationResult(form.sign, C, images, params, float(residual), exact)
 
 
+def _lift_resolution(lift) -> float:
+    """4 eps |g|_2: the float resolution of the eigenvalues of the 4x4 lift g,
+    short of their condition numbers."""
+    return 4 * np.finfo(float).eps * float(np.linalg.norm(lift, 2))
+
+
 def proj_normalize_lift(M):
     """Rescale a projective representative so its triple eigenvalue is 1.
 
     The model cusp groups have spectrum {1, 1, 1, lambda}; an arbitrary
     lift differs by a scalar, recovered from the eigenvalue of algebraic
-    multiplicity at least 3.  A float lift resolves lambda from it only beyond
-    ``projlin.SPECTRUM_CLUSTER_TOL``: one cluster of four with (g - I)^3 above
-    ``PROFILE_TOL`` |g - I|^3 raises HypothesesError.
+    multiplicity at least 3.  A float lift resolves lambda only beyond
+    ``_lift_resolution`` from 0 and beyond ``projlin.SPECTRUM_CLUSTER_TOL``
+    from 1 (one cluster of four with (g - I)^3 above ``PROFILE_TOL``
+    |g - I|^3); either failure raises HypothesesError.
     """
     spec = real_spectrum(M)
     for lam, mult in spec:
         if mult >= 3:
             if float(lam) == 0:
                 raise ValueError("singular matrix cannot be normalized")
+            lift = M / lam
+            if not is_exact(M):
+                res = _lift_resolution(lift)
+                if any(l != lam and abs(l / lam) <= res for l, _ in spec):
+                    raise HypothesesError(f"the dilation eigenvalue lies within the lift's float resolution "
+                                          f"{res:.3g} (4 eps |g|) of 0")
             if any(float(l / lam) <= 0 for l, _ in spec):
                 raise ValueError("no lift with positive spectrum exists")
-            lift = M / lam
             if mult == 4 and not is_exact(M):
                 X = lift - np.eye(4)
                 if np.max(np.abs(X @ X @ X)) > PROFILE_TOL * np.max(np.abs(X)) ** 3:
@@ -585,6 +574,26 @@ def proj_normalize_lift(M):
                                           f"eigenvalue (SPECTRUM_CLUSTER_TOL = {projlin.SPECTRUM_CLUSTER_TOL:g} relative)")
             return lift
     raise ValueError("no eigenvalue of multiplicity 3 or more; cannot pick a canonical lift")
+
+
+def _u_error(form, lifts):
+    """The bound on each |u - log lambda| that the float resolution of d sets:
+    delta = ``_lift_resolution`` times kappa = |x| |y|, the condition number of
+    lambda with x = T e2 and y = e2^T T^-1 of the form's basis, gives
+    delta/(lambda - delta), or inf where delta reaches lambda = 1 + d.  A bound
+    above ``NORMALIZE_TOL`` max(1, |u|) raises HypothesesError.  For lambda >> 1
+    the lift's scale, read from the triple eigenvalue, can err by more."""
+    Ti = form.inverse
+    kappa = float(np.linalg.norm(np.linalg.inv(Ti)[:, 1]) * np.linalg.norm(Ti[1]))
+    bounds = []
+    for g, (d, _, _), u in zip(lifts, form.reads, form.u):
+        delta, lam = _lift_resolution(g) * kappa, 1 + d
+        bound = delta / (lam - delta) if delta < lam else math.inf
+        if bound > NORMALIZE_TOL * max(1.0, abs(u)):
+            raise HypothesesError(f"u = log(1 + d) is unresolved: d's float resolution {delta:.3g} (4 eps |g| times "
+                                  f"lambda's condition number {kappa:.3g}) bounds u's error by {bound:.3g}")
+        bounds.append(float(bound))
+    return tuple(bounds)
 
 
 def _group_residual(Zs, sign, u) -> float:
@@ -596,19 +605,22 @@ def _group_residual(Zs, sign, u) -> float:
 
 def normalize_pair(A, B) -> NormalizationResult:
     """Group-level normalization of a commuting pair of projective maps: the lifts
-    (``proj_normalize_lift``; exact input stays exact up to the logs u) give g - I to
-    ``translation_line_form``, Y the one of larger relative trace.  The images are the
-    conjugated lifts, read from the sheared form, with their ``_group_residual``; a pair
-    already in model form keeps the identity conjugator."""
+    (``proj_normalize_lift``, taken before the commutation test; exact input stays exact up
+    to the logs u) give g - I to ``translation_line_form``, Y the one of larger relative
+    trace.  A float pair reports ``_u_error`` and is refused where it is too large.  The
+    images are the conjugated lifts, read from the sheared form, with their
+    ``_group_residual``; a pair already in model form keeps the identity conjugator."""
+    exact = is_exact(A) and is_exact(B)
+    lifts = [proj_normalize_lift(g if exact else to_float(g)) for g in (A, B)]
     if not proj_equal(A @ B, B @ A):
         raise HypothesesError("generators do not commute projectively")
-    exact = is_exact(A) and is_exact(B)
-    Z = [proj_normalize_lift(g if exact else to_float(g)) - identity(4, exact=exact) for g in (A, B)]
+    Z = [g - identity(4, exact=exact) for g in lifts]
     sizes = [max(projlin.max_abs(to_float(z)), 1e-300) for z in Z]
     y = max((0, 1), key=lambda i: abs(float(np.trace(Z[i]))) / sizes[i])
     if abs(float(np.trace(Z[y]))) <= NORMALIZE_TOL * sizes[y]:
         raise HypothesesError("generators span less than two dimensions (both are unipotent)")
     form = translation_line_form(Z, Z[y], Z[1 - y], True)
+    u_error = (0.0, 0.0) if exact else _u_error(form, lifts)
     C = np.eye(4)
     residual = _group_residual(Z, form.sign, form.u)
     if residual > NORMALIZE_TOL:
@@ -616,7 +628,7 @@ def normalize_pair(A, B) -> NormalizationResult:
         residual = _group_residual(Z, form.sign, form.u)
     params = tuple((u, z[0, 2]) for u, z in zip(form.u, Z))
     images = tuple(np.eye(4) + to_float(z) for z in Z)
-    return NormalizationResult(form.sign, C, images, params, residual, False)
+    return NormalizationResult(form.sign, C, images, params, residual, False, u_error)
 
 
 # ---------------------------------------------------------------------------

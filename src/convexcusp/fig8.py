@@ -8,11 +8,11 @@ rational it denotes), so every word is exact: the four letters are
 integer matrices in closed form over one denominator, and a word is
 reduced once to the least denominator, the form that the exact spectrum
 and the unipotency test take.  s = log(1/(16 t^4)) places the hyperbolic
-point at 0 (``s_of_t`` also checks t > 0), and the peripheral pair
-admits closed normalized forms converging to an explicit pair of
-parabolic translations.  ``normalization_consistency`` puts the peripheral
-pair (meridian, L/(2t)) in the cusp normal form exactly, in the
-translation-line basis of ``cusplie.chain_basis``.
+point at 0 (``s_of_t`` also checks t > 0).  ``normalization_consistency``
+puts the peripheral pair (meridian, L/(2t)) in the cusp normal form
+exactly, in the translation-line basis of ``cusplie.chain_basis``.
+``verify_report`` is the one record of each t, and ``sweep_rows`` projects
+it along an exact grid of t.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import cusplie, projlin
 from .cusplie import LieAlgElem
-from .projlin import real_spectrum, to_float
+from .projlin import real_spectrum
 
 
 def _coerce_t(t) -> Fraction:
@@ -184,27 +184,9 @@ def meridian_translation(s) -> float:
     return math.sqrt(_sinh_ratio(float(s)))
 
 
-def normalized_peripheral(s):
-    """Closed normalized forms of the peripheral pair at parameter s != 0.
-
-    Both matrices lie in the deformed cusp group with family parameter s:
-    they are the exponentials of the Lt elements (0, meridian_translation(s))
-    and (1, 0) at t = s, so they commute.
-    """
-    s = float(s)
-    if s == 0:
-        raise ValueError("normalized pair is defined for s != 0; use limit_pair at 0")
-    m = meridian_translation(s)
-    return tuple(cusplie.group_exp(LieAlgElem("Lt", p, t=s)) for p in ((0.0, m), (1.0, 0.0)))
-
-
-def limit_pair():
-    """Limit of the normalized peripheral pair at the hyperbolic point:
-    parabolic translations with parameters (0, 1/(2 sqrt 3)) and (1, 0)."""
-    return tuple(to_float(cusplie.group_exp(e)) for e in limit_elements())
-
-
 def limit_elements():
+    """The L0 elements of the parabolic limit of the peripheral pair at the
+    hyperbolic point: translations (0, 1/(2 sqrt 3)) and (1, 0)."""
     m = 1.0 / (2.0 * math.sqrt(3.0))
     return LieAlgElem("L0", (0.0, m)), LieAlgElem("L0", (1.0, 0.0))
 
@@ -293,47 +275,32 @@ def verify_report(t) -> dict:
     }
 
 
-def sweep_rows(t_min: float, t_max: float, steps: int):
-    """Spectra and cusp-shape convergence along a parameter sweep.
+def sweep_row(record) -> dict:
+    """The ``fig8 sweep`` row of a ``verify_report`` record, read from it alone:
+    the longitude eigenvalues of highest and lowest multiplicity (the one
+    eigenvalue twice at t = 1/2), the normal form's sign, u, b and residual,
+    and the cusp shape's imaginary part -|s|/b; all but the sign are None
+    where the report is degenerate."""
+    spec, form = record["longitude_spectrum"], record["normalized_params"]
+    b = form["meridian"]["b"]
+    return {
+        "t": record["t"],
+        "s": record["s"],
+        "relation_exact": record["relation_exact"],
+        "eig_triple": max(spec, key=lambda e: e[1])[0],
+        "eig_single": min(spec, key=lambda e: e[1])[0],
+        "obstruction": record["obstruction"],
+        "sign": form["sign"],
+        "u": form["longitude"]["f_value"],
+        "b": b,
+        "residual": form["residual"],
+        "shape_im": None if b is None else -abs(record["s"]) / b,
+    }
 
-    eig_triple and eig_single are the eigenvalues of the longitude of
-    highest and lowest multiplicity at the rational value of each float
-    t, with the closed forms 2t and 1/(8t^3) beside them and the relative
-    deviation of each.  obstructed is the exact obstruction test on the
-    same spectrum: more than one eigenvalue.  shape_im is the imaginary
-    part of the cusp modulus computed from the normalized translation
-    parameters; it tends to -2 sqrt(3).
-    """
-    rows = []
-    M0, L0 = limit_pair()
-    for t in np.linspace(t_min, t_max, steps):
-        t = float(t)
-        s = s_of_t(t)
-        m = meridian_translation(s)
-        if s == 0:
-            mdev, ldev = 0.0, 0.0
-        else:
-            Ms, Ls = normalized_peripheral(s)
-            mdev = float(np.max(np.abs(Ms - M0)))
-            ldev = float(np.max(np.abs(Ls - L0)))
-        exact_t = Fraction(t)  # a binary float is an exact rational
-        spec = longitude_spectrum(exact_t)
-        eigs = [float(lam) for lam, mult in sorted(spec, key=lambda e: -e[1]) for _ in range(mult)]
-        triple, single = float(2 * exact_t), float(1 / (8 * exact_t ** 3))
-        rows.append(
-            {
-                "t": t,
-                "s": s,
-                "eig_triple": eigs[0],
-                "eig_single": eigs[-1],
-                "obstructed": len(spec) > 1,
-                "meridian_dev": mdev,
-                "longitude_dev": ldev,
-                "shape_im": -1.0 / m,
-                "closed_triple": triple,
-                "triple_rel_dev": abs(eigs[0] - triple) / abs(triple),
-                "closed_single": single,
-                "single_rel_dev": abs(eigs[-1] - single) / abs(single),
-            }
-        )
-    return rows
+
+def sweep_rows(t_min, t_max, steps: int):
+    """``sweep_row`` of ``verify_report`` at t_k = t_min + k (t_max - t_min)/(steps - 1),
+    k = 0..steps-1, in Fractions (t_min alone at steps = 1, no row below)."""
+    t_min, t_max = Fraction(t_min), Fraction(t_max)
+    h = (t_max - t_min) / max(steps - 1, 1)
+    return [sweep_row(verify_report(t_min + k * h)) for k in range(steps)]

@@ -4,7 +4,9 @@ Each one reaches a quantity of the package by a route that shares no
 code with the route it checks: cross ratios of four collinear points,
 Busemann densities from Hilbert metric balls alone, a covering-style
 volume estimate, the closed-form generators and longitude table of the
-figure-eight family, and the tiling of the base by the lattice rectangle.
+figure-eight family, the closed normalized forms of its peripheral pair,
+the class of a cusp element read from its minimal-polynomial profile, and
+the tiling of the base by the lattice rectangle.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from convexcusp import fig8, projlin
+from convexcusp import cusplie, fig8, projlin
+from convexcusp.cusplie import GENERIC, PURE_DILATION, PURE_TRANSLATION, LieAlgElem
 from convexcusp.cuspvol import CuspFundamentalDomain
 from convexcusp.domains import ConvexDomain
 from convexcusp.hilbert import ALPHA3, Region, RegionError, hilbert_distance_pairs, sphere_quadrature
@@ -208,6 +211,60 @@ def longitude_display_report(t, stray_reading="t") -> dict:
             else:
                 report[(i, j)] = abs(word[i, j] - disp[i, j]) <= 1e-12 * max(1.0, abs(disp[i, j]))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the closed normalized peripheral pair
+
+
+def normalized_peripheral(s):
+    """Closed normalized forms of the peripheral pair at parameter s != 0.
+
+    Both matrices lie in the deformed cusp group with family parameter s:
+    they are the exponentials of the Lt elements (0, meridian_translation(s))
+    and (1, 0) at t = s, so they commute.  ``fig8.normalization_consistency``
+    measures the same translation as b/|s| on rho_t.
+    """
+    s = float(s)
+    if s == 0:
+        raise ValueError("normalized pair is defined for s != 0; use limit_pair at 0")
+    m = fig8.meridian_translation(s)
+    return tuple(cusplie.group_exp(LieAlgElem("Lt", p, t=s)) for p in ((0.0, m), (1.0, 0.0)))
+
+
+def limit_pair():
+    """Limit of the normalized peripheral pair at the hyperbolic point:
+    parabolic translations with parameters (0, 1/(2 sqrt 3)) and (1, 0)."""
+    return tuple(projlin.to_float(cusplie.group_exp(e)) for e in fig8.limit_elements())
+
+
+# ---------------------------------------------------------------------------
+# classification by the minimal-polynomial profile
+
+
+def classify(g) -> str:
+    """Pure translation / pure dilation / generic, per the (n, f) profile.
+
+    ``g`` is a LieAlgElem or a 4x4 group element whose log lies in a
+    conjugate of the model families.  A group element is profiled as
+    X = g - I of its canonical lift (``proj_normalize_lift``): X has
+    X^3 (X - fI) = 0 with f = lambda - 1 and the (n, kernel) class of
+    the log.
+    """
+    if isinstance(g, LieAlgElem):
+        return classify_profile(cusplie.minpoly_profile(g))
+    lift = cusplie.proj_normalize_lift(g)
+    return classify_profile(cusplie.minpoly_profile(lift - projlin.identity(4, exact=projlin.is_exact(lift))))
+
+
+def classify_profile(profile: cusplie.MinPolyProfile) -> str:
+    if profile.is_zero:
+        raise ValueError("identity element has no classification")
+    if profile.kernel_flag:
+        if profile.n != 2:
+            raise cusplie.ProfileShapeError("kernel element with n = 3 violates the family shape")
+        return PURE_TRANSLATION
+    return PURE_DILATION if profile.n == 2 else GENERIC
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,10 @@ def test_criterion_07_normalization_round_trip():
 
 
 def test_criterion_08_convergence():
-    ratio = measured("peripheral-convergence", 1.25, svals=(1e-1, 1e-2, 1e-3, 1e-4))
+    ratio = measured("peripheral-convergence", 1.25, ks=(1, 2, 3, 4, 5))
     assert ratio <= 1.25
     assert measured("lattice-convergence", 0, u0=Fraction(1, 3)) == 0
-    report(8, f"normalized pair within C|s| of the limit (deviation/s at most {ratio:.3f} of its first value); "
+    report(8, f"measured b/|s| within C|s| of 1/(2 sqrt 3) (deviation/|s| at most {ratio:.3f} of its first value); "
               "exact limits on linear paths")
 
 

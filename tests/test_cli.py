@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -100,11 +101,34 @@ def test_fig8_verify_normalizes_next_to_the_unipotent_point_and_at_small_t(tmp_p
 def test_fig8_sweep(tmp_path):
     assert run(["fig8", "sweep", "--t-min", "0.3", "--t-max", "0.7", "--steps", "5", "--out", str(tmp_path)]) == 0
     lines = open(tmp_path / "fig8_sweep.csv").read().splitlines()
-    assert lines[0] == (
-        "t,s,eig_triple,eig_single,obstructed,meridian_dev,longitude_dev,shape_im,"
-        "closed_triple,triple_rel_dev,closed_single,single_rel_dev"
-    )
-    assert len(lines) == 6
+    assert lines[0] == "t,s,relation_exact,eig_triple,eig_single,obstruction,sign,u,b,residual,shape_im"
+    assert [line.split(",")[0] for line in lines[1:]] == ["3/10", "2/5", "1/2", "3/5", "7/10"]
+    manifest = json.load(open(tmp_path / "manifest.json"))
+    assert manifest["parameters"] == {"t_min": "3/10", "t_max": "7/10", "steps": 5}
+
+
+def test_fig8_sweep_golden_grid_reads_one_half_unobstructed(tmp_path):
+    # 0.3 and 0.7 are read exactly, so row 10 of 21 is t = 1/2 itself: the
+    # degenerate, unipotent record, with its normal-form columns left blank
+    assert run(["fig8", "sweep", "--t-min", "0.3", "--t-max", "0.7", "--steps", "21", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "fig8_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 21 and all(r["relation_exact"] == "True" for r in rows)
+    half = rows[10]
+    assert half["t"] == "1/2" and half["obstruction"] == "False" and half["sign"] == "0"
+    assert (half["eig_triple"], half["eig_single"]) == ("1", "1")
+    assert half["u"] == half["b"] == half["residual"] == half["shape_im"] == ""
+    assert all(r["obstruction"] == "True" and r["sign"] == "1" for r in rows if r is not half)
+
+
+def test_fig8_sweep_single_step_and_bad_steps(tmp_path, capsys):
+    assert run(["fig8", "sweep", "--t-min", "1/3", "--t-max", "0.7", "--steps", "1", "--out", str(tmp_path)]) == 0
+    lines = open(tmp_path / "fig8_sweep.csv").read().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("1/3,")
+    for steps in ("0", "-2"):
+        capsys.readouterr()
+        assert run(["fig8", "sweep", "--t-min", "0.3", "--t-max", "0.7", "--steps", steps, "--out", str(tmp_path)]) == 2
+        assert "--steps >= 1" in capsys.readouterr().err
 
 
 def test_cusp_volume(tmp_path):

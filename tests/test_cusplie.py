@@ -8,6 +8,7 @@ import pytest
 from convexcusp import cusplie as cl, fig8, projlin as pl
 from convexcusp.cusplie import LieAlgElem
 from convexcusp.domains import DomainDPrime
+import reference_oracles as ro
 from test_projlin import expm_reference
 
 
@@ -167,10 +168,10 @@ def test_float_profiles_agree_with_exact_ones(family):
 
 
 def test_classify_examples():
-    assert cl.classify(pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0, 2.0))))) == cl.PURE_TRANSLATION
-    assert cl.classify(pl.to_float(cl.group_exp(LieAlgElem("LPrime", (1.0, 0))))) == cl.PURE_DILATION
-    assert cl.classify(pl.to_float(cl.group_exp(LieAlgElem("LPrime", (1.0, 1.0))))) == cl.GENERIC
-    assert cl.classify(LieAlgElem("LPrimeMinus", (0, Fraction(1, 2)))) == cl.PURE_TRANSLATION
+    assert ro.classify(pl.to_float(cl.group_exp(LieAlgElem("LPrime", (0, 2.0))))) == cl.PURE_TRANSLATION
+    assert ro.classify(pl.to_float(cl.group_exp(LieAlgElem("LPrime", (1.0, 0))))) == cl.PURE_DILATION
+    assert ro.classify(pl.to_float(cl.group_exp(LieAlgElem("LPrime", (1.0, 1.0))))) == cl.GENERIC
+    assert ro.classify(LieAlgElem("LPrimeMinus", (0, Fraction(1, 2)))) == cl.PURE_TRANSLATION
 
 
 def test_classify_conjugation_invariant():
@@ -180,7 +181,7 @@ def test_classify_conjugation_invariant():
         for _ in range(10):
             C = pl.to_float(rand_rational_matrix(rng))
             conj = C @ g @ np.linalg.inv(C)
-            assert cl.classify(conj) == expected
+            assert ro.classify(conj) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +459,44 @@ def test_normalize_pair_reads_the_parameters_of_conjugated_group_elements():
             assert t != Fraction(1, 100)
             continue
         assert res.sign == 1 and abs(abs(res.params[0][1]) - b) <= (1e-10 + 100 * res.residual) * b
+
+
+def test_normalize_pair_bounds_u_by_the_resolution_of_a_small_dilation(monkeypatch):
+    # lambda = e^a << 1 puts d next to -1, so u = log(1 + d) magnifies d's
+    # float resolution by 1/lambda: an accepted pair reads u within its
+    # reported bound, and a pair whose unguarded u is off by more than 1e-6
+    # is refused with an error that names the resolution
+    accepted, refused, worst_refused = set(), set(), 0.0
+    for seed in range(8):
+        for b in (0.0, 0.5, 3.0):
+            for a in np.linspace(-5, -30, 11):
+                pair = _conjugated_pair(seed, float(a), b)
+                with monkeypatch.context() as m:
+                    m.setattr(cl, "_u_error", lambda form, lifts: (0.0, 0.0))
+                    try:
+                        unguarded = cl.normalize_pair(*pair).params[0][0]
+                    except cl.HypothesesError:
+                        unguarded = math.nan
+                try:
+                    res = cl.normalize_pair(*pair)
+                except cl.HypothesesError as err:
+                    assert "float resolution" in str(err)
+                    refused.add(float(a))
+                    worst_refused = max(worst_refused, abs(unguarded - a))
+                    continue
+                accepted.add(float(a))
+                assert res.params[0][0] == unguarded and abs(unguarded - a) <= res.u_error[0]
+                assert res.u_error[0] <= cl.NORMALIZE_TOL * abs(a) and abs(unguarded - a) <= 1e-6
+    assert -5.0 in accepted and -5.0 not in refused and -30.0 in refused and -30.0 not in accepted
+    assert worst_refused > 1e-2  # the refusal is not idle: some unguarded u is off by far more
+    # rho_(10^4): lambda = 1/(16 t^4) = 6.25e-18 is below the float lift's
+    # resolution, refused before the commutation test; the exact pair is read
+    t = Fraction(10**4)
+    A, B = fig8.word(t, "m"), fig8.longitude(t)
+    with pytest.raises(cl.HypothesesError, match="float resolution"):
+        cl.normalize_pair(pl.to_float(A), pl.to_float(B))
+    res = cl.normalize_pair(A, B)
+    assert res.u_error == (0.0, 0.0) and res.params[1][0] == pytest.approx(fig8.s_of_t(t), rel=1e-15)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])

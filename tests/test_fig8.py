@@ -81,7 +81,7 @@ def reference_relation_residual(t):
 
 
 #: negative t, the unipotent point, heights from 10 to about 10^30 and the
-#: dyadic rationals of float t that the sweep and the obstruction use
+#: dyadic rationals of float t
 ORACLE_TS = [
     Fraction(-1, 4),
     Fraction(-7, 3),
@@ -298,7 +298,7 @@ def test_s_monotone_decreasing_in_t():
 
 def test_normalized_pair_entries():
     s = math.log(16)
-    Ms, Ls = fig8.normalized_peripheral(s)
+    Ms, Ls = ro.normalized_peripheral(s)
     m = math.sqrt(math.sinh(s / 4) / (3 * s))
     assert abs(Ms[0, 2] - m) <= 1e-15
     assert abs(Ms[0, 3] - m * m / 2) <= 1e-15
@@ -307,13 +307,13 @@ def test_normalized_pair_entries():
 
 
 def test_normalized_pair_commutes():
-    Ms, Ls = fig8.normalized_peripheral(0.7)
+    Ms, Ls = ro.normalized_peripheral(0.7)
     assert np.max(np.abs(Ms @ Ls - Ls @ Ms)) <= 1e-13
 
 
 def test_normalized_pair_spectrum():
     s = 0.9
-    _, Ls = fig8.normalized_peripheral(s)
+    _, Ls = ro.normalized_peripheral(s)
     spec = pl.real_spectrum(Ls)
     assert [m for _, m in spec] == [3, 1]
     assert abs(spec[1][0] - math.exp(s)) <= 1e-12
@@ -323,7 +323,7 @@ def test_normalized_logs_live_in_deformed_algebra():
     # Lt(u, v) at t = s is the conjugate of LPrime(s u, s v) by vt_map(s),
     # so the normal form of the pair reads the logs (0, s m) and (s, 0)
     s = 0.6
-    Ms, Ls = fig8.normalized_peripheral(s)
+    Ms, Ls = ro.normalized_peripheral(s)
     m = fig8.meridian_translation(s)
     res = cl.normalize_pair(Ms, Ls)
     (a1, b1), (a2, b2) = res.params
@@ -339,7 +339,7 @@ def test_entry_limit_is_parabolic_value():
 
 
 def test_limit_pair_values():
-    M0, L0 = fig8.limit_pair()
+    M0, L0 = ro.limit_pair()
     root12 = 1 / (2 * math.sqrt(3))
     assert abs(M0[0, 2] - root12) <= 1e-16
     assert abs(M0[0, 3] - Fraction(1, 24)) <= 1e-16
@@ -347,11 +347,11 @@ def test_limit_pair_values():
 
 
 def test_normalized_pair_converges_to_limit():
-    M0, L0 = fig8.limit_pair()
+    M0, L0 = ro.limit_pair()
     svals = (1e-1, 1e-2, 1e-3, 1e-4)
     devs = []
     for s in svals:
-        Ms, Ls = fig8.normalized_peripheral(s)
+        Ms, Ls = ro.normalized_peripheral(s)
         devs.append(max(np.max(np.abs(Ms - M0)), np.max(np.abs(Ls - L0))))
     C = devs[0] / svals[0] * 1.25
     for s, dev in zip(svals, devs):
@@ -360,9 +360,9 @@ def test_normalized_pair_converges_to_limit():
 
 def test_normalized_pair_near_the_hyperbolic_point():
     # (e^s - s - 1)/s^2 must not cancel as s -> 0
-    M0, L0 = fig8.limit_pair()
+    M0, L0 = ro.limit_pair()
     for s in (1e-3, 1e-6, 1e-9, -1e-9):
-        Ms, Ls = fig8.normalized_peripheral(s)
+        Ms, Ls = ro.normalized_peripheral(s)
         assert np.max(np.abs(Ls - L0)) <= 2 * abs(s)
         assert np.max(np.abs(Ms - M0)) <= 2 * abs(s)
 
@@ -443,8 +443,8 @@ def test_pipeline_sheared_pair_meets_the_lprime_pattern(t):
     for Z, ref in ((Zm, X), (ZL, Y)):
         assert pl.minimal_polynomial(Z).coeffs == pl.minimal_polynomial(ref).coeffs
     # the classes, decided exactly on the group images
-    assert rep.meridian_class == cl.classify(I + Zm) == cl.PURE_TRANSLATION
-    assert rep.longitude_class == cl.classify(I + ZL) == cl.PURE_DILATION
+    assert rep.meridian_class == ro.classify(I + Zm) == cl.PURE_TRANSLATION
+    assert rep.longitude_class == ro.classify(I + ZL) == cl.PURE_DILATION
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 10 ** 306), Fraction(10 ** 307)])
@@ -487,37 +487,58 @@ def test_verify_report_fields():
 
 
 def test_sweep_rows():
-    rows = fig8.sweep_rows(0.3, 0.7, 5)
-    assert len(rows) == 5
-    for r in rows:
-        t = Fraction(r["t"])
-        assert (r["closed_triple"], r["closed_single"]) == (float(2 * t), float(1 / (8 * t ** 3)))
-        assert r["triple_rel_dev"] == 0.0 and r["single_rel_dev"] == 0.0
-    mid = rows[2]
-    assert mid["t"] == pytest.approx(0.5)
-    assert not mid["obstructed"]
-    assert rows[0]["shape_im"] < 0
-    # shape converges toward -2 sqrt(3) as t -> 1/2
-    assert abs(mid["shape_im"] + 2 * math.sqrt(3)) < abs(rows[0]["shape_im"] + 2 * math.sqrt(3))
+    # the golden grid 3/10 + k/50: every row is the record of verify_report
+    # at its rational t, read field by field, and k = 10 lands on 1/2
+    rows = fig8.sweep_rows(Fraction(3, 10), Fraction(7, 10), 21)
+    assert len(rows) == 21
+    for k, r in enumerate(rows):
+        t = Fraction(3, 10) + Fraction(k, 50)
+        rec = fig8.verify_report(t)
+        form = rec["normalized_params"]
+        spec = dict((mult, lam) for lam, mult in rec["longitude_spectrum"])
+        assert r["t"] == str(t) == rec["t"] and r["s"] == rec["s"]
+        assert (r["relation_exact"], r["obstruction"]) == (rec["relation_exact"], rec["obstruction"])
+        assert (r["eig_triple"], r["eig_single"]) == ((spec[3], spec[1]) if t != Fraction(1, 2) else (spec[4], spec[4]))
+        assert (r["sign"], r["u"], r["b"], r["residual"]) == (
+            form["sign"], form["longitude"]["f_value"], form["meridian"]["b"], form["residual"])
+        if t == Fraction(1, 2):
+            assert r["shape_im"] is None and form["degenerate"]
+        else:
+            assert r["shape_im"] == -abs(rec["s"]) / form["meridian"]["b"]
+    mid = rows[10]
+    assert mid["t"] == "1/2" and not mid["obstruction"] and mid["sign"] == 0
+    assert all(r["obstruction"] for r in rows if r is not mid)
+    # the measured shape tends to -2 sqrt(3) as t -> 1/2
+    gaps = [abs(r["shape_im"] + 2 * math.sqrt(3)) for r in rows[:10]]
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_sweep_rows_single_step_and_empty():
+    assert [r["t"] for r in fig8.sweep_rows(Fraction(1, 3), Fraction(7, 10), 1)] == ["1/3"]
+    # a float bound is the binary rational it denotes
+    assert fig8.sweep_rows(0.25, 0.5, 2)[0] == fig8.sweep_row(fig8.verify_report(Fraction(1, 4)))
+    assert fig8.sweep_rows(Fraction(1, 4), Fraction(1, 2), 0) == fig8.sweep_rows(Fraction(1, 4), Fraction(1, 2), -3) == []
 
 
 def test_sweep_rows_follow_the_longitude(monkeypatch):
-    # the spectrum and obstruction columns are computed from the integer
-    # longitude word, not written from the closed forms 2t, 1/(8t^3) and
-    # t != 1/2
-    def diagonal(*entries):
-        def word(t, letters):
-            assert letters == fig8.LONGITUDE and isinstance(t, Fraction)
-            return np.array([[entries[i] if i == j else 0 for j in range(4)] for i in range(4)], dtype=object), 1
+    # the spectrum and obstruction columns are read from the record, which
+    # reads them from the longitude, not from the closed forms 2t, 1/(8t^3)
+    # and t != 1/2
+    monkeypatch.setattr(fig8, "longitude_spectrum", lambda t: [(Fraction(5), 1), (Fraction(3), 3)])
+    monkeypatch.setattr(fig8, "obstruction_at_t", lambda t: False)
+    rows = fig8.sweep_rows(Fraction(3, 10), Fraction(7, 10), 3)
+    assert [(r["eig_triple"], r["eig_single"], r["obstruction"]) for r in rows] == [(3.0, 5.0, False)] * 3
+    monkeypatch.setattr(fig8, "longitude_spectrum", lambda t: [(Fraction(2), 4)])
+    rows = fig8.sweep_rows(Fraction(3, 10), Fraction(7, 10), 3)
+    assert [(r["eig_triple"], r["eig_single"]) for r in rows] == [(2.0, 2.0)] * 3
 
-        return word
 
-    monkeypatch.setattr(fig8, "_word", diagonal(3, 3, 3, 5))
-    rows = fig8.sweep_rows(0.3, 0.7, 3)
-    assert [(r["eig_triple"], r["eig_single"], r["obstructed"]) for r in rows] == [(3.0, 5.0, True)] * 3
-    # the deviation columns measure the spectrum against 2t and 1/(8t^3)
-    assert rows[0]["triple_rel_dev"] == abs(3.0 - 0.6) / 0.6
-    assert rows[0]["single_rel_dev"] == abs(5.0 - rows[0]["closed_single"]) / rows[0]["closed_single"]
-    monkeypatch.setattr(fig8, "_word", diagonal(2, 2, 2, 2))
-    rows = fig8.sweep_rows(0.3, 0.7, 3)
-    assert [(r["eig_triple"], r["eig_single"], r["obstructed"]) for r in rows] == [(2.0, 2.0, False)] * 3
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_closed_form_oracle_matches_the_measured_meridian_translation(k, sign):
+    # t = 1/2 -+ 10^-k/8 puts s at about +-10^-k: the closed normalized
+    # meridian's translation m(s) is b/|s| of the exact normal form of rho_t
+    rep = fig8.normalization_consistency(Fraction(1, 2) + sign * Fraction(1, 8 * 10 ** k))
+    assert 0.9 * 10.0 ** -k <= -sign * rep.s <= 1.1 * 10.0 ** -k
+    Ms, _ = ro.normalized_peripheral(rep.s)
+    assert abs(Ms[0, 2] - rep.meridian_b / abs(rep.s)) <= 1e-15
