@@ -62,9 +62,10 @@ def _finsler_error(seed, n, h=1e-5):
 
 
 @functools.lru_cache(maxsize=1)  # its four rows run one after another
-def _volume(s, floor, cutoffs, heights, q):
+def _volume(t, floor, cutoffs, heights, q):
     """Least and largest tail ratio (nan unless the volumes increase), least margin over C x1^(3/2), growth exponent."""
-    fd = cuspvol.CuspFundamentalDomain(floor=floor, dilation=s, translation=s * fig8.meridian_translation(s))
+    u, b = fig8.peripheral_lattice(t)
+    fd = cuspvol.CuspFundamentalDomain(floor=floor, dilation=abs(u), translation=b)
     rows = cuspvol.cusp_volume_table(fd, cutoffs, q, method="grid")
     increasing = all(b["estimate"] > a["estimate"] for a, b in zip(rows, rows[1:]))
     ratios = [r["increment_ratio"] for r in rows[2:]] if increasing else [math.nan]
@@ -97,12 +98,22 @@ def _fig8_dilation_error(ts):
     return max(abs(r.dilation_f - fig8.s_of_t(r.t)) if ok else math.inf for r, ok in zip(reps, normal))
 
 
-def _convergence_rate_ratio(ks):
-    """Largest deviation/|s| of the measured b/|s| from 1/(2 sqrt 3), over the first,
-    at t = 1/2 -+ 10^-k/8 (s about +-10^-k)."""
-    reps = [fig8.normalization_consistency(Fraction(1, 2) + sign * Fraction(1, 8 * 10 ** k)) for k in ks for sign in (-1, 1)]
-    rates = [abs(r.meridian_b / abs(r.s) - 1 / (2 * math.sqrt(3))) / abs(r.s) for r in reps]
-    return max(rates) / rates[0]
+def _convergence_order(ks):
+    """Least observed order log(dev_k/dev_k+1) / log(|u_k|/|u_k+1|) of the deviation dev of the measured b/|u|
+    from 1/(2 sqrt 3), on each side of t = 1/2, at t = 1/2 -+ 10^-k/8 (u about +-10^-k)."""
+    orders = []
+    for sign in (-1, 1):
+        lattices = (fig8.peripheral_lattice(Fraction(1, 2) + sign * Fraction(1, 8 * 10 ** k)) for k in ks)
+        devs = [(abs(u), abs(b / abs(u) - 1 / (2 * math.sqrt(3)))) for u, b in lattices]
+        orders += [math.log(d0 / d1) / math.log(u0 / u1) for (u0, d0), (u1, d1) in zip(devs, devs[1:])]
+    return min(orders)
+
+
+def _limit_shape_error(t):
+    """Distance from -2 sqrt(3) i of the cusp shape of rho_t's lattice read as the L0 pair (0, b/|u|), (1, 0)."""
+    u, b = fig8.peripheral_lattice(t)
+    shape = cusplie.cusp_shape(LieAlgElem("L0", (0.0, b / abs(u))), LieAlgElem("L0", (1.0, 0.0)))
+    return abs(shape.raw_omega + 2j * math.sqrt(3))
 
 
 def _lattice_violations(u0):
@@ -116,9 +127,9 @@ def _lattice_violations(u0):
     return bad + 1
 
 
-def _displacement_spread(s, levels, ambient):
-    """Infinite unless the displacement strictly decreases with the level."""
-    prof = cuspvol.displacement_profile(s, s * fig8.meridian_translation(s), levels, ambient_level=ambient)
+def _displacement_spread(t, levels, ambient):
+    """Infinite unless the displacement strictly decreases with the level; rho_t's meridian translation."""
+    prof = cuspvol.displacement_profile(*fig8.peripheral_lattice(t), levels, ambient_level=ambient)
     d = prof.displacements
     return prof.constancy_spread if all(b < a for a, b in zip(d, d[1:])) else math.inf
 
@@ -148,7 +159,7 @@ def _invariance_error(seed, pairs, ts, group_params):
     return max(errs)
 
 
-VOLUME = dict(s=math.log(16), floor=1.0, cutoffs=(10, 20, 40, 80), heights=(1e2, 1e3, 1e4),
+VOLUME = dict(t=Fraction(1, 4), floor=1.0, cutoffs=(10, 20, 40, 80), heights=(1e2, 1e3, 1e4),
               q=hilbert.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5)))
 
 TABLE = (
@@ -157,8 +168,8 @@ TABLE = (
           dict(ts=(Fraction(1, 3), Fraction(7, 5), Fraction(2, 9))), 0),
     Claim("unipotency-dichotomy", "the longitude spectrum is {2t x3, 1/(8t^3)}, unipotent only at t = 1/2",
           _dichotomy_violations, dict(ts=(Fraction(1, 4), Fraction(2, 5), Fraction(3, 4))), 0),
-    Claim("limit-cusp-shape", "the limit cusp shape is -2 sqrt(3) i",
-          lambda: abs(cusplie.cusp_shape(*fig8.limit_elements()).raw_omega + 2j * math.sqrt(3)), {}, 1e-12),
+    Claim("limit-cusp-shape", "the cusp shape of rho_t tends to -2 sqrt(3) i as t -> 1/2",
+          _limit_shape_error, dict(t=Fraction(1, 2) - Fraction(1, 8 * 10 ** 6)), 1e-12),
     Claim("ball-distance", "the Hilbert distance in the ball is 2 artanh r", lambda radii: max(
           abs(hilbert.hilbert_distance(BallDomain(), [0, 0, 0], [r, 0, 0]) - 2 * math.atanh(r)) for r in radii),
           dict(radii=(0.25, 0.5, 0.75)), 1e-9),
@@ -183,12 +194,12 @@ TABLE = (
     Claim("meridian-translation-identity", "the meridian translation b has b^2/s = sinh(s/4)/3 = (1 - 4t^2)/(12t) exactly",
           lambda ts: sum(r.q != (1 - 4 * r.t ** 2) / (12 * r.t) for r in map(fig8.normalization_consistency, ts)),
           dict(ts=(Fraction(1, 4), Fraction(499, 1000), Fraction(31, 3))), 0),
-    Claim("peripheral-convergence", "the measured meridian translation b/|s| is within C|s| of 1/(2 sqrt 3)",
-          _convergence_rate_ratio, dict(ks=(1, 2, 3, 4)), 1.25),
+    Claim("peripheral-convergence", "the measured b/|u| tends to 1/(2 sqrt 3) at order at least 1.5 in |u|",
+          _convergence_order, dict(ks=(1, 2, 3, 4)), 1.5, at_least=True),
     Claim("lattice-convergence", "linear paths converge exactly; dependent paths are rejected",
           _lattice_violations, dict(u0=Fraction(1, 4)), 0),
     Claim("displacement-constancy", "displacement decreases with the level and is constant on horospheres",
-          _displacement_spread, dict(s=math.log(16), levels=(1.0, 2.0, 4.0), ambient=0.5), 1e-9),
+          _displacement_spread, dict(t=Fraction(1, 4), levels=(1.0, 2.0, 4.0), ambient=0.5), 1e-9),
     Claim("domain-convexity", "D' is convex, contains no line and has a boundary segment",
           _domain_violations, dict(seed=9, samples=1000, chords=100), 0),
     Claim("projective-invariance", "Hilbert distances are invariant under projective maps",

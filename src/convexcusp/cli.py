@@ -9,7 +9,8 @@ configuration and seed.
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
 ``fig8 verify --t`` and ``fig8 sweep --t-min``/``--t-max`` read "p/q",
 integers and decimals exactly (0.3 is 3/10, 1e-3 is 1/1000); every other
-numeric option is a float or an integer.
+numeric option is a float or an integer.  The cusp commands integrate
+rho_t's lattice ``fig8.peripheral_lattice(t(s))``; the manifest records it.
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ def cmd_fig8_sweep(args) -> int:
     return 0
 
 
+def _cusp_lattice(s) -> dict:
+    """rho_t's cusp lattice (u, b) at t = t(s), the rational that the float t(s) names, as the manifests record it."""
+    t = Fraction(fig8.t_of_s(s))
+    u, b = fig8.peripheral_lattice(t)
+    return {"t": str(t), "u": u, "b": b}
+
+
 def cmd_cusp_volume(args) -> int:
     outdir = _out_dir(args)
     q = _quadrature(args)
@@ -114,9 +122,9 @@ def cmd_cusp_volume(args) -> int:
     if s == 0:
         print("cusp volume needs s != 0 (the hyperbolic point has a different normal form)", file=sys.stderr)
         return 2
-    b = abs(s) * fig8.meridian_translation(s)
+    lattice = _cusp_lattice(s)
     cutoffs = _float_list(args.cutoffs)
-    fd = cuspvol.CuspFundamentalDomain(floor=args.k, dilation=abs(s), translation=b)
+    fd = cuspvol.CuspFundamentalDomain(floor=args.k, dilation=abs(lattice["u"]), translation=lattice["b"])
     rows = cuspvol.cusp_volume_table(fd, cutoffs, q, method=args.method)
     csv_path = cuspvol.write_volume_table_csv(outdir / "cusp_volume.csv", rows)
     svg_path = domains.write_curve_svg(
@@ -129,7 +137,8 @@ def cmd_cusp_volume(args) -> int:
     _write_manifest(
         outdir,
         "cusp volume",
-        {"s": s, "k": args.k, "cutoffs": cutoffs, "method": args.method, "nodes": q.sphere_nodes, "samples": q.mc_samples},
+        {"s": s, "lattice": lattice, "k": args.k, "cutoffs": cutoffs, "method": args.method,
+         "nodes": q.sphere_nodes, "samples": q.mc_samples},
         q.seed,
         [csv_path, svg_path],
     )
@@ -147,8 +156,8 @@ def cmd_cusp_displacement(args) -> int:
     if s == 0:
         print("cusp displacement needs s != 0", file=sys.stderr)
         return 2
-    b = abs(s) * fig8.meridian_translation(s)
-    prof = cuspvol.displacement_profile(s, b, levels, ambient_level=args.ambient_level)
+    lattice = _cusp_lattice(s)
+    prof = cuspvol.displacement_profile(s, lattice["b"], levels, ambient_level=args.ambient_level)
     csv_path = cuspvol.write_displacement_csv(outdir / "displacement.csv", prof)
     svg_path = domains.write_curve_svg(
         outdir / "displacement.svg", prof.levels, prof.displacements, x_label="level", y_label="displacement"
@@ -156,7 +165,7 @@ def cmd_cusp_displacement(args) -> int:
     _write_manifest(
         outdir,
         "cusp displacement",
-        {"s": s, "levels": levels, "ambient_level": prof.ambient_level},
+        {"s": s, "lattice": lattice, "levels": levels, "ambient_level": prof.ambient_level},
         None,
         [csv_path, svg_path],
     )

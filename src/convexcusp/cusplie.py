@@ -637,10 +637,7 @@ def normalize_pair(A, B) -> NormalizationResult:
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    t: object
     lt_params: tuple
-    algebra_images: tuple
-    group_images: tuple
     derivatives: tuple
     limit_elements: tuple
     limit_generators: tuple
@@ -688,10 +685,9 @@ def convergence_conjugate(a_path, b_path, t, h=None) -> ConvergenceResult:
         diff = projlin.max_abs(to_float(img - expect))
         if diff > 1e-9 * max(1.0, projlin.max_abs(to_float(expect))):
             raise AssertionError(f"conjugated element missed the Lt form by {diff:.3e}")
-    group_images = tuple(projlin.mat_exp(to_float(img)) for img in alg_images)
     limit_elements = tuple(LieAlgElem("L0", d) for d in (da, db))
     limit_generators = tuple(group_exp(e) for e in limit_elements)
-    return ConvergenceResult(t, lt_params, alg_images, group_images, (da, db), limit_elements, limit_generators)
+    return ConvergenceResult(lt_params, (da, db), limit_elements, limit_generators)
 
 
 # ---------------------------------------------------------------------------

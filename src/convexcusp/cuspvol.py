@@ -24,7 +24,7 @@ import numpy as np
 from .cusplie import LieAlgElem, group_exp
 from .domains import DomainDPrime, VerticalShiftDomain
 from .hilbert import QuadratureSpec, Region, busemann_volume, hilbert_distance_pairs, unit_ball_lebesgue
-from .projlin import apply_affine_batch, to_float
+from .projlin import apply_affine_batch
 
 
 @dataclass(frozen=True)
@@ -207,14 +207,11 @@ class DisplacementProfile:
     constancy_spread: float
 
 
-def displacement_profile(s, meridian, levels, ambient_level=None) -> DisplacementProfile:
-    """Displacement d(z, g z) of the translation g at points lifted
-    vertically through the given horosphere levels.
-
-    ``meridian`` is either the translation parameter b or a matrix whose
-    (1,3) entry supplies it.  ``ambient_level`` fixes the horoball used
-    as the ambient domain and must sit below every level.
-    """
+def displacement_profile(s, b, levels, ambient_level=None) -> DisplacementProfile:
+    """Displacement d(z, g z) of the translation g = LPrime(0, b) at points
+    lifted vertically through the given horosphere levels.  ``ambient_level``
+    fixes the horoball used as the ambient domain and must sit below every
+    level."""
     levels = [float(v) for v in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
@@ -222,8 +219,7 @@ def displacement_profile(s, meridian, levels, ambient_level=None) -> Displacemen
         ambient_level = 0.5 * levels[0]
     if ambient_level >= levels[0]:
         raise ValueError("ambient horoball level must sit below the lowest level")
-    b = float(meridian if np.isscalar(meridian) else to_float(meridian)[0, 2])
-    g = group_exp(LieAlgElem("LPrime", (0.0, b)))
+    g = group_exp(LieAlgElem("LPrime", (0.0, float(b))))
     ambient = VerticalShiftDomain(DomainDPrime(), ambient_level)
     z = np.array([[lev, 1.0, 0.0] for lev in levels])
     # constancy along the bottom horosphere: move the base point around

@@ -10,9 +10,9 @@ reduced once to the least denominator, the form that the exact spectrum
 and the unipotency test take.  s = log(1/(16 t^4)) places the hyperbolic
 point at 0 (``s_of_t`` also checks t > 0).  ``normalization_consistency``
 puts the peripheral pair (meridian, L/(2t)) in the cusp normal form
-exactly, in the translation-line basis of ``cusplie.chain_basis``.
-``verify_report`` is the one record of each t, and ``sweep_rows`` projects
-it along an exact grid of t.
+exactly, in the translation-line basis of ``cusplie.chain_basis``; its
+(u, b) is ``peripheral_lattice``.  ``verify_report`` is the one record of
+each t, and ``sweep_rows`` projects it along an exact grid of t.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import cusplie, projlin
-from .cusplie import LieAlgElem
 from .projlin import real_spectrum
 
 
@@ -161,34 +160,13 @@ def s_of_t(t) -> float:
     if t <= 0:
         raise ValueError("s is defined for t > 0")
     if 0.25 < t < 0.75:
-        return -4.0 * math.log1p(float(2 * t - 1))
+        return -4.0 * math.log1p(float(2 * t - 1)) + 0.0  # + 0.0: s(1/2) is 0.0, not -0.0
     return -4.0 * math.log(_float(2 * t, t, "2t"))
 
 
 def t_of_s(s) -> float:
     """Inverse coordinate change t = (1/2) exp(-s/4)."""
     return 0.5 * math.exp(-float(s) / 4.0)
-
-
-def _sinh_ratio(s: float) -> float:
-    """sinh(s/4) / (3 s), continued through s = 0 by its even series."""
-    if abs(s) < 1e-4:
-        x = s / 4.0
-        return (1.0 + x * x / 6.0 + x ** 4 / 120.0) / 12.0
-    return math.sinh(s / 4.0) / (3.0 * s)
-
-
-def meridian_translation(s) -> float:
-    """Positive translation parameter sqrt(sinh(s/4) / (3 s)) of the
-    normalized meridian; tends to 1/(2 sqrt(3)) at the hyperbolic point."""
-    return math.sqrt(_sinh_ratio(float(s)))
-
-
-def limit_elements():
-    """The L0 elements of the parabolic limit of the peripheral pair at the
-    hyperbolic point: translations (0, 1/(2 sqrt 3)) and (1, 0)."""
-    m = 1.0 / (2.0 * math.sqrt(3.0))
-    return LieAlgElem("L0", (0.0, m)), LieAlgElem("L0", (1.0, 0.0))
 
 
 def strict_convexity_obstruction(s) -> bool:
@@ -242,7 +220,7 @@ def normalization_consistency(t) -> NormalizationReport:
     meridian (0, v_m, 0) and L/(2t) (d_L, 0, g_L); r^2 = -sign u/g_L scales them
     to LPrime(0, b = r v_m) and LPrime(u = log(1 + d_L), 0) (LPrimeMinus at sign
     -1).  u and b are the only floats, q = b^2/u is exact, and a 0.0 residual
-    certifies the form.
+    certifies the form.  ``peripheral_lattice`` reads (u, b) from it.
     """
     t = _coerce_t(t)
     s = s_of_t(t)
@@ -257,6 +235,15 @@ def normalization_consistency(t) -> NormalizationReport:
                for d, v, _ in form.reads]
     b = math.sqrt(abs(_float(q, t, "b^2/u"))) * math.sqrt(abs(form.u[1]))  # q u = b^2 may overflow
     return NormalizationReport(t, s, form.sign, False, *classes, form.u[1], b, form.residual, q, form.sheared)
+
+
+def peripheral_lattice(t) -> tuple[float, float]:
+    """The cusp lattice of rho_t, the one that the cusp commands and claims integrate: the dilation
+    u and the meridian translation b of ``normalization_consistency``; ValueError names t at t = 1/2."""
+    report = normalization_consistency(t)
+    if report.degenerate:
+        raise ValueError(f"t = {_t_text(report.t)} has no cusp lattice: the peripheral pair is unipotent there")
+    return report.dilation_f, report.meridian_b
 
 
 def verify_report(t) -> dict:

@@ -4,7 +4,8 @@ Each one reaches a quantity of the package by a route that shares no
 code with the route it checks: cross ratios of four collinear points,
 Busemann densities from Hilbert metric balls alone, a covering-style
 volume estimate, the closed-form generators and longitude table of the
-figure-eight family, the closed normalized forms of its peripheral pair,
+figure-eight family, the closed normalized forms of its peripheral pair
+and their lattice (meridian translation and parabolic limit),
 the class of a cusp element read from its minimal-polynomial profile, and
 the tiling of the base by the lattice rectangle.
 """
@@ -217,6 +218,28 @@ def longitude_display_report(t, stray_reading="t") -> dict:
 # the closed normalized peripheral pair
 
 
+def _sinh_ratio(s: float) -> float:
+    """sinh(s/4) / (3 s), continued through s = 0 by its even series."""
+    if abs(s) < 1e-4:
+        x = s / 4.0
+        return (1.0 + x * x / 6.0 + x ** 4 / 120.0) / 12.0
+    return math.sinh(s / 4.0) / (3.0 * s)
+
+
+def meridian_translation(s) -> float:
+    """Positive translation parameter sqrt(sinh(s/4) / (3 s)) of the
+    normalized meridian; tends to 1/(2 sqrt(3)) at the hyperbolic point.
+    ``fig8.peripheral_lattice`` measures it as b/|u| on rho_t."""
+    return math.sqrt(_sinh_ratio(float(s)))
+
+
+def limit_elements():
+    """The L0 elements of the parabolic limit of the peripheral pair at the
+    hyperbolic point: translations (0, 1/(2 sqrt 3)) and (1, 0)."""
+    m = 1.0 / (2.0 * math.sqrt(3.0))
+    return LieAlgElem("L0", (0.0, m)), LieAlgElem("L0", (1.0, 0.0))
+
+
 def normalized_peripheral(s):
     """Closed normalized forms of the peripheral pair at parameter s != 0.
 
@@ -228,14 +251,14 @@ def normalized_peripheral(s):
     s = float(s)
     if s == 0:
         raise ValueError("normalized pair is defined for s != 0; use limit_pair at 0")
-    m = fig8.meridian_translation(s)
+    m = meridian_translation(s)
     return tuple(cusplie.group_exp(LieAlgElem("Lt", p, t=s)) for p in ((0.0, m), (1.0, 0.0)))
 
 
 def limit_pair():
     """Limit of the normalized peripheral pair at the hyperbolic point:
     parabolic translations with parameters (0, 1/(2 sqrt 3)) and (1, 0)."""
-    return tuple(projlin.to_float(cusplie.group_exp(e)) for e in fig8.limit_elements())
+    return tuple(projlin.to_float(cusplie.group_exp(e)) for e in limit_elements())
 
 
 # ---------------------------------------------------------------------------

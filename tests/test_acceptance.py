@@ -17,8 +17,8 @@ import numpy as np
 from convexcusp import claims, cusplie, cuspvol, fig8, hilbert
 from convexcusp.cusplie import LieAlgElem
 
-S_REF = math.log(16)
-B_REF = S_REF * fig8.meridian_translation(S_REF)
+T_REF = Fraction(1, 4)
+U_REF, B_REF = fig8.peripheral_lattice(T_REF)  # u = s(1/4) = log 16
 ROWS = {row.key: row for row in claims.TABLE}
 
 
@@ -52,8 +52,10 @@ def test_criterion_02_unipotency_dichotomy():
 
 
 def test_criterion_03_cusp_shape():
-    err = measured("limit-cusp-shape", 1e-12)
+    err = measured("limit-cusp-shape", 1e-12, t=Fraction(1, 2) + Fraction(1, 8 * 10 ** 6))
     assert err <= 1e-12
+    # negative control: far from t = 1/2 the shape of rho_t's lattice is not the limit's
+    assert measured("limit-cusp-shape", 1e-12, t=T_REF) > 0.1
     # the translation/dilation-limit form: parameters (0, mu) and (nu, 0)
     # give exactly -i nu / mu
     mu, nu = Fraction(1, 7), Fraction(3, 5)
@@ -73,7 +75,7 @@ def test_criterion_04_metric_oracle():
 def test_criterion_05_closed_form_norms():
     k = 1.0
     points = []
-    for x2 in np.linspace(1.0, math.exp(S_REF), 10):
+    for x2 in np.linspace(1.0, math.exp(U_REF), 10):
         for x3 in np.linspace(0.0, B_REF, 10):
             floor = max(0.5 * x3 ** 2 - math.log(x2) + k, 0.0)
             points += [(x1, x2, x3) for x1 in np.linspace(floor + 0.25, floor + 10.0, 10)]
@@ -85,7 +87,7 @@ def test_criterion_05_closed_form_norms():
 
 
 def test_criterion_06_volume_finiteness():
-    volume = dict(s=S_REF, floor=1.0, cutoffs=(10, 20, 40, 80), heights=(1e2, 1e3, 1e4),
+    volume = dict(t=T_REF, floor=1.0, cutoffs=(10, 20, 40, 80), heights=(1e2, 1e3, 1e4),
                   q=hilbert.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5)))
     low, high = measured("volume-tail-min", 0.5, **volume), measured("volume-tail-max", 0.9, **volume)
     assert 0.5 <= low and high <= 0.9, f"tail ratios from {low} to {high}"
@@ -113,18 +115,18 @@ def test_criterion_07_normalization_round_trip():
 
 
 def test_criterion_08_convergence():
-    ratio = measured("peripheral-convergence", 1.25, ks=(1, 2, 3, 4, 5))
-    assert ratio <= 1.25
+    order = measured("peripheral-convergence", 1.5, ks=(1, 2, 3, 4, 5, 6))
+    assert order >= 1.5
     assert measured("lattice-convergence", 0, u0=Fraction(1, 3)) == 0
-    report(8, f"measured b/|s| within C|s| of 1/(2 sqrt 3) (deviation/|s| at most {ratio:.3f} of its first value); "
+    report(8, f"measured b/|u| tends to 1/(2 sqrt 3) at observed order at least {order:.3f} in |u| on both sides of t = 1/2; "
               "exact limits on linear paths")
 
 
 def test_criterion_09_horoball_displacement():
     levels = tuple(2.0 ** k for k in range(11))
-    spread = measured("displacement-constancy", 1e-9, s=S_REF, levels=levels, ambient=0.95)
+    spread = measured("displacement-constancy", 1e-9, t=T_REF, levels=levels, ambient=0.95)
     assert spread <= 1e-9
-    prof = cuspvol.displacement_profile(S_REF, B_REF, levels, ambient_level=0.95)
+    prof = cuspvol.displacement_profile(U_REF, B_REF, levels, ambient_level=0.95)
     decay = prof.displacements[-1] / prof.displacements[0]
     assert decay < 0.01
     report(

@@ -193,6 +193,32 @@ def test_cusp_displacement(tmp_path):
     assert values[0] > values[1] > values[2]
 
 
+@pytest.mark.parametrize("s", [2.772588722239781, -0.7])
+def test_cusp_commands_record_the_lattice_of_rho_t(tmp_path, s):
+    # both commands integrate rho_t's exact normal form at t = t(s), and the
+    # manifest records that lattice; t(log 16) is 1/4 exactly
+    t = Fraction(fig8.t_of_s(s))
+    rep = fig8.normalization_consistency(t)
+    assert rep.dilation_f == pytest.approx(s, rel=1e-15)
+    volume = ["cusp", "volume", "--s", repr(s), "--cutoffs", "4", "--nodes", "128", "--out", str(tmp_path / "v")]
+    displacement = ["cusp", "displacement", "--s", repr(s), "--levels", "1,2", "--out", str(tmp_path / "d")]
+    for argv, out in ((volume, "v"), (displacement, "d")):
+        assert run(argv) == 0
+        lattice = json.load(open(tmp_path / out / "manifest.json"))["parameters"]["lattice"]
+        assert lattice == {"t": str(t), "u": rep.dilation_f, "b": rep.meridian_b}
+    if s > 0:
+        assert lattice["t"] == "1/4"
+
+
+@pytest.mark.parametrize("command", ["volume", "displacement"])
+def test_cusp_commands_at_the_unipotent_point(tmp_path, capsys, command):
+    # s = 0 is a usage error; s = 1e-17 names t(s) = 1/2 exactly, where rho_t has no lattice
+    assert run(["cusp", command, "--s", "0", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert run(["cusp", command, "--s", "1e-17", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: t = 1/2 has no cusp lattice")
+
+
 def test_lattice_normalize(tmp_path):
     A = pl.to_float(group_exp(LieAlgElem("LPrime", (0.6, 0.2))))
     B = pl.to_float(group_exp(LieAlgElem("LPrime", (0.0, 0.9))))
@@ -336,12 +362,22 @@ def test_readme_lists_every_claim_row():
 
 
 def test_selftest_fails_a_row_over_its_bound(monkeypatch, capsys):
-    row = next(r for r in claims.TABLE if r.key == "peripheral-convergence")
+    row = next(r for r in claims.TABLE if r.key == "limit-cusp-shape")
     value = row.measure(**row.inputs)
     monkeypatch.setattr(claims, "TABLE", (row._replace(bound=value / 2),))
     assert run(["selftest"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].split() == ["FAIL", "peripheral-convergence", f"{value:.3g}", "<=", f"{value / 2:g}"]
+    assert out[0].split() == ["FAIL", "limit-cusp-shape", f"{value:.3g}", "<=", f"{value / 2:g}"]
+    assert out[1] == "0/1 claims hold"
+
+
+def test_selftest_fails_a_row_under_its_floor(monkeypatch, capsys):
+    row = next(r for r in claims.TABLE if r.key == "peripheral-convergence")
+    value = row.measure(**row.inputs)
+    monkeypatch.setattr(claims, "TABLE", (row._replace(bound=2 * value),))
+    assert run(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["FAIL", "peripheral-convergence", f"{value:.3g}", ">=", f"{2 * value:g}"]
     assert out[1] == "0/1 claims hold"
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from convexcusp import cusplie as cl, fig8, projlin as pl
 from convexcusp.cusplie import LieAlgElem
-from convexcusp.domains import DomainDPrime
+from convexcusp.domains import DomainDPrime, vt_map
 import reference_oracles as ro
 from test_projlin import expm_reference
 
@@ -551,8 +551,13 @@ def test_convergence_rejects_nonvanishing_path():
 
 
 def test_convergence_group_images_in_deformed_group():
-    res = cl.convergence_conjugate(lambda u: (u, 0.5 * u), lambda u: (0 * u, u), 0.25)
-    for img, params in zip(res.group_images, res.lt_params):
+    # vt_map(t) conjugates the LPrime group elements of the paths at t onto
+    # the Lt group elements of the reported parameters
+    paths = (lambda u: (u, 0.5 * u), lambda u: (0 * u, u))
+    res = cl.convergence_conjugate(*paths, 0.25)
+    V = pl.to_float(vt_map(0.25))
+    for path, params in zip(paths, res.lt_params):
+        img = V @ pl.to_float(cl.group_exp(LieAlgElem("LPrime", path(0.25)))) @ np.linalg.inv(V)
         expected = pl.to_float(cl.group_exp(LieAlgElem("Lt", params, t=0.25)))
         assert np.max(np.abs(img - expected)) <= 1e-9
 

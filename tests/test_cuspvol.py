@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexcusp import cuspvol as cv, fig8, hilbert as hb
+from convexcusp import cuspvol as cv, hilbert as hb
 from convexcusp.domains import DomainDPrime, VerticalShiftDomain, write_curve_svg
 import reference_oracles as ro
 
 S_REF = math.log(16)
-B_REF = S_REF * fig8.meridian_translation(S_REF)
+B_REF = S_REF * ro.meridian_translation(S_REF)
 FD_REF = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF)
 FAST_Q = hb.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5))
 
@@ -286,16 +286,6 @@ def test_displacement_level_ordering_enforced():
         cv.displacement_profile(S_REF, B_REF, [2, 1, 4])
     with pytest.raises(ValueError):
         cv.displacement_profile(S_REF, B_REF, [1, 2], ambient_level=1.5)
-
-
-def test_displacement_accepts_matrix_meridian():
-    from convexcusp.cusplie import LieAlgElem, group_exp
-    from convexcusp.projlin import to_float
-
-    mat = to_float(group_exp(LieAlgElem("LPrime", (0.0, B_REF))))
-    p1 = cv.displacement_profile(S_REF, mat, [1, 2], ambient_level=0.5)
-    p2 = cv.displacement_profile(S_REF, B_REF, [1, 2], ambient_level=0.5)
-    assert p1.displacements == pytest.approx(p2.displacements, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from decimal import Decimal, localcontext
@@ -240,7 +241,9 @@ def test_display_mismatch_under_2t_reading():
 
 
 def test_s_at_geometric_point():
-    assert fig8.s_of_t(Fraction(1, 2)) == 0.0
+    # +0.0, not the -0.0 of -4 log1p(0.0), which the verify record wrote as -0.0
+    assert math.copysign(1.0, fig8.s_of_t(Fraction(1, 2))) == 1.0
+    assert json.dumps(fig8.verify_report(Fraction(1, 2))["s"]) == "0.0"
 
 
 def test_t_of_log16():
@@ -324,7 +327,7 @@ def test_normalized_logs_live_in_deformed_algebra():
     # so the normal form of the pair reads the logs (0, s m) and (s, 0)
     s = 0.6
     Ms, Ls = ro.normalized_peripheral(s)
-    m = fig8.meridian_translation(s)
+    m = ro.meridian_translation(s)
     res = cl.normalize_pair(Ms, Ls)
     (a1, b1), (a2, b2) = res.params
     assert res.sign == 1 and res.residual <= 1e-12
@@ -334,8 +337,8 @@ def test_normalized_logs_live_in_deformed_algebra():
 
 def test_entry_limit_is_parabolic_value():
     for s in (1e-3, 1e-5, 1e-7):
-        assert abs(fig8.meridian_translation(s) - 1 / (2 * math.sqrt(3))) <= 1e-6
-    assert abs(fig8.meridian_translation(0.0) - 1 / (2 * math.sqrt(3))) <= 1e-16
+        assert abs(ro.meridian_translation(s) - 1 / (2 * math.sqrt(3))) <= 1e-6
+    assert abs(ro.meridian_translation(0.0) - 1 / (2 * math.sqrt(3))) <= 1e-16
 
 
 def test_limit_pair_values():
@@ -368,7 +371,7 @@ def test_normalized_pair_near_the_hyperbolic_point():
 
 
 def test_limit_cusp_shape():
-    m, l = fig8.limit_elements()
+    m, l = ro.limit_elements()
     shape = cl.cusp_shape(m, l)
     assert abs(shape.raw_omega - complex(0.0, -2 * math.sqrt(3))) <= 1e-12
     assert shape.raw_omega.real == 0.0
@@ -452,7 +455,7 @@ def test_pipeline_meridian_b_is_finite_where_b_squared_overflows(t):
     # q = b^2/u and u are finite floats at these t, their product b^2 is not
     rep = fig8.normalization_consistency(t)
     assert math.isfinite(float(rep.q)) and float(rep.q) * rep.dilation_f == math.inf
-    assert rep.meridian_b == pytest.approx(abs(rep.s) * fig8.meridian_translation(rep.s), rel=1e-12)
+    assert rep.meridian_b == pytest.approx(abs(rep.s) * ro.meridian_translation(rep.s), rel=1e-12)
 
 
 def test_pipeline_degenerate_at_half():
@@ -542,3 +545,18 @@ def test_closed_form_oracle_matches_the_measured_meridian_translation(k, sign):
     assert 0.9 * 10.0 ** -k <= -sign * rep.s <= 1.1 * 10.0 ** -k
     Ms, _ = ro.normalized_peripheral(rep.s)
     assert abs(Ms[0, 2] - rep.meridian_b / abs(rep.s)) <= 1e-15
+    # the lattice that the cusp commands integrate is this report's (u, b)
+    assert_lattice_is_the_closed_form(rep.t)
+
+
+def assert_lattice_is_the_closed_form(t):
+    u, b = fig8.peripheral_lattice(t)
+    s = fig8.s_of_t(t)
+    assert abs(u - s) <= 1e-15 * abs(s)
+    assert abs(b - abs(s) * ro.meridian_translation(s)) <= 1e-15 * b
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 4), Fraction(31, 3), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7)])
+def test_closed_form_oracle_matches_the_peripheral_lattice(t):
+    assert_lattice_is_the_closed_form(t)
+
