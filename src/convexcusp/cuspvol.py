@@ -4,9 +4,12 @@ A rank-2 lattice acting on the log domain has a dilation parameter a
 (base action x2 -> e^a x2) and a translation parameter b (base action
 x3 -> x3 + b); the fundamental domain over the base rectangle
 [1, e^a] x [0, b] above a horoball floor is the region whose truncated
-volumes are tabulated here.  The closed-form directional norms give the
-x1^(3/2) lower bound for unit-ball volumes, which controls the x1^(-1/2)
-tail of the volume table.
+volumes are tabulated here.  The D' density is rho(x1 + log x2, 1, x3)/x2,
+so the table integrates the dilation out in closed form and takes
+densities at x2 = 1 only, on Gauss-Legendre panels in the log of the
+level and in x3 (``dilation_nodes``).  The closed-form
+directional norms give the x1^(3/2) lower bound for unit-ball volumes,
+which controls the x1^(-1/2) tail of the volume table.
 
 Horoball displacement profiles measure how far a pure translation moves
 points of a horosphere, in the Hilbert metric of an ambient horoball
@@ -22,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusplie import LieAlgElem, group_exp
-from .domains import DomainDPrime, VerticalShiftDomain
-from .hilbert import QuadratureSpec, Region, busemann_volume, hilbert_distance_pairs, unit_ball_lebesgue
+from .domains import DomainDPrime, UnboundedSearchError, VerticalShiftDomain
+from .hilbert import (
+    QuadratureSpec, Region, _leggauss, busemann_density, busemann_volume, hilbert_distance_pairs, unit_ball_lebesgue,
+)
 from .projlin import apply_affine_batch
 
 
@@ -140,28 +145,92 @@ def lower_bound_check(x, q: QuadratureSpec, threshold: float) -> LowerBoundCheck
 # volume tables
 
 
+def dilation_nodes(fd: CuspFundamentalDomain, lo, hi, n_sigma, n3):
+    """Nodes (sigma, 1, x3) and weights of the shell lo <= x1 <= hi of fd
+    with the dilation integrated out: a batch of points (m,3) and (m,)
+    weights whose density sum is the shell's Busemann volume.
+
+    LPrime(a, 0) keeps horosphere levels and scales Lebesgue measure by
+    e^a, so rho(x1, x2, x3) = rho(x1 + log x2, 1, x3) / x2.  With
+    sigma = x1 + log x2 the shell's volume is the integral over
+    0 <= x3 <= b and sigma >= k + x3^2/2 of L(sigma) rho(sigma, 1, x3),
+    where L(sigma) = min(a, sigma - lo) - max(0, sigma - hi) is the length
+    of the dilation orbit inside the shell.  sigma is split into panels at
+    the floor and at the kinks lo + a and hi of L, and each panel takes
+    n_sigma Gauss-Legendre nodes in log kappa, kappa = sigma - x3^2/2 the
+    level; x3 takes n3 Gauss-Legendre nodes.
+    """
+    a, b, k = fd.dilation, fd.translation, fd.floor
+    if a <= 0 or b <= 0 or hi <= lo:
+        return np.empty((0, 3)), np.empty(0)
+    x3n, w3 = _leggauss(n3)
+    x3, w3 = 0.5 * b * (x3n + 1.0), 0.5 * b * w3
+    half = 0.5 * x3 * x3
+    start = np.maximum(lo, k + half)
+    top = np.maximum(start, hi + a)
+    kinks = np.sort(np.clip(np.array([[lo + a, hi]]), start[:, None], top[:, None]), axis=1)
+    edges = np.column_stack([start, kinks, top]) - half[:, None]
+    left, right = edges[:, :-1], edges[:, 1:]
+    row, col = np.nonzero(right > left)
+    la, lb = np.log(left[row, col]), np.log(right[row, col])
+    un, wu = _leggauss(n_sigma)
+    kappa = np.exp(0.5 * (lb - la)[:, None] * un + 0.5 * (la + lb)[:, None])
+    sigma = kappa + half[row, None]
+    length = np.minimum(a, sigma - lo) - np.maximum(0.0, sigma - hi)
+    weights = (w3[row] * 0.5 * (lb - la))[:, None] * wu * kappa * length
+    pts = np.column_stack([sigma.ravel(), np.ones(sigma.size), np.repeat(x3[row], n_sigma)])
+    return pts, weights.ravel()
+
+
+def _dilation_volumes(fd, shells, q):
+    """Fine and coarse dilation integrals (``dilation_nodes``) of every
+    shell from one unchecked density batch: per shell the fine volume, its
+    difference from the coarse one, the fine node count and the worst
+    sphere-quadrature gap over both rules' nodes."""
+    n1, _, n3 = q.grid_shape
+    rules = ((n1, n3), (max(2, n1 // 2), max(2, n3 // 2)))
+    nodes = [dilation_nodes(fd, lo, hi, *rule) for lo, hi in shells for rule in rules]
+    pts = np.concatenate([np.empty((0, 3)), *(p for p, _ in nodes)])
+    rho, gap = busemann_density(DomainDPrime(), pts, q, check=False, return_gap=True)
+    ends = np.cumsum([len(w) for _, w in nodes])[:-1]
+    vols = [math.fsum(w * r) for (_, w), r in zip(nodes, np.split(rho, ends))]
+    gaps = [float(np.max(g, initial=0.0)) for g in np.split(gap, ends[1::2])]
+    return [(fine, abs(fine - coarse), len(w), g)
+            for fine, coarse, (_, w), g in zip(vols[::2], vols[1::2], nodes[::2], gaps)]
+
+
 def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec, method="grid"):
     """Truncated Busemann volumes of the fundamental domain.
 
     Each row reports the volume up to the cutoff; increments are
     integrated over disjoint shells so the table is increasing by
     construction, and the increment ratios expose the x1^(-1/2) tail.
+    ``method="grid"`` integrates the dilation out in closed form
+    (``dilation_nodes``): n1 = ``q.grid_shape[0]`` nodes per sigma panel
+    and n3 = ``q.grid_shape[2]`` in x3, n2 unused; the coarse rule takes
+    half of each, and a shell's stderr is the fine/coarse difference,
+    which measures the sigma and x3 quadrature only.  The densities of
+    all shells and both rules come from one batch.  ``method="mc"``
+    samples each shell's box (``hilbert.busemann_volume``).
     ``quad_gap`` is the worst sphere-quadrature gap over the shells up
     to each row's cutoff.
     """
     cutoffs = sorted(float(c) for c in cutoffs)
+    shells = list(zip([0.0] + cutoffs[:-1], cutoffs))
+    if method == "grid":
+        parts = _dilation_volumes(fd, shells, q)
+    else:
+        parts = [(e.estimate, e.stderr, e.samples, e.quad_gap)
+                 for e in (busemann_volume(fd.shell(lo, X), q, method=method) for lo, X in shells)]
     rows = []
     total = 0.0
     var = 0.0
     gap = 0.0
     prev_inc = None
-    lo = 0.0
-    for X in cutoffs:
-        est = busemann_volume(fd.shell(lo, X), q, method=method)
-        inc = est.estimate
+    for X, (inc, err, samples, shell_gap) in zip(cutoffs, parts):
         total += inc
-        var += est.stderr ** 2
-        gap = max(gap, est.quad_gap)
+        var += err ** 2
+        gap = max(gap, shell_gap)
         ratio = (inc / prev_inc) if prev_inc not in (None, 0.0) else math.nan
         rows.append(
             {
@@ -170,13 +239,12 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec, met
                 "stderr": math.sqrt(var),
                 "increment": inc,
                 "increment_ratio": ratio,
-                "samples": est.samples,
-                "seed": est.seed,
+                "samples": samples,
+                "seed": q.seed,
                 "quad_gap": gap,
             }
         )
         prev_inc = inc
-        lo = X
     return rows
 
 
@@ -229,7 +297,20 @@ def displacement_profile(s, b, levels, ambient_level=None) -> DisplacementProfil
         for p in ((0.3, 0.0), (-0.4, 0.2), (0.1, -0.5), (0.0, 0.7), (-0.2, -0.3), (0.5, 0.4), (-0.6, 0.1), (0.2, 0.6))
     ]
     X = np.vstack([z, *orbit])
-    d = hilbert_distance_pairs(ambient, X, apply_affine_batch(g, X))
+    gX = apply_affine_batch(g, X)
+    try:
+        d = hilbert_distance_pairs(ambient, X, gX)
+    except (ValueError, UnboundedSearchError) as err:
+        # a translate has x1 near b^2/2, where the float spacing can exceed
+        # its height above the ambient horoball and round it outside
+        out = np.flatnonzero(~ambient.contains_batch(gX))
+        lev = levels[out[0]] if len(out) and out[0] < len(levels) else levels[0]
+        top = 0.5 * float(b) * float(b)
+        raise ValueError(
+            f"translation b = {float(b):.6g} is beyond float resolution at level {lev:g}: its translate has x1 near "
+            f"b^2/2 = {top:.6g}, where floats are {math.ulp(top):.3g} apart, against the level's height "
+            f"{lev - ambient_level:g} above the ambient horoball"
+        ) from err
     vals, spread_vals = d[: len(levels)].tolist(), d[len(levels):]
     spread = float(np.max(spread_vals) - np.min(spread_vals))
     if spread > 1e-6:

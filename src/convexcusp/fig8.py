@@ -165,8 +165,16 @@ def s_of_t(t) -> float:
 
 
 def t_of_s(s) -> float:
-    """Inverse coordinate change t = (1/2) exp(-s/4)."""
-    return 0.5 * math.exp(-float(s) / 4.0)
+    """Inverse coordinate change t = (1/2) exp(-s/4).  Where t overflows,
+    rounds to 0.0 or to a subnormal, or is nan, ValueError names s."""
+    s = float(s)
+    try:
+        t = 0.5 * math.exp(-s / 4.0)
+    except OverflowError:
+        t = math.inf
+    if not sys.float_info.min <= t < math.inf:
+        raise ValueError(f"s = {s!r} is out of range: t = exp(-s/4)/2 rounds to {t} as a float")
+    return t
 
 
 def strict_convexity_obstruction(s) -> bool:

@@ -146,13 +146,15 @@ def test_cusp_volume(tmp_path):
 
 
 #: the benchmark's cusp volume table (cutoff, estimate, stderr,
-#: increment_ratio) with every unit ball integrated in its domain's
-#: reflection frame; a change that only speeds the density up must keep it
+#: increment_ratio), the dilation integrated out in closed form; a change
+#: that only speeds the density up must keep it.  The stderr is the
+#: fine/coarse difference of estimates near 0.6, so it is held to an
+#: absolute 1e-15 (a few units in the last place of the estimates)
 GOLDEN_VOLUME_TABLE = [
-    (10, 0.578759286034, 0.0090578794742, float("nan")),
-    (20, 0.648093602749, 0.0101136985036, 0.119798193114),
-    (40, 0.699122980239, 0.0105335371827, 0.735990198028),
-    (80, 0.736066114906, 0.010723017464, 0.723958168511),
+    (10, 0.581669576076, 1.55684028447e-07, float("nan")),
+    (20, 0.651267638692, 1.55687376363e-07, 0.119652231231),
+    (40, 0.702461326914, 1.55687400866e-07, 0.735561972514),
+    (80, 0.739513830155, 1.556874132e-07, 0.723770928181),
 ]
 
 
@@ -169,7 +171,8 @@ def test_cusp_volume_golden_table(tmp_path):
     for line, golden in zip(lines[1:], GOLDEN_VOLUME_TABLE):
         row = [float(v) for v in line.split(",")]
         assert row[0] == golden[0]
-        np.testing.assert_allclose(row[1:], golden[1:], rtol=1e-10, atol=0, equal_nan=True)
+        np.testing.assert_allclose(row[1:], golden[1:], rtol=1e-10, atol=1e-15, equal_nan=True)
+        assert row[2] < 1e-5
 
 
 def test_cusp_volume_determinism(tmp_path):
@@ -217,6 +220,38 @@ def test_cusp_commands_at_the_unipotent_point(tmp_path, capsys, command):
     capsys.readouterr()
     assert run(["cusp", command, "--s", "1e-17", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: t = 1/2 has no cusp lattice")
+
+
+@pytest.mark.parametrize("command", ["volume", "displacement"])
+@pytest.mark.parametrize("s, rounds_to", [("3000", "0.0"), ("-3000", "inf")])
+def test_cusp_commands_at_an_s_whose_t_leaves_the_floats(tmp_path, capsys, command, s, rounds_to):
+    # t(s) = exp(-s/4)/2 underflows at 3000 and overflows at -3000: one error line that names s
+    assert run(["cusp", command, f"--s={s}", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: s = {float(s)!r} is out of range: t = exp(-s/4)/2 rounds to {rounds_to} as a float\n"
+
+
+@pytest.mark.parametrize("s", [
+    "140", "700",
+    # at b = 2.2e153 the chord search diverges (a traceback at the parent),
+    # with overflow warnings from group_exp's cubic test and the search
+    pytest.param("2800", marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+])
+def test_cusp_displacement_beyond_float_resolution_names_b(tmp_path, capsys, s):
+    # from s = 140 (b = 1.9e8) the translate of a level-1 point has x1 near
+    # b^2/2, whose float spacing exceeds its height 0.5 above the ambient horoball
+    b = fig8.peripheral_lattice(Fraction(fig8.t_of_s(float(s))))[1]
+    assert run(["cusp", "displacement", "--s", s, "--levels", "1,2", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: translation b = {b:.6g} is beyond float resolution at level 1: ")
+    assert err.count("\n") == 1 and "floats are" in err and "height 0.5 above the ambient horoball" in err
+
+
+def test_cusp_displacement_below_float_resolution(tmp_path):
+    # s = 130 (b = 5.3e7) still measures
+    assert run(["cusp", "displacement", "--s", "130", "--levels", "1,2", "--out", str(tmp_path)]) == 0
+    values = [float(line.split(",")[1]) for line in open(tmp_path / "displacement.csv").read().splitlines()[1:]]
+    assert values[0] > values[1] > 0
 
 
 def test_lattice_normalize(tmp_path):

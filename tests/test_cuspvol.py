@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from convexcusp import cuspvol as cv, hilbert as hb
+from convexcusp import cuspvol as cv, fig8, hilbert as hb
 from convexcusp.domains import DomainDPrime, VerticalShiftDomain, write_curve_svg
 import reference_oracles as ro
 
@@ -128,8 +129,9 @@ def test_volume_table_against_profile_reduction():
     rows = cv.cusp_volume_table(FD_REF, [10.0, 20.0], hb.QuadratureSpec(sphere_nodes=578, grid_shape=(10, 8, 8)), method="grid")
     oracle_10 = reduced_shell(0.0, 10.0)
     oracle_20 = oracle_10 + reduced_shell(10.0, 20.0)
-    assert rows[0]["estimate"] == pytest.approx(oracle_10, rel=0.02)
-    assert rows[1]["estimate"] == pytest.approx(oracle_20, rel=0.02)
+    # measured 9.2e-4 below the oracle at both rows
+    assert rows[0]["estimate"] == pytest.approx(oracle_10, rel=2e-3)
+    assert rows[1]["estimate"] == pytest.approx(oracle_20, rel=2e-3)
 
 
 def test_volume_table_empty_rectangle():
@@ -231,11 +233,75 @@ def test_mc_volume_matches_scalar_reference():
 
 
 def test_volume_table_reports_worst_quad_gap():
+    # the worst gap over the table's own nodes: both rules of every shell
     q = replace(FAST_Q, sphere_nodes=128, grid_shape=(4, 3, 3))
     rows = cv.cusp_volume_table(FD_REF, [4.0, 8.0], q, method="grid")
-    shells = [hb.busemann_volume(FD_REF.shell(lo, hi), q, method="grid") for lo, hi in ((0.0, 4.0), (4.0, 8.0))]
-    assert rows[0]["quad_gap"] == shells[0].quad_gap
-    assert rows[1]["quad_gap"] == max(s.quad_gap for s in shells)
+    shell_gaps = []
+    for lo, hi in ((0.0, 4.0), (4.0, 8.0)):
+        pts = np.vstack([cv.dilation_nodes(FD_REF, lo, hi, n1, n3)[0] for n1, n3 in ((4, 3), (2, 2))])
+        shell_gaps.append(float(np.max(hb.busemann_density(DomainDPrime(), pts, q, check=False, return_gap=True)[1])))
+    assert rows[0]["quad_gap"] == shell_gaps[0] > 0.0
+    assert rows[1]["quad_gap"] == max(shell_gaps)
+
+
+# ---------------------------------------------------------------------------
+# the dilation integral
+
+
+@pytest.mark.parametrize("nodes", [128, 2312])
+def test_dilation_moves_the_density_along_its_horosphere(nodes):
+    # LPrime(a, 0) keeps levels and scales Lebesgue measure by e^a, so
+    # rho(x) x2 = rho(x1 + log x2, 1, x3) at random points of the shells
+    rng = np.random.default_rng(29)
+    x2, x3 = rng.uniform(1.0, math.exp(S_REF), 200), rng.uniform(0.0, B_REF, 200)
+    x1 = 0.5 * x3 ** 2 - np.log(x2) + FD_REF.floor + rng.uniform(0.0, 80.0, 200)
+    moved = np.column_stack([x1 + np.log(x2), np.ones(200), x3])
+    rho = hb.busemann_density(DomainDPrime(), np.vstack([np.column_stack([x1, x2, x3]), moved]),
+                              hb.QuadratureSpec(sphere_nodes=nodes), check=False)
+    np.testing.assert_allclose(rho[:200] * x2, rho[200:], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("rule", [(8, 6), (4, 3)])
+@pytest.mark.parametrize("lo, hi", [(10.0, 20.0), (20.0, 40.0), (40.0, 80.0)])
+def test_dilation_weights_measure_a_shell_above_the_floor(rule, lo, hi):
+    # with rho = 1 the weights integrate dx1 dx2/x2 dx3 over the box, (hi - lo) a b
+    pts, w = cv.dilation_nodes(FD_REF, lo, hi, *rule)
+    assert math.fsum(w) == pytest.approx((hi - lo) * S_REF * B_REF, rel=1e-10, abs=0)
+    assert np.all(w > 0) and np.all(pts[:, 1] == 1.0)
+    assert np.all(pts[:, 0] - 0.5 * pts[:, 2] ** 2 >= FD_REF.floor)
+
+
+@pytest.mark.parametrize("rule, tol", [((8, 6), 1e-12), ((4, 3), 1e-7)])
+@pytest.mark.parametrize("floor", [1.0, 2.0])
+def test_dilation_weights_measure_the_floor_shell(rule, tol, floor):
+    # the shell 0 <= x1 <= X above the floor k, in the measure dx1 dx2/x2 dx3:
+    # X a b less the part under the floor, int_0^b (k + x3^2/2)^2 / 2 dx3,
+    # as k + b^2/2 <= a (measured: 0 and 1.6e-8 at k = 1)
+    fd = replace(FD_REF, floor=floor)
+    X, a, b = 10.0, fd.dilation, fd.translation
+    exact = X * a * b - 0.5 * (floor ** 2 * b + floor * b ** 3 / 3 + b ** 5 / 20)
+    assert math.fsum(cv.dilation_nodes(fd, 0.0, X, *rule)[1]) == pytest.approx(exact, rel=tol, abs=0)
+
+
+def test_dilation_nodes_of_empty_shells():
+    assert cv.dilation_nodes(replace(FD_REF, floor=100.0), 0.0, 10.0, 8, 6)[0].shape == (0, 3)
+    assert cv.dilation_nodes(replace(FD_REF, translation=0.0), 0.0, 10.0, 8, 6)[0].shape == (0, 3)
+    assert cv.dilation_nodes(FD_REF, 10.0, 10.0, 8, 6)[0].shape == (0, 3)
+
+
+@pytest.mark.parametrize("s", [S_REF, -0.7])
+@pytest.mark.parametrize("floor", [1.0, 2.0])
+def test_volume_table_within_the_grid_integrators_stderr(s, floor):
+    # each shell of the table against the 3-D grid of busemann_volume on the
+    # same sphere quadrature, within that grid's own stderr
+    u, b = fig8.peripheral_lattice(Fraction(fig8.t_of_s(s)))
+    fd = cv.CuspFundamentalDomain(floor=floor, dilation=abs(u), translation=b)
+    q = hb.QuadratureSpec(sphere_nodes=128)
+    rows = cv.cusp_volume_table(fd, [10, 20, 40, 80], q, method="grid")
+    for lo, row in zip([0.0, 10.0, 20.0, 40.0], rows):
+        grid = hb.busemann_volume(fd.shell(lo, row["cutoff"]), q, method="grid")
+        assert abs(row["increment"] - grid.estimate) <= grid.stderr
+        assert row["stderr"] < grid.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +345,15 @@ def test_displacement_tends_to_zero():
     levels = [2.0 ** k for k in range(11)]
     prof = cv.displacement_profile(S_REF, B_REF, levels, ambient_level=0.95)
     assert prof.displacements[-1] < 0.01 * prof.displacements[0]
+
+
+def test_displacement_beyond_float_resolution_names_b_and_the_level():
+    # x1 near b^2/2 = 1.85e16 has float spacing 4, against the height 0.75
+    # of level 2 above the ambient horoball: its translate is the first outside
+    b = 1.92e8
+    with pytest.raises(ValueError, match=r"^translation b = 1\.92e\+08 is beyond float resolution at level 2: .* "
+                                         r"floats are 4 apart, against the level's height 0\.75 above"):
+        cv.displacement_profile(140.0, b, [2.0, 3.0], ambient_level=1.25)
 
 
 def test_displacement_level_ordering_enforced():

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -248,6 +249,19 @@ def test_s_at_geometric_point():
 
 def test_t_of_log16():
     assert abs(fig8.t_of_s(math.log(16)) - 0.25) <= 1e-15
+
+
+@pytest.mark.parametrize("s, rounds_to", [(3000.0, "0.0"), (2839.0, "2.87"), (-3000.0, "inf"), (math.nan, "nan")])
+def test_t_of_s_out_of_range_names_s(s, rounds_to):
+    # exp(-s/4)/2 underflows to 0.0 at 3000, to a subnormal at 2839, and overflows at -3000
+    with pytest.raises(ValueError, match=rf"^s = {s!r} is out of range: t = exp\(-s/4\)/2 rounds to {rounds_to}"):
+        fig8.t_of_s(s)
+
+
+def test_t_of_s_keeps_the_normal_floats():
+    # t(-2839) = 8.7e307 and t(2830) = 2.7e-308 are still normal floats
+    assert fig8.t_of_s(-2839.0) == pytest.approx(0.5 * math.exp(2839.0 / 4.0))
+    assert fig8.t_of_s(2830.0) >= sys.float_info.min
 
 
 def test_round_trip():
