@@ -66,7 +66,7 @@ def _volume(t, floor, cutoffs, heights, q):
     """Least and largest tail ratio (nan unless the volumes increase), least margin over C x1^(3/2), growth exponent."""
     u, b = fig8.peripheral_lattice(t)
     fd = cuspvol.CuspFundamentalDomain(floor=floor, dilation=abs(u), translation=b)
-    rows = cuspvol.cusp_volume_table(fd, cutoffs, q, method="grid")
+    rows = cuspvol.cusp_volume_table(fd, cutoffs, q)
     increasing = all(b["estimate"] > a["estimate"] for a, b in zip(rows, rows[1:]))
     ratios = [r["increment_ratio"] for r in rows[2:]] if increasing else [math.nan]
     threshold = cuspvol.proof_threshold(fd)

@@ -4,7 +4,8 @@ Subcommands orchestrate the verification suites and write their
 artifacts (JSON reports, CSV tables, SVG plots, OBJ meshes) into an
 output directory, alongside a manifest recording the invocation, seed
 and library versions.  Outputs are byte-identical for identical
-configuration and seed.
+configuration; no output depends on the seed (``cusp volume --seed`` is
+only recorded).
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
 ``fig8 verify --t`` and ``fig8 sweep --t-min``/``--t-max`` read "p/q",
@@ -61,17 +62,6 @@ def _write_manifest(outdir: Path, command: str, params: dict, seed, outputs):
     return _write_json(outdir / "manifest.json", manifest)
 
 
-def _quadrature(args) -> hilbert.QuadratureSpec:
-    kwargs = {}
-    if getattr(args, "nodes", None):
-        kwargs["sphere_nodes"] = args.nodes
-    if getattr(args, "samples", None):
-        kwargs["mc_samples"] = args.samples
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return hilbert.QuadratureSpec(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -117,15 +107,18 @@ def _cusp_lattice(s) -> dict:
 
 def cmd_cusp_volume(args) -> int:
     outdir = _out_dir(args)
-    q = _quadrature(args)
+    q = hilbert.QuadratureSpec(sphere_nodes=args.nodes) if args.nodes else hilbert.DEFAULT_QUADRATURE
     s = float(args.s)
     if s == 0:
         print("cusp volume needs s != 0 (the hyperbolic point has a different normal form)", file=sys.stderr)
         return 2
-    lattice = _cusp_lattice(s)
     cutoffs = _float_list(args.cutoffs)
+    if not cutoffs:
+        print("cusp volume needs at least one --cutoffs value", file=sys.stderr)
+        return 2
+    lattice = _cusp_lattice(s)
     fd = cuspvol.CuspFundamentalDomain(floor=args.k, dilation=abs(lattice["u"]), translation=lattice["b"])
-    rows = cuspvol.cusp_volume_table(fd, cutoffs, q, method=args.method)
+    rows = cuspvol.cusp_volume_table(fd, cutoffs, q)
     csv_path = cuspvol.write_volume_table_csv(outdir / "cusp_volume.csv", rows)
     svg_path = domains.write_curve_svg(
         outdir / "cusp_volume.svg",
@@ -137,9 +130,8 @@ def cmd_cusp_volume(args) -> int:
     _write_manifest(
         outdir,
         "cusp volume",
-        {"s": s, "lattice": lattice, "k": args.k, "cutoffs": cutoffs, "method": args.method,
-         "nodes": q.sphere_nodes, "samples": q.mc_samples},
-        q.seed,
+        {"s": s, "lattice": lattice, "k": args.k, "cutoffs": cutoffs, "nodes": q.sphere_nodes},
+        args.seed,
         [csv_path, svg_path],
     )
     for r in rows:
@@ -155,6 +147,9 @@ def cmd_cusp_displacement(args) -> int:
     levels = _float_list(args.levels)
     if s == 0:
         print("cusp displacement needs s != 0", file=sys.stderr)
+        return 2
+    if not levels:
+        print("cusp displacement needs at least one --levels value", file=sys.stderr)
         return 2
     lattice = _cusp_lattice(s)
     prof = cuspvol.displacement_profile(s, lattice["b"], levels, ambient_level=args.ambient_level)
@@ -264,10 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--s", type=float, required=True)
     cv.add_argument("--k", type=float, default=1.0)
     cv.add_argument("--cutoffs", default="10,20,40,80")
-    cv.add_argument("--method", choices=("grid", "mc"), default="grid")
     cv.add_argument("--nodes", type=int)
-    cv.add_argument("--samples", type=int)
-    cv.add_argument("--seed", type=int)
+    cv.add_argument("--seed", type=int, default=0, help="recorded in the manifest; the table does not depend on it")
     cv.add_argument("--out")
     cv.set_defaults(func=cmd_cusp_volume)
     cd = cusp_sub.add_parser("displacement", help="horoball displacement profile (CSV + SVG)")

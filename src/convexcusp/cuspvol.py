@@ -27,7 +27,7 @@ import numpy as np
 from .cusplie import LieAlgElem, group_exp
 from .domains import DomainDPrime, UnboundedSearchError, VerticalShiftDomain
 from .hilbert import (
-    QuadratureSpec, Region, _leggauss, busemann_density, busemann_volume, hilbert_distance_pairs, unit_ball_lebesgue,
+    QuadratureSpec, Region, _leggauss, busemann_density, hilbert_distance_pairs, unit_ball_lebesgue,
 )
 from .projlin import apply_affine_batch
 
@@ -199,35 +199,28 @@ def _dilation_volumes(fd, shells, q):
             for fine, coarse, (_, w), g in zip(vols[::2], vols[1::2], nodes[::2], gaps)]
 
 
-def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec, method="grid"):
+def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec):
     """Truncated Busemann volumes of the fundamental domain.
 
     Each row reports the volume up to the cutoff; increments are
     integrated over disjoint shells so the table is increasing by
     construction, and the increment ratios expose the x1^(-1/2) tail.
-    ``method="grid"`` integrates the dilation out in closed form
+    Each shell has the dilation integrated out in closed form
     (``dilation_nodes``): n1 = ``q.grid_shape[0]`` nodes per sigma panel
     and n3 = ``q.grid_shape[2]`` in x3, n2 unused; the coarse rule takes
     half of each, and a shell's stderr is the fine/coarse difference,
     which measures the sigma and x3 quadrature only.  The densities of
-    all shells and both rules come from one batch.  ``method="mc"``
-    samples each shell's box (``hilbert.busemann_volume``).
-    ``quad_gap`` is the worst sphere-quadrature gap over the shells up
-    to each row's cutoff.
+    all shells and both rules come from one batch.  ``quad_gap`` is the
+    worst sphere-quadrature gap over the shells up to each row's cutoff.
     """
     cutoffs = sorted(float(c) for c in cutoffs)
     shells = list(zip([0.0] + cutoffs[:-1], cutoffs))
-    if method == "grid":
-        parts = _dilation_volumes(fd, shells, q)
-    else:
-        parts = [(e.estimate, e.stderr, e.samples, e.quad_gap)
-                 for e in (busemann_volume(fd.shell(lo, X), q, method=method) for lo, X in shells)]
     rows = []
     total = 0.0
     var = 0.0
     gap = 0.0
     prev_inc = None
-    for X, (inc, err, samples, shell_gap) in zip(cutoffs, parts):
+    for X, (inc, err, samples, shell_gap) in zip(cutoffs, _dilation_volumes(fd, shells, q)):
         total += inc
         var += err ** 2
         gap = max(gap, shell_gap)
@@ -240,7 +233,6 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec, met
                 "increment": inc,
                 "increment_ratio": ratio,
                 "samples": samples,
-                "seed": q.seed,
                 "quad_gap": gap,
             }
         )
@@ -298,19 +290,22 @@ def displacement_profile(s, b, levels, ambient_level=None) -> DisplacementProfil
     ]
     X = np.vstack([z, *orbit])
     gX = apply_affine_batch(g, X)
+    # a translate has x1 near b^2/2, where the float spacing can exceed its
+    # height above the ambient horoball and round it outside; the translates
+    # are tested before the solve, since the chord to one can overflow
+    out = np.flatnonzero(~ambient.contains_batch(gX))
     try:
-        d = hilbert_distance_pairs(ambient, X, gX)
-    except (ValueError, UnboundedSearchError) as err:
-        # a translate has x1 near b^2/2, where the float spacing can exceed
-        # its height above the ambient horoball and round it outside
-        out = np.flatnonzero(~ambient.contains_batch(gX))
+        d = None if len(out) else hilbert_distance_pairs(ambient, X, gX)
+    except UnboundedSearchError:
+        d = None
+    if d is None:
         lev = levels[out[0]] if len(out) and out[0] < len(levels) else levels[0]
         top = 0.5 * float(b) * float(b)
         raise ValueError(
             f"translation b = {float(b):.6g} is beyond float resolution at level {lev:g}: its translate has x1 near "
             f"b^2/2 = {top:.6g}, where floats are {math.ulp(top):.3g} apart, against the level's height "
             f"{lev - ambient_level:g} above the ambient horoball"
-        ) from err
+        )
     vals, spread_vals = d[: len(levels)].tolist(), d[len(levels):]
     spread = float(np.max(spread_vals) - np.min(spread_vals))
     if spread > 1e-6:

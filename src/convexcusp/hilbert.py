@@ -5,7 +5,7 @@ the chord through them; the Finsler norm is its infinitesimal version;
 the Busemann density at a point is alpha_3 / (Lebesgue volume of the
 unit norm ball), where alpha_3 = pi/6 is the Lebesgue volume of the
 Euclidean ball of diameter 1.  Volumes of regions are integrals of the
-density, by seeded Monte Carlo or a Gauss-Legendre product grid.
+density on a Gauss-Legendre product grid.
 
 ``unit_ball_lebesgue`` and ``busemann_density`` take one point (float
 result) or an (m,3) batch of points ((m,) array result).  Unit balls
@@ -24,10 +24,6 @@ disagreement at any point raises QuadratureError, with ``check=False``
 it never raises and the integrators record the worst relative gap
 instead (``VolumeEstimate.quad_gap``).  A closed-form volume has no
 quadrature to check, and its gap is 0.
-
-Monte Carlo sampling uses a counter-based Philox stream keyed by the
-seed, with all sample coordinates derived up front, so results are
-deterministic for a fixed seed no matter how evaluation is chunked.
 """
 
 from __future__ import annotations
@@ -43,6 +39,9 @@ from .domains import ConvexDomain, ParabolicDomain, VerticalShiftDomain
 #: Lebesgue volume of the Euclidean ball of diameter 1 (normalising
 #: constant of the 3-dimensional Hausdorff measure used throughout)
 ALPHA3 = math.pi / 6
+#: relative accuracy the sphere quadrature aims for: with ``check=True``
+#: the fine and coarse unit-ball volumes agree within ten times it
+QUADRATURE_RTOL = 1e-3
 
 
 class QuadratureError(ArithmeticError):
@@ -55,24 +54,22 @@ class RegionError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts, accuracy target and seed of the numeric geometry.
+    """Node counts of the numeric geometry.
 
     ``sphere_nodes`` is realised as a Gauss-Legendre x uniform product
     grid on the sphere with twice as many azimuthal as polar nodes, so
-    2312 becomes a 34 x 68 grid.  ``seed`` keys the Philox stream used
-    by Monte Carlo integration and is recorded in every report.  Chords
-    are solved to ``domains.CHORD_TOL``.
+    2312 becomes a 34 x 68 grid.  ``grid_shape`` is the (x1, x2, x3)
+    node count of the region grid (``busemann_volume``).  Chords are
+    solved to ``domains.CHORD_TOL``, and checked unit-ball volumes
+    agree with their coarse pass to ``QUADRATURE_RTOL``.
     """
 
     sphere_nodes: int = 2312
-    mc_samples: int = 200_000
-    seed: int = 0
-    rel_target: float = 1e-3
     grid_shape: tuple = (8, 6, 6)
 
     def __post_init__(self):
-        if self.sphere_nodes <= 0 or self.mc_samples <= 0:
-            raise ValueError("node and sample counts must be positive")
+        if self.sphere_nodes <= 0:
+            raise ValueError("node counts must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -249,7 +246,7 @@ def _ball_volumes(dom, x, q, check):
         return 8.0 * ALPHA3 * np.prod(_frame_radii(dom, X, dom.quadrature_frames(X)), axis=1), np.zeros(len(X))
     fine, coarse = _unit_ball_volumes(dom, X, q)
     if check:
-        bad = np.abs(fine - coarse) > 10.0 * q.rel_target * np.abs(fine)
+        bad = np.abs(fine - coarse) > 10.0 * QUADRATURE_RTOL * np.abs(fine)
         if bad.any():
             i = int(np.argmax(bad))
             raise QuadratureError(
@@ -275,7 +272,7 @@ def unit_ball_lebesgue(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRAT
     LPrime keeps the D' frame, so D' densities are equivariant to
     rounding.  A coarse pass at a quarter of the nodes is solved
     alongside the fine one; with ``check`` it must agree with the fine
-    pass to within ten times ``q.rel_target`` at every point or
+    pass to within ten times ``QUADRATURE_RTOL`` at every point or
     QuadratureError is raised.  A non-interior point raises ValueError
     from the frame solve, which tests each point once; the node solves
     reuse that test.
@@ -326,20 +323,11 @@ class Region:
     def is_empty(self) -> bool:
         return any(hi <= lo for lo, hi in (self.x2_range, self.x3_range, self.x1_range))
 
-    def box_volume(self) -> float:
-        return math.prod(hi - lo for lo, hi in (self.x1_range, self.x2_range, self.x3_range))
-
     def horoball(self) -> VerticalShiftDomain:
         """The domain shifted up by the floor level."""
         if not isinstance(self.domain, ParabolicDomain):
             raise RegionError("floor levels require a parabolic domain")
         return VerticalShiftDomain(self.domain, self.floor_level)
-
-    def mask(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.floor_level is None:
-            return np.ones(len(pts), dtype=bool)
-        return self.horoball().contains_batch(pts)
 
 
 @dataclass(frozen=True)
@@ -347,58 +335,26 @@ class VolumeEstimate:
     estimate: float
     stderr: float
     samples: int
-    seed: int
-    method: str
     #: worst relative gap |fine - coarse|/fine between the sphere
     #: quadratures of the unit-ball volumes behind the estimate
     quad_gap: float = 0.0
 
-    def __float__(self):
-        return self.estimate
 
-
-def busemann_volume(region: Region, q: QuadratureSpec = DEFAULT_QUADRATURE, method="mc") -> VolumeEstimate:
+def busemann_volume(region: Region, q: QuadratureSpec = DEFAULT_QUADRATURE) -> VolumeEstimate:
     """Busemann volume of a region, with a standard-error estimate.
 
-    ``method="mc"``: seeded Monte Carlo over the bounding box (stderr is
-    the usual sample estimate).  ``method="grid"``: Gauss-Legendre
-    product grid adapted to the floor, stderr reported as the difference
-    from a half-resolution pass.  Densities are taken unchecked, in one
-    batched call per pass, and the worst sphere-quadrature gap over all
-    of their nodes is recorded as ``quad_gap``.  A region that escapes
-    its domain raises RegionError.
+    A Gauss-Legendre product grid of ``q.grid_shape`` nodes, adapted to
+    the floor; the stderr is the difference from a pass at half of each
+    node count.  Densities are taken unchecked, in one batched call per
+    pass, and the worst sphere-quadrature gap over all of their nodes is
+    recorded as ``quad_gap``.  A region that escapes its domain raises
+    RegionError.
     """
     if region.is_empty():
-        return VolumeEstimate(0.0, 0.0, 0, q.seed, method)
-    if method == "mc":
-        return _volume_mc(region, q)
-    if method == "grid":
-        fine, fine_gap = _volume_grid(region, q, q.grid_shape)
-        coarse_shape = tuple(max(2, s // 2) for s in q.grid_shape)
-        coarse, coarse_gap = _volume_grid(region, q, coarse_shape)
-        return VolumeEstimate(
-            fine, abs(fine - coarse), int(np.prod(q.grid_shape)), q.seed, "grid", max(fine_gap, coarse_gap)
-        )
-    raise ValueError(f"unknown integration method {method!r}")
-
-
-def _volume_mc(region: Region, q: QuadratureSpec) -> VolumeEstimate:
-    rng = np.random.Generator(np.random.Philox(q.seed))
-    n = q.mc_samples
-    lo = np.array([region.x1_range[0], region.x2_range[0], region.x3_range[0]])
-    hi = np.array([region.x1_range[1], region.x2_range[1], region.x3_range[1]])
-    pts = lo + rng.random((n, 3)) * (hi - lo)
-    mask = region.mask(pts)
-    if region.floor_level is None:
-        inside = region.domain.contains_batch(pts)
-        if not inside.all():
-            raise RegionError("region extends outside its domain")
-    vals = np.zeros(n)
-    vals[mask], gap = busemann_density(region.domain, pts[mask], q, check=False, return_gap=True)
-    box = region.box_volume()
-    est = box * float(np.mean(vals))
-    err = box * float(np.std(vals) / math.sqrt(n))
-    return VolumeEstimate(est, err, n, q.seed, "mc", float(np.max(gap, initial=0.0)))
+        return VolumeEstimate(0.0, 0.0, 0)
+    fine, fine_gap = _volume_grid(region, q, q.grid_shape)
+    coarse, coarse_gap = _volume_grid(region, q, tuple(max(2, s // 2) for s in q.grid_shape))
+    return VolumeEstimate(fine, abs(fine - coarse), int(np.prod(q.grid_shape)), max(fine_gap, coarse_gap))
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1], by rule size

@@ -333,8 +333,13 @@ def mat_exp(X):
     f = sum(X[i, i] for i in range(n))
     X2 = X @ X
     X3 = X2 @ X
-    off = max_abs(X3 @ X - f * X3)
-    if (off != 0) if is_exact(X) else (off > CUSP_CUBIC_TOL * max(1.0, max_abs(X)) ** 4):
+    if is_exact(X):
+        off, bound = max_abs(X3 @ X - f * X3), 0
+    else:  # relative to M^4, M = max(1, |X|), on X/2^k, 2^k <= M < 2^(k+1): exact scaling, and X^4 cannot overflow
+        k = math.frexp(M := max(1.0, max_abs(X)))[1] - 1
+        Z3 = np.ldexp(X3, -3 * k)
+        off, bound = max_abs(Z3 @ np.ldexp(X, -k) - math.ldexp(f, -k) * Z3), CUSP_CUBIC_TOL * math.ldexp(M, -k) ** 4
+    if off > bound:
         raise ValueError(f"matrix is off the cusp shape X^3 (X - fI) = 0 (residual {float(off):.3e})")
     exact = is_exact(X) and f == 0
     if not exact:

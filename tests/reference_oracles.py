@@ -3,11 +3,12 @@
 Each one reaches a quantity of the package by a route that shares no
 code with the route it checks: cross ratios of four collinear points,
 Busemann densities from Hilbert metric balls alone, a covering-style
-volume estimate, the closed-form generators and longitude table of the
-figure-eight family, the closed normalized forms of its peripheral pair
-and their lattice (meridian translation and parabolic limit),
-the class of a cusp element read from its minimal-polynomial profile, and
-the tiling of the base by the lattice rectangle.
+volume estimate, a Monte Carlo volume, the closed-form generators and
+longitude table of the figure-eight family, the closed normalized forms
+of its peripheral pair and their lattice (meridian translation and
+parabolic limit), the class of a cusp element read from its
+minimal-polynomial profile, and the tiling of the base by the lattice
+rectangle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from convexcusp import cusplie, fig8, projlin
 from convexcusp.cusplie import GENERIC, PURE_DILATION, PURE_TRANSLATION, LieAlgElem
 from convexcusp.cuspvol import CuspFundamentalDomain
 from convexcusp.domains import ConvexDomain
-from convexcusp.hilbert import ALPHA3, Region, RegionError, hilbert_distance_pairs, sphere_quadrature
+from convexcusp.hilbert import (
+    ALPHA3, QuadratureSpec, Region, RegionError, VolumeEstimate, busemann_density, hilbert_distance_pairs, sphere_quadrature,
+)
 
 #: relative distance off their line at which ``cross_ratio`` rejects
 #: four points
@@ -155,6 +158,33 @@ def hausdorff_oracle(dom: ConvexDomain, region: Region, eps: float, details=Fals
     raw = float(ALPHA3 * np.sum(dmax ** 3))
     out = HausdorffEstimate(value, raw, len(centers), float(dmax.max()))
     return out if details else value
+
+
+def mc_volume(region: Region, q: QuadratureSpec, samples: int, seed: int) -> VolumeEstimate:
+    """Monte Carlo Busemann volume over the region's bounding box, an
+    integrator independent of the product grid of ``busemann_volume``.
+
+    The samples come from a Philox stream keyed by ``seed``; the ones
+    below the floor count 0, and the stderr is the usual sample
+    estimate.  A region without a floor that escapes its domain raises
+    RegionError.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    lo = np.array([region.x1_range[0], region.x2_range[0], region.x3_range[0]])
+    hi = np.array([region.x1_range[1], region.x2_range[1], region.x3_range[1]])
+    pts = lo + rng.random((samples, 3)) * (hi - lo)
+    if region.floor_level is None:
+        if not region.domain.contains_batch(pts).all():
+            raise RegionError("region extends outside its domain")
+        mask = np.ones(samples, dtype=bool)
+    else:
+        mask = region.horoball().contains_batch(pts)
+    vals = np.zeros(samples)
+    vals[mask], gap = busemann_density(region.domain, pts[mask], q, check=False, return_gap=True)
+    box = float(np.prod(hi - lo))
+    return VolumeEstimate(
+        box * float(np.mean(vals)), box * float(np.std(vals) / math.sqrt(samples)), samples, float(np.max(gap, initial=0.0))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -176,15 +176,34 @@ def test_cusp_volume_golden_table(tmp_path):
 
 
 def test_cusp_volume_determinism(tmp_path):
-    args = ["cusp", "volume", "--s", "1.5", "--cutoffs", "4,8", "--nodes", "288",
-            "--method", "mc", "--samples", "200", "--seed", "7"]
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    assert run(args + ["--out", str(out1)]) == 0
-    assert run(args + ["--out", str(out2)]) == 0
-    assert (out1 / "cusp_volume.csv").read_bytes() == (out2 / "cusp_volume.csv").read_bytes()
-    assert (out1 / "cusp_volume.svg").read_bytes() == (out2 / "cusp_volume.svg").read_bytes()
-    assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+    # one route, whatever the seed: the manifest records it, and nothing
+    # else reads it; a run without --seed records 0
+    args = ["cusp", "volume", "--s", "1.5", "--cutoffs", "4,8", "--nodes", "288"]
+    outs = {seed: tmp_path / str(seed) for seed in (3, 7, None)}
+    for seed, out in outs.items():
+        assert run(args + ([] if seed is None else ["--seed", str(seed)]) + ["--out", str(out)]) == 0
+    for name in ("cusp_volume.csv", "cusp_volume.svg"):
+        assert (outs[3] / name).read_bytes() == (outs[7] / name).read_bytes() == (outs[None] / name).read_bytes()
+    manifests = {seed: json.load(open(out / "manifest.json")) for seed, out in outs.items()}
+    assert [manifests[seed].pop("seed") for seed in (3, 7, None)] == [3, 7, 0]
+    assert manifests[3] == manifests[7] == manifests[None]
+    assert not {"method", "samples"} & manifests[3]["parameters"].keys()
+
+
+@pytest.mark.parametrize("option", [["--method", "mc"], ["--samples", "200"]])
+def test_cusp_volume_has_no_integrator_options(tmp_path, option):
+    with pytest.raises(SystemExit) as err:
+        run(["cusp", "volume", "--s", "1.5", *option, "--out", str(tmp_path)])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command, option", [("volume", "--cutoffs"), ("displacement", "--levels")])
+@pytest.mark.parametrize("text", ["", ","])
+def test_cusp_commands_with_an_empty_list_are_a_usage_error(tmp_path, capsys, command, option, text):
+    # one stderr line that names the option, as for --s 0
+    assert run(["cusp", command, "--s", "1.5", option, text, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cusp {command} needs at least one {option} value\n"
 
 
 def test_cusp_displacement(tmp_path):
@@ -231,12 +250,10 @@ def test_cusp_commands_at_an_s_whose_t_leaves_the_floats(tmp_path, capsys, comma
     assert err == f"error: s = {float(s)!r} is out of range: t = exp(-s/4)/2 rounds to {rounds_to} as a float\n"
 
 
-@pytest.mark.parametrize("s", [
-    "140", "700",
-    # at b = 2.2e153 the chord search diverges (a traceback at the parent),
-    # with overflow warnings from group_exp's cubic test and the search
-    pytest.param("2800", marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
-])
+# at b = 2.2e153 (s = 2800) the translate's x1 is near 2.4e306: no overflow
+# warning, which pytest turns into an error, from group_exp's cubic test or
+# from the chord to the translate, which is tested before any solve
+@pytest.mark.parametrize("s", ["140", "700", "2800"])
 def test_cusp_displacement_beyond_float_resolution_names_b(tmp_path, capsys, s):
     # from s = 140 (b = 1.9e8) the translate of a level-1 point has x1 near
     # b^2/2, whose float spacing exceeds its height 0.5 above the ambient horoball

@@ -87,7 +87,7 @@ def test_ball_volume_growth_exponent():
 
 
 def test_volume_table_monotone_with_tail_ratios():
-    rows = cv.cusp_volume_table(FD_REF, [10, 20, 40, 80], FAST_Q, method="grid")
+    rows = cv.cusp_volume_table(FD_REF, [10, 20, 40, 80], FAST_Q)
     estimates = [r["estimate"] for r in rows]
     assert all(b > a for a, b in zip(estimates, estimates[1:]))
     ratios = [r["increment_ratio"] for r in rows[2:]]
@@ -126,7 +126,7 @@ def test_volume_table_against_profile_reduction():
                 total += wa2 * wa3 * float(np.sum(ww * np.interp(u, ks, g))) / a2
         return total
 
-    rows = cv.cusp_volume_table(FD_REF, [10.0, 20.0], hb.QuadratureSpec(sphere_nodes=578, grid_shape=(10, 8, 8)), method="grid")
+    rows = cv.cusp_volume_table(FD_REF, [10.0, 20.0], hb.QuadratureSpec(sphere_nodes=578, grid_shape=(10, 8, 8)))
     oracle_10 = reduced_shell(0.0, 10.0)
     oracle_20 = oracle_10 + reduced_shell(10.0, 20.0)
     # measured 9.2e-4 below the oracle at both rows
@@ -136,12 +136,12 @@ def test_volume_table_against_profile_reduction():
 
 def test_volume_table_empty_rectangle():
     empty = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=0.0)
-    rows = cv.cusp_volume_table(empty, [10, 20], FAST_Q, method="grid")
+    rows = cv.cusp_volume_table(empty, [10, 20], FAST_Q)
     assert all(r["estimate"] == 0.0 for r in rows)
 
 
 def test_volume_tail_bound_consistency():
-    rows = cv.cusp_volume_table(FD_REF, [10, 20, 40, 80, 160, 320], FAST_Q, method="grid")
+    rows = cv.cusp_volume_table(FD_REF, [10, 20, 40, 80, 160, 320], FAST_Q)
     incs = [r["increment"] for r in rows]
     for i in range(2, 4):
         observed_tail = sum(incs[i:])
@@ -149,23 +149,13 @@ def test_volume_tail_bound_consistency():
         assert observed_tail < 3 * geometric
 
 
-def test_mc_stderr_halves_with_quadrupled_samples():
-    fd = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF)
-    q1 = hb.QuadratureSpec(sphere_nodes=288, mc_samples=400, seed=2)
-    q2 = hb.QuadratureSpec(sphere_nodes=288, mc_samples=1600, seed=2)
-    r1 = cv.cusp_volume_table(fd, [8.0], q1, method="mc")[0]
-    r2 = cv.cusp_volume_table(fd, [8.0], q2, method="mc")[0]
-    ratio = r1["stderr"] / r2["stderr"]
-    assert 1.0 <= ratio <= 4.0
-
-
 def test_volume_comparison_inequality():
     # the same set measured inside a strictly larger ambient domain is smaller
     region = FD_REF.shell(2.0, 6.0)
-    inner = hb.busemann_volume(region, FAST_Q, method="grid").estimate
+    inner = hb.busemann_volume(region, FAST_Q).estimate
     bigger = VerticalShiftDomain(DomainDPrime(), -0.5)
     region_big = hb.Region(bigger, region.x2_range, region.x3_range, region.x1_range, floor_level=None)
-    outer = hb.busemann_volume(region_big, FAST_Q, method="grid").estimate
+    outer = hb.busemann_volume(region_big, FAST_Q).estimate
     assert outer < inner
 
 
@@ -205,7 +195,7 @@ def _reference_grid(region, q, shape):
 
 def test_grid_volume_matches_scalar_reference():
     region = FD_REF.shell(2.0, 6.0)
-    est = hb.busemann_volume(region, FAST_Q, method="grid")
+    est = hb.busemann_volume(region, FAST_Q)
     fine, fine_gap = _reference_grid(region, FAST_Q, FAST_Q.grid_shape)
     coarse, coarse_gap = _reference_grid(region, FAST_Q, tuple(max(2, s // 2) for s in FAST_Q.grid_shape))
     assert est.estimate == fine
@@ -213,29 +203,10 @@ def test_grid_volume_matches_scalar_reference():
     assert est.quad_gap == max(fine_gap, coarse_gap) > 0.0
 
 
-def test_mc_volume_matches_scalar_reference():
-    region = FD_REF.shell(2.0, 6.0)
-    q = replace(FAST_Q, mc_samples=60, seed=4)
-    est = hb.busemann_volume(region, q, method="mc")
-    rng = np.random.Generator(np.random.Philox(q.seed))
-    lo = np.array([region.x1_range[0], region.x2_range[0], region.x3_range[0]])
-    hi = np.array([region.x1_range[1], region.x2_range[1], region.x3_range[1]])
-    pts = lo + rng.random((q.mc_samples, 3)) * (hi - lo)
-    vals = np.zeros(q.mc_samples)
-    gap = 0.0
-    for i in np.flatnonzero(region.mask(pts)):
-        vals[i], g = _scalar_density_and_gap(region.domain, pts[i], q)
-        gap = max(gap, g)
-    box = region.box_volume()
-    assert est.estimate == box * float(np.mean(vals))
-    assert est.stderr == box * float(np.std(vals) / math.sqrt(q.mc_samples))
-    assert est.quad_gap == gap > 0.0
-
-
 def test_volume_table_reports_worst_quad_gap():
     # the worst gap over the table's own nodes: both rules of every shell
     q = replace(FAST_Q, sphere_nodes=128, grid_shape=(4, 3, 3))
-    rows = cv.cusp_volume_table(FD_REF, [4.0, 8.0], q, method="grid")
+    rows = cv.cusp_volume_table(FD_REF, [4.0, 8.0], q)
     shell_gaps = []
     for lo, hi in ((0.0, 4.0), (4.0, 8.0)):
         pts = np.vstack([cv.dilation_nodes(FD_REF, lo, hi, n1, n3)[0] for n1, n3 in ((4, 3), (2, 2))])
@@ -297,9 +268,9 @@ def test_volume_table_within_the_grid_integrators_stderr(s, floor):
     u, b = fig8.peripheral_lattice(Fraction(fig8.t_of_s(s)))
     fd = cv.CuspFundamentalDomain(floor=floor, dilation=abs(u), translation=b)
     q = hb.QuadratureSpec(sphere_nodes=128)
-    rows = cv.cusp_volume_table(fd, [10, 20, 40, 80], q, method="grid")
+    rows = cv.cusp_volume_table(fd, [10, 20, 40, 80], q)
     for lo, row in zip([0.0, 10.0, 20.0, 40.0], rows):
-        grid = hb.busemann_volume(fd.shell(lo, row["cutoff"]), q, method="grid")
+        grid = hb.busemann_volume(fd.shell(lo, row["cutoff"]), q)
         assert abs(row["increment"] - grid.estimate) <= grid.stderr
         assert row["stderr"] < grid.stderr
 
@@ -372,7 +343,7 @@ def test_fundamental_rectangle_tiles_base():
 
 
 def test_volume_csv_and_svg(tmp_path):
-    rows = cv.cusp_volume_table(FD_REF, [10, 20], FAST_Q, method="grid")
+    rows = cv.cusp_volume_table(FD_REF, [10, 20], FAST_Q)
     csv_path = cv.write_volume_table_csv(tmp_path / "vol.csv", rows)
     lines = open(csv_path).read().splitlines()
     assert lines[0] == "cutoff,estimate,stderr,increment_ratio"

@@ -387,8 +387,8 @@ def test_ball_density_closed_form_off_center(r):
 
 
 def test_ball_box_volume_against_closed_form():
-    # integrate the closed-form density over a box and compare both
-    # integration methods against it
+    # integrate the closed-form density over a box and compare the grid
+    # and the Monte Carlo oracle against it
     lo, hi = -0.2, 0.25
     region = hb.Region(BALL, (lo, hi), (lo, hi), (lo, hi))
     nodes, weights = np.polynomial.legendre.leggauss(12)
@@ -399,10 +399,10 @@ def test_ball_box_volume_against_closed_form():
         for y, wy in [(a, b) for a, b in zip(g, w)]:
             r2 = x * x + y * y + g * g
             expected += wx * wy * float(np.sum(w * (1 - r2) ** -2))
-    q = hb.QuadratureSpec(sphere_nodes=578, mc_samples=4000, seed=3, grid_shape=(4, 4, 4))
-    grid = hb.busemann_volume(region, q, method="grid")
+    q = hb.QuadratureSpec(sphere_nodes=578, grid_shape=(4, 4, 4))
+    grid = hb.busemann_volume(region, q)
     assert grid.estimate == pytest.approx(expected, rel=2e-3)
-    mc = hb.busemann_volume(region, q, method="mc")
+    mc = ro.mc_volume(region, q, samples=4000, seed=3)
     assert abs(mc.estimate - expected) <= 4 * mc.stderr
 
 
@@ -604,7 +604,7 @@ def test_batched_density_checks_every_point():
         hb.busemann_density(DP, pts, q)
     rho, gap = hb.busemann_density(DP, pts, q, check=False, return_gap=True)
     assert rho.shape == gap.shape == (3,)
-    assert gap[1] > 10.0 * q.rel_target > max(gap[0], gap[2])
+    assert gap[1] > 10.0 * hb.QUADRATURE_RTOL > max(gap[0], gap[2])
     with pytest.raises(ValueError):
         hb.busemann_density(DP, np.array([[2.0, 1.0, 0.0], [-5.0, 1.0, 0.0]]), q, check=False)
 
@@ -678,21 +678,21 @@ def test_empty_region_volume():
 def test_volume_outside_domain_rejected():
     region = hb.Region(DP, (-1.0, 1.0), (0, 1), (0, 5))
     with pytest.raises(hb.RegionError):
-        hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288, mc_samples=64), method="mc")
+        hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288))
 
 
 def test_volume_grid_matches_mc():
     region = region_box(DP, 2.0, 1.0, 0.0)
-    q = hb.QuadratureSpec(sphere_nodes=288, mc_samples=4000, seed=5, grid_shape=(4, 4, 4))
-    grid = hb.busemann_volume(region, q, method="grid")
-    mc = hb.busemann_volume(region, q, method="mc")
+    q = hb.QuadratureSpec(sphere_nodes=288, grid_shape=(4, 4, 4))
+    grid = hb.busemann_volume(region, q)
+    mc = ro.mc_volume(region, q, samples=4000, seed=5)
     assert abs(grid.estimate - mc.estimate) <= 4 * mc.stderr + 1e-9
 
 
 def test_volume_monotone_in_cutoff():
     q = hb.QuadratureSpec(sphere_nodes=288, grid_shape=(4, 3, 3))
     region = lambda X: hb.Region(DP, (1.0, 2.0), (0.0, 0.5), (0.0, X), floor_level=0.5)
-    vols = [hb.busemann_volume(region(X), q, method="grid").estimate for X in (5.0, 10.0, 20.0, 40.0)]
+    vols = [hb.busemann_volume(region(X), q).estimate for X in (5.0, 10.0, 20.0, 40.0)]
     assert all(b > a for a, b in zip(vols, vols[1:]))
     increments = [b - a for a, b in zip(vols, vols[1:])]
     assert all(b < a for a, b in zip(increments, increments[1:]))
@@ -701,24 +701,11 @@ def test_volume_monotone_in_cutoff():
 def test_volume_nested_domain_comparison():
     region = region_box(DP, 2.0, 1.0, 0.0)
     q = hb.QuadratureSpec(sphere_nodes=288, grid_shape=(4, 4, 4))
-    inner = hb.busemann_volume(region, q, method="grid").estimate
+    inner = hb.busemann_volume(region, q).estimate
     bigger_dom = VerticalShiftDomain(DP, -0.75)
     region_big = hb.Region(bigger_dom, region.x2_range, region.x3_range, region.x1_range)
-    outer = hb.busemann_volume(region_big, q, method="grid").estimate
+    outer = hb.busemann_volume(region_big, q).estimate
     assert outer < inner
-
-
-def test_mc_determinism_and_stderr_scaling():
-    region = region_box(DP, 2.0, 1.0, 0.0)
-    q1 = hb.QuadratureSpec(sphere_nodes=288, mc_samples=500, seed=9)
-    a = hb.busemann_volume(region, q1, method="mc")
-    b = hb.busemann_volume(region, q1, method="mc")
-    assert a.estimate == b.estimate and a.stderr == b.stderr
-    q2 = hb.QuadratureSpec(sphere_nodes=288, mc_samples=2000, seed=9)
-    c = hb.busemann_volume(region, q2, method="mc")
-    # quadrupling samples halves the standard error, within a factor 2
-    ratio = a.stderr / c.stderr
-    assert 1.0 <= ratio <= 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -733,14 +720,14 @@ def test_oracle_degenerate_region():
 def test_oracle_matches_volume_at_ball_center():
     region = hb.Region(BALL, (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1))
     est = ro.hausdorff_oracle(BALL, region, 0.2)
-    vol = hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288, grid_shape=(3, 3, 3)), method="grid")
+    vol = hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288, grid_shape=(3, 3, 3)))
     assert abs(est - vol.estimate) <= 0.10 * vol.estimate
 
 
 def test_oracle_matches_volume_in_log_domain():
     region = hb.Region(DP, (0.9, 1.1), (-0.1, 0.1), (1.9, 2.1))
     est = ro.hausdorff_oracle(DP, region, 0.1)
-    vol = hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288, grid_shape=(3, 3, 3)), method="grid")
+    vol = hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288, grid_shape=(3, 3, 3)))
     assert abs(est - vol.estimate) <= 0.10 * vol.estimate
 
 

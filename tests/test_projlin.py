@@ -123,6 +123,16 @@ def test_exp_translation_element():
     assert E[0, 2] == b and E[0, 3] == b * b / 2 and E[2, 3] == b
 
 
+def test_exp_shape_test_does_not_overflow():
+    # the test is relative to max|X|^4, which overflows from about 1e77;
+    # pytest turns an overflow warning into an error
+    E = pl.mat_exp(lprime(0.0, 1e100))
+    assert E[0, 2] == 1e100 and E[0, 3] == 5e199 and E[2, 3] == 1e100
+    off = np.random.default_rng(1).uniform(0.5, 1.0, (4, 4)) * 1e80
+    with pytest.raises(ValueError, match="off the cusp shape"):
+        pl.mat_exp(off)
+
+
 def expm_reference(M):
     """Generic float exponential: scaling and squaring with a degree-20
     Taylor core, which keeps the series remainder below 1e-14 relative."""
