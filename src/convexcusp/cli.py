@@ -8,6 +8,7 @@ configuration; no output depends on the seed (``cusp volume --seed`` is
 only recorded).
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
+A float overflow, invalid operation or division by zero is an error (exit 1).
 ``fig8 verify --t`` and ``fig8 sweep --t-min``/``--t-max`` read "p/q",
 integers and decimals exactly (0.3 is 3/10, 1e-3 is 1/1000); every other
 numeric option is a float or an integer.  The cusp commands integrate
@@ -17,6 +18,7 @@ rho_t's lattice ``fig8.peripheral_lattice(t(s))``; the manifest records it.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -44,6 +46,15 @@ def _write_json(path: Path, obj) -> Path:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """The header line, then one line per row: None as "", floats as .12g, anything else as it is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(["" if v is None else f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
     return path
 
 
@@ -84,14 +95,7 @@ def cmd_fig8_sweep(args) -> int:
         return 2
     outdir = _out_dir(args)
     rows = fig8.sweep_rows(args.t_min, args.t_max, args.steps)
-    path = outdir / "fig8_sweep.csv"
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(rows[0])
-        for r in rows:
-            w.writerow("" if v is None else f"{v:.12g}" if isinstance(v, float) else v for v in r.values())
+    path = _write_csv(outdir / "fig8_sweep.csv", rows[0], (r.values() for r in rows))
     params = {"t_min": str(args.t_min), "t_max": str(args.t_max), "steps": args.steps}
     _write_manifest(outdir, "fig8 sweep", params, None, [path])
     print(f"wrote {path} ({len(rows)} rows)")
@@ -106,8 +110,11 @@ def _cusp_lattice(s) -> dict:
 
 
 def cmd_cusp_volume(args) -> int:
+    if args.nodes < 1:
+        print(f"cusp volume needs --nodes >= 1, not {args.nodes}", file=sys.stderr)
+        return 2
     outdir = _out_dir(args)
-    q = hilbert.QuadratureSpec(sphere_nodes=args.nodes) if args.nodes else hilbert.DEFAULT_QUADRATURE
+    q = hilbert.QuadratureSpec(sphere_nodes=args.nodes)
     s = float(args.s)
     if s == 0:
         print("cusp volume needs s != 0 (the hyperbolic point has a different normal form)", file=sys.stderr)
@@ -119,7 +126,8 @@ def cmd_cusp_volume(args) -> int:
     lattice = _cusp_lattice(s)
     fd = cuspvol.CuspFundamentalDomain(floor=args.k, dilation=abs(lattice["u"]), translation=lattice["b"])
     rows = cuspvol.cusp_volume_table(fd, cutoffs, q)
-    csv_path = cuspvol.write_volume_table_csv(outdir / "cusp_volume.csv", rows)
+    columns = ("cutoff", "estimate", "stderr", "increment_ratio")
+    csv_path = _write_csv(outdir / "cusp_volume.csv", columns, ([r[c] for c in columns] for r in rows))
     svg_path = domains.write_curve_svg(
         outdir / "cusp_volume.svg",
         [r["cutoff"] for r in rows],
@@ -153,7 +161,7 @@ def cmd_cusp_displacement(args) -> int:
         return 2
     lattice = _cusp_lattice(s)
     prof = cuspvol.displacement_profile(s, lattice["b"], levels, ambient_level=args.ambient_level)
-    csv_path = cuspvol.write_displacement_csv(outdir / "displacement.csv", prof)
+    csv_path = _write_csv(outdir / "displacement.csv", ("level", "displacement"), zip(prof.levels, prof.displacements))
     svg_path = domains.write_curve_svg(
         outdir / "displacement.svg", prof.levels, prof.displacements, x_label="level", y_label="displacement"
     )
@@ -259,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--s", type=float, required=True)
     cv.add_argument("--k", type=float, default=1.0)
     cv.add_argument("--cutoffs", default="10,20,40,80")
-    cv.add_argument("--nodes", type=int)
+    cv.add_argument("--nodes", type=int, default=hilbert.DEFAULT_QUADRATURE.sphere_nodes)
     cv.add_argument("--seed", type=int, default=0, help="recorded in the manifest; the table does not depend on it")
     cv.add_argument("--out")
     cv.set_defaults(func=cmd_cusp_volume)
@@ -306,7 +314,8 @@ def main(argv=None) -> int:
     except ZeroDivisionError as err:  # Fraction("1/0"); argparse catches only TypeError and ValueError
         parser.error(f"invalid rational: {err}")
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (json.JSONDecodeError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

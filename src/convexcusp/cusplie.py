@@ -7,7 +7,7 @@ matrix forms and ``group_exp`` their exponentials.  Every element X
 satisfies X^3 (X - fI) = 0 with f = tr X, so the minimal polynomial of
 a nonzero element has the shape t^n (t - f) with n in {2, 3}.
 ``minpoly_profile`` reads (n, f) from ``minimal_polynomial`` for exact
-input and from that cubic for float input, at ``PROFILE_TOL``.
+input and from the scaled powers of ``projlin.cusp_cubic`` for float input.
 
 One core, ``translation_line_form``, puts a commuting pair in the cusp
 normal form: the eigenline projector and the Jordan chain of a trace-free
@@ -51,10 +51,6 @@ FAMILIES = ("L0", "Lt", "LPrime", "LPrimeMinus")
 #: relative tolerance of the float rank, commutation, model-form and
 #: degeneracy decisions of the normalization
 NORMALIZE_TOL = 1e-9
-#: relative tolerance of the float profile decisions: a power X^k
-#: vanishes when its largest entry is at most PROFILE_TOL |X|^k, with
-#: |X| the largest entry of X
-PROFILE_TOL = 1e-9
 
 
 class HypothesesError(ValueError):
@@ -74,9 +70,8 @@ def _exactish(*values) -> bool:
 class LieAlgElem:
     """Element of one of the four families, as (family, parameter pair).
 
-    Parameters mean (r, s) for L0/Lt and (a, b) for LPrime/LPrimeMinus.
-    Each family is an abelian algebra: elements of the same family (and
-    the same t) may be added and rescaled.
+    Parameters mean (r, s) for L0/Lt and (a, b) for LPrime/LPrimeMinus;
+    each family is an abelian algebra, linear in them.
     """
 
     family: str
@@ -91,17 +86,6 @@ class LieAlgElem:
                 raise ValueError("family Lt requires a parameter t != 0")
         elif self.t is not None:
             raise ValueError(f"family {self.family} takes no t parameter")
-
-    def __add__(self, other):
-        if not isinstance(other, LieAlgElem) or other.family != self.family or other.t != self.t:
-            return NotImplemented
-        u, v = self.params
-        x, y = other.params
-        return LieAlgElem(self.family, (u + x, v + y), self.t)
-
-    def __rmul__(self, c):
-        u, v = self.params
-        return LieAlgElem(self.family, (c * u, c * v), self.t)
 
 
 def alg_matrix(e: LieAlgElem):
@@ -156,11 +140,10 @@ def minpoly_profile(x) -> MinPolyProfile:
     Accepts a LieAlgElem or a raw 4x4 matrix in either regime.  The zero
     element is reported separately; anything whose minimal polynomial is
     not t^n (t - f) with n in {2, 3} raises ProfileShapeError.  Exact
-    input is decided on ``minimal_polynomial``.  Float input is decided
-    from f = tr X and the powers of X: the shape is X^3 (X - fI) = 0, the
-    kernel flag |f| <= PROFILE_TOL |X|, and n = 2 when X^2 (X - fI)
-    vanishes (X^3 when f = 0), each power X^k compared against
-    PROFILE_TOL |X|^k.
+    input is decided on ``minimal_polynomial``, float input on the powers of
+    Z = X / 2^k, |Z| in [1, 2), of ``projlin.cusp_cubic``: the kernel flag
+    |f| <= CUSP_CUBIC_TOL |X|, and n = 2 when Z^2 (Z - 2^-k f I) vanishes
+    (Z^3 when f = 0), each Z^j against CUSP_CUBIC_TOL |Z|^j.
     """
     M = alg_matrix(x) if isinstance(x, LieAlgElem) else x
     if all(v == 0 for v in np.asarray(M).flat):
@@ -171,23 +154,20 @@ def minpoly_profile(x) -> MinPolyProfile:
             raise ProfileShapeError(f"minimal polynomial {m} is not of shape t^n (t - f)")
         f = -m.coeffs[-2]
         return MinPolyProfile(m.degree - 1, f, f == 0)
-    X = np.asarray(M, dtype=float)
-    size = float(np.max(np.abs(X)))
-
-    def vanishes(P, k):
-        return np.max(np.abs(P)) <= PROFILE_TOL * size ** k
-
-    f = float(np.trace(X))
-    X2 = X @ X
-    X3 = X2 @ X
-    if not vanishes(X3 @ X - f * X3, 4):
+    f, k, (Z, Z2, Z3), on_shape = projlin.cusp_cubic(np.asarray(M, dtype=float))
+    if not on_shape:
         raise ProfileShapeError("matrix is off the cusp shape X^3 (X - fI) = 0")
-    kernel = abs(f) <= PROFILE_TOL * size
+    size, fz = float(np.abs(Z).max()), math.ldexp(f, -k)
+
+    def vanishes(P, j):
+        return np.abs(P).max() <= projlin.CUSP_CUBIC_TOL * size ** j
+
+    kernel = abs(fz) <= projlin.CUSP_CUBIC_TOL * size
     if kernel:
-        f = 0.0
-    if vanishes(X2 - f * X, 2):
+        f = fz = 0.0
+    if vanishes(Z2 - fz * Z, 2):
         raise ProfileShapeError("minimal polynomial t^2 or t (t - f) is not of shape t^n (t - f)")
-    return MinPolyProfile(2 if vanishes(X3 - f * X2, 3) else 3, f, kernel)
+    return MinPolyProfile(2 if vanishes(Z3 - fz * Z2, 3) else 3, float(f), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +531,8 @@ def proj_normalize_lift(M):
     lift differs by a scalar, recovered from the eigenvalue of algebraic
     multiplicity at least 3.  A float lift resolves lambda only beyond
     ``_lift_resolution`` from 0 and beyond ``projlin.SPECTRUM_CLUSTER_TOL``
-    from 1 (one cluster of four with (g - I)^3 above ``PROFILE_TOL``
-    |g - I|^3); either failure raises HypothesesError.
+    from 1 (one cluster of four with Z^3 above ``projlin.CUSP_CUBIC_TOL`` |Z|^3,
+    Z the scaled g - I of ``projlin.cusp_cubic``); either failure raises HypothesesError.
     """
     spec = real_spectrum(M)
     for lam, mult in spec:
@@ -568,8 +548,8 @@ def proj_normalize_lift(M):
             if any(float(l / lam) <= 0 for l, _ in spec):
                 raise ValueError("no lift with positive spectrum exists")
             if mult == 4 and not is_exact(M):
-                X = lift - np.eye(4)
-                if np.max(np.abs(X @ X @ X)) > PROFILE_TOL * np.max(np.abs(X)) ** 3:
+                _, _, (Z, _, Z3), _ = projlin.cusp_cubic(lift - np.eye(4))
+                if np.abs(Z3).max() > projlin.CUSP_CUBIC_TOL * np.abs(Z).max() ** 3:
                     raise HypothesesError("the dilation eigenvalue lies within the lift's resolution of the triple "
                                           f"eigenvalue (SPECTRUM_CLUSTER_TOL = {projlin.SPECTRUM_CLUSTER_TOL:g} relative)")
             return lift

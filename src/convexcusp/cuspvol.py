@@ -18,7 +18,6 @@ regarded as a convex domain in its own right.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -158,13 +157,18 @@ def dilation_nodes(fd: CuspFundamentalDomain, lo, hi, n_sigma, n3):
     of the dilation orbit inside the shell.  sigma is split into panels at
     the floor and at the kinks lo + a and hi of L, and each panel takes
     n_sigma Gauss-Legendre nodes in log kappa, kappa = sigma - x3^2/2 the
-    level; x3 takes n3 Gauss-Legendre nodes.
+    level.  x3 runs to min(b, sqrt(2 (hi + a - k))), above which the shell is empty, in panels
+    of n3 nodes split where the floor meets a kink, x3 = sqrt(2 (c - k)) for c > k in {lo, lo + a, hi}.
     """
     a, b, k = fd.dilation, fd.translation, fd.floor
-    if a <= 0 or b <= 0 or hi <= lo:
+    if a <= 0 or b <= 0 or hi <= lo or hi + a <= k:
         return np.empty((0, 3)), np.empty(0)
+    cap = min(b, math.sqrt(2.0 * (hi + a - k)))
+    cuts = [math.sqrt(2.0 * (c - k)) for c in (lo, lo + a, hi) if c > k]
+    ends = np.array(sorted({0.0, cap, *(x for x in cuts if x < cap)}))  # np.unique would import numpy.ma
     x3n, w3 = _leggauss(n3)
-    x3, w3 = 0.5 * b * (x3n + 1.0), 0.5 * b * w3
+    x0, span = ends[:-1, None], 0.5 * np.diff(ends)[:, None]
+    x3, w3 = (x0 + span * (x3n + 1.0)).ravel(), (span * w3).ravel()
     half = 0.5 * x3 * x3
     start = np.maximum(lo, k + half)
     top = np.maximum(start, hi + a)
@@ -240,16 +244,6 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec):
     return rows
 
 
-def write_volume_table_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        columns = ["cutoff", "estimate", "stderr", "increment_ratio"]
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([f"{r[c]:.12g}" for c in columns])
-    return path
-
-
 # ---------------------------------------------------------------------------
 # horoball displacement
 
@@ -267,6 +261,16 @@ class DisplacementProfile:
     constancy_spread: float
 
 
+def _unresolved(b, lev, ambient_level) -> ValueError:
+    """The error of a translation b whose translate of the level lev is lost to float rounding."""
+    top = 0.5 * float(b) * float(b)
+    return ValueError(
+        f"translation b = {float(b):.6g} is beyond float resolution at level {lev:g}: its translate has x1 near "
+        f"b^2/2 = {top:.6g}, where floats are {math.ulp(top):.3g} apart, against the level's height "
+        f"{lev - ambient_level:g} above the ambient horoball"
+    )
+
+
 def displacement_profile(s, b, levels, ambient_level=None) -> DisplacementProfile:
     """Displacement d(z, g z) of the translation g = LPrime(0, b) at points
     lifted vertically through the given horosphere levels.  ``ambient_level``
@@ -279,6 +283,8 @@ def displacement_profile(s, b, levels, ambient_level=None) -> DisplacementProfil
         ambient_level = 0.5 * levels[0]
     if ambient_level >= levels[0]:
         raise ValueError("ambient horoball level must sit below the lowest level")
+    if math.isinf(float(b) * float(b)):  # group_exp squares the entry b of g's log
+        raise _unresolved(b, levels[0], ambient_level)
     g = group_exp(LieAlgElem("LPrime", (0.0, float(b))))
     ambient = VerticalShiftDomain(DomainDPrime(), ambient_level)
     z = np.array([[lev, 1.0, 0.0] for lev in levels])
@@ -299,24 +305,9 @@ def displacement_profile(s, b, levels, ambient_level=None) -> DisplacementProfil
     except UnboundedSearchError:
         d = None
     if d is None:
-        lev = levels[out[0]] if len(out) and out[0] < len(levels) else levels[0]
-        top = 0.5 * float(b) * float(b)
-        raise ValueError(
-            f"translation b = {float(b):.6g} is beyond float resolution at level {lev:g}: its translate has x1 near "
-            f"b^2/2 = {top:.6g}, where floats are {math.ulp(top):.3g} apart, against the level's height "
-            f"{lev - ambient_level:g} above the ambient horoball"
-        )
+        raise _unresolved(b, levels[out[0]] if len(out) and out[0] < len(levels) else levels[0], ambient_level)
     vals, spread_vals = d[: len(levels)].tolist(), d[len(levels):]
     spread = float(np.max(spread_vals) - np.min(spread_vals))
     if spread > 1e-6:
         raise ArithmeticError(f"displacement varies along a horosphere (spread {spread:.3e})")
     return DisplacementProfile(float(s), tuple(levels), tuple(vals), float(ambient_level), float(spread))
-
-
-def write_displacement_csv(path, profile: DisplacementProfile):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "displacement"])
-        for lev, d in zip(profile.levels, profile.displacements):
-            w.writerow([f"{lev:.12g}", f"{d:.12g}"])
-    return path

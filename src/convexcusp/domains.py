@@ -153,19 +153,6 @@ class ConvexDomain:
         plus, minus = self._ray_exit(np.concatenate([X, X]), np.concatenate([U, -U])).reshape(2, -1) / norms
         return -minus, plus
 
-    def chord_endpoints(self, x, v):
-        """Both intersections of the line x + R*v with the boundary.
-
-        Returns a pair (p_minus, p_plus); an ideal end is reported as
-        None.
-        """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        tm, tp = self.chord_taus(x, v[None, :])
-        p_minus = None if np.isinf(tm[0]) else x + tm[0] * v
-        p_plus = None if np.isinf(tp[0]) else x + tp[0] * v
-        return p_minus, p_plus
-
 
 class ParabolicDomain(ConvexDomain):
     """Epigraph of a convex boundary function over a planar base.
@@ -221,14 +208,6 @@ class ParabolicDomain(ConvexDomain):
         b2 = np.asarray(b2, dtype=float)
         psi = 0.5 if self.t == 0 else _psi(float(self.t) * b2)
         return 0.5 * np.asarray(b3, dtype=float) ** 2 + b2 ** 2 * psi
-
-    def boundary_value(self, x2, x3) -> float:
-        """Height of the boundary graph over a base point."""
-        b2 = np.asarray([x2], dtype=float)
-        b3 = np.asarray([x3], dtype=float)
-        if not self.base_contains_batch(b2, b3)[0]:
-            raise ValueError(f"base point ({x2}, {x3}) outside the domain base")
-        return float(self.boundary_value_batch(b2, b3)[0])
 
     def contains_batch(self, pts):
         pts = np.asarray(pts, dtype=float)

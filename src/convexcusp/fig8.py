@@ -63,12 +63,6 @@ def _float(x, t, name) -> float:
     return y
 
 
-def generators(t):
-    """The unipotent generator pair (meridian image, companion image) as
-    exact rational matrices."""
-    return word(t, "m"), word(t, "n")
-
-
 def _letters(t):
     """The generators and their inverses as (numerator, denominator) pairs,
     keyed m, n, M = m^-1 and N = n^-1.
@@ -177,20 +171,10 @@ def t_of_s(s) -> float:
     return t
 
 
-def strict_convexity_obstruction(s) -> bool:
-    """True when the structure cannot be strictly convex: the longitude
-    has two distinct positive eigenvalues after projective scaling.
-
-    Decided exactly for the rational parameter t(s) (binary floats are
-    rational), via the polynomial identity behind projective unipotency,
-    so the answer flips exactly at s = 0.
-    """
-    return obstruction_at_t(t_of_s(s))
-
-
 def obstruction_at_t(t) -> bool:
-    """Same test parameterized by t directly, decided exactly at the
-    rational value of t (binary floats are rational)."""
+    """True when the structure cannot be strictly convex: the longitude has two distinct positive
+    eigenvalues after projective scaling.  Decided exactly at the rational t (binary floats are
+    rational) by the identity behind projective unipotency: only t = 1/2 (s = 0) is unobstructed."""
     return not projlin.is_proj_unipotent(_word(t, LONGITUDE)[0])
 
 

@@ -4,9 +4,9 @@ Exact matrices carry ``fractions.Fraction`` entries inside object-dtype
 numpy arrays, so +, -, *, / never round.  Float matrices are plain IEEE
 float64 arrays, compared at the relative tolerances named below.
 ``minimal_polynomial`` is exact-only (float profiles: ``cusplie.minpoly_profile``).
-``mat_exp`` is the one cusp-algebra function; group lifts are not logged but
-read by ``cusplie.translation_line_form`` (g = e14 - v^2/2).  All functions are
-pure; nothing here mutates its arguments, so concurrent use is safe.
+``mat_exp`` is the one cusp-algebra function and ``cusp_cubic`` its shape test;
+group lifts are not logged but read by ``cusplie.translation_line_form`` (g =
+e14 - v^2/2).  All functions are pure; nothing here mutates its arguments.
 
 Matrices are interchanged with other tools as JSON objects
 ``{"regime": "exact"|"float", "rows": [[..4 entries..] x4]}`` where exact
@@ -38,9 +38,8 @@ PROJ_EQUAL_TOL = 1e-9
 #: (``real_spectrum``): a defective eigenvalue of multiplicity k splits
 #: into a cluster of radius about eps^(1/k)
 SPECTRUM_CLUSTER_TOL = 3e-4
-#: relative bound on X^3 (X - fI), f = tr X, against max(1, |X|)^4 for a float
-#: cusp-algebra element of ``mat_exp``; group lifts are not logged: the one core
-#: ``cusplie.translation_line_form`` reads g = e14 - v^2/2 of g - I instead
+#: relative tolerance of the float cusp cubic (``cusp_cubic``) and of the profile decisions
+#: on its powers: a power Z^j of the scaled element Z vanishes below CUSP_CUBIC_TOL |Z|^j
 CUSP_CUBIC_TOL = 1e-9
 
 
@@ -318,6 +317,22 @@ _EXP_SERIES = [Fraction(1, math.factorial(k)) for k in range(20)]
 _EXP_FLOATS = [float(c) for c in _EXP_SERIES]
 
 
+def cusp_cubic(X):
+    """(f, k, (Z, Z^2, Z^3), on_shape) with f = tr X and Z = X / 2^k: whether X^3 (X - fI) = 0, the
+    shape of every cusp-algebra element, exactly for exact X (k = 0); a float X is scaled exactly to
+    |Z| in [1, 2), so no power overflows or underflows, and held to ``CUSP_CUBIC_TOL`` |Z|^4."""
+    f = sum(X[i, i] for i in range(X.shape[0]))
+    if is_exact(X):
+        k, Z, fz, bound = 0, X, f, 0
+    else:
+        k = math.frexp(size := np.abs(X).max())[1] - 1
+        Z, fz = np.ldexp(X, -k), math.ldexp(f, -k)
+        bound = CUSP_CUBIC_TOL * math.ldexp(size, -k) ** 4
+    Z2 = Z @ Z
+    Z3 = Z2 @ Z
+    return f, k, (Z, Z2, Z3), np.abs(Z3 @ Z - fz * Z3).max() <= bound
+
+
 def mat_exp(X):
     """Exponential of a cusp-algebra element: X^3 (X - fI) = 0, f = tr X.
 
@@ -327,23 +342,15 @@ def mat_exp(X):
     cancel as f -> 0; otherwise I + N + N^2/2 + (e^f - 1) P with the
     eigenline projector P = X^3 / tr X^3 and N = X - fP.  Exact nilpotent
     input gives an exact result, other input float64.  Input off the shape
-    (beyond ``CUSP_CUBIC_TOL`` relative in floats) raises ValueError.
+    (``cusp_cubic``) raises ValueError.
     """
     n = X.shape[0]
-    f = sum(X[i, i] for i in range(n))
-    X2 = X @ X
-    X3 = X2 @ X
-    if is_exact(X):
-        off, bound = max_abs(X3 @ X - f * X3), 0
-    else:  # relative to M^4, M = max(1, |X|), on X/2^k, 2^k <= M < 2^(k+1): exact scaling, and X^4 cannot overflow
-        k = math.frexp(M := max(1.0, max_abs(X)))[1] - 1
-        Z3 = np.ldexp(X3, -3 * k)
-        off, bound = max_abs(Z3 @ np.ldexp(X, -k) - math.ldexp(f, -k) * Z3), CUSP_CUBIC_TOL * math.ldexp(M, -k) ** 4
-    if off > bound:
-        raise ValueError(f"matrix is off the cusp shape X^3 (X - fI) = 0 (residual {float(off):.3e})")
+    f, k, (_, X2, X3), on_shape = cusp_cubic(X)
+    if not on_shape:
+        raise ValueError("matrix is off the cusp shape X^3 (X - fI) = 0")
     exact = is_exact(X) and f == 0
     if not exact:
-        X, X2, X3, f = to_float(X), to_float(X2), to_float(X3), float(f)
+        X, X2, X3, f = to_float(X), np.ldexp(to_float(X2), 2 * k), np.ldexp(to_float(X3), 3 * k), float(f)
     series = _EXP_SERIES if exact else _EXP_FLOATS
     if abs(f) < 0.5:
         r = 0

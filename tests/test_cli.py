@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexcusp import claims, cli, cusplie, fig8, projlin as pl
+from convexcusp import claims, cli, cusplie, cuspvol, fig8, hilbert, projlin as pl
 from convexcusp.cusplie import LieAlgElem, group_exp
 
 
@@ -145,6 +145,33 @@ def test_cusp_volume(tmp_path):
     assert (tmp_path / "cusp_volume.svg").exists()
 
 
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_cusp_volume_needs_a_positive_node_count(tmp_path, capsys, nodes):
+    assert run(["cusp", "volume", "--s", "1.5", "--nodes", nodes, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"cusp volume needs --nodes >= 1, not {nodes}\n"
+
+
+@pytest.mark.parametrize("s", ["40", "2830"])
+def test_cusp_volume_at_large_s_integrates_the_shells(tmp_path, s):
+    # b = 383 at s = 40 and 9.3e154 at s = 2830, far beyond the shells'
+    # x3 <= sqrt(2 (X + u - k)): every estimate within 1e-3 of a 16 x 24
+    # node rule, every stderr nonzero, and no overflow on the way
+    assert run(["cusp", "volume", "--s", s, "--nodes", "128", "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "cusp_volume.csv", newline="")))
+    u, b = fig8.peripheral_lattice(Fraction(fig8.t_of_s(float(s))))
+    fd = cuspvol.CuspFundamentalDomain(floor=1.0, dilation=abs(u), translation=b)
+    fine = cuspvol.cusp_volume_table(fd, [10, 20, 40, 80], hilbert.QuadratureSpec(sphere_nodes=128, grid_shape=(16, 6, 24)))
+    assert len(rows) == len(fine) == 4
+    for row, ref in zip(rows, fine):
+        assert float(row["estimate"]) == pytest.approx(ref["estimate"], rel=1e-3) and float(row["stderr"]) > 0
+
+
+def test_a_float_fault_is_an_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cuspvol, "cusp_volume_table", lambda *args: np.array([1e308]) * 10)
+    assert run(["cusp", "volume", "--s", "1.5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: overflow encountered in multiply\n"
+
+
 #: the benchmark's cusp volume table (cutoff, estimate, stderr,
 #: increment_ratio), the dilation integrated out in closed form; a change
 #: that only speeds the density up must keep it.  The stderr is the
@@ -252,8 +279,9 @@ def test_cusp_commands_at_an_s_whose_t_leaves_the_floats(tmp_path, capsys, comma
 
 # at b = 2.2e153 (s = 2800) the translate's x1 is near 2.4e306: no overflow
 # warning, which pytest turns into an error, from group_exp's cubic test or
-# from the chord to the translate, which is tested before any solve
-@pytest.mark.parametrize("s", ["140", "700", "2800"])
+# from the chord to the translate, which is tested before any solve; at
+# b = 9.3e154 (s = 2830) b^2 overflows, and b is tested before group_exp
+@pytest.mark.parametrize("s", ["140", "700", "2800", "2830"])
 def test_cusp_displacement_beyond_float_resolution_names_b(tmp_path, capsys, s):
     # from s = 140 (b = 1.9e8) the translate of a level-1 point has x1 near
     # b^2/2, whose float spacing exceeds its height 0.5 above the ambient horoball

@@ -45,7 +45,7 @@ def test_alg_matrix_mirror_family():
 def test_family_is_abelian_and_linear():
     a = LieAlgElem("LPrime", (Fraction(1, 2), Fraction(1, 3)))
     b = LieAlgElem("LPrime", (Fraction(-2, 5), Fraction(2)))
-    s = a + b
+    s = LieAlgElem("LPrime", tuple(u + x for u, x in zip(a.params, b.params)))
     assert cl.alg_matrix(s).tolist() == (cl.alg_matrix(a) + cl.alg_matrix(b)).tolist()
     # translation subfamily exponentials are exact rational and commute exactly
     A = cl.group_exp(LieAlgElem("LPrime", (0, Fraction(1, 3))))
@@ -127,6 +127,35 @@ def test_profile_wrong_shape_in_both_regimes(entries):
             cl.minpoly_profile(M)
 
 
+@pytest.mark.parametrize("size", [1e80, 1e-160])
+def test_float_profile_of_a_generic_element_far_from_unit_size(size):
+    # unscaled, |X|^4 overflows at 1e80, and X^3 underflows at 1e-160, which
+    # reads the element as a pure dilation (n = 2)
+    p = cl.minpoly_profile(LieAlgElem("LPrime", (size, size)))
+    assert (p.n, p.f_value, p.kernel_flag) == (3, size, False)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e80])
+def test_exp_and_profile_make_one_shape_decision(scale):
+    # the float matrices of the off-shape cases above and of the mat_exp
+    # tests: both read X^3 (X - fI) = 0 from projlin.cusp_cubic, at every scale
+    cases = [{(0, 0): 1, (1, 1): 2, (2, 2): 3, (3, 3): 4}, {(1, 1): 5}, {(0, 1): 5}, {(0, 1): 1e-4, (2, 3): 1e-4}]
+    mats = [pl.float_matrix([[e.get((i, j), 0) for j in range(4)] for i in range(4)]) for e in cases]
+    mats += [np.random.default_rng(1).uniform(0.5, 1.0, (4, 4)), np.random.default_rng(0).normal(size=(4, 4))]
+    decisions = []
+    for M in mats:
+        off = []
+        for f in (pl.mat_exp, cl.minpoly_profile):
+            try:
+                f(scale * M)
+                off.append(False)
+            except (ValueError, OverflowError) as err:  # exp(5e80) overflows, on the shape
+                off.append("off the cusp shape" in str(err))
+        decisions.append(off)
+    assert all(a == b for a, b in decisions)
+    assert [a for a, _ in decisions] == [True, False, False, False, True, True]
+
+
 def _conjugated_element(family, G, size, ratio):
     """G x G^-1 for an element x of ``family``, rescaled to |X| = size
     (largest entry) and with f / |X| about ``ratio``; x is the element
@@ -145,12 +174,13 @@ def _conjugated_element(family, G, size, ratio):
 
 @pytest.mark.parametrize("family", cl.FAMILIES)
 def test_float_profiles_agree_with_exact_ones(family):
-    # conjugated elements with |X| from 1e-6 to 1e3, f / |X| from about 1
-    # down to 1e-6 and 0, and the pure dilations; the exact profile is
+    # conjugated elements with |X| from 1e-150 to 1e150, f / |X| from about
+    # 1 down to 1e-6 and 0, and the pure dilations; the exact profile is
     # the oracle
     rng = random.Random(11)
     classes, ratios = set(), []
-    for size in (Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1), Fraction(10**3)):
+    sizes = (Fraction(1, 10**150), Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1), Fraction(10**3), Fraction(10**150))
+    for size in sizes:
         for ratio in (Fraction(1), Fraction(1, 10**3), Fraction(1, 10**6), Fraction(0), None):
             for _ in range(3):
                 X = _conjugated_element(family, rand_rational_matrix(rng), size, ratio)
@@ -600,7 +630,7 @@ def test_cusp_shape_invariant_under_parameter_scaling():
     m = LieAlgElem("L0", (Fraction(1, 2), Fraction(1, 3)))
     l = LieAlgElem("L0", (Fraction(-1, 4), Fraction(2, 5)))
     s1 = cl.cusp_shape(m, l)
-    s2 = cl.cusp_shape(3 * m, 3 * l)
+    s2 = cl.cusp_shape(*(LieAlgElem("L0", tuple(3 * u for u in e.params)) for e in (m, l)))
     assert s1.omega == s2.omega
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convexcusp import cuspvol as cv, fig8, hilbert as hb
+from convexcusp import cli, cuspvol as cv, fig8, hilbert as hb
 from convexcusp.domains import DomainDPrime, VerticalShiftDomain, write_curve_svg
 import reference_oracles as ro
 
@@ -344,16 +344,17 @@ def test_fundamental_rectangle_tiles_base():
 
 def test_volume_csv_and_svg(tmp_path):
     rows = cv.cusp_volume_table(FD_REF, [10, 20], FAST_Q)
-    csv_path = cv.write_volume_table_csv(tmp_path / "vol.csv", rows)
+    columns = ("cutoff", "estimate", "stderr", "increment_ratio")
+    csv_path = cli._write_csv(tmp_path / "vol.csv", columns, ([r[c] for c in columns] for r in rows))
     lines = open(csv_path).read().splitlines()
     assert lines[0] == "cutoff,estimate,stderr,increment_ratio"
-    assert len(lines) == 3
+    assert len(lines) == 3 and lines[1] == f"10,{rows[0]['estimate']:.12g},{rows[0]['stderr']:.12g},nan"
     svg_path = write_curve_svg(tmp_path / "vol.svg", [r["cutoff"] for r in rows], [r["estimate"] for r in rows])
     assert open(svg_path).read().startswith("<svg")
 
 
 def test_displacement_csv(tmp_path):
     prof = cv.displacement_profile(S_REF, B_REF, [1, 2], ambient_level=0.5)
-    path = cv.write_displacement_csv(tmp_path / "d.csv", prof)
+    path = cli._write_csv(tmp_path / "d.csv", ("level", "displacement"), zip(prof.levels, prof.displacements))
     lines = open(path).read().splitlines()
     assert lines[0] == "level,displacement" and len(lines) == 3

@@ -19,21 +19,21 @@ from test_projlin import reference_is_proj_unipotent, reference_real_spectrum
 
 
 def test_generator_entries():
-    M, N = fig8.generators(Fraction(1, 2))
+    M, N = (fig8.word(Fraction(1, 2), c) for c in "mn")
     assert M[0, 3] == Fraction(-1, 2) and M[2, 3] == 1
     assert N[1, 0] == 4
-    _, N1 = fig8.generators(Fraction(1))
+    N1 = fig8.word(Fraction(1), "n")
     assert N1[1, 0] == 3
 
 
 def test_generators_reject_zero():
     with pytest.raises(ValueError):
-        fig8.generators(0)
+        fig8.word(0, "m")
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(-7, 3), Fraction(10 ** 12 + 39, 3 * 10 ** 12 + 7), 0.3])
 def test_generators_equal_the_closed_form(t):
-    for G, R in zip(fig8.generators(t), ro.reference_generators(t)):
+    for G, R in zip((fig8.word(t, c) for c in "mn"), ro.reference_generators(t)):
         assert_same_fractions(G, R)
 
 
@@ -41,7 +41,7 @@ def test_generators_unipotent():
     rng = random.Random(31)
     for _ in range(8):
         t = Fraction(rng.randint(1, 9), rng.randint(10, 19))
-        M, N = fig8.generators(t)
+        M, N = (fig8.word(t, c) for c in "mn")
         assert pl.real_spectrum(M) == [(1, 4)]
         assert pl.real_spectrum(N) == [(1, 4)]
 
@@ -184,7 +184,7 @@ def test_exact_spectra_go_through_the_traced_entry_points(monkeypatch):
 
 def test_longitude_commutes_with_meridian():
     for t in (Fraction(1, 3), Fraction(2, 5), Fraction(7, 9)):
-        M, _ = fig8.generators(t)
+        M = fig8.word(t, "m")
         L = fig8.longitude(t)
         assert pl.proj_equal(L @ M, M @ L)
 
@@ -397,13 +397,13 @@ def test_limit_cusp_shape():
 
 
 def test_obstruction_at_geometric_point():
-    assert not fig8.strict_convexity_obstruction(0.0)
+    assert not fig8.obstruction_at_t(fig8.t_of_s(0.0))
 
 
 def test_obstruction_off_geometric_point():
-    assert fig8.strict_convexity_obstruction(math.log(16))
-    assert fig8.strict_convexity_obstruction(-math.log(16))
-    assert fig8.strict_convexity_obstruction(1e-6)
+    assert fig8.obstruction_at_t(fig8.t_of_s(math.log(16)))
+    assert fig8.obstruction_at_t(fig8.t_of_s(-math.log(16)))
+    assert fig8.obstruction_at_t(fig8.t_of_s(1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def test_holonomy_params_type():
 
 def test_peripheral_pair_type():
     # the meridian and the companion generator do not commute: no pair
-    M, N = fig8.generators(Fraction(1, 3))
+    M, N = (fig8.word(Fraction(1, 3), c) for c in "mn")
     with pytest.raises(cl.HypothesesError, match="commute"):
         cl.normalize_pair(M, N)
 

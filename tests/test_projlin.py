@@ -39,7 +39,7 @@ def test_proj_equal_identity():
 
 
 def test_proj_equal_distinct_generators():
-    M, N = fig8.generators(Fraction(1, 2))
+    M, N = (fig8.word(Fraction(1, 2), c) for c in "mn")
     assert not pl.proj_equal(M, N)
 
 
