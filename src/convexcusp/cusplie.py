@@ -340,11 +340,11 @@ def chain_basis(P, X, scale=1.0):
     A float basis is degenerate relative to ``scale``, the size of X."""
     exact = is_exact(P) and is_exact(X)
     Q = identity(4, exact=exact) - P
-    X2Q = X @ X @ Q
+    X2Q = projlin.mat_product(X, X, Q)
     k = max(range(4), key=lambda j: projlin.max_abs(X2Q[:, j]))
-    w3 = X @ Q[:, k]
+    w3 = projlin.mat_product(X, Q[:, k])
     w2 = P[:, max(range(4), key=lambda j: projlin.max_abs(P[:, j]))]
-    T = np.column_stack([X @ w3, w2, w3, Q[:, k]])
+    T = np.column_stack([projlin.mat_product(X, w3), w2, w3, Q[:, k]])
     if abs(projlin.mat_det(T)) <= (0 if exact else 1e-14 * max(1.0, scale) ** 4):
         raise HypothesesError("Jordan basis construction degenerated")
     return T
@@ -395,8 +395,8 @@ def translation_line_form(gens, Y, X, group) -> LineForm:
     """
     exact = all(is_exact(M) for M in (*gens, Y, X))
     f = np.trace(Y)
-    for N0 in (X - np.trace(X) / f * Y, Y @ Y - f * Y):
-        N2 = N0 @ N0
+    for N0 in (X - np.trace(X) / f * Y, projlin.mat_product(Y, Y) - f * Y):
+        N2 = projlin.mat_product(N0, N0)
         p = max(np.ndindex(4, 4), key=lambda ij: abs(N2[ij]))
         size = 1.0 if exact else projlin.max_abs(N0)
         if abs(N2[p]) > (0 if exact else NORMALIZE_TOL * size ** 2):
@@ -406,10 +406,10 @@ def translation_line_form(gens, Y, X, group) -> LineForm:
     E = Y / f - (Y[p[0]] @ N0[:, p[1]]) / (f * N2[p]) * N0
     # E = P + e N0^2 with N0^2 = x y, y x = 0: E (I - e_q y/y_q) (I - x e_p/x_p) E
     # is P with the large e N0^2 dropped before the product, not squared
-    P = (E - np.outer(E[:, p[1]], N2[p[0]] / N2[p])) @ (E - np.outer(N2[:, p[1]] / N2[p], E[p[0]]))
+    P = projlin.mat_product(E - np.outer(E[:, p[1]], N2[p[0]] / N2[p]), E - np.outer(N2[:, p[1]] / N2[p], E[p[0]]))
     T = chain_basis(P, N0, size)
     Ti = mat_inv(T)
-    Zs = [Ti @ Z @ T for Z in gens]
+    Zs = [projlin.mat_product(Ti, Z, T) for Z in gens]
     (dA, vA, gA), (dB, vB, gB) = (_readout(Z, group) for Z in Zs)
     uA, uB = dA, dB
     if group:

@@ -65,25 +65,10 @@ def vt_map(t):
     """
     if t == 0:
         raise ValueError("coordinate change undefined at t = 0")
-    if isinstance(t, (int, Fraction)):
-        t = Fraction(t)
-        return projlin.exact_matrix(
-            [
-                [1 / t ** 2, 1 / t ** 2, 0, -1 / (t ** 2)],
-                [0, 1 / t, 0, -1 / t],
-                [0, 0, 1 / t, 0],
-                [0, 0, 0, 1],
-            ]
-        )
-    t = float(t)
-    return projlin.float_matrix(
-        [
-            [1 / t ** 2, 1 / t ** 2, 0, -1 / t ** 2],
-            [0, 1 / t, 0, -1 / t],
-            [0, 0, 1 / t, 0],
-            [0, 0, 0, 1],
-        ]
-    )
+    exact = isinstance(t, (int, Fraction))
+    t = Fraction(t) if exact else float(t)
+    rows = [[1 / t ** 2, 1 / t ** 2, 0, -1 / t ** 2], [0, 1 / t, 0, -1 / t], [0, 0, 1 / t, 0], [0, 0, 0, 1]]
+    return projlin.exact_matrix(rows) if exact else projlin.float_matrix(rows)
 
 
 class ConvexDomain:
@@ -150,7 +135,8 @@ class ConvexDomain:
                 raise ValueError("chord base point must be interior")
         X = x if run == 1 else np.repeat(x, run, axis=0)
         U = dirs / norms[:, None]
-        plus, minus = self._ray_exit(np.concatenate([X, X]), np.concatenate([U, -U])).reshape(2, -1) / norms
+        X, U = np.concatenate([X, X]), np.concatenate([U, -U])  # the halves go before the solve
+        plus, minus = self._ray_exit(X, U).reshape(2, -1) / norms
         return -minus, plus
 
 
@@ -236,26 +222,25 @@ class ParabolicDomain(ConvexDomain):
         is a ray whose start, or D0 root, is clipped to ``IDEAL_PROBE``
         and which is still inside there.  ``V`` need not be a unit vector.
         """
-        out = np.full(len(X), np.inf)
         t = float(self.t)
         Y, D = self._to_family(X, V)
         recede = (D[2] == 0) & ((D[1] == 0) & (D[0] > 0) if t == 0 else (t * D[1] >= 0) & (t * (t * D[0] - D[1]) >= 0))
         if recede.any():
-            rows = np.flatnonzero(~recede)
-            Y, D = [y[rows] for y in Y], [d[rows] for d in D]
-        else:
-            rows = np.arange(len(X))
+            Y, D = [y[~recede] for y in Y], [d[~recede] for d in D]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if t == 0:
                 (y1, y2, y3), (d1, d2, d3) = Y, D
-                ray = tau = _positive_root(y1 - 0.5 * (y2 * y2 + y3 * y3), d1 - (y2 * d2 + y3 * d3), 0.5 * (d2 * d2 + d3 * d3))
+                ray, tau = [], _positive_root(y1 - 0.5 * (y2 * y2 + y3 * y3), d1 - (y2 * d2 + y3 * d3), 0.5 * (d2 * d2 + d3 * d3))
             else:
-                ray, tau = _ray_start(t, Y, D)
+                ray, cap = _ray_rows(t, Y, D)
+                del Y, D  # freed before the start's temporaries are made
+                tau = _ray_start(t, ray, cap)
+            out, rows = np.full(len(X), np.inf), np.flatnonzero(~recede)
             live = tau < IDEAL_PROBE
             if not live.all():
                 far = np.flatnonzero(~live)
                 live[far] = ~self.contains_batch(X[rows[far]] + IDEAL_PROBE * V[rows[far]])
-                rows, tau, ray = rows[live], tau[live], ray[..., live]
+                rows, tau, ray = _compact(live, rows, tau, ray)
             if t == 0:
                 _check_finite(tau, V, rows)
                 out[rows] = np.fmin(tau, IDEAL_PROBE)
@@ -268,10 +253,19 @@ class ParabolicDomain(ConvexDomain):
                 _check_finite(step, V, rows)
                 keep = step > np.maximum(0.5 * CHORD_TOL, _four_ulp(tau))
                 tau = tau - np.maximum(step, 0.0)
+                del step  # freed before the next step's temporaries are made
                 if not keep.all():
                     out[rows] = tau
-                    rows, tau, ray = rows[keep], tau[keep], ray.compress(keep, axis=1)
+                    rows, tau, ray = _compact(keep, rows, tau, ray)
         raise UnboundedSearchError(V[rows[0]])
+
+
+def _compact(keep, rows, tau, ray):
+    """The rays that ``keep`` marks, by one index array; ``ray`` in place."""
+    idx = np.flatnonzero(keep)
+    for i, r in enumerate(ray):
+        ray[i] = r[idx]
+    return rows[idx], tau[idx], ray
 
 
 def _check_finite(a, V, rows):
@@ -290,15 +284,30 @@ def _four_ulp(tau):
     return (tau.view(np.int64) & _EXPONENT).view(np.float64) * 2.0 ** -50
 
 
-def _ray_start(t, Y, D):
-    """Coefficient rows of the rays Y + tau*D in the member t, and a
-    parameter at or beyond the exit of every non-ideal ray.
+def _ray_rows(t, Y, D):
+    """Coefficient rows of the rays Y + tau*D in the member t, a list of
+    1-D arrays, and the root under the tangent at w = 0 (``_ray_start``).
 
     The rows are p0, p1, pa, m0, sv of Q' = p0 + p1 tau - pa tau^2 and
     s - 1 = m0 + tau sv (s itself is rounded near 1, where the exits
     from points next to y2 = 0 need s - 1), and, for the series rows
     (none when |t| >= 1/2), q0, q1, a, y2, d2 of Q = q0 + q1 tau - a
-    tau^2 and w = y2 + tau d2.
+    tau^2 and w = y2 + tau d2.  The root comes first, while no row is held.
+    """
+    (y1, y2, y3), (d1, d2, d3) = Y, D
+    r3, a = y3 * d3, 0.5 * d3 * d3
+    q0, q1 = y1 - 0.5 * y3 * y3, d1 - r3
+    cap = _positive_root(q0, q1, a)
+    tt = t * t
+    # in p1 the w term goes before the quadratic one: in D_1, the image
+    # of DPrime, this recovers v1 from v1 + v2 even where v1 << v2
+    ray = [t * (t * q0 - y2), t * (t * d1 - d2) - tt * r3, tt * a, t * y2, t * d2]
+    return (ray + [q0, q1, a, y2, d2] if tt < 0.25 else ray), cap
+
+
+def _ray_start(t, ray, cap):
+    """A parameter at or beyond the exit of every non-ideal ray, from the
+    rows of ``_ray_rows`` (a list of 1-D arrays) and its root ``cap``.
 
     w^2 psi(t w) is convex in w, so it lies above its tangents at w = y2
     and at w = 0 (zero): g lies below two concave quadratics, and the
@@ -310,20 +319,11 @@ def _ray_start(t, Y, D):
     the second bound makes Q' > 1 and G applies, and to the ideal probe;
     both are outside.
     """
-    y1, y2, y3 = Y
-    d1, d2, d3 = D
-    r3, a = y3 * d3, 0.5 * d3 * d3
-    q0, q1 = y1 - 0.5 * y3 * y3, d1 - r3
-    tt = t * t
-    # in p1 the w term goes before the quadratic one: in D_1, the image
-    # of DPrime, this recovers v1 from v1 + v2 even where v1 << v2
-    ray = [t * (t * q0 - y2), t * (t * d1 - d2) - tt * r3, tt * a, t * y2, t * d2]
-    ray = np.array(ray + [q0, q1, a, y2, d2] if tt < 0.25 else ray)
     p0, p1, pa, m0, sv = ray[:5]
     s0 = 1.0 + m0
-    # the roots under both tangents, at w = y2 and at w = 0, in one call
-    tau, cap = _positive_root(*np.array([[p0 + np.log1p(m0), q0], [p1 + sv / s0, q1], [pa, a]]))
-    if tt < 0.25:
+    tau = _positive_root(p0 + np.log1p(m0), p1 + sv / s0, pa)
+    if len(ray) > 5:
+        q0, q1, a, y2, d2 = ray[5:]
         near = _series_rows(t, y2, d2, 0.0)
         if len(near):
             y, v, s, u = y2[near], d2[near], s0[near], sv[near]
@@ -333,7 +333,7 @@ def _ray_start(t, Y, D):
             tau[near] = np.where(u <= 0, r1, np.where(r2 <= 2.0 * r1, r2, _positive_root(c, b, a[near])))
     tau = np.fmin(tau, cap)
     tau = np.where(sv < 0, np.fmin(tau, -s0 / sv), tau)
-    return ray, np.fmin(tau, IDEAL_PROBE)
+    return np.fmin(tau, IDEAL_PROBE)
 
 
 def _series_rows(t, y2, d2, tau):
@@ -361,15 +361,16 @@ def _newton_step(t, ray, tau):
     With h = pa tau - p1, -Q' = tau h - p0 and -dQ'/dtau = h + pa tau;
     G' = sv + exp(-Q') dQ'/dtau, and the log branch's decrement is
     taken as s (Q' + log s)/(sv + s dQ'/dtau), so both share one
-    denominator."""
+    denominator.  ``ray`` is the list of 1-D rows of ``_ray_rows``, one
+    entry per live ray as in tau."""
     p0, p1, pa, m0, sv = ray[:5]
     m = m0 + tau * sv
     pt = pa * tau
-    h = pt - p1
-    minus_q = tau * h - p0
-    minus_dq = h + pt
+    minus_dq = pt - p1  # h, until -Q' is formed
+    minus_q = tau * minus_dq - p0
+    minus_dq += pt
     edge = (m < 0.0) & (minus_q < 50.0)
-    s = 1.0 + m
+    s = np.add(1.0, m, out=pt)  # in the buffer of pa tau
     if edge.any():
         e = np.expm1(minus_q)  # overflows only off the edge rows, where it is unused
         step = np.where(edge, m - e, s * (np.log1p(m) - minus_q)) / (sv - minus_dq * np.where(edge, 1.0 + e, s))
@@ -377,7 +378,7 @@ def _newton_step(t, ray, tau):
         step = s * (np.log1p(m) - minus_q) / (sv - minus_dq * s)
     near = _series_rows(t, ray[8], ray[9], tau) if len(ray) > 5 else ()
     if len(near):
-        q0, q1, a, y2, d2 = ray[5:, near]
+        q0, q1, a, y2, d2 = (r[near] for r in ray[5:])
         tn = tau[near]
         w = y2 + tn * d2
         at = a * tn
@@ -433,10 +434,10 @@ _PSI_SERIES = tuple(1.0 / (2.0 * j + 3.0) for j in range(9, -1, -1))
 
 def _psi(u):
     """psi(u) = (u - log1p(u)) / u^2, the boundary profile (psi(0) = 1/2),
-    from its series on the entries with |u| < 1/4."""
+    from its series on the entries with |u| < 1/4 (a 0-d u included)."""
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (u - np.log1p(u)) / (u * u)
+        out = np.asarray((u - np.log1p(u)) / (u * u))
     small = np.flatnonzero(np.abs(u) < _PSI_SERIES_BELOW)
     if len(small):
         out.flat[small] = _psi_series(u.flat[small])

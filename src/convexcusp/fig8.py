@@ -84,35 +84,22 @@ def _letters(t):
     return {c: (np.array(r, dtype=object), d) for c, r in rows.items()}
 
 
-def _product(*factors):
-    """Product of (numerator, denominator) pairs, left to right."""
-    num, den = factors[0]
-    for g, e in factors[1:]:
-        num, den = num @ g, den * e
-    return num, den
-
-
 def _word(t, letters):
     """The word as a (numerator, denominator) pair: the integer matrix
     and least denominator of ``integer_scaled`` of the word, by one gcd,
     since the reduced denominators of num / den have the lcm
     den / gcd(den, num)."""
     mats = _letters(t)
-    num, den = _product(*(mats[c] for c in letters))
+    num, den = projlin.integer_product(*(mats[c] for c in letters))
     g = math.gcd(den, *num.flat)
     return num // g, den // g
-
-
-def _fractions(num, den):
-    """The exact matrix num / den: one gcd per entry, taken once."""
-    return np.array([[Fraction(v, den) for v in row] for row in num], dtype=object)
 
 
 def word(t, letters):
     """The product of the generators named by ``letters`` (m, n and the
     inverses M, N), left to right, as an exact matrix: the product is
     taken in Python ints and reduced to Fractions at the end."""
-    return _fractions(*_word(t, letters))
+    return projlin.from_integer_scaled(*_word(t, letters))
 
 
 def relation_residual(t):
@@ -122,10 +109,10 @@ def relation_residual(t):
     is exactly zero.
     """
     mats = _letters(t)
-    W = _product(*(mats[c] for c in "nMNm"))
-    (lhs, den), (rhs, _) = _product(mats["m"], W), _product(W, mats["n"])
+    W = projlin.integer_product(*(mats[c] for c in "nMNm"))
+    (lhs, den), (rhs, _) = projlin.integer_product(mats["m"], W), projlin.integer_product(W, mats["n"])
     pos = max(np.ndindex(4, 4), key=lambda ij: abs(rhs[ij]))
-    return _fractions(lhs * rhs[pos] - lhs[pos] * rhs, den * rhs[pos])
+    return projlin.from_integer_scaled(lhs * rhs[pos] - lhs[pos] * rhs, den * rhs[pos])
 
 
 #: the longitude n m^-1 n^-1 m^2 n^-1 m^-1 n as ``word`` letters

@@ -15,10 +15,13 @@ quadrics (the ball, D0 and its horoballs) the norm is quadratic and
 diagonal in the frame, so the unit ball is the ellipsoid on the three
 frame radii and its volume a closed form.  On the other domains it is
 integrated with one line per orbit of that reflection and of -1 on the
-sphere quadrature (``line_quadrature``).  A batch is solved in chunks
-of points whose chord rows go through one ``chord_taus`` call each, and
-gives the same values bit for bit as one point at a time, whatever the
-chunking.  Each quadrature volume is also computed on a coarse sphere
+sphere quadrature (``line_quadrature``), whose node u has the direction
+sum_i u_i r_i f_i over the frame rows f_i and radii r_i: three broadcast
+multiply-adds, rounded as ``np.einsum("kni,kij->knj")`` rounds them
+(``_node_directions``).  A batch is solved in chunks of points whose
+chord rows go through one ``chord_taus`` call each, and gives the same
+values bit for bit as one point at a time, whatever the chunking.
+Each quadrature volume is also computed on a coarse sphere
 quadrature in the same solve: with ``check=True`` a coarse/fine
 disagreement at any point raises QuadratureError, with ``check=False``
 it never raises and the integrators record the worst relative gap
@@ -194,6 +197,12 @@ def _frame_radii(dom, X, frames):
     return radii
 
 
+def _node_directions(nodes, R, F):
+    """The rows of (nodes * R_k) @ F_k at the points k, as one (k n, 3) array."""
+    A, F = nodes * R[:, None, :], F[:, None]
+    return (A[..., :1] * F[..., 0, :] + A[..., 1:2] * F[..., 1, :] + A[..., 2:] * F[..., 2, :]).reshape(-1, 3)
+
+
 def _unit_ball_volumes(dom, X, q):
     """Fine and coarse unit-ball volumes at the rows of an (m,3) array,
     by the sphere quadrature.
@@ -221,8 +230,7 @@ def _unit_ball_volumes(dom, X, q):
     for a in range(0, len(X), step):
         P, R = X[a : a + step], radii[a : a + step]
         k = len(P)
-        dirs = np.einsum("kni,kij->knj", nodes[None, :, :] * R[:, None, :], frames[a : a + step]).reshape(k * n, 3)
-        norms = _finsler_norms(*dom.chord_taus(P, dirs, checked=True))
+        norms = _finsler_norms(*dom.chord_taus(P, _node_directions(nodes, R, frames[a : a + step]), checked=True))
         r3 = (1.0 / norms.reshape(k, n)) ** 3
         scale = np.prod(R, axis=1)
         fine[a : a + k] = scale * np.sum(W * r3[:, :n_fine], axis=1) / 3.0

@@ -86,6 +86,27 @@ def integer_scaled(M):
     return A.reshape(M.shape), d
 
 
+def from_integer_scaled(A, d):
+    """The exact matrix A / d, one gcd per entry."""
+    return np.array([Fraction(v, d) for v in A.flat], dtype=object).reshape(A.shape)
+
+
+def integer_product(*factors):
+    """Product of (numerator, denominator) pairs, left to right."""
+    num, den = factors[0]
+    for A, d in factors[1:]:
+        num, den = num @ A, den * d
+    return num, den
+
+
+def mat_product(*Ms):
+    """Ms[0] @ Ms[1] @ ..., left to right; exact factors as the integer
+    matrices of ``integer_scaled``, reduced to Fractions once at the end."""
+    if not all(map(is_exact, Ms)):
+        return integer_product(*((M, 1) for M in Ms))[0]
+    return from_integer_scaled(*integer_product(*map(integer_scaled, Ms)))
+
+
 def identity(n=4, exact=False):
     if not exact:
         return np.eye(n)

@@ -49,6 +49,18 @@ def test_boundary_values(d0, dprime):
     assert abs(_height(dprime, math.e, 2.0) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dom", [dm.DomainDt(1e-10), dm.DomainDt(0.2), dm.DomainD0()], ids=["Dt(1e-10)", "Dt(0.2)", "D0"])
+def test_boundary_value_of_a_0d_point_is_that_of_the_one_point_batch(dom):
+    # 0-d input takes the psi series as an array does: at t = 1e-10 the
+    # plain quotient read 0.12499991525 at (0.5, 0), 8.5e-8 off 1/8
+    for b2, b3 in ((0.5, 0.0), (-1.5, 0.3), (2.0, -1.0), (0.0, 0.0)):
+        value = dom.boundary_value_batch(b2, b3)
+        assert np.ndim(value) == 0
+        assert float(value) == _height(dom, b2, b3)
+    if dom.t == 1e-10:
+        assert abs(float(dom.boundary_value_batch(0.5, 0.0)) - 0.125) <= 1e-10
+
+
 def test_boundary_value_outside_base(dprime):
     assert not dprime.base_contains_batch(-1.0, 0.0)
 
@@ -400,7 +412,8 @@ def _probe_rule_exit(dom, X, V, tol):
             assert np.isfinite(tau).all()
             out[rows] = np.fmin(tau, dm.IDEAL_PROBE)
             return out
-        ray, tau = dm._ray_start(t, *dom._to_family(X[rows], V[rows]))
+        ray, cap = dm._ray_rows(t, *dom._to_family(X[rows], V[rows]))
+        tau = dm._ray_start(t, ray, cap)
         for _ in range(dm.NEWTON_MAX_STEPS):
             if not len(rows):
                 return out
@@ -408,7 +421,7 @@ def _probe_rule_exit(dom, X, V, tol):
             keep = step > np.maximum(0.5 * tol, dm._four_ulp(tau))
             tau = tau - np.maximum(step, 0.0)
             out[rows] = tau
-            rows, tau, ray = rows[keep], tau[keep], np.compress(keep, ray, axis=1)
+            rows, tau, ray = rows[keep], tau[keep], [r[keep] for r in ray]
     raise AssertionError("Newton iteration did not converge")
 
 

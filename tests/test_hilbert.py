@@ -595,6 +595,32 @@ def test_batched_density_independent_of_chunking(monkeypatch):
     assert gap_a.tolist() == gap_b.tolist()
 
 
+_FRAME_RNG = np.random.default_rng(8)
+NODE_DIRECTION_CASES = {
+    # Householder frames, the centre and points on two axes among them
+    "Ball": (BALL, np.vstack([_FRAME_RNG.uniform(-0.5, 0.5, (12, 3)), [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, -0.2, 0.0]]])),
+    # two off-diagonal frame entries, x2 and x3, zero at the last points
+    "D0": (DomainD0(), np.vstack([np.column_stack([_FRAME_RNG.uniform(3.0, 9.0, 12), _FRAME_RNG.uniform(-2.0, 2.0, (12, 2))]), [[1.0, 0.0, 0.0], [2.0, 0.0, 0.5]]])),
+    "DPrime": (DP, np.vstack([np.column_stack([_FRAME_RNG.uniform(2.0, 90.0, 12), _FRAME_RNG.uniform(0.5, 3.0, 12), _FRAME_RNG.uniform(-2.0, 2.0, 12)]), [[2.0, 1.0, 0.0]]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_DIRECTION_CASES))
+def test_node_directions_are_the_einsum_of_the_frames(name):
+    # the density's node directions are the floats of the einsum they
+    # replaced, bit for bit (signed zeros included), at the node sets of
+    # the golden table (128 and its coarse 32) and of the defaults
+    dom, X = NODE_DIRECTION_CASES[name]
+    frames = dom.quadrature_frames(X)
+    radii = hb._frame_radii(dom, X, frames)
+    for n in (128, 2312):
+        nodes = np.concatenate([hb.line_quadrature(n)[0], hb.line_quadrature(max(8, n // 4))[0]])
+        reference = np.einsum("kni,kij->knj", nodes[None, :, :] * radii[:, None, :], frames).reshape(-1, 3)
+        dirs = hb._node_directions(nodes, radii, frames)
+        assert dirs.shape == reference.shape
+        assert np.array_equal(dirs.view(np.int64), reference.view(np.int64))
+
+
 def test_batched_density_checks_every_point():
     # one near-boundary point spoils a batch of good ones under check=True;
     # unchecked, the same batch reports its gaps instead

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 import time
 from collections import Counter
@@ -401,6 +403,42 @@ def test_integer_scaled_is_least():
     A, d = pl.integer_scaled(M)
     assert d == 72 and all(type(v) is int for v in A.flat)
     assert all(Fraction(a, d) == v for a, v in zip(A.flat, M.flat))
+
+
+def _plain_product(*Ms):
+    return functools.reduce(operator.matmul, Ms)
+
+
+def test_mat_product_is_the_fraction_product(monkeypatch):
+    # the integer-scaled product is the Fraction product, exactly, with
+    # zero, negative and large-height entries, and a zero matrix
+    rng = random.Random(32)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(0)
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 30))
+
+    mats = [pl.exact_matrix([[entry() for _ in range(4)] for _ in range(4)]) for _ in range(24)]
+    mats.append(pl.zero_matrix(4, exact=True))
+    for A, B, C in zip(mats, mats[1:], mats[2:]):
+        for factors in ((A, B), (A, B, C), (A, C[:, 1]), (B, A, B[:, 0])):
+            product = pl.mat_product(*factors)
+            assert all(type(v) is Fraction for v in product.flat)
+            assert product.tolist() == _plain_product(*factors).tolist()
+    F = pl.to_float(mats[0])
+    assert pl.mat_product(F, F, F).tolist() == (F @ F @ F).tolist()
+    # rho_t's normal form is the same through either product
+    ts = (Fraction(1, 4), Fraction(29, 13), Fraction(1001, 3001))
+    reports = [fig8.normalization_consistency(t) for t in ts]
+    monkeypatch.setattr(pl, "mat_product", _plain_product)
+    for t, report in zip(ts, reports):
+        plain = fig8.normalization_consistency(t)
+        assert (report.q, report.dilation_f, report.meridian_b) == (plain.q, plain.dilation_f, plain.meridian_b)
+        assert [Z.tolist() for Z in report.sheared] == [Z.tolist() for Z in plain.sheared]
 
 
 def _conjugated(rng, block, diag):
