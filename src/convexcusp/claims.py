@@ -160,7 +160,7 @@ def _invariance_error(seed, pairs, ts, group_params):
 
 
 VOLUME = dict(t=Fraction(1, 4), floor=1.0, cutoffs=(10, 20, 40, 80), heights=(1e2, 1e3, 1e4),
-              q=hilbert.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5)))
+              q=hilbert.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5)))
 
 TABLE = (
     Claim("relation-exact", "the figure-eight group relation holds exactly",

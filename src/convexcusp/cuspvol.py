@@ -7,7 +7,8 @@ x3 -> x3 + b); the fundamental domain over the base rectangle
 volumes are tabulated here.  The D' density is rho(x1 + log x2, 1, x3)/x2,
 so the table integrates the dilation out in closed form and takes
 densities at x2 = 1 only, on Gauss-Legendre panels in the log of the
-level and in x3 (``dilation_nodes``).  The closed-form
+level and in x3 (``dilation_nodes``), summed by
+``hilbert.busemann_volume``.  The closed-form
 directional norms give the x1^(3/2) lower bound for unit-ball volumes,
 which controls the x1^(-1/2) tail of the volume table.
 
@@ -20,15 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cusplie import LieAlgElem, group_exp
 from .domains import DomainDPrime, UnboundedSearchError, VerticalShiftDomain
-from .hilbert import (
-    QuadratureSpec, Region, _leggauss, busemann_density, hilbert_distance_pairs, unit_ball_lebesgue,
-)
+from .hilbert import QuadratureSpec, busemann_volume, hilbert_distance_pairs, unit_ball_lebesgue
 from .projlin import apply_affine_batch
+
+#: Gauss-Legendre nodes and weights on [-1, 1], by rule size
+_leggauss = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,10 @@ class CuspFundamentalDomain:
     translation: float
 
     def __post_init__(self):
-        if self.floor <= 0:
-            raise ValueError("horoball floor must be positive")
-        if self.dilation < 0 or self.translation < 0:
-            raise ValueError("lattice parameters must be nonnegative")
+        if not 0 < self.floor < math.inf:
+            raise ValueError(f"horoball floor must be positive and finite, not {self.floor}")
+        if not (0 <= self.dilation < math.inf and 0 <= self.translation < math.inf):
+            raise ValueError(f"lattice parameters must be nonnegative and finite, not {self.dilation}, {self.translation}")
 
     @property
     def x2_range(self):
@@ -52,9 +55,6 @@ class CuspFundamentalDomain:
     @property
     def x3_range(self):
         return (0.0, self.translation)
-
-    def shell(self, lo, hi) -> Region:
-        return Region(DomainDPrime(), self.x2_range, self.x3_range, (lo, hi), floor_level=self.floor)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,10 @@ def proof_threshold(fd: CuspFundamentalDomain, grid=5) -> float:
     g3 = np.linspace(*fd.x3_range, grid)
     for exponent in range(0, 9):
         height = 10.0 ** exponent
-        norms = (direction_norms((height, x2, x3)) for x2 in g2 for x3 in g3)
+        try:
+            norms = [direction_norms((height, x2, x3)) for x2 in g2 for x3 in g3]
+        except ValueError:  # a grid point under the boundary fails the inequalities
+            continue
         if not any(
             (height / 2.0) * n.norm_e1 >= 1.0 or (math.sqrt(height) / (3.0 * math.sqrt(2.0))) * n.norm_e3 >= 1.0 or n.norm_e2 <= 0
             for n in norms
@@ -188,19 +191,15 @@ def dilation_nodes(fd: CuspFundamentalDomain, lo, hi, n_sigma, n3):
 
 def _dilation_volumes(fd, shells, q):
     """Fine and coarse dilation integrals (``dilation_nodes``) of every
-    shell from one unchecked density batch: per shell the fine volume, its
-    difference from the coarse one, the fine node count and the worst
-    sphere-quadrature gap over both rules' nodes."""
-    n1, _, n3 = q.grid_shape
-    rules = ((n1, n3), (max(2, n1 // 2), max(2, n3 // 2)))
-    nodes = [dilation_nodes(fd, lo, hi, *rule) for lo, hi in shells for rule in rules]
-    pts = np.concatenate([np.empty((0, 3)), *(p for p, _ in nodes)])
-    rho, gap = busemann_density(DomainDPrime(), pts, q, check=False, return_gap=True)
-    ends = np.cumsum([len(w) for _, w in nodes])[:-1]
-    vols = [math.fsum(w * r) for (_, w), r in zip(nodes, np.split(rho, ends))]
-    gaps = [float(np.max(g, initial=0.0)) for g in np.split(gap, ends[1::2])]
-    return [(fine, abs(fine - coarse), len(w), g)
-            for fine, coarse, (_, w), g in zip(vols[::2], vols[1::2], nodes[::2], gaps)]
+    shell from one ``busemann_volume`` call: per shell the fine volume,
+    its difference from the coarse one and the worst sphere-quadrature
+    gap of the two rules."""
+    n_sigma, n3 = q.grid_shape
+    shapes = ((n_sigma, n3), (max(2, n_sigma // 2), max(2, n3 // 2)))
+    rules = [dilation_nodes(fd, lo, hi, *shape) for lo, hi in shells for shape in shapes]
+    vols = busemann_volume(DomainDPrime(), rules, q)
+    return [(fine, abs(fine - coarse), max(fine_gap, coarse_gap))
+            for (fine, fine_gap), (coarse, coarse_gap) in zip(vols[::2], vols[1::2])]
 
 
 def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec):
@@ -210,11 +209,11 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec):
     integrated over disjoint shells so the table is increasing by
     construction, and the increment ratios expose the x1^(-1/2) tail.
     Each shell has the dilation integrated out in closed form
-    (``dilation_nodes``): n1 = ``q.grid_shape[0]`` nodes per sigma panel
-    and n3 = ``q.grid_shape[2]`` in x3, n2 unused; the coarse rule takes
-    half of each, and a shell's stderr is the fine/coarse difference,
-    which measures the sigma and x3 quadrature only.  The densities of
-    all shells and both rules come from one batch.  ``quad_gap`` is the
+    (``dilation_nodes``): (n_sigma, n3) = ``q.grid_shape`` nodes per
+    sigma panel and in x3; the coarse rule takes half of each, and a
+    shell's stderr is the fine/coarse difference, which measures the
+    sigma and x3 quadrature only.  The densities of all shells and both
+    rules come from one ``busemann_volume`` batch.  ``quad_gap`` is the
     worst sphere-quadrature gap over the shells up to each row's cutoff.
     """
     cutoffs = sorted(float(c) for c in cutoffs)
@@ -224,7 +223,7 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec):
     var = 0.0
     gap = 0.0
     prev_inc = None
-    for X, (inc, err, samples, shell_gap) in zip(cutoffs, _dilation_volumes(fd, shells, q)):
+    for X, (inc, err, shell_gap) in zip(cutoffs, _dilation_volumes(fd, shells, q)):
         total += inc
         var += err ** 2
         gap = max(gap, shell_gap)
@@ -236,7 +235,6 @@ def cusp_volume_table(fd: CuspFundamentalDomain, cutoffs, q: QuadratureSpec):
                 "stderr": math.sqrt(var),
                 "increment": inc,
                 "increment_ratio": ratio,
-                "samples": samples,
                 "quad_gap": gap,
             }
         )

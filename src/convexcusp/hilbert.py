@@ -4,8 +4,8 @@ The distance between interior points is the log of the cross ratio of
 the chord through them; the Finsler norm is its infinitesimal version;
 the Busemann density at a point is alpha_3 / (Lebesgue volume of the
 unit norm ball), where alpha_3 = pi/6 is the Lebesgue volume of the
-Euclidean ball of diameter 1.  Volumes of regions are integrals of the
-density on a Gauss-Legendre product grid.
+Euclidean ball of diameter 1.  A volume is the weighted sum of the
+density over the nodes of a quadrature rule (``busemann_volume``).
 
 ``unit_ball_lebesgue`` and ``busemann_density`` take one point (float
 result) or an (m,3) batch of points ((m,) array result).  Unit balls
@@ -24,8 +24,8 @@ values bit for bit as one point at a time, whatever the chunking.
 Each quadrature volume is also computed on a coarse sphere
 quadrature in the same solve: with ``check=True`` a coarse/fine
 disagreement at any point raises QuadratureError, with ``check=False``
-it never raises and the integrators record the worst relative gap
-instead (``VolumeEstimate.quad_gap``).  A closed-form volume has no
+it never raises and ``busemann_volume`` reports the worst relative gap
+over each rule's nodes instead.  A closed-form volume has no
 quadrature to check, and its gap is 0.
 """
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import ConvexDomain, ParabolicDomain, VerticalShiftDomain
+from .domains import ConvexDomain
 
 #: Lebesgue volume of the Euclidean ball of diameter 1 (normalising
 #: constant of the 3-dimensional Hausdorff measure used throughout)
@@ -51,28 +51,24 @@ class QuadratureError(ArithmeticError):
     """Raised when quadrature refinement fails to agree with itself."""
 
 
-class RegionError(ValueError):
-    """Raised for invalid or out-of-domain integration regions."""
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts of the numeric geometry.
 
     ``sphere_nodes`` is realised as a Gauss-Legendre x uniform product
     grid on the sphere with twice as many azimuthal as polar nodes, so
-    2312 becomes a 34 x 68 grid.  ``grid_shape`` is the (x1, x2, x3)
-    node count of the region grid (``busemann_volume``).  Chords are
-    solved to ``domains.CHORD_TOL``, and checked unit-ball volumes
-    agree with their coarse pass to ``QUADRATURE_RTOL``.
+    2312 becomes a 34 x 68 grid.  ``grid_shape`` is the (n_sigma, n3)
+    node count of the cusp volume table's rule (``cuspvol.dilation_nodes``).
+    Chords are solved to ``domains.CHORD_TOL``, and checked unit-ball
+    volumes agree with their coarse pass to ``QUADRATURE_RTOL``.
     """
 
     sphere_nodes: int = 2312
-    grid_shape: tuple = (8, 6, 6)
+    grid_shape: tuple = (8, 6)
 
     def __post_init__(self):
-        if self.sphere_nodes <= 0:
-            raise ValueError("node counts must be positive")
+        if len(self.grid_shape) != 2 or min(self.sphere_nodes, *self.grid_shape) < 1:
+            raise ValueError(f"node counts must be positive: {self.sphere_nodes}, (n_sigma, n3) = {self.grid_shape}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -309,91 +305,21 @@ def busemann_density(dom: ConvexDomain, x, q: QuadratureSpec = DEFAULT_QUADRATUR
 
 
 # ---------------------------------------------------------------------------
-# regions and volume integration
+# volume integration
 
 
-@dataclass(frozen=True)
-class Region:
-    """Box-with-floor region inside a convex domain.
+def busemann_volume(dom: ConvexDomain, rules, q: QuadratureSpec = DEFAULT_QUADRATURE):
+    """Busemann volumes of weighted node sets, one per rule of a list.
 
-    The region is the set of points with base coordinates in the given
-    rectangle, vertical coordinate in ``x1_range`` and, when
-    ``floor_level`` is set, inside the horoball above the horosphere at
-    that level (``horoball``).
+    A rule is a pair of points (m,3) and weights (m,), and its volume is
+    ``math.fsum`` of the weighted densities at its points.  The densities
+    of every rule come from one unchecked ``busemann_density`` batch.
+    Returns one pair per rule: the volume, and the worst relative
+    fine/coarse sphere-quadrature gap over that rule's points; an empty
+    rule gives (0.0, 0.0).
     """
-
-    domain: ConvexDomain
-    x2_range: tuple
-    x3_range: tuple
-    x1_range: tuple
-    floor_level: float | None = None
-
-    def is_empty(self) -> bool:
-        return any(hi <= lo for lo, hi in (self.x2_range, self.x3_range, self.x1_range))
-
-    def horoball(self) -> VerticalShiftDomain:
-        """The domain shifted up by the floor level."""
-        if not isinstance(self.domain, ParabolicDomain):
-            raise RegionError("floor levels require a parabolic domain")
-        return VerticalShiftDomain(self.domain, self.floor_level)
-
-
-@dataclass(frozen=True)
-class VolumeEstimate:
-    estimate: float
-    stderr: float
-    samples: int
-    #: worst relative gap |fine - coarse|/fine between the sphere
-    #: quadratures of the unit-ball volumes behind the estimate
-    quad_gap: float = 0.0
-
-
-def busemann_volume(region: Region, q: QuadratureSpec = DEFAULT_QUADRATURE) -> VolumeEstimate:
-    """Busemann volume of a region, with a standard-error estimate.
-
-    A Gauss-Legendre product grid of ``q.grid_shape`` nodes, adapted to
-    the floor; the stderr is the difference from a pass at half of each
-    node count.  Densities are taken unchecked, in one batched call per
-    pass, and the worst sphere-quadrature gap over all of their nodes is
-    recorded as ``quad_gap``.  A region that escapes its domain raises
-    RegionError.
-    """
-    if region.is_empty():
-        return VolumeEstimate(0.0, 0.0, 0)
-    fine, fine_gap = _volume_grid(region, q, q.grid_shape)
-    coarse, coarse_gap = _volume_grid(region, q, tuple(max(2, s // 2) for s in q.grid_shape))
-    return VolumeEstimate(fine, abs(fine - coarse), int(np.prod(q.grid_shape)), max(fine_gap, coarse_gap))
-
-
-#: Gauss-Legendre nodes and weights on [-1, 1], by rule size
-_leggauss = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
-#: math's exp, expm1 and log1p over arrays (numpy's differ in last bits)
-_exp, _expm1, _log1p = (lambda x, f=f: np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape) for f in (math.exp, math.expm1, math.log1p))
-
-
-def _volume_grid(region: Region, q: QuadratureSpec, shape):
-    """Grid estimate and worst quadrature gap over the grid's densities.
-    The vertical coordinate is log-stretched above the floor: the density
-    varies fastest just above it and decays polynomially above."""
-    n1, n2, n3 = shape
-
-    def to_interval(n, a, b):
-        nodes, weights = _leggauss(n)
-        return 0.5 * (b - a) * nodes + 0.5 * (a + b), 0.5 * (b - a) * weights
-
-    (g2, w2), (g3, w3) = to_interval(n2, *region.x2_range), to_interval(n3, *region.x3_range)
-    g2, g3, wb = np.repeat(g2, n3), np.tile(g3, n2), np.outer(w2, w3).ravel()
-    lo = np.full(n2 * n3, float(region.x1_range[0]))
-    if region.floor_level is not None:
-        lo = np.maximum(lo, region.horoball().boundary_value_batch(g2, g3))
-    base = np.flatnonzero(region.x1_range[1] > lo)
-    u, wu = to_interval(n1, 0.0, _log1p(region.x1_range[1] - lo[base])[:, None])
-    pts = np.column_stack([(lo[base, None] + _expm1(u)).ravel(), np.repeat(g2[base], n1), np.repeat(g3[base], n1)])
-    weights = (wb[base, None] * wu * _exp(u)).ravel()
-    if region.floor_level is None and not region.domain.contains_batch(pts).all():
-        raise RegionError("region extends outside its domain")
-    rho, gap = busemann_density(region.domain, pts, q, check=False, return_gap=True)
-    total = 0.0
-    for w, r in zip(weights, rho):
-        total += w * r
-    return total, float(np.max(gap, initial=0.0))
+    pts = np.concatenate([np.empty((0, 3)), *(p for p, _ in rules)])
+    rho, gap = busemann_density(dom, pts, q, check=False, return_gap=True)
+    ends = np.cumsum([len(w) for _, w in rules])[:-1]
+    return [(math.fsum(w * r), float(np.max(g, initial=0.0)))
+            for (_, w), r, g in zip(rules, np.split(rho, ends), np.split(gap, ends))]

@@ -88,7 +88,7 @@ def test_criterion_05_closed_form_norms():
 
 def test_criterion_06_volume_finiteness():
     volume = dict(t=T_REF, floor=1.0, cutoffs=(10, 20, 40, 80), heights=(1e2, 1e3, 1e4),
-                  q=hilbert.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5)))
+                  q=hilbert.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5)))
     low, high = measured("volume-tail-min", 0.5, **volume), measured("volume-tail-max", 0.9, **volume)
     assert 0.5 <= low and high <= 0.9, f"tail ratios from {low} to {high}"
     margin = measured("volume-lower-bound", 0, **volume)

@@ -160,7 +160,7 @@ def test_cusp_volume_at_large_s_integrates_the_shells(tmp_path, s):
     rows = list(csv.DictReader(open(tmp_path / "cusp_volume.csv", newline="")))
     u, b = fig8.peripheral_lattice(Fraction(fig8.t_of_s(float(s))))
     fd = cuspvol.CuspFundamentalDomain(floor=1.0, dilation=abs(u), translation=b)
-    fine = cuspvol.cusp_volume_table(fd, [10, 20, 40, 80], hilbert.QuadratureSpec(sphere_nodes=128, grid_shape=(16, 6, 24)))
+    fine = cuspvol.cusp_volume_table(fd, [10, 20, 40, 80], hilbert.QuadratureSpec(sphere_nodes=128, grid_shape=(16, 24)))
     assert len(rows) == len(fine) == 4
     for row, ref in zip(rows, fine):
         assert float(row["estimate"]) == pytest.approx(ref["estimate"], rel=1e-3) and float(row["stderr"]) > 0
@@ -231,6 +231,19 @@ def test_cusp_commands_with_an_empty_list_are_a_usage_error(tmp_path, capsys, co
     assert run(["cusp", command, "--s", "1.5", option, text, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"cusp {command} needs at least one {option} value\n"
+
+
+@pytest.mark.parametrize("command, option, text", [
+    ("volume", "--k", "nan"), ("volume", "--k", "inf"), ("volume", "--cutoffs", "nan"), ("volume", "--cutoffs", "10,inf"),
+    ("displacement", "--levels", "nan"), ("displacement", "--levels", "1,inf"), ("displacement", "--ambient-level", "nan"),
+])
+def test_cusp_commands_refuse_a_non_finite_option(tmp_path, capsys, command, option, text):
+    # a usage error that names the option, before any integration
+    with pytest.raises(SystemExit) as err:
+        run(["cusp", command, "--s", "1.5", option, text, "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: not a finite number: {text.split(',')[-1]!r}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cusp_displacement(tmp_path):

@@ -12,7 +12,7 @@ import reference_oracles as ro
 S_REF = math.log(16)
 B_REF = S_REF * ro.meridian_translation(S_REF)
 FD_REF = cv.CuspFundamentalDomain(floor=1.0, dilation=S_REF, translation=B_REF)
-FAST_Q = hb.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5, 5))
+FAST_Q = hb.QuadratureSpec(sphere_nodes=578, grid_shape=(6, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,19 @@ def test_proof_threshold_recorded():
     assert N in {10.0 ** k for k in range(0, 9)}
 
 
+def test_proof_threshold_at_a_wide_lattice():
+    # at b = 3 height 1 lies under the boundary at x3 = 3, where k2 = 4.5:
+    # the inequalities fail there, and the scan moves on to height 10
+    assert cv.proof_threshold(replace(FD_REF, translation=3.0)) == 10.0
+
+
+@pytest.mark.parametrize("field", ["floor", "dilation", "translation"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fundamental_domain_refuses_non_finite_parameters(field, value):
+    with pytest.raises(ValueError, match="and finite, not"):
+        replace(FD_REF, **{field: value})
+
+
 def test_lower_bound_requires_height():
     with pytest.raises(ValueError):
         cv.lower_bound_check((5.0, 1.0, 0.0), FAST_Q, threshold=10.0)
@@ -101,32 +114,21 @@ def test_volume_table_against_profile_reduction():
     dp = DomainDPrime()
     ks = np.geomspace(0.05, 25.0, 120)
     g = np.array([hb.busemann_density(dp, [kv, 1.0, 0.0], q, check=False) for kv in ks])
-    from numpy.polynomial.legendre import leggauss
 
     def reduced_shell(lo_x1, hi_x1, n2=40, n3=16, nu=60):
-        x2n, w2 = leggauss(n2)
-        x3n, w3 = leggauss(n3)
-        un, wu = leggauss(nu)
-        lo2, hi2 = FD_REF.x2_range
-        lo3, hi3 = FD_REF.x3_range
-        x2 = 0.5 * (hi2 - lo2) * x2n + 0.5 * (hi2 + lo2)
-        ww2 = 0.5 * (hi2 - lo2) * w2
-        x3 = 0.5 * (hi3 - lo3) * x3n + 0.5 * (hi3 + lo3)
-        ww3 = 0.5 * (hi3 - lo3) * w3
         total = 0.0
-        for a2, wa2 in zip(x2, ww2):
-            for a3, wa3 in zip(x3, ww3):
+        for a2, wa2 in zip(*ro.gauss_legendre(n2, *FD_REF.x2_range)):
+            for a3, wa3 in zip(*ro.gauss_legendre(n3, *FD_REF.x3_range)):
                 F = 0.5 * a3 ** 2 - math.log(a2)
                 lo = max(lo_x1, F + FD_REF.floor) - F
                 hi = hi_x1 - F
                 if hi <= lo:
                     continue
-                u = 0.5 * (hi - lo) * un + 0.5 * (hi + lo)
-                ww = 0.5 * (hi - lo) * wu
+                u, ww = ro.gauss_legendre(nu, lo, hi)
                 total += wa2 * wa3 * float(np.sum(ww * np.interp(u, ks, g))) / a2
         return total
 
-    rows = cv.cusp_volume_table(FD_REF, [10.0, 20.0], hb.QuadratureSpec(sphere_nodes=578, grid_shape=(10, 8, 8)))
+    rows = cv.cusp_volume_table(FD_REF, [10.0, 20.0], hb.QuadratureSpec(sphere_nodes=578, grid_shape=(10, 8)))
     oracle_10 = reduced_shell(0.0, 10.0)
     oracle_20 = oracle_10 + reduced_shell(10.0, 20.0)
     # measured 9.2e-4 below the oracle at both rows
@@ -151,61 +153,34 @@ def test_volume_tail_bound_consistency():
 
 def test_volume_comparison_inequality():
     # the same set measured inside a strictly larger ambient domain is smaller
-    region = FD_REF.shell(2.0, 6.0)
-    inner = hb.busemann_volume(region, FAST_Q).estimate
+    region = ro.shell(FD_REF, 2.0, 6.0)
+    inner = ro.grid_volume(region, FAST_Q, (6, 5, 5)).estimate
     bigger = VerticalShiftDomain(DomainDPrime(), -0.5)
-    region_big = hb.Region(bigger, region.x2_range, region.x3_range, region.x1_range, floor_level=None)
-    outer = hb.busemann_volume(region_big, FAST_Q).estimate
+    region_big = ro.Region(bigger, region.x2_range, region.x3_range, region.x1_range, floor_level=None)
+    outer = ro.grid_volume(region_big, FAST_Q, (6, 5, 5)).estimate
     assert outer < inner
 
 
 # ---------------------------------------------------------------------------
-# batched integrators against a point-by-point reference
+# the weighted-node sum and the worst sphere-quadrature gap
 
 
-def _scalar_density_and_gap(dom, pt, q):
-    fine = hb.unit_ball_lebesgue(dom, pt, q, check=False)
-    coarse = hb.unit_ball_lebesgue(dom, pt, replace(q, sphere_nodes=q.sphere_nodes // 4), check=False)
-    return hb.busemann_density(dom, pt, q, check=False), abs(fine - coarse) / fine
-
-
-def _reference_grid(region, q, shape):
-    # the grid integrator written out one density at a time
-    n1, n2, n3 = shape
-    x1n, w1 = np.polynomial.legendre.leggauss(n1)
-    x2n, w2 = np.polynomial.legendre.leggauss(n2)
-    x3n, w3 = np.polynomial.legendre.leggauss(n3)
-    (a2, b2), (a3, b3) = region.x2_range, region.x3_range
-    dom = region.domain
-    total, gap = 0.0, 0.0
-    for y2, v2 in zip(0.5 * (b2 - a2) * x2n + 0.5 * (a2 + b2), 0.5 * (b2 - a2) * w2):
-        for y3, v3 in zip(0.5 * (b3 - a3) * x3n + 0.5 * (a3 + b3), 0.5 * (b3 - a3) * w3):
-            h = float(dom.boundary_value_batch(np.array([y2]), np.array([y3]))[0])
-            lo = max(region.x1_range[0], h + region.floor_level)
-            hi = region.x1_range[1]
-            if hi <= lo:
-                continue
-            top = math.log1p(hi - lo)
-            for u, vu in zip(0.5 * top * x1n + 0.5 * top, 0.5 * top * w1):
-                rho, g = _scalar_density_and_gap(dom, np.array([lo + math.expm1(u), y2, y3]), q)
-                total += v2 * v3 * vu * math.exp(u) * rho
-                gap = max(gap, g)
-    return total, gap
-
-
-def test_grid_volume_matches_scalar_reference():
-    region = FD_REF.shell(2.0, 6.0)
-    est = hb.busemann_volume(region, FAST_Q)
-    fine, fine_gap = _reference_grid(region, FAST_Q, FAST_Q.grid_shape)
-    coarse, coarse_gap = _reference_grid(region, FAST_Q, tuple(max(2, s // 2) for s in FAST_Q.grid_shape))
-    assert est.estimate == fine
-    assert est.stderr == abs(fine - coarse)
-    assert est.quad_gap == max(fine_gap, coarse_gap) > 0.0
+def test_busemann_volume_sums_each_rule_from_one_batch():
+    # each rule's volume and gap bit-equal to those of its own densities;
+    # an empty rule gives (0.0, 0.0)
+    q, dp, empty = hb.QuadratureSpec(sphere_nodes=128), DomainDPrime(), (np.empty((0, 3)), np.empty(0))
+    rules = [cv.dilation_nodes(FD_REF, 0.0, 4.0, 4, 3), empty, cv.dilation_nodes(FD_REF, 4.0, 8.0, 2, 2)]
+    vols = hb.busemann_volume(dp, rules, q)
+    for (vol, gap), (pts, w) in zip(vols, rules, strict=True):
+        rho, gaps = hb.busemann_density(dp, pts, q, check=False, return_gap=True)
+        assert (vol, gap) == (math.fsum(w * rho), float(np.max(gaps, initial=0.0)))
+    assert vols[1] == (0.0, 0.0) and vols[0][1] != vols[2][1]
+    assert hb.busemann_volume(dp, [empty], q) == [(0.0, 0.0)] and hb.busemann_volume(dp, [], q) == []
 
 
 def test_volume_table_reports_worst_quad_gap():
     # the worst gap over the table's own nodes: both rules of every shell
-    q = replace(FAST_Q, sphere_nodes=128, grid_shape=(4, 3, 3))
+    q = replace(FAST_Q, sphere_nodes=128, grid_shape=(4, 3))
     rows = cv.cusp_volume_table(FD_REF, [4.0, 8.0], q)
     shell_gaps = []
     for lo, hi in ((0.0, 4.0), (4.0, 8.0)):
@@ -263,14 +238,14 @@ def test_dilation_nodes_of_empty_shells():
 @pytest.mark.parametrize("s", [S_REF, -0.7])
 @pytest.mark.parametrize("floor", [1.0, 2.0])
 def test_volume_table_within_the_grid_integrators_stderr(s, floor):
-    # each shell of the table against the 3-D grid of busemann_volume on the
-    # same sphere quadrature, within that grid's own stderr
+    # each shell of the table against the 3-D grid oracle on the same
+    # sphere quadrature, within that grid's own stderr
     u, b = fig8.peripheral_lattice(Fraction(fig8.t_of_s(s)))
     fd = cv.CuspFundamentalDomain(floor=floor, dilation=abs(u), translation=b)
     q = hb.QuadratureSpec(sphere_nodes=128)
     rows = cv.cusp_volume_table(fd, [10, 20, 40, 80], q)
     for lo, row in zip([0.0, 10.0, 20.0, 40.0], rows):
-        grid = hb.busemann_volume(fd.shell(lo, row["cutoff"]), q)
+        grid = ro.grid_volume(ro.shell(fd, lo, row["cutoff"]), q, (8, 6, 6))
         assert abs(row["increment"] - grid.estimate) <= grid.stderr
         assert row["stderr"] < grid.stderr
 

@@ -11,6 +11,7 @@ import reference_oracles as ro
 BALL = BallDomain()
 DP = DomainDPrime()
 FAST_Q = hb.QuadratureSpec(sphere_nodes=578)
+GRID_Q = hb.QuadratureSpec(sphere_nodes=288)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +391,12 @@ def test_ball_box_volume_against_closed_form():
     # integrate the closed-form density over a box and compare the grid
     # and the Monte Carlo oracle against it
     lo, hi = -0.2, 0.25
-    region = hb.Region(BALL, (lo, hi), (lo, hi), (lo, hi))
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    g = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * weights
-    expected = 0.0
-    for x, wx in [(a, b) for a, b in zip(g, w)]:
-        for y, wy in [(a, b) for a, b in zip(g, w)]:
-            r2 = x * x + y * y + g * g
-            expected += wx * wy * float(np.sum(w * (1 - r2) ** -2))
-    q = hb.QuadratureSpec(sphere_nodes=578, grid_shape=(4, 4, 4))
-    grid = hb.busemann_volume(region, q)
+    region = ro.Region(BALL, (lo, hi), (lo, hi), (lo, hi))
+    g, w = ro.gauss_legendre(12, lo, hi)
+    X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
+    expected = float(np.einsum("i,j,k,ijk->", w, w, w, (1 - X * X - Y * Y - Z * Z) ** -2))
+    q = hb.QuadratureSpec(sphere_nodes=578)
+    grid = ro.grid_volume(region, q, (4, 4, 4))
     assert grid.estimate == pytest.approx(expected, rel=2e-3)
     mc = ro.mc_volume(region, q, samples=4000, seed=3)
     assert abs(mc.estimate - expected) <= 4 * mc.stderr
@@ -421,8 +417,10 @@ def test_density_conjugation_covariance(t):
 
 
 def test_quadrature_convergence_guard():
-    with pytest.raises(ValueError):
-        hb.QuadratureSpec(sphere_nodes=0)
+    # a count below 1 is the spec's own ValueError, not numpy's from inside the table
+    for spec in (dict(sphere_nodes=0), dict(grid_shape=(0, 6)), dict(grid_shape=(8, 0)), dict(grid_shape=(8, 6, 6))):
+        with pytest.raises(ValueError, match="^node counts must be positive"):
+            hb.QuadratureSpec(**spec)
     with pytest.raises(ValueError):
         hb.unit_ball_lebesgue(DP, [-5, 1, 0], FAST_Q)
     # very close to the boundary the tangent ball is too anisotropic for
@@ -688,37 +686,35 @@ def test_density_tests_each_point_once_per_solve(name, q):
 
 
 # ---------------------------------------------------------------------------
-# region volume
+# region volume: the grid oracle
 
 
 def region_box(domain, x1, x2, x3, w=0.25):
-    return hb.Region(domain, (x2 - w, x2 + w), (x3 - w, x3 + w), (x1 - w, x1 + w))
+    return ro.Region(domain, (x2 - w, x2 + w), (x3 - w, x3 + w), (x1 - w, x1 + w))
 
 
 def test_empty_region_volume():
-    region = hb.Region(DP, (1, 1), (0, 1), (0, 5), floor_level=1.0)
-    est = hb.busemann_volume(region, FAST_Q)
+    region = ro.Region(DP, (1, 1), (0, 1), (0, 5), floor_level=1.0)
+    est = ro.grid_volume(region, FAST_Q, (8, 6, 6))
     assert est.estimate == 0.0 and est.stderr == 0.0
 
 
 def test_volume_outside_domain_rejected():
-    region = hb.Region(DP, (-1.0, 1.0), (0, 1), (0, 5))
-    with pytest.raises(hb.RegionError):
-        hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288))
+    region = ro.Region(DP, (-1.0, 1.0), (0, 1), (0, 5))
+    with pytest.raises(ro.RegionError):
+        ro.grid_volume(region, GRID_Q, (8, 6, 6))
 
 
 def test_volume_grid_matches_mc():
     region = region_box(DP, 2.0, 1.0, 0.0)
-    q = hb.QuadratureSpec(sphere_nodes=288, grid_shape=(4, 4, 4))
-    grid = hb.busemann_volume(region, q)
-    mc = ro.mc_volume(region, q, samples=4000, seed=5)
+    grid = ro.grid_volume(region, GRID_Q, (4, 4, 4))
+    mc = ro.mc_volume(region, GRID_Q, samples=4000, seed=5)
     assert abs(grid.estimate - mc.estimate) <= 4 * mc.stderr + 1e-9
 
 
 def test_volume_monotone_in_cutoff():
-    q = hb.QuadratureSpec(sphere_nodes=288, grid_shape=(4, 3, 3))
-    region = lambda X: hb.Region(DP, (1.0, 2.0), (0.0, 0.5), (0.0, X), floor_level=0.5)
-    vols = [hb.busemann_volume(region(X), q).estimate for X in (5.0, 10.0, 20.0, 40.0)]
+    region = lambda X: ro.Region(DP, (1.0, 2.0), (0.0, 0.5), (0.0, X), floor_level=0.5)
+    vols = [ro.grid_volume(region(X), GRID_Q, (4, 3, 3)).estimate for X in (5.0, 10.0, 20.0, 40.0)]
     assert all(b > a for a, b in zip(vols, vols[1:]))
     increments = [b - a for a, b in zip(vols, vols[1:])]
     assert all(b < a for a, b in zip(increments, increments[1:]))
@@ -726,11 +722,10 @@ def test_volume_monotone_in_cutoff():
 
 def test_volume_nested_domain_comparison():
     region = region_box(DP, 2.0, 1.0, 0.0)
-    q = hb.QuadratureSpec(sphere_nodes=288, grid_shape=(4, 4, 4))
-    inner = hb.busemann_volume(region, q).estimate
+    inner = ro.grid_volume(region, GRID_Q, (4, 4, 4)).estimate
     bigger_dom = VerticalShiftDomain(DP, -0.75)
-    region_big = hb.Region(bigger_dom, region.x2_range, region.x3_range, region.x1_range)
-    outer = hb.busemann_volume(region_big, q).estimate
+    region_big = ro.Region(bigger_dom, region.x2_range, region.x3_range, region.x1_range)
+    outer = ro.grid_volume(region_big, GRID_Q, (4, 4, 4)).estimate
     assert outer < inner
 
 
@@ -739,41 +734,41 @@ def test_volume_nested_domain_comparison():
 
 
 def test_oracle_degenerate_region():
-    region = hb.Region(BALL, (0, 0), (0, 0), (0, 0))
+    region = ro.Region(BALL, (0, 0), (0, 0), (0, 0))
     assert ro.hausdorff_oracle(BALL, region, 0.05) == 0.0
 
 
 def test_oracle_matches_volume_at_ball_center():
-    region = hb.Region(BALL, (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1))
+    region = ro.Region(BALL, (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1))
     est = ro.hausdorff_oracle(BALL, region, 0.2)
-    vol = hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288, grid_shape=(3, 3, 3)))
+    vol = ro.grid_volume(region, GRID_Q, (3, 3, 3))
     assert abs(est - vol.estimate) <= 0.10 * vol.estimate
 
 
 def test_oracle_matches_volume_in_log_domain():
-    region = hb.Region(DP, (0.9, 1.1), (-0.1, 0.1), (1.9, 2.1))
+    region = ro.Region(DP, (0.9, 1.1), (-0.1, 0.1), (1.9, 2.1))
     est = ro.hausdorff_oracle(DP, region, 0.1)
-    vol = hb.busemann_volume(region, hb.QuadratureSpec(sphere_nodes=288, grid_shape=(3, 3, 3)))
+    vol = ro.grid_volume(region, GRID_Q, (3, 3, 3))
     assert abs(est - vol.estimate) <= 0.10 * vol.estimate
 
 
 def test_oracle_refinement_stability():
-    region = hb.Region(BALL, (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1))
+    region = ro.Region(BALL, (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1))
     a = ro.hausdorff_oracle(BALL, region, 0.2)
     b = ro.hausdorff_oracle(BALL, region, 0.1)
     assert abs(a - b) <= 0.05 * max(a, b)
 
 
 def test_oracle_refuses_large_region():
-    region = hb.Region(BALL, (-0.8, 0.8), (-0.8, 0.8), (-0.8, 0.8))
-    with pytest.raises(hb.RegionError):
+    region = ro.Region(BALL, (-0.8, 0.8), (-0.8, 0.8), (-0.8, 0.8))
+    with pytest.raises(ro.RegionError):
         ro.hausdorff_oracle(BALL, region, 0.2)
 
 
 def test_oracle_raw_cover_sum_overestimates():
     # the plain cube-cover sum carries the cube/ball shape constant and
     # must exceed the corrected value
-    region = hb.Region(BALL, (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1))
+    region = ro.Region(BALL, (-0.1, 0.1), (-0.1, 0.1), (-0.1, 0.1))
     details = ro.hausdorff_oracle(BALL, region, 0.2, details=True)
     assert details.raw_cover_sum > 1.5 * details.value
 
