@@ -12,8 +12,9 @@ A float overflow, invalid operation or division by zero is an error (exit 1).
 ``fig8 verify --t`` and ``fig8 sweep --t-min``/``--t-max`` read "p/q",
 integers and decimals exactly (0.3 is 3/10, 1e-3 is 1/1000); every other
 numeric option is a float or an integer, finite in the cusp commands' --k,
---cutoffs, --levels and --ambient-level.  The cusp commands integrate
-rho_t's lattice ``fig8.peripheral_lattice(t(s))``; the manifest records it.
+--cutoffs, --levels, --ambient-level and in ``domain export``'s floats.  The
+cusp commands integrate rho_t's lattice ``fig8.peripheral_lattice(t(s))``,
+which the manifest records.
 """
 
 from __future__ import annotations
@@ -191,9 +192,15 @@ def cmd_lattice_normalize(args) -> int:
     if not isinstance(payload, dict) or not {"A", "B"} <= payload.keys():
         print(f"error: {args.infile} does not hold both generators A and B", file=sys.stderr)
         return 2
-    A, B = (projlin.matrix_from_json(payload[k]) for k in ("A", "B"))
+    gens = []
+    for k in ("A", "B"):
+        try:
+            gens.append(projlin.matrix_from_json(payload[k]))
+        except ValueError as err:
+            print(f"error: {args.infile}: generator {k}: {err}", file=sys.stderr)
+            return 2
     try:
-        res = cusplie.normalize_pair(A, B)
+        res = cusplie.normalize_pair(*gens)
     except ValueError as err:
         print(f"normalization failed: {err}", file=sys.stderr)
         return 1
@@ -205,6 +212,9 @@ def cmd_lattice_normalize(args) -> int:
 
 
 def cmd_domain_export(args) -> int:
+    if args.grid < 2:
+        print(f"domain export needs --grid >= 2, not {args.grid}", file=sys.stderr)
+        return 2
     outdir = _out_dir(args)
     desc = {"family": args.family}
     if args.family == "Dt":
@@ -294,15 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     dom_sub = dom_p.add_subparsers(dest="subcommand", required=True)
     de = dom_sub.add_parser("export", help="boundary/horosphere mesh (OBJ) and slice (SVG)")
     de.add_argument("--family", choices=("D0", "DPrime", "Dt"), required=True)
-    de.add_argument("--t", type=float)
-    de.add_argument("--level", type=float, default=0.0)
+    de.add_argument("--t", type=_finite_float)
+    de.add_argument("--level", type=_finite_float, default=0.0)
     de.add_argument("--obj")
     de.add_argument("--svg")
-    de.add_argument("--x3", type=float, default=0.0)
-    de.add_argument("--x2-min", type=float, default=0.5)
-    de.add_argument("--x2-max", type=float, default=4.0)
-    de.add_argument("--x3-min", type=float, default=-2.0)
-    de.add_argument("--x3-max", type=float, default=2.0)
+    de.add_argument("--x3", type=_finite_float, default=0.0)
+    de.add_argument("--x2-min", type=_finite_float, default=0.5)
+    de.add_argument("--x2-max", type=_finite_float, default=4.0)
+    de.add_argument("--x3-min", type=_finite_float, default=-2.0)
+    de.add_argument("--x3-max", type=_finite_float, default=2.0)
     de.add_argument("--grid", type=int, default=32)
     de.add_argument("--out")
     de.set_defaults(func=cmd_domain_export)

@@ -15,11 +15,11 @@ element (``chain_basis``), a shear and a scale, deciding the sign of LPrime
 or LPrimeMinus.  It reads algebra elements, and g - I of canonical group
 lifts with g = e14 - v^2/2 where the log has its top-right entry.
 ``normalize_algebra_pair`` scans small integer combinations for the generic
-element, and carries exact input over Q or a quadratic extension, so the
-residual is exactly zero.  ``normalize_pair`` rescales group lifts to
-triple eigenvalue 1 (``proj_normalize_lift``), reads them directly and
-bounds each u by the float resolution of d, and ``fig8`` reads the
-peripheral pair of rho_t in Fractions.
+element; exact input stays exact, residual exactly zero, when the final
+scale r = sqrt(r2) is rational, and is rounded once into floats if not.
+``normalize_pair`` rescales group lifts to triple eigenvalue 1
+(``proj_normalize_lift``), reads them directly and bounds each u by the
+float resolution of d, and ``fig8`` reads the peripheral pair of rho_t.
 """
 
 from __future__ import annotations
@@ -171,90 +171,6 @@ def minpoly_profile(x) -> MinPolyProfile:
 
 
 # ---------------------------------------------------------------------------
-# quadratic extension arithmetic for the exact final rescaling
-
-
-class _QuadExt:
-    """Exact arithmetic in Q(sqrt(d)) for a fixed positive rational d."""
-
-    __slots__ = ("p", "q", "d")
-
-    def __init__(self, p, q, d):
-        self.p = Fraction(p)
-        self.q = Fraction(q)
-        self.d = Fraction(d)
-
-    def _coerce(self, other):
-        if isinstance(other, _QuadExt):
-            if other.d != self.d:
-                raise ValueError("mixed quadratic extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _QuadExt(other, 0, self.d)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _QuadExt(self.p + o.p, self.q + o.q, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _QuadExt(-self.p, -self.q, self.d)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _QuadExt(self.p - o.p, self.q - o.q, self.d)
-
-    def __rsub__(self, other):
-        return -self.__sub__(other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _QuadExt(self.p * o.p + self.d * self.q * o.q, self.p * o.q + self.q * o.p, self.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        den = o.p * o.p - self.d * o.q * o.q
-        if den == 0:
-            raise ZeroDivisionError("division by zero in quadratic extension")
-        num = self * _QuadExt(o.p, -o.q, self.d)
-        return _QuadExt(num.p / den, num.q / den, self.d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o.__truediv__(self)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.p == o.p and self.q == o.q
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.d))
-
-    def __abs__(self):
-        return abs(float(self))
-
-    def __float__(self):
-        return float(self.p) + float(self.q) * math.sqrt(float(self.d))
-
-    def __repr__(self):
-        return f"({self.p} + {self.q}*sqrt({self.d}))"
-
-
-# ---------------------------------------------------------------------------
 # the normalization algorithm
 
 
@@ -273,13 +189,10 @@ def _pattern_violations(M, sign: int):
 
 
 def family_pattern_residual(M, sign: int) -> float:
-    """Max violation of the sign-family pattern (0.0 means exact member).
-
-    Works for float, Fraction and quadratic-extension entries; the exact
-    regimes are compared exactly, so 0.0 is a certificate.
-    """
+    """Max violation of the sign-family pattern, of float or Fraction entries;
+    Fractions are compared exactly, so 0.0 certifies an exact member."""
     vals = _pattern_violations(M, sign)
-    if all(isinstance(v, (int, Fraction, _QuadExt)) for v in vals) and all(v == 0 for v in vals):
+    if _exactish(*vals) and all(v == 0 for v in vals):
         return 0.0
     return max(abs(float(v)) for v in vals)
 
@@ -291,16 +204,13 @@ class NormalizationResult:
     images: tuple
     params: tuple
     residual: float
-    exact: bool
+    exact: bool  # the images are exact: only Fractions, residual 0.0 (else float64, residual measured)
     u_error: tuple | None = None  # group pairs: the bound d's float resolution sets on each u's error
-
-    def conjugator_float(self):
-        return np.array([[float(v) for v in row] for row in self.conjugator])
 
     def to_json(self) -> dict:
         return {
             "sign": self.sign,
-            "conjugator": projlin.matrix_to_json(self.conjugator_float()),
+            "conjugator": projlin.matrix_to_json(to_float(self.conjugator)),
             "residual": self.residual,
         }
 
@@ -444,16 +354,14 @@ def translation_line_form(gens, Y, X, group) -> LineForm:
 
 def _scaled_form(form):
     """C = S ``form.inverse`` and the images S Z S^-1 of ``form.sheared``, scaled
-    entrywise, with S = diag(r^2, 1, r, 1), r = sqrt(r2): over Q, or Q(sqrt r2)
-    when r2 is rational but not a square, or in floats."""
+    entrywise, with S = diag(r^2, 1, r, 1), r = sqrt(r2): over Q when r2 is the
+    square of a rational, else in floats, r2 and then sqrt(r2) rounded once."""
     r2, inverse, sheared = form.r2, form.inverse, form.sheared
-    if _exactish(r2):
-        r = projlin._rational_sqrt(r2)
-        if r is None:
-            r = _QuadExt(0, 1, r2)
-        s = np.array([r * r, r / r, r, r / r], dtype=object)  # r / r: the 1 of r's field
-    else:
-        s = np.array([r2, 1.0, math.sqrt(r2), 1.0])
+    r = projlin._rational_sqrt(r2) if _exactish(r2) else None
+    if r is not None:
+        s = np.array([r * r, Fraction(1), r, Fraction(1)], dtype=object)
+    else:  # math.sqrt rounds a Fraction r2 to float first
+        s = np.array([float(r2), 1.0, math.sqrt(r2), 1.0])
         inverse, sheared = to_float(inverse), [to_float(Z) for Z in sheared]
     ratios = np.outer(s, 1 / s)
     return s[:, None] * inverse, tuple(ratios * Z for Z in sheared)
@@ -464,12 +372,13 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     LPrime (sign +1) or LPrimeMinus (sign -1).
 
     The generic (n = 3) element among small integer combinations is Y of
-    ``translation_line_form``, whose form is then scaled: over Q or
-    Q(sqrt(d)) for exact input, with an exactly zero residual; float input
-    reports the max pattern violation.  A pair already in a model family
-    (exactly, or within ``NORMALIZE_TOL`` relative for float input) keeps
-    the identity conjugator and its measured residual.  Violated
-    hypotheses raise HypothesesError naming the failure.
+    ``translation_line_form``, whose form ``_scaled_form`` scales by sqrt(r2):
+    exact input stays exact, with an exactly zero residual, when r2 is the
+    square of a rational; otherwise r2 is rounded once, and the result is a
+    float one (``exact`` False) reporting the max pattern violation.  A pair
+    already in a model family (exactly, or within ``NORMALIZE_TOL`` relative
+    for float input) keeps the identity conjugator and its measured
+    residual.  Violated hypotheses raise HypothesesError naming the failure.
     """
     exact = is_exact(alpha) and is_exact(beta)
     if alpha.shape != (4, 4) or beta.shape != (4, 4):
@@ -512,10 +421,10 @@ def normalize_algebra_pair(alpha, beta) -> NormalizationResult:
     form = translation_line_form((alpha, beta), gen, beta if combo[0] != 0 else alpha, False)
     C, images = _scaled_form(form)
     residual = max(family_pattern_residual(img, form.sign) for img in images)
-    if exact and residual != 0.0:
+    if is_exact(C) and residual != 0.0:
         raise AssertionError("exact normalization left a nonzero residual")
     params = tuple((img[1, 1], img[0, 2]) for img in images)
-    return NormalizationResult(form.sign, C, images, params, float(residual), exact)
+    return NormalizationResult(form.sign, C, images, params, float(residual), is_exact(C))
 
 
 def _lift_resolution(lift) -> float:

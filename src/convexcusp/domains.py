@@ -484,17 +484,12 @@ class BallDomain(ConvexDomain):
         return np.eye(3) - 2.0 * W[:, :, None] * W[:, None, :] / np.einsum("ij,ij->i", W, W)[:, None, None]
 
     def _ray_exit(self, X, V):
-        """Exit parameters of rays X + tau*V: the positive root of
-        |X + tau V|^2 = 1, by the form that does not cancel.  With
-        b = X.V, a = |V|^2 and c = 1 - |X|^2 it is c/(b + sqrt(b^2 + a c))
-        for b > 0 and (sqrt(b^2 + a c) - b)/a otherwise.  c is positive
-        wherever ``contains_batch`` holds, which tests the same |X|^2 < 1.
-        The root is accurate to rounding."""
-        b = np.einsum("ij,ij->i", X, V)
-        a = np.einsum("ij,ij->i", V, V)
-        c = 1.0 - np.einsum("ij,ij->i", X, X)
-        root = np.sqrt(b * b + a * c)
-        return np.where(b > 0, c / (b + root), (root - b) / a)
+        """Exit parameters of rays X + tau*V: ``_positive_root`` of 1 - |X|^2 - 2 (X.V) tau
+        - |V|^2 tau^2, accurate to rounding; 1 - |X|^2 > 0 where ``contains_batch`` holds.
+        Its dropped branch divides by 0 where X.V < 0 and |V|^2 (1 - |X|^2) << (X.V)^2."""
+        b, a = np.einsum("ij,ij->i", X, V), np.einsum("ij,ij->i", V, V)
+        with np.errstate(divide="ignore"):
+            return _positive_root(1.0 - np.einsum("ij,ij->i", X, X), -2.0 * b, a)
 
 
 class VerticalShiftDomain(ParabolicDomain):

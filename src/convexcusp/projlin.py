@@ -597,12 +597,20 @@ def matrix_to_json(M) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of a wire-format object or of its JSON text; anything else (not an
+    object, a missing key, rows not 4x4, an entry not a number) raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    regime = obj["regime"]
-    rows = obj["rows"]
-    if regime == "exact":
-        return exact_matrix([[Fraction(v) for v in row] for row in rows])
-    if regime == "float":
-        return float_matrix(rows)
+    if not isinstance(obj, dict) or not {"regime", "rows"} <= obj.keys():
+        raise ValueError('not a matrix object {"regime": ..., "rows": ...}')
+    regime, rows = obj["regime"], obj["rows"]
+    if not (isinstance(rows, list) and len(rows) == 4 and all(isinstance(r, list) and len(r) == 4 for r in rows)):
+        raise ValueError("rows are not 4x4")
+    try:
+        if regime == "exact":
+            return exact_matrix([[Fraction(v) for v in row] for row in rows])
+        if regime == "float":
+            return float_matrix([[float(v) for v in row] for row in rows])
+    except (TypeError, ZeroDivisionError) as err:
+        raise ValueError(f"an entry is not a number: {err}") from err
     raise ValueError(f"unknown matrix regime {regime!r}")

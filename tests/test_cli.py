@@ -393,6 +393,25 @@ def test_lattice_normalize_missing_generator_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "normalization.json").exists()
 
 
+_FLOAT_ROWS = {"regime": "float", "rows": np.eye(4).tolist()}
+
+
+@pytest.mark.parametrize("payload,generator,reason", [
+    ({"A": [1, 2], "B": 3}, "A", "not a matrix object"),
+    ({"A": {"rows": np.eye(4).tolist()}, "B": _FLOAT_ROWS}, "A", "not a matrix object"),
+    ({"A": _FLOAT_ROWS, "B": {"regime": "float", "rows": np.eye(3).tolist()}}, "B", "rows are not 4x4"),
+])
+def test_lattice_normalize_malformed_generator_is_usage_error(tmp_path, capsys, payload, generator, reason):
+    # a list, a generator with no "regime" key and 3x3 rows: one error line
+    # naming the file and the generator, exit 2, before any normalization
+    infile = tmp_path / "malformed.json"
+    infile.write_text(json.dumps(payload))
+    assert run(["lattice", "normalize", "--in", str(infile), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {infile}: generator {generator}: {reason}") and err.count("\n") == 1
+    assert not (tmp_path / "normalization.json").exists()
+
+
 def test_domain_export(tmp_path):
     rc = run(
         ["domain", "export", "--family", "Dt", "--t", "0.5", "--obj", "d.obj", "--svg", "d.svg",
@@ -408,6 +427,24 @@ def test_domain_export_requires_format(tmp_path):
 
 def test_domain_export_dt_requires_t(tmp_path):
     assert run(["domain", "export", "--family", "Dt", "--obj", "x.obj", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--t", "nan"), ("--t", "inf"), ("--level", "nan"), ("--x3", "-inf"), ("--x2-min", "nan"),
+    ("--x2-max", "inf"), ("--x3-min", "nan"), ("--x3-max", "inf"), ("--grid", "0"), ("--grid", "1"),
+])
+def test_domain_export_refuses_bad_numbers(tmp_path, capsys, option, value):
+    # a non-finite float option is an argparse usage error, and so is a
+    # grid with fewer than two nodes a side; neither writes a mesh
+    argv = ["domain", "export", "--family", "Dt", "--t", "0.5", "--obj", "d.obj", f"{option}={value}", "--out", str(tmp_path)]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    message = (f"domain export needs --grid >= 2, not {value}" if option == "--grid"
+               else f"error: argument {option}: not a finite number: {value!r}")
+    assert code == 2 and capsys.readouterr().err.endswith(message + "\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_malformed_json_is_usage_error(tmp_path):

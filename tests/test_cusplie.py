@@ -222,7 +222,8 @@ def test_normalize_fast_path_is_identity():
     A = cl.alg_matrix(LieAlgElem("LPrime", (1, 0)))
     B = cl.alg_matrix(LieAlgElem("LPrime", (0, 1)))
     res = cl.normalize_algebra_pair(A, B)
-    assert res.sign == 1 and res.residual == 0.0
+    assert res.sign == 1 and res.residual == 0.0 and res.exact
+    assert all(type(v) is Fraction for M in (res.conjugator, *res.images) for v in M.flat)
     assert np.array_equal(pl.to_float(res.conjugator), np.eye(4))
 
 
@@ -273,33 +274,54 @@ def test_normalize_exact_round_trip(family, expected_sign):
         assert res.sign == expected_sign
         assert res.residual == 0.0
         assert res.exact
+        assert all(type(v) is Fraction for M in (res.conjugator, *res.images) for v in M.flat)
         # parameter pairs transform back to the inputs up to the sign of b
         (pa1, pb1), (pa2, pb2) = res.params
         assert pa1 == a1 and pa2 == 0
         assert float(pb1) == pytest.approx(float(b1) * float(pb2) / float(b2), abs=1e-12)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_normalize_exact_over_a_quadratic_extension(sign):
-    # the top-right entry is 2 (not 1) times the dilation entry, so the
-    # final rescaling needs 1/sqrt(2): the conjugator lies over Q(sqrt 2)
-    # and still conjugates the pair exactly into the family.  The basis is
-    # the Jordan chain of N0 = x2 (trace 0), which reads v = 1 there, so
-    # the positive scale leaves b2 = 3 b1 > 0 in both families
-    x1 = pl.exact_matrix([[0, 0, 1, -4 * sign], [0, 2, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+def _scaled_pair(sign, top_right):
+    """A conjugate of the LPrime (sign +1) or LPrimeMinus pair with dilation entry 2
+    and top-right entry top_right * sign, so r^2 = 2/top_right.  The basis is the
+    Jordan chain of N0 = x2 (trace 0), which reads v = 1 there, so the positive
+    scale leaves b2 = 3 b1 > 0 in both families."""
+    x1 = pl.exact_matrix([[0, 0, 1, -top_right * sign], [0, 2, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     x2 = pl.exact_matrix([[0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, 3], [0, 0, 0, 0]])
     G = pl.exact_matrix([[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
     Gi = pl.mat_inv(G)
-    pair = (G @ x1 @ Gi, G @ x2 @ Gi)
+    return G @ x1 @ Gi, G @ x2 @ Gi
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_normalize_irrational_scale_is_rounded_once(sign):
+    # the top-right entry is 2 (not 1) times the dilation entry, so r^2 = 1/2
+    # and the final rescaling needs 1/sqrt(2): the form is scaled in floats
+    # and the result says so
+    pair = _scaled_pair(sign, 4)
+    res = cl.normalize_algebra_pair(*pair)
+    C = res.conjugator
+    assert res.sign == sign and not res.exact and res.residual <= 1e-15
+    assert not pl.is_exact(C) and not any(pl.is_exact(img) for img in res.images)
+    for x, img in zip(pair, res.images):
+        assert np.abs(C @ pl.to_float(x) - img @ C).max() <= 1e-14
+    (a1, b1), (a2, b2) = res.params
+    assert (a1, a2) == (2, 0) and b1 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert b2 == pytest.approx(3 * b1, rel=1e-15)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_normalize_exact_at_a_non_integer_square_scale(sign):
+    # top-right entry 9/2: r^2 = 4/9, whose root 2/3 is rational, so the
+    # scale stays over Q and the conjugator carries the pair exactly
+    pair = _scaled_pair(sign, Fraction(9, 2))
     res = cl.normalize_algebra_pair(*pair)
     C = res.conjugator
     assert res.sign == sign and res.residual == 0.0 and res.exact
-    assert all(type(v) is cl._QuadExt for v in C.flat)
+    assert all(type(v) is Fraction for M in (C, *res.images) for v in M.flat)
     for x, img in zip(pair, res.images):
         assert all(v == 0 for v in (C @ x - img @ C).flat)
-    (a1, b1), (a2, b2) = res.params
-    assert (a1, a2) == (2, 0) and float(b1) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-    assert float(b2) == pytest.approx(3 * float(b1), rel=1e-15)
+    assert res.params == ((2, Fraction(2, 3)), (0, 2))
 
 
 def test_normalize_float_round_trip():

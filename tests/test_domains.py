@@ -525,6 +525,32 @@ def test_ball_exits_do_not_cancel():
             assert abs(Decimal(tau) - exact) <= Decimal(1e-14) * exact
 
 
+def test_ball_exits_are_the_closed_form_bit_for_bit():
+    # _positive_root(c, -2b, a) scales the root and both branches by 2
+    # exactly, so it reads the bits of the closed form it replaced, on rays
+    # near the boundary, rays at the centre and rays pointing at it
+    rng = np.random.default_rng(71)
+    n = 4000
+    radius = np.where(rng.random(n) < 0.5, rng.uniform(0, 1, n) ** (1 / 3), 1 - 10.0 ** -rng.integers(1, 17, n))
+    X = rng.normal(size=(n, 3))
+    X *= (radius / np.linalg.norm(X, axis=1))[:, None]
+    X[:100] = 0.0
+    V = rng.normal(size=(n, 3)) * 10 ** rng.uniform(-3, 3, (n, 1))
+    V[100:400] = -X[100:400] * rng.uniform(0.1, 10, (300, 1))
+    inside = dm.BallDomain().contains_batch(X)
+    X, V = X[inside], V[inside]
+    b, a = np.einsum("ij,ij->i", X, V), np.einsum("ij,ij->i", V, V)
+    c = 1.0 - np.einsum("ij,ij->i", X, X)
+    root = np.sqrt(b * b + a * c)
+    # b + root is 0 on inward rays where a c << b^2, in the branch np.where drops
+    with np.errstate(divide="ignore"):
+        closed = np.where(b > 0, c / (b + root), (root - b) / a)
+    assert np.any((b < 0) & (b + root == 0))
+    exits = dm.BallDomain()._ray_exit(X, V)
+    assert np.all(np.isfinite(exits)) and np.all(exits > 0) and np.any(b > 0) and np.any(b < 0)
+    assert np.array_equal(exits.view(np.int64), closed.view(np.int64))
+
+
 def _decimal_exit(dom, x, v, tau):
     """The exit of the ray x + s v next to ``tau``, by Newton's method in 60
     digits on the boundary equation of DPrime, x1 - x3^2/2 + log x2 = 0,

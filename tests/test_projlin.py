@@ -720,3 +720,21 @@ def test_matrix_json_round_trip():
     objf = pl.matrix_to_json(Mf)
     assert objf["regime"] == "float"
     assert np.allclose(pl.matrix_from_json(objf), Mf)
+
+
+@pytest.mark.parametrize("obj,reason", [
+    ([1, 2], "not a matrix object"),
+    ({"rows": np.eye(4).tolist()}, "not a matrix object"),
+    ({"regime": "float", "rows": np.eye(3).tolist()}, "rows are not 4x4"),
+    ({"regime": "float", "rows": [[1.0, 0.0, 0.0, 0.0]] * 3 + [[0.0] * 3]}, "rows are not 4x4"),
+    ({"regime": "exact", "rows": [[None] * 4] * 4}, "an entry is not a number"),
+    ({"regime": "exact", "rows": [["1/0"] * 4] * 4}, "an entry is not a number"),
+    ({"regime": "float", "rows": [[None] * 4] * 4}, "an entry is not a number"),
+    ({"regime": "float", "rows": [[[1.0]] * 4] * 4}, "an entry is not a number"),
+    ({"regime": "float", "rows": [["x"] * 4] * 4}, "could not convert"),
+    ({"regime": "half", "rows": np.eye(4).tolist()}, "unknown matrix regime"),
+])
+def test_matrix_from_json_refuses_malformed_objects(obj, reason):
+    # everything off the wire format is a ValueError, which the CLI maps to a usage error
+    with pytest.raises(ValueError, match=reason):
+        pl.matrix_from_json(obj)
